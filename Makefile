@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check build test vet vet-extra vulncheck race lint-suite cost-gate fast-gate fuzz bench bench-hot trace-sample explore-smoke explore-baseline scenario-gate scenario-baseline stream-gate
+.PHONY: check build test vet vet-extra vulncheck race flake lint-suite cost-gate fast-gate fuzz bench bench-hot trace-sample explore-smoke explore-baseline scenario-gate scenario-baseline stream-gate
 
-check: vet vet-extra vulncheck build test race lint-suite cost-gate explore-smoke scenario-gate stream-gate
+check: vet vet-extra vulncheck build test race flake lint-suite cost-gate explore-smoke scenario-gate stream-gate
 
 build:
 	$(GO) build ./...
@@ -41,6 +41,14 @@ vulncheck:
 
 race:
 	$(GO) test -race ./...
+
+# Flake detector: the engine's scheduling tests and the scenario layer's
+# determinism and input checks, repeated in shuffled order so an
+# interleaving-dependent test fails here rather than once in a while in
+# `make test`.
+flake:
+	$(GO) test -run TestEngine -count=50 -shuffle=on ./internal/experiments
+	$(GO) test -run 'TestDeterminism|TestRunRejectsBadInputs' -count=3 -shuffle=on ./internal/scenario
 
 # Zero error-severity hazard findings across every benchmark × Table 1
 # scheme — the software-interlock invariant of the whole toolchain.

@@ -92,7 +92,7 @@ func BenchmarkMultiprocessorScaling(b *testing.B) {
 
 // BenchmarkESuiteSerial regenerates the entire evaluation with the
 // experiment engine pinned to one worker — the reference configuration
-// BENCH_baseline.json is recorded at (together with -predecode=false).
+// BENCH_baseline.json is recorded at.
 func BenchmarkESuiteSerial(b *testing.B) {
 	benchAll(b, 1)
 }
@@ -165,18 +165,6 @@ func BenchmarkIcacheFetch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ic.Fetch(isa.Word(i & 255))
-	}
-}
-
-// BenchmarkIcacheFetchDecoded measures the predecoded fetch fast path the
-// pipeline's IF stage uses (compare with BenchmarkIcacheFetch + a Decode).
-func BenchmarkIcacheFetchDecoded(b *testing.B) {
-	mm := mem.New()
-	e := ecache.New(ecache.DefaultConfig(), mm, mem.DefaultBus())
-	ic := icache.New(icache.DefaultConfig(), e)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ic.FetchDecoded(isa.Word(i & 255))
 	}
 }
 

@@ -32,8 +32,8 @@
 // total_cycles_simulated, and each live machine run verifies its own
 // ledger against its per-unit counters before its cell completes.
 //
-// Tables are byte-identical at every -parallel level, with -predecode on or
-// off, and with the result cache cold or hot; only the timing and memo
+// Tables are byte-identical at every -parallel level, with -fast on or off,
+// and with the result cache cold or hot; only the timing and memo
 // fields of the JSON report vary. CI records the report as BENCH_pr.json and
 // gates merges on -check against the checked-in baseline, running the check
 // twice against one cache directory (cold, then hot) so an unsound memo key
@@ -78,7 +78,6 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "per-cell wall-clock budget (0 = none)")
 	jsonOut := flag.Bool("json", false, "emit a machine-readable report on stdout instead of tables")
 	check := flag.String("check", "", "baseline JSON report; exit 1 if any table differs")
-	predecode := flag.Bool("predecode", true, "use the predecoded instruction-fetch fast path")
 	fast := flag.Bool("fast", false,
 		"use the compiled basic-block fast tier (timing only; tables and attribution are identical)")
 	cacheDir := flag.String("cache", "",
@@ -97,7 +96,6 @@ func main() {
 		"with -scenario: carry an N-cycle windowed ledger time-series (mipsx-obswin/v1) in every cell's result (not for golden -check runs)")
 	flag.Parse()
 
-	experiments.SetPredecode(*predecode)
 	experiments.SetFastTier(*fast)
 	eng := experiments.Configure(*parallel, *timeout, *jsonOut || *check != "")
 	store, err := experiments.NewMemoStore(*cacheDir)
@@ -148,7 +146,11 @@ func main() {
 	wall := time.Since(start)
 	eng.FlushProgress()
 
-	doc := experiments.NewBenchDoc(tables, perExp, wall, *parallel, *predecode, *fast, eng)
+	doc := experiments.NewBenchDoc(tables, perExp, wall, *parallel, false, *fast, eng)
+	if doc.MemoWriteErrors > 0 || doc.MemoCorrupt > 0 {
+		fmt.Fprintf(os.Stderr, "mipsx-bench: WARNING: memo store %s: %d results not recorded, %d corrupt entries re-run\n",
+			*cacheDir, doc.MemoWriteErrors, doc.MemoCorrupt)
+	}
 
 	// Conservation gate: every simulated cycle this run accounted must carry
 	// a cause (live cells verify per machine; replayed cells carry their
@@ -339,9 +341,9 @@ func compare(path string, doc *experiments.BenchDoc, attr bool) int {
 			doc.MemoHits, lookups, 100*doc.MemoHitRate)
 	}
 	if base.TotalWallMS > 0 && doc.TotalWallMS > 0 {
-		fmt.Fprintf(os.Stderr, "mipsx-bench: wall %.0f ms vs baseline %.0f ms (%.2fx; baseline parallel=%d predecode=%v, now parallel=%d predecode=%v, GOMAXPROCS=%d)\n",
+		fmt.Fprintf(os.Stderr, "mipsx-bench: wall %.0f ms vs baseline %.0f ms (%.2fx; baseline parallel=%d, now parallel=%d, GOMAXPROCS=%d)\n",
 			doc.TotalWallMS, base.TotalWallMS, base.TotalWallMS/doc.TotalWallMS,
-			base.Parallel, base.Predecode, doc.Parallel, doc.Predecode, doc.GOMAXPROCS)
+			base.Parallel, doc.Parallel, doc.GOMAXPROCS)
 	}
 	return 0
 }

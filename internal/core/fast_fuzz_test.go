@@ -104,8 +104,8 @@ func FuzzFastVsAccurate(f *testing.F) {
 	f.Add([]byte{}, byte(0), byte(0))
 	f.Add([]byte{4, 1, 2, 3, 4, 5, 6, 7, 8}, byte(1), byte(1))
 	f.Add([]byte{4, 4, 0, 4, 1, 4, 2, 9, 9, 9, 9, 9}, byte(2), byte(2)) // nested loops
-	f.Add([]byte{3, 3, 7, 7, 7, 3, 1, 1, 1, 1}, byte(3), byte(3))      // branches
-	f.Add([]byte{1, 1, 1, 2, 2, 2, 0, 0}, byte(4), byte(7))            // tiny icache + sticky
+	f.Add([]byte{3, 3, 7, 7, 7, 3, 1, 1, 1, 1}, byte(3), byte(3))       // branches
+	f.Add([]byte{1, 1, 1, 2, 2, 2, 0, 0}, byte(4), byte(7))             // tiny icache + sticky
 	f.Fuzz(func(t *testing.T, data []byte, schemeByte, cfgByte byte) {
 		schemes := reorg.Table1Schemes()
 		scheme := schemes[int(schemeByte)%len(schemes)]
@@ -124,9 +124,6 @@ func FuzzFastVsAccurate(f *testing.F) {
 		}
 		if cfgByte&2 != 0 {
 			cfg.Pipeline.StickyOverflow = true
-		}
-		if cfgByte&4 != 0 {
-			cfg.Icache.Predecode = false
 		}
 		run := func(useFast bool) (*Machine, error) {
 			c := cfg

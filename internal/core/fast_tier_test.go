@@ -12,8 +12,10 @@ package core
 import (
 	"testing"
 
+	"repro/internal/asm"
 	"repro/internal/isa"
 	"repro/internal/obs"
+	"repro/internal/refmodel"
 	"repro/internal/reorg"
 	"repro/internal/tinyc"
 )
@@ -140,6 +142,9 @@ func TestFastTierFallbackSeams(t *testing.T) {
 		name string
 		cfg  func() Config
 		src  string
+		// golden: the accurate run must also print what the sequential
+		// golden model prints.
+		golden bool
 	}{
 		{
 			// A one-block direct-mapped icache whose 4-word blocks cannot
@@ -259,17 +264,32 @@ func TestFastTierFallbackSeams(t *testing.T) {
 	alt:	addi r5, r5, 7
 		halt
 	`,
+			golden: true,
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, fast := runBoth(t, tc.cfg(), func(m *Machine) {
+			cfg := tc.cfg()
+			acc, fast := runBoth(t, cfg, func(m *Machine) {
 				if err := m.LoadSource(tc.src); err != nil {
 					t.Fatalf("assemble: %v", err)
 				}
 			}, 1_000_000)
 			if fast.CPU.FastSteps == 0 {
 				t.Errorf("fast tier never engaged — seam untested (lint rejection?)")
+			}
+			if tc.golden {
+				im, err := asm.AssembleSource(tc.src, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref := refmodel.New(cfg.Pipeline.BranchSlots, im.Base, im.Words)
+				if err := ref.Run(1_000_000); err != nil {
+					t.Fatal(err)
+				}
+				if acc.Output() != ref.Out.String() {
+					t.Errorf("pipeline printed %q, golden model %q", acc.Output(), ref.Out.String())
+				}
 			}
 		})
 	}

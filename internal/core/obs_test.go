@@ -12,6 +12,8 @@ import (
 	"repro/internal/icache"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
+	"repro/internal/reorg"
+	"repro/internal/tinyc"
 )
 
 // TestStatsZeroValueHelpers is the divide-by-zero regression net: every
@@ -246,5 +248,53 @@ func TestEcacheFlushConserves(t *testing.T) {
 	}
 	if err := m.VerifyAttribution(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestObsReportCounters pins the per-unit counters an attribution report
+// carries — names, order and values for one benchmark run — so memoized
+// reports replay byte-identically.
+func TestObsReportCounters(t *testing.T) {
+	var src string
+	for _, b := range tinyc.Benchmarks() {
+		if b.Name == "fib" {
+			src = b.Source
+		}
+	}
+	im, err := tinyc.Build(src, reorg.Default(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := New(DefaultConfig(), nil)
+	m.Observe(obs.NewMachineSink())
+	m.Load(im)
+	if _, err := m.Run(50_000_000); err != nil {
+		t.Fatal(err)
+	}
+	want := []obs.Counter{
+		{Name: "pipeline.fetches", Value: 50331},
+		{Name: "pipeline.retired", Value: 50327},
+		{Name: "pipeline.squashed", Value: 0},
+		{Name: "pipeline.branches", Value: 1973},
+		{Name: "pipeline.exceptions", Value: 0},
+		{Name: "icache.fetches", Value: 50331},
+		{Name: "icache.misses", Value: 34},
+		{Name: "icache.stall_cycles", Value: 221},
+		{Name: "ecache.reads", Value: 6975},
+		{Name: "ecache.writes", Value: 6908},
+		{Name: "ecache.read_misses", Value: 17},
+		{Name: "ecache.write_misses", Value: 13},
+		{Name: "ecache.stall_cycles", Value: 270},
+		{Name: "bus.words", Value: 120},
+		{Name: "bus.transfers", Value: 30},
+	}
+	got := m.ObsReport().Counters
+	if len(got) != len(want) {
+		t.Fatalf("%d counters, want %d: %+v", len(got), len(want), got)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("counter %d = %+v, want %+v", i, got[i], want[i])
+		}
 	}
 }

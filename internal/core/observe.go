@@ -24,34 +24,36 @@ func (m *Machine) Observe(s *obs.Sink) {
 	if s.Now == nil {
 		s.Now = func() uint64 { return m.CPU.Stats.Cycles }
 	}
-	// Counters registry: the per-unit counters a Report snapshots alongside
-	// the ledger. Probes read live machine state, so registering is cheap
-	// and snapshotting reflects the moment ObsReport is called.
-	s.Reg.Register("pipeline.fetches", func() uint64 { return m.CPU.Stats.Fetches })
-	s.Reg.Register("pipeline.retired", func() uint64 { return m.CPU.Stats.Retired })
-	s.Reg.Register("pipeline.squashed", func() uint64 { return m.CPU.Stats.Squashed })
-	s.Reg.Register("pipeline.branches", func() uint64 { return m.CPU.Stats.Branches })
-	s.Reg.Register("pipeline.exceptions", func() uint64 { return m.CPU.Stats.Exceptions })
-	s.Reg.Register("icache.fetches", func() uint64 { return m.ICache.Stats.Fetches })
-	s.Reg.Register("icache.misses", func() uint64 { return m.ICache.Stats.Misses })
-	s.Reg.Register("icache.stall_cycles", func() uint64 { return m.ICache.Stats.StallCycles })
-	s.Reg.Register("ecache.reads", func() uint64 { return m.ECache.Stats.Reads })
-	s.Reg.Register("ecache.writes", func() uint64 { return m.ECache.Stats.Writes })
-	s.Reg.Register("ecache.read_misses", func() uint64 { return m.ECache.Stats.ReadMisses })
-	s.Reg.Register("ecache.write_misses", func() uint64 { return m.ECache.Stats.WriteMisses })
-	s.Reg.Register("ecache.stall_cycles", func() uint64 { return m.ECache.Stats.StallCycles })
-	s.Reg.Register("bus.words", func() uint64 { return m.Bus.WordsCarried })
-	s.Reg.Register("bus.transfers", func() uint64 { return m.Bus.Transfers })
 }
 
 // ObsReport snapshots the attached sink into a serializable report, with the
-// pipeline's cycle and issued-instruction counts as the conservation totals.
-// Nil when no sink is attached.
+// pipeline's cycle and issued-instruction counts as the conservation totals
+// and the per-unit counters read from Stats at the moment of the call. Nil
+// when no sink is attached.
 func (m *Machine) ObsReport() *obs.Report {
 	if m.Obs == nil {
 		return nil
 	}
-	return m.Obs.Report(m.CPU.Stats.Cycles, m.CPU.Stats.Issued())
+	r := m.Obs.Report(m.CPU.Stats.Cycles, m.CPU.Stats.Issued())
+	p, ic, ec := &m.CPU.Stats, &m.ICache.Stats, &m.ECache.Stats
+	r.Counters = []obs.Counter{
+		{Name: "pipeline.fetches", Value: p.Fetches},
+		{Name: "pipeline.retired", Value: p.Retired},
+		{Name: "pipeline.squashed", Value: p.Squashed},
+		{Name: "pipeline.branches", Value: p.Branches},
+		{Name: "pipeline.exceptions", Value: p.Exceptions},
+		{Name: "icache.fetches", Value: ic.Fetches},
+		{Name: "icache.misses", Value: ic.Misses},
+		{Name: "icache.stall_cycles", Value: ic.StallCycles},
+		{Name: "ecache.reads", Value: ec.Reads},
+		{Name: "ecache.writes", Value: ec.Writes},
+		{Name: "ecache.read_misses", Value: ec.ReadMisses},
+		{Name: "ecache.write_misses", Value: ec.WriteMisses},
+		{Name: "ecache.stall_cycles", Value: ec.StallCycles},
+		{Name: "bus.words", Value: m.Bus.WordsCarried},
+		{Name: "bus.transfers", Value: m.Bus.Transfers},
+	}
+	return r
 }
 
 // VerifyAttribution checks the cycle-attribution invariants against the

@@ -162,6 +162,10 @@ type Engine struct {
 	// are consistent with each other in every configuration.
 	memoHits   atomic.Uint64
 	memoMisses atomic.Uint64
+	// Memo-store I/O failures: results the store could not record, and disk
+	// entries that exist but are unreadable or mismatched (each also a miss).
+	memoWriteErrors atomic.Uint64
+	memoCorrupt     atomic.Uint64
 
 	mu      sync.Mutex
 	timings []CellTiming
@@ -176,6 +180,12 @@ const progressEvery = 250 * time.Millisecond
 // as a miss — it had no chance to replay).
 func (e *Engine) MemoHits() uint64   { return e.memoHits.Load() }
 func (e *Engine) MemoMisses() uint64 { return e.memoMisses.Load() }
+
+// MemoWriteErrors and MemoCorrupt report memo-store I/O failures: results
+// that could not be recorded, and disk entries that failed to read, parse or
+// match their key (each replaced by a live run).
+func (e *Engine) MemoWriteErrors() uint64 { return e.memoWriteErrors.Load() }
+func (e *Engine) MemoCorrupt() uint64     { return e.memoCorrupt.Load() }
 
 // MemoHitRate is hits over all memoizable-cell lookups (0 when none ran).
 func (e *Engine) MemoHitRate() float64 {
@@ -316,7 +326,11 @@ func (e *Engine) runOne(ctx context.Context, c Cell) (replayed bool, attr map[st
 		k, kerr := c.Memo.Key()
 		if kerr == nil {
 			key = k
-			if entry, ok := e.Store.get(key); ok && c.Memo.Load != nil {
+			entry, ok, gerr := e.Store.get(key)
+			if gerr != nil {
+				e.memoCorrupt.Add(1)
+			}
+			if ok && c.Memo.Load != nil {
 				if lerr := c.Memo.Load(entry.Data); lerr == nil {
 					// Replay: account the recorded simulated cycles and their
 					// attribution exactly as the live run did, to the engine
@@ -327,8 +341,9 @@ func (e *Engine) runOne(ctx context.Context, c Cell) (replayed bool, attr map[st
 					e.AddAttrCtx(ctx, entry.Attr)
 					return true, entry.Attr, nil
 				}
-				// An undecodable entry is treated as a miss; the live run
+				// An undecodable entry is a corrupt miss; the live run
 				// below overwrites it.
+				e.memoCorrupt.Add(1)
 			}
 		}
 		// A key error means the input closure itself could not be built
@@ -355,11 +370,17 @@ func (e *Engine) runOne(ctx context.Context, c Cell) (replayed bool, attr map[st
 	}
 	attr = meter.attrSnapshot()
 	if key != "" && c.Memo.Save != nil {
-		if res, serr := c.Memo.Save(); serr == nil {
-			if data, jerr := json.Marshal(res); jerr == nil {
-				e.Store.put(memoEntry{Schema: memoSchema, Key: key, CellID: c.ID,
-					Cycles: meter.n.Load(), Attr: attr, Data: data})
-			}
+		res, serr := c.Memo.Save()
+		var data []byte
+		if serr == nil {
+			data, serr = json.Marshal(res)
+		}
+		if serr == nil {
+			serr = e.Store.put(memoEntry{Schema: memoSchema, Key: key, CellID: c.ID,
+				Cycles: meter.n.Load(), Attr: attr, Data: data})
+		}
+		if serr != nil {
+			e.memoWriteErrors.Add(1)
 		}
 	}
 	return false, attr, nil
@@ -474,6 +495,8 @@ func (e *Engine) ResetMetrics() {
 	e.started.Store(0)
 	e.memoHits.Store(0)
 	e.memoMisses.Store(0)
+	e.memoWriteErrors.Store(0)
+	e.memoCorrupt.Store(0)
 	e.mu.Lock()
 	e.timings = nil
 	e.attr = nil
@@ -487,22 +510,14 @@ func (e *Engine) ResetMetrics() {
 
 var defaultEngine atomic.Pointer[Engine]
 
-// usePredecode gates the predecoded-fetch fast path in machine configs built
-// by defaultConfig (mipsx-bench -predecode=false records the pre-change
-// fetch path for baselines and ablations).
-var usePredecode atomic.Bool
-
 // useFastTier gates the compiled basic-block fast tier in machine configs
-// built by defaultConfig (mipsx-bench -fast). Like predecode it is a pure
-// simulator-speed knob — tables, attribution and the conservation invariant
-// are byte-identical either way (the fast-gate CI job holds that line) — and
-// like predecode it is deliberately not memo-key material.
+// built by defaultConfig (mipsx-bench -fast). It is a pure simulator-speed
+// knob — tables, attribution and the conservation invariant are
+// byte-identical either way (the fast-gate CI job holds that line) — and it
+// is deliberately not memo-key material.
 var useFastTier atomic.Bool
 
-func init() {
-	defaultEngine.Store(&Engine{})
-	usePredecode.Store(true)
-}
+func init() { defaultEngine.Store(&Engine{}) }
 
 // Configure installs a fresh default engine with the given settings and
 // returns it. workers ≤ 0 means GOMAXPROCS; Record controls timing capture.
@@ -514,10 +529,6 @@ func Configure(workers int, timeout time.Duration, record bool) *Engine {
 
 // DefaultEngine returns the engine experiment functions currently use.
 func DefaultEngine() *Engine { return defaultEngine.Load() }
-
-// SetPredecode toggles the predecoded-fetch fast path for machines built by
-// the experiment runners (defaultConfig in runners.go reads it).
-func SetPredecode(on bool) { usePredecode.Store(on) }
 
 // SetFastTier toggles the compiled basic-block fast tier for machines built
 // by the experiment runners (defaultConfig in runners.go reads it).

@@ -41,7 +41,7 @@ func (b *FastTierBench) String() string {
 }
 
 // MeasureFastTier runs the cold-cell suite twice — interpreter only
-// (predecode and fast tier off), then with the fast tier — checking on
+// (fast tier off), then with the fast tier — checking on
 // every cell that both executions halt with identical cycle counts and
 // output. Images are built once outside the timed region (the toolchain
 // cost is identical either way); everything else a cold cell pays is
@@ -72,7 +72,6 @@ func MeasureFastTier() (*FastTierBench, error) {
 			if err != nil {
 				return 0, 0, 0, 0, err
 			}
-			cfg.Icache.Predecode = fast // interpreter-only means no decode cache either
 			cfg.FastTier = fast
 			m := core.New(cfg, nil)
 			m.Load(im)

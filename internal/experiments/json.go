@@ -36,7 +36,6 @@ type BenchDoc struct {
 	Schema     string `json:"schema"`
 	Parallel   int    `json:"parallel"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
-	Predecode  bool   `json:"predecode"`
 	Fast       bool   `json:"fast"`
 	GoVersion  string `json:"go_version"`
 
@@ -50,6 +49,14 @@ type BenchDoc struct {
 	MemoMisses           uint64       `json:"memo_misses"`
 	MemoHitRate          float64      `json:"memo_hit_rate"`
 	CellTimings          []CellTiming `json:"cell_timings,omitempty"`
+
+	// MemoWriteErrors counts results the on-disk memo store failed to
+	// record; MemoCorrupt counts disk entries that existed but failed to
+	// read, parse or match their key (each replaced by a live run). Nonzero
+	// means the cache is degraded, never that a table is wrong. omitempty:
+	// documents from healthy runs are byte-identical to older ones.
+	MemoWriteErrors uint64 `json:"memo_write_errors,omitempty"`
+	MemoCorrupt     uint64 `json:"memo_corrupt,omitempty"`
 
 	// Attribution decomposes total_cycles_simulated by cause, summed over
 	// every cell (live or replayed — replays carry their recorded
@@ -84,13 +91,13 @@ type BenchDoc struct {
 // counters. wall is the whole suite's wall clock; perExp the per-experiment
 // wall clocks, index-aligned with tables. fast records whether the compiled
 // fast tier was enabled for the run — a timing-only fact: tables and
-// attribution are identical either way.
-func NewBenchDoc(tables []*Table, perExp []time.Duration, wall time.Duration, parallel int, predecode, fast bool, e *Engine) *BenchDoc {
+// attribution are identical either way. The unnamed bool is the retired
+// predecode flag, kept so perfbench/ compiles unmodified.
+func NewBenchDoc(tables []*Table, perExp []time.Duration, wall time.Duration, parallel int, _, fast bool, e *Engine) *BenchDoc {
 	doc := &BenchDoc{
 		Schema:               BenchSchema,
 		Parallel:             parallel,
 		GOMAXPROCS:           runtime.GOMAXPROCS(0),
-		Predecode:            predecode,
 		Fast:                 fast,
 		GoVersion:            runtime.Version(),
 		TotalWallMS:          float64(wall) / 1e6,
@@ -98,6 +105,8 @@ func NewBenchDoc(tables []*Table, perExp []time.Duration, wall time.Duration, pa
 		Cells:                e.Cells(),
 		MemoHits:             e.MemoHits(),
 		MemoMisses:           e.MemoMisses(),
+		MemoWriteErrors:      e.MemoWriteErrors(),
+		MemoCorrupt:          e.MemoCorrupt(),
 		CellTimings:          e.Timings(),
 		Attribution:          e.Attribution(),
 		DroppedEvents:        e.Dropped(),

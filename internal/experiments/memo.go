@@ -13,7 +13,7 @@ package experiments
 //
 // The closure rule for key builders: hash every input that can change the
 // simulated outcome, and nothing that cannot (worker counts, wall-clock
-// budgets, the predecode and fast-tier simulator fast paths). Machine
+// budgets, the fast-tier simulator fast path). Machine
 // configurations enter keys as spec digests (internal/spec): a MachineSpec
 // *is* a memo key, its digest covers every architectural config field (the
 // field-coverage guard test in internal/spec red-flags a new field that is
@@ -28,8 +28,10 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
@@ -118,19 +120,21 @@ func (s *MemoStore) path(key string) string {
 }
 
 // get returns the recorded entry for key, consulting memory first and then
-// the backing directory. Unreadable or mismatched disk entries are treated
-// as misses (a live run overwrites them).
-func (s *MemoStore) get(key string) (memoEntry, bool) {
+// the backing directory. A disk entry that exists but cannot be read, does
+// not parse, or carries another schema or key is a miss (a live run
+// overwrites it) reported through err.
+func (s *MemoStore) get(key string) (e memoEntry, ok bool, err error) {
 	s.mu.RLock()
-	e, ok := s.mem[key]
+	e, ok = s.mem[key]
 	s.mu.RUnlock()
 	if !ok && s.dir != "" {
-		b, err := os.ReadFile(s.path(key))
-		if err == nil && json.Unmarshal(b, &e) == nil && e.Schema == memoSchema && e.Key == key {
-			ok = true
+		e, err = s.readEntry(key)
+		if ok = err == nil; ok {
 			s.mu.Lock()
 			s.mem[key] = e
 			s.mu.Unlock()
+		} else if errors.Is(err, fs.ErrNotExist) {
+			err = nil
 		}
 	}
 	if ok {
@@ -138,29 +142,50 @@ func (s *MemoStore) get(key string) (memoEntry, bool) {
 	} else {
 		s.misses.Add(1)
 	}
-	return e, ok
+	return e, ok, err
 }
 
-// put records an entry in memory and, when backed, on disk. Racing
-// duplicates are identical by construction (the simulator is deterministic
-// over the key's closure), so last-write-wins is sound.
-func (s *MemoStore) put(e memoEntry) {
+// readEntry loads and checks key's disk entry.
+func (s *MemoStore) readEntry(key string) (memoEntry, error) {
+	var e memoEntry
+	b, err := os.ReadFile(s.path(key))
+	if err != nil {
+		return e, err
+	}
+	if err := json.Unmarshal(b, &e); err != nil {
+		return e, fmt.Errorf("memo entry %s: %w", key, err)
+	}
+	if e.Schema != memoSchema || e.Key != key {
+		return e, fmt.Errorf("memo entry %s: schema %q key %q", key, e.Schema, e.Key)
+	}
+	return e, nil
+}
+
+// put records an entry in memory and, when backed, on disk, returning any
+// marshal, write or rename error (the in-memory entry stands either way).
+// Racing duplicates are identical by construction (the simulator is
+// deterministic over the key's closure), so last-write-wins is sound.
+func (s *MemoStore) put(e memoEntry) error {
 	s.mu.Lock()
 	s.mem[e.Key] = e
 	s.mu.Unlock()
 	if s.dir == "" {
-		return
+		return nil
 	}
 	b, err := json.Marshal(e)
 	if err != nil {
-		return
+		return err
 	}
 	// Write-rename so a concurrent reader never sees a torn entry.
 	tmp := s.path(e.Key) + ".tmp"
 	if err := os.WriteFile(tmp, b, 0o644); err != nil {
-		return
+		return err
 	}
-	_ = os.Rename(tmp, s.path(e.Key))
+	if err := os.Rename(tmp, s.path(e.Key)); err != nil {
+		os.Remove(tmp) // best effort: the rename error is the one to report
+		return err
+	}
+	return nil
 }
 
 // ---------------------------------------------------------------------------

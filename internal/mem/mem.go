@@ -9,8 +9,8 @@ package mem
 
 import "repro/internal/isa"
 
-// Page geometry, exported so side tables (internal/predecode) can mirror the
-// memory's paging exactly and share its backing arrays.
+// Page geometry, exported so the pipeline fast tier can mirror the memory's
+// paging exactly and share its backing arrays.
 const (
 	PageBits = 12
 	PageSize = 1 << PageBits // words per page

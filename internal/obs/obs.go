@@ -1,6 +1,6 @@
 // Package obs is the simulator's observability substrate: a cycle-attribution
 // ledger, a structured event tracer (Chrome trace-event / Perfetto JSON), and
-// a counters registry that snapshots into a serializable Report.
+// a serializable Report of the ledger plus the owner's per-unit counters.
 //
 // Design constraints, in order:
 //
@@ -263,33 +263,6 @@ type Counter struct {
 	Value uint64 `json:"value"`
 }
 
-// Registry is an ordered set of named counter probes. Registration order is
-// snapshot order, so reports are deterministic. The zero value is ready to
-// use; a nil registry snapshots to nothing.
-type Registry struct {
-	names  []string
-	probes []func() uint64
-}
-
-// Register adds a counter probe. Nil-safe receiver is not needed here:
-// registries live on the Sink which callers construct explicitly.
-func (r *Registry) Register(name string, probe func() uint64) {
-	r.names = append(r.names, name)
-	r.probes = append(r.probes, probe)
-}
-
-// Snapshot reads every probe in registration order.
-func (r *Registry) Snapshot() []Counter {
-	if r == nil || len(r.names) == 0 {
-		return nil
-	}
-	out := make([]Counter, len(r.names))
-	for i, name := range r.names {
-		out[i] = Counter{Name: name, Value: r.probes[i]()}
-	}
-	return out
-}
-
 // Sink bundles the observability endpoints a simulator unit may charge into.
 // Units hold `Obs *obs.Sink`; nil means observation is off and each charge
 // site costs exactly one branch. Ledger and Tracer may independently be nil
@@ -298,7 +271,6 @@ func (r *Registry) Snapshot() []Counter {
 type Sink struct {
 	Ledger *Ledger
 	Tracer *Tracer
-	Reg    Registry
 
 	// Now supplies the simulated-cycle clock for trace timestamps. The
 	// owning machine wires it (core.Machine points it at the pipeline's
@@ -318,9 +290,9 @@ func (s *Sink) Cycle() uint64 {
 	return s.Now()
 }
 
-// Report builds a serializable snapshot: the ledger by cause, every
-// registered counter, and the totals the conservation invariant is checked
-// against.
+// Report builds a serializable snapshot: the ledger by cause and the totals
+// the conservation invariant is checked against. The owner of the units
+// fills Counters (core.Machine.ObsReport does).
 func (s *Sink) Report(cycles, instructions uint64) *Report {
 	if s == nil {
 		return nil
@@ -330,7 +302,6 @@ func (s *Sink) Report(cycles, instructions uint64) *Report {
 		Cycles:        cycles,
 		Instructions:  instructions,
 		Causes:        s.Ledger.Causes(),
-		Counters:      s.Reg.Snapshot(),
 		DroppedEvents: s.Tracer.Dropped(),
 	}
 }

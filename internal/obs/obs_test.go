@@ -70,21 +70,6 @@ func TestReportCheckConservation(t *testing.T) {
 	}
 }
 
-func TestRegistrySnapshotOrder(t *testing.T) {
-	var r Registry
-	a, b := uint64(1), uint64(2)
-	r.Register("z.second", func() uint64 { return b })
-	r.Register("a.first", func() uint64 { return a })
-	snap := r.Snapshot()
-	if len(snap) != 2 || snap[0].Name != "z.second" || snap[1].Name != "a.first" {
-		t.Fatalf("registration order not preserved: %+v", snap)
-	}
-	b = 7
-	if r.Snapshot()[0].Value != 7 {
-		t.Fatal("snapshot must re-read probes")
-	}
-}
-
 func TestDecompositionTable(t *testing.T) {
 	l := NewMachineLedger()
 	l.Add(CauseExecute, 90)

@@ -179,8 +179,8 @@ type FastProgram struct {
 }
 
 // FastTier binds a FastProgram to one machine's live memory: the cached page
-// pointers make word revalidation (the same compare-on-fetch invalidation
-// rule internal/predecode uses) a single array read. Revalidation itself is
+// pointers make word revalidation (compare the compiled word against memory
+// on fetch) a single array read. Revalidation itself is
 // demand-driven: until a store lands inside the image span (NoteStore sets
 // dirty), memory provably still equals the words the program was compiled
 // from, and the per-fetch compare is skipped entirely.
@@ -437,7 +437,6 @@ func compileOp(in isa.Instruction, w isa.Word, pc isa.Word) fastOp {
 	}
 	return op
 }
-
 
 // importWBOK reports whether an instruction sitting in lWB can be retired by
 // the replicated writeback. Everything is, except special-register writes

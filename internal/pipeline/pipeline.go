@@ -41,16 +41,6 @@ type InstrPort interface {
 	Fetch(a isa.Word) (isa.Word, int)
 }
 
-// DecodedInstrPort is an optional InstrPort extension supplying instructions
-// already decoded (the predecode fast path — see internal/predecode). When
-// the instruction port implements it, the pipeline fetches decoded slots
-// instead of calling isa.Decode on every fetched word every cycle. The
-// semantics must match Fetch exactly: same word stream, same stalls.
-type DecodedInstrPort interface {
-	InstrPort
-	FetchDecoded(a isa.Word) (isa.Instruction, int)
-}
-
 // DataPort performs data accesses; implemented by ecache.Cache.
 type DataPort interface {
 	Read(a isa.Word) (isa.Word, int)
@@ -209,11 +199,10 @@ type CPU struct {
 	pendingSlotBranch bool
 
 	IMem      InstrPort
-	imemDec   DecodedInstrPort // non-nil when IMem supports predecoded fetch
-	imemProbe ProbePort        // non-nil when IMem supports hit probing (fast tier)
+	imemProbe ProbePort // non-nil when IMem supports hit probing (fast tier)
 	DMem      DataPort
-	Coprocs *coproc.Set
-	FPU     *coproc.FPU // nil when no FPU is attached
+	Coprocs   *coproc.Set
+	FPU       *coproc.FPU // nil when no FPU is attached
 
 	// Interrupt request lines, sampled each cycle.
 	IntLine bool // maskable
@@ -277,9 +266,6 @@ func New(cfg Config, imem InstrPort, dmem DataPort, cps *coproc.Set) *CPU {
 		panic("pipeline: BranchSlots must be 1 or 2")
 	}
 	c := &CPU{Cfg: cfg, IMem: imem, DMem: dmem, Coprocs: cps, psw: isa.ResetPSW}
-	if dp, ok := imem.(DecodedInstrPort); ok {
-		c.imemDec = dp
-	}
 	if pp, ok := imem.(ProbePort); ok {
 		c.imemProbe = pp
 	}
@@ -442,19 +428,11 @@ func (c *CPU) Step() int {
 		squashEvent = squashEvent || sq
 	}
 
-	// ---- IF: fetch into the new IF latch, predecoded when the port
-	// supports it (the fast path: no per-cycle isa.Decode).
+	// ---- IF: fetch into the new IF latch.
 	var newIF slot
 	{
-		var in isa.Instruction
-		var s int
-		if c.imemDec != nil {
-			in, s = c.imemDec.FetchDecoded(c.pc)
-		} else {
-			var w isa.Word
-			w, s = c.IMem.Fetch(c.pc)
-			in = isa.Decode(w)
-		}
+		w, s := c.IMem.Fetch(c.pc)
+		in := isa.Decode(w)
 		stall += s
 		c.Stats.IcacheStalls += uint64(s)
 		c.Stats.Fetches++

@@ -33,36 +33,12 @@ type Machine struct {
 	Out     strings.Builder
 
 	Instructions uint64
-
-	// dec caches decoded instructions by address, each validated against
-	// the current raw word on fetch (the same invalidation rule as
-	// internal/predecode), so the interpreter loop decodes each distinct
-	// word once instead of once per executed instruction.
-	dec map[isa.Word]decSlot
-}
-
-// decSlot pairs a decode with the word it came from.
-type decSlot struct {
-	word isa.Word
-	in   isa.Instruction
-}
-
-// decode fetches the instruction at address a through the decode cache.
-func (m *Machine) decode(a isa.Word) isa.Instruction {
-	w := m.Mem[a]
-	if s, ok := m.dec[a]; ok && s.word == w {
-		return s.in
-	}
-	in := isa.Decode(w)
-	m.dec[a] = decSlot{word: w, in: in}
-	return in
 }
 
 // New builds a reference machine with the given delay-slot count, loading
 // the image at base.
 func New(slots int, base isa.Word, words []isa.Word) *Machine {
-	m := &Machine{Mem: make(map[isa.Word]isa.Word), Slots: slots, PSW: isa.ResetPSW,
-		dec: make(map[isa.Word]decSlot)}
+	m := &Machine{Mem: make(map[isa.Word]isa.Word), Slots: slots, PSW: isa.ResetPSW}
 	m.FPU = coproc.NewFPU()
 	m.Console = &coproc.Console{Out: &m.Out}
 	for i, w := range words {
@@ -100,7 +76,7 @@ func (m *Machine) setReg(r isa.Reg, v isa.Word) {
 // step executes the instruction at PC. Control transfers execute their
 // delay slots inline (recursively via exec), applying squash semantics.
 func (m *Machine) step() error {
-	in := m.decode(m.PC)
+	in := isa.Decode(m.Mem[m.PC])
 	pc := m.PC
 	m.PC++
 	m.Instructions++
@@ -146,7 +122,7 @@ func (m *Machine) step() error {
 // execNonControl executes the instruction at PC, which must not be a
 // control transfer (the reorganizer never puts one in a delay slot).
 func (m *Machine) execNonControl() error {
-	in := m.decode(m.PC)
+	in := isa.Decode(m.Mem[m.PC])
 	pc := m.PC
 	m.PC++
 	m.Instructions++

@@ -10,7 +10,7 @@
 // Two Icache policies are modeled, selected by spec.ScenarioSpec.Policy:
 //
 //   - "flush": the OS flushes the hierarchy on every switch — the on-chip
-//     Icache is invalidated (predecode table included), dirty Ecache lines
+//     Icache is invalidated, dirty Ecache lines
 //     are written back (their bus cycles charged to the flush-refill cause),
 //     and the scheduler charges SwitchCost cycles of software overhead to
 //     the context-switch cause. This is the virtually-addressed,

@@ -10,10 +10,9 @@ import (
 
 // timingNeutral lists the core.Config fields deliberately excluded from the
 // spec digest: bit-identical simulator fast paths and bus run state. Two runs
-// differing only in these share one memo entry by design (DESIGN.md §9, §12).
+// differing only in these share one memo entry by design (DESIGN.md §12).
 var timingNeutral = map[string]bool{
 	"FastTier":              true,
-	"Icache.Predecode":      true,
 	"Pipeline.CheckHazards": true,
 	"Bus.BusyCycles":        true,
 	"Bus.Transfers":         true,

@@ -14,10 +14,10 @@
 // prove that every architectural core.Config field is covered by the digest
 // (see TestSpecDigestCoversCoreConfig).
 //
-// The spec deliberately carries no simulator-speed knobs: predecode and the
-// compiled fast tier are bit-identical fast paths (DESIGN.md §9, §12), so
-// two runs differing only in those share one spec, one digest and one memo
-// entry. The guard test pins the allowlist.
+// The spec deliberately carries no simulator-speed knobs: the compiled fast
+// tier is a bit-identical fast path (DESIGN.md §12), so two runs differing
+// only in it share one spec, one digest and one memo entry. The guard test
+// pins the allowlist.
 package spec
 
 import (
@@ -419,8 +419,7 @@ func (ms MachineSpec) Validate() error {
 // Realization
 
 // BuildICache realizes the Icache sub-spec alone (the trace-driven sweeps
-// construct caches without a full machine). Predecode is left off: it is a
-// simulator fast path, not part of the organization.
+// construct caches without a full machine).
 func (ic ICacheSpec) BuildICache() icache.Config {
 	return icache.Config{
 		Sets:          ic.Sets,
@@ -473,10 +472,9 @@ func (ec ECacheSpec) BuildECache() ecache.Config {
 }
 
 // Build validates the spec and realizes it into the core.Config the
-// simulator runs. Predecode defaults on (as in core.DefaultConfig); callers
-// owning simulator-speed knobs (predecode, fast tier) apply them after —
-// those knobs are bit-identical fast paths and deliberately not part of the
-// spec or its digest.
+// simulator runs. Callers owning the fast-tier knob apply it after — it is
+// a bit-identical fast path and deliberately not part of the spec or its
+// digest.
 func (ms MachineSpec) Build() (core.Config, error) {
 	if err := ms.Validate(); err != nil {
 		return core.Config{}, err
@@ -491,7 +489,6 @@ func (ms MachineSpec) Build() (core.Config, error) {
 		Bus:    mem.Bus{Latency: ms.Bus.Latency, PerWord: ms.Bus.PerWord},
 		NoFPU:  ms.NoFPU,
 	}
-	cfg.Icache.Predecode = true
 	return cfg, nil
 }
 
@@ -499,8 +496,8 @@ func (ms MachineSpec) Build() (core.Config, error) {
 // scheme, which core.Config does not carry) back to the spec that names it.
 // Enum values outside their ranges map to distinct "unknown(n)" names, so
 // any two distinct configs produce distinct digests — the property the
-// field-coverage guard test leans on. Simulator-speed knobs (Predecode,
-// FastTier, CheckHazards) and bus run state are intentionally dropped; the
+// field-coverage guard test leans on. Simulator-speed knobs (FastTier,
+// CheckHazards) and bus run state are intentionally dropped; the
 // guard test pins that exact allowlist.
 func FromConfig(cfg core.Config, scheme reorg.Scheme) MachineSpec {
 	return MachineSpec{
