@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check build test vet vet-extra vulncheck race flake lint-suite cost-gate fast-gate fuzz bench bench-hot trace-sample explore-smoke explore-baseline scenario-gate scenario-baseline stream-gate
+.PHONY: check build test vet vet-extra vulncheck race flake lint-suite cost-gate fuzz bench bench-hot trace-sample explore-smoke explore-baseline scenario-gate scenario-baseline stream-gate
 
 check: vet vet-extra vulncheck build test race flake lint-suite cost-gate explore-smoke scenario-gate stream-gate
 
@@ -62,33 +62,20 @@ lint-suite:
 cost-gate:
 	$(GO) test ./internal/experiments -run TestStaticCostMatchesLedgerEveryBenchmarkEveryScheme -count=1
 
-# Fast-tier differential wall: the compiled basic-block fast tier must be
-# invisible. Two layers. The in-process grid runs every tinyc benchmark ×
-# Table 1 scheme accurate-then-fast and diffs cycles, per-unit stats,
-# registers, PSW, output and the attribution ledger. The end-to-end layer
-# runs the full experiment suite with the tier off (recording a reference
-# report) and again with it on under -check-attr: tables, cycle totals and
-# the per-cause attribution breakdown must all match byte-for-byte.
-fast-gate:
-	$(GO) test ./internal/core -run 'TestFastTier' -count=1
-	$(GO) run ./cmd/mipsx-bench -parallel 1 -json > .fastgate_off.json
-	$(GO) run ./cmd/mipsx-bench -parallel 1 -fast -check .fastgate_off.json -check-attr
-	rm -f .fastgate_off.json
-
 # Longer exploration of the compile → reorganize → lint invariant, plus the
-# fast-vs-accurate differential fuzz target (CI smokes both on every merge).
+# pipeline-vs-golden-model differential fuzz target (CI smokes both on every
+# merge).
 fuzz:
 	$(GO) test ./internal/lint -fuzz=FuzzCompileReorgLint -fuzztime=60s
-	$(GO) test ./internal/core -fuzz=FuzzFastVsAccurate -fuzztime=60s -run '^$$'
+	$(GO) test ./internal/refmodel -fuzz=FuzzPipelineVsRefmodel -fuzztime=60s -run '^$$'
 
 # Bench-regression tracking: verify every experiment table against the
 # recorded golden baseline (exit 1 on drift) three times — once serially
 # with no cache (every cell live at -parallel 1), then cold (recording) and
 # hot (replaying) over one cache directory, so scheduling nondeterminism and
 # unsound memo keys both surface as table drift; the hot pass's report is
-# BENCH_pr.json (with the observation-overhead and fast-tier cold-cell
-# measurements recorded, and the fast tier live for its cells), then run the
-# Go benchmarks once. CI uploads BENCH_pr.json. The greps are the
+# BENCH_pr.json (with the observation-overhead measurement recorded), then
+# run the Go benchmarks once. CI uploads BENCH_pr.json. The greps are the
 # attribution gate: the report must carry the cycle-attribution breakdown
 # with conservation passing, both engine-wide and per cell (more than one
 # "attribution" key means the cell_timings entries carry their own).
@@ -97,12 +84,11 @@ bench:
 	rm -rf $(BENCHCACHE)
 	$(GO) run ./cmd/mipsx-bench -parallel 1 -check BENCH_baseline.json > /dev/null
 	$(GO) run ./cmd/mipsx-bench -check BENCH_baseline.json -cache $(BENCHCACHE) -json > BENCH_cold.json
-	$(GO) run ./cmd/mipsx-bench -check BENCH_baseline.json -cache $(BENCHCACHE) -json -obs-overhead -fast -fast-bench > BENCH_pr.json
+	$(GO) run ./cmd/mipsx-bench -check BENCH_baseline.json -cache $(BENCHCACHE) -json -obs-overhead > BENCH_pr.json
 	grep -q '"attribution_conserved": true' BENCH_pr.json
 	grep -q '"attribution_conserved": true' BENCH_cold.json
 	test `grep -c '"attribution"' BENCH_pr.json` -gt 1
 	grep -q '"obs_overhead"' BENCH_pr.json
-	grep -q '"fast_tier"' BENCH_pr.json
 	$(GO) test -bench=. -benchtime=1x -run '^$$' .
 
 # Sample observability artifacts: a Perfetto-loadable event trace and an
@@ -145,8 +131,8 @@ scenario-baseline:
 
 # Streaming observability gate, four layers. (1) The stream/window unit and
 # seam tests: streamed traces byte-identical to buffered WriteJSON, windowed
-# conservation across fast-tier-block, squash and context-switch boundaries,
-# and the observation-purity test with streaming tracers + windowed ledgers
+# conservation across squash and context-switch boundaries, and the
+# observation-purity test with streaming tracers + windowed ledgers
 # attached. (2) End-to-end byte-identity: the same benchmark traced through
 # -trace-out (buffered) and -obs-stream (incremental) must produce identical
 # files. (3) A live windowed run whose mipsx-obswin/v1 stream mipsx-trace

@@ -15,12 +15,9 @@
 //	                                     # result cache across runs
 //	mipsx-bench -progress                # live cells/hit-rate/rate lines
 //	mipsx-bench -json -obs-overhead      # also measure observation overhead
-//	mipsx-bench -json -fast-bench        # also measure the fast tier's
-//	                                     # cold-cell suite speedup
-//	mipsx-bench -fast -check X.json -check-attr
-//	                                     # fast-gate differential wall: tables
-//	                                     # AND cycle totals AND attribution
-//	                                     # must match the baseline exactly
+//	mipsx-bench -check X.json -check-attr
+//	                                     # tables AND cycle totals AND
+//	                                     # attribution must match X exactly
 //	mipsx-bench -scenario                # multiprogramming sweep: workload ×
 //	                                     # quantum × Icache switch policy
 //	mipsx-bench -scenario -check SCENARIO_baseline.json
@@ -32,12 +29,12 @@
 // total_cycles_simulated, and each live machine run verifies its own
 // ledger against its per-unit counters before its cell completes.
 //
-// Tables are byte-identical at every -parallel level, with -fast on or off,
-// and with the result cache cold or hot; only the timing and memo
-// fields of the JSON report vary. CI records the report as BENCH_pr.json and
-// gates merges on -check against the checked-in baseline, running the check
-// twice against one cache directory (cold, then hot) so an unsound memo key
-// surfaces as table drift.
+// Tables are byte-identical at every -parallel level and with the result
+// cache cold or hot; only the timing and memo fields of the JSON report
+// vary. CI records the report as BENCH_pr.json and gates merges on -check
+// against the checked-in baseline, running the check twice against one
+// cache directory (cold, then hot) so an unsound memo key surfaces as table
+// drift.
 package main
 
 import (
@@ -78,16 +75,12 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "per-cell wall-clock budget (0 = none)")
 	jsonOut := flag.Bool("json", false, "emit a machine-readable report on stdout instead of tables")
 	check := flag.String("check", "", "baseline JSON report; exit 1 if any table differs")
-	fast := flag.Bool("fast", false,
-		"use the compiled basic-block fast tier (timing only; tables and attribution are identical)")
 	cacheDir := flag.String("cache", "",
 		"directory backing the content-addressed result cache (empty = in-memory only)")
 	progress := flag.Bool("progress", false,
 		"print live progress to stderr (cells done/total, memo hit rate, cells/sec)")
 	obsOverhead := flag.Bool("obs-overhead", false,
 		"measure the observation substrate's wall-clock overhead and record it in the report")
-	fastBench := flag.Bool("fast-bench", false,
-		"measure the fast tier's cold-cell suite speedup and record it in the report")
 	checkAttr := flag.Bool("check-attr", false,
 		"with -check: also require cycle totals and the attribution breakdown to match the baseline exactly")
 	scenarioMode := flag.Bool("scenario", false,
@@ -96,7 +89,6 @@ func main() {
 		"with -scenario: carry an N-cycle windowed ledger time-series (mipsx-obswin/v1) in every cell's result (not for golden -check runs)")
 	flag.Parse()
 
-	experiments.SetFastTier(*fast)
 	eng := experiments.Configure(*parallel, *timeout, *jsonOut || *check != "")
 	store, err := experiments.NewMemoStore(*cacheDir)
 	if err != nil {
@@ -146,7 +138,7 @@ func main() {
 	wall := time.Since(start)
 	eng.FlushProgress()
 
-	doc := experiments.NewBenchDoc(tables, perExp, wall, *parallel, false, *fast, eng)
+	doc := experiments.NewBenchDoc(tables, perExp, wall, *parallel, false, false, eng)
 	if doc.MemoWriteErrors > 0 || doc.MemoCorrupt > 0 {
 		fmt.Fprintf(os.Stderr, "mipsx-bench: WARNING: memo store %s: %d results not recorded, %d corrupt entries re-run\n",
 			*cacheDir, doc.MemoWriteErrors, doc.MemoCorrupt)
@@ -177,16 +169,6 @@ func main() {
 		if doc.DroppedEvents > 0 {
 			fmt.Fprintf(os.Stderr, "mipsx-bench: WARNING: %d trace events were dropped by bounded tracers this run\n", doc.DroppedEvents)
 		}
-	}
-
-	if *fastBench {
-		fb, err := experiments.MeasureFastTier()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mipsx-bench: -fast-bench: %v\n", err)
-			os.Exit(1)
-		}
-		doc.FastTier = fb
-		fmt.Fprintf(os.Stderr, "mipsx-bench: %s\n", fb)
 	}
 
 	if *check != "" {
@@ -277,8 +259,8 @@ func runScenario(eng *experiments.Engine, jsonOut bool, check string, window int
 // results are deterministic; only timings may differ). It also reports the
 // wall-clock ratio, the bench-regression signal CI tracks. With attr, the
 // comparison extends to the cycle totals and the full per-cause attribution
-// breakdown — the fast-gate's differential wall, where "identical tables"
-// is not enough and every simulated cycle must land on the same cause.
+// breakdown — for a refactor that must leave every simulated cycle on the
+// same cause, where identical tables are not enough.
 func compare(path string, doc *experiments.BenchDoc, attr bool) int {
 	b, err := os.ReadFile(path)
 	if err != nil {

@@ -39,7 +39,6 @@ func main() {
 	stats := flag.Bool("stats", false, "print run statistics")
 	check := flag.Bool("check", false, "enable the software-interlock hazard checker")
 	doLint := flag.Bool("lint", false, "statically verify the program before running; refuse on errors")
-	fast := flag.Bool("fast", false, "enable the compiled fast tier (bit-identical results; see DESIGN.md §12)")
 	maxCycles := flag.Uint64("max-cycles", 100_000_000, "cycle limit")
 	pipe := flag.Int("pipe", 0, "print the first N cycles of pipeline occupancy")
 	breakdown := flag.Bool("breakdown", false, "print the cycle-attribution table (conservation-checked)")
@@ -104,8 +103,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	// The machine is constructed only through a validated spec; -check and
-	// -fast are simulator knobs outside the spec, applied after Build. The
+	// The machine is constructed only through a validated spec; -check is a
+	// simulator knob outside the spec, applied after Build. The
 	// spec is resolved before the toolchain runs: tinyc compilation and the
 	// lint verifier must target the spec's branch scheme, not the default —
 	// code scheduled for two delay slots is wrong on a one-slot machine.
@@ -154,11 +153,6 @@ func main() {
 		}
 	}
 	cfg.Pipeline.CheckHazards = *check
-	// The fast tier composes with every observation flag except the event
-	// tracer (per-cycle events force the accurate path, making -fast a
-	// no-op): -profile-out still charges the PCProfile at WB-equivalent
-	// retirement, -breakdown still conserves the attribution ledger.
-	cfg.FastTier = *fast
 
 	if *tiny && *profile {
 		// First pass: collect branch outcomes; second pass: rebuild.

@@ -37,15 +37,6 @@ type Config struct {
 	Bus      mem.Bus
 	// NoFPU omits the floating-point coprocessor.
 	NoFPU bool
-	// FastTier enables the compiled basic-block fast tier (see
-	// internal/pipeline/fast.go): straight-line runs of lint-clean code
-	// execute as chained closures, falling back to the cycle-accurate
-	// pipeline at every boundary event. It is a pure simulator speed knob —
-	// results are bit-identical with it on or off — and deliberately NOT
-	// part of the experiment memo key material (internal/experiments hashes
-	// the architectural sub-configs, not this struct), so fast and accurate
-	// runs share memo entries.
-	FastTier bool
 }
 
 // DefaultConfig is the machine as built.
@@ -78,11 +69,6 @@ type Machine struct {
 	// nil (the default) means observation is off. Attach with Observe.
 	Obs *obs.Sink
 
-	// sharedMem marks a machine built over another node's memory; the fast
-	// tier is refused there (a peer's stores could rewrite this node's code
-	// without tripping its self-modification watch).
-	sharedMem bool
-
 	out strings.Builder
 }
 
@@ -101,7 +87,6 @@ func NewShared(cfg Config, sharedMem *mem.Memory, arb *mem.Arbiter, consoleOut i
 	m := &Machine{Cfg: cfg}
 	if sharedMem != nil {
 		m.Mem = sharedMem
-		m.sharedMem = true
 	} else {
 		m.Mem = mem.New()
 	}
@@ -147,14 +132,9 @@ func NewShared(cfg Config, sharedMem *mem.Memory, arb *mem.Arbiter, consoleOut i
 // round-robins them), and every cache effect one context leaves behind —
 // pollution, write-backs, PID-tagged residency — is visible to the next,
 // which is exactly the interference the scenario experiments measure.
-//
-// The fast tier is refused on contexts (Load goes through the sharedMem
-// gate): a peer context's stores could rewrite this context's code without
-// tripping its self-modification watch, so contexts run cycle-accurate.
 func NewContext(host *Machine, consoleOut io.Writer) *Machine {
 	m := &Machine{Cfg: host.Cfg}
 	m.Mem = host.Mem
-	m.sharedMem = true
 	m.Bus = host.Bus
 	m.ECache = host.ECache
 	m.ICache = host.ICache
@@ -187,7 +167,6 @@ func (m *Machine) Load(im *asm.Image) {
 	}
 	m.CPU.Reset(entry)
 	m.Console.Halted = false
-	m.installFastTier(im)
 }
 
 // LoadSource assembles src at address 0 and loads it.
@@ -234,8 +213,24 @@ func (e *FaultError) Error() string {
 // error if the program did not complete: a wrapped ErrNotHalted when the
 // cycle limit was hit (resumable — call Run again to continue), or a
 // *FaultError when the machine cannot meaningfully continue (the PC ran
-// away from the loaded image).
+// away from the loaded image). A program whose halting step lands exactly
+// on the limit has halted: the halt check comes first.
 func (m *Machine) Run(maxCycles uint64) (uint64, error) {
+	cycles, halted, err := m.RunQuantum(maxCycles)
+	if err == nil && !halted {
+		err = fmt.Errorf("core: no halt within %d cycles (pc %#x): %w", maxCycles, m.CPU.PC(), ErrNotHalted)
+	}
+	return cycles, err
+}
+
+// RunQuantum executes at most budget cycles and returns the cycles consumed
+// plus whether the program has halted. It is Run's scheduler-quantum form:
+// hitting the budget is not an error (the scenario scheduler simply resumes
+// the context on its next turn). A single Step is indivisible, so the
+// quantum may overrun by that step's stall cycles — deterministically,
+// which is all the scheduler needs. The only error is a *FaultError
+// (runaway PC).
+func (m *Machine) RunQuantum(budget uint64) (uint64, bool, error) {
 	var cycles uint64
 	// Runaway bound: one word past the image plus drain slack. Image bases
 	// in single-machine runs are 0 (the exception vector), so only the
@@ -244,51 +239,18 @@ func (m *Machine) Run(maxCycles uint64) (uint64, error) {
 	if m.Image != nil {
 		runawayAt = m.Image.Base + isa.Word(len(m.Image.Words)) + runawaySlack
 	}
-	for !m.Console.Halted {
+	for !m.Console.Halted && cycles < budget {
 		// Wire the interrupt controller to the CPU's interrupt line, as the
 		// off-chip interrupt unit would: level-triggered, deasserted once
 		// the handler has drained the pending causes.
 		m.CPU.IntLine = m.IntC.Pending()
-		cycles += uint64(m.CPU.StepFast())
+		cycles += uint64(m.CPU.Step())
 		if pc := m.CPU.PC(); runawayAt != 0 && pc >= runawayAt {
-			return cycles, &FaultError{PC: pc, Cycles: cycles,
-				Reason: fmt.Sprintf("pc ran outside the loaded image [%#x, %#x)", m.Image.Base,
-					m.Image.Base+isa.Word(len(m.Image.Words)))}
-		}
-		if cycles >= maxCycles {
-			return cycles, fmt.Errorf("core: no halt within %d cycles (pc %#x): %w", maxCycles, m.CPU.PC(), ErrNotHalted)
-		}
-	}
-	return cycles, nil
-}
-
-// RunQuantum executes at most budget cycles and returns the cycles consumed
-// plus whether the program has halted. It is Run's scheduler-quantum form:
-// hitting the budget is not an error (the scenario scheduler simply resumes
-// the context on its next turn), and the fast tier — when installed — is
-// bounded by the same budget (pipeline.CPU.FastBudget), so a compiled
-// straight-line run falls back to the accurate tier at the Step boundary
-// where the quantum expires. A single Step is indivisible, so the quantum
-// may overrun by that step's stall cycles — deterministically, which is all
-// the scheduler needs. The only error is a *FaultError (runaway PC).
-func (m *Machine) RunQuantum(budget uint64) (uint64, bool, error) {
-	var cycles uint64
-	var runawayAt isa.Word
-	if m.Image != nil {
-		runawayAt = m.Image.Base + isa.Word(len(m.Image.Words)) + runawaySlack
-	}
-	for !m.Console.Halted && cycles < budget {
-		m.CPU.IntLine = m.IntC.Pending()
-		m.CPU.FastBudget = budget - cycles
-		cycles += uint64(m.CPU.StepFast())
-		if pc := m.CPU.PC(); runawayAt != 0 && pc >= runawayAt {
-			m.CPU.FastBudget = 0
 			return cycles, false, &FaultError{PC: pc, Cycles: cycles,
 				Reason: fmt.Sprintf("pc ran outside the loaded image [%#x, %#x)", m.Image.Base,
 					m.Image.Base+isa.Word(len(m.Image.Words)))}
 		}
 	}
-	m.CPU.FastBudget = 0
 	return cycles, m.Console.Halted, nil
 }
 

@@ -6,6 +6,9 @@ import (
 	"testing"
 
 	"repro/internal/isa"
+	"repro/internal/obs"
+	"repro/internal/reorg"
+	"repro/internal/tinyc"
 )
 
 func runSrc(t *testing.T, cfg Config, src string, limit uint64) *Machine {
@@ -212,6 +215,31 @@ func TestRunLimitError(t *testing.T) {
 	}
 }
 
+// TestRunHaltOnExactBudget: a program whose halting step lands exactly on
+// the cycle budget has halted, so Run must report success rather than the
+// resumable limit error.
+func TestRunHaltOnExactBudget(t *testing.T) {
+	load := func() *Machine {
+		m := New(DefaultConfig(), nil)
+		if err := m.LoadSource(sumLoop); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	n, err := load().Run(100000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := load()
+	cycles, err := m.Run(n)
+	if err != nil {
+		t.Fatalf("Run(%d) of a program that halts in %d cycles: %v", n, n, err)
+	}
+	if cycles != n || !m.Console.Halted || m.Output() != "5050\n" {
+		t.Fatalf("Run(%d): %d cycles, halted=%v, output %q", n, cycles, m.Console.Halted, m.Output())
+	}
+}
+
 func TestRunFaultsOnRunawayPC(t *testing.T) {
 	// A program that never halts: execution falls off the end of the image
 	// into unloaded memory. That is a genuine fault and must be reported as
@@ -268,4 +296,93 @@ func TestFPWorkloadLdfStf(t *testing.T) {
 	if got := isa.Word(0x41200000); m.Mem.Peek(m.Image.Symbols["out"]) != got {
 		t.Fatalf("stored %#x, want %#x (10.0f)", m.Mem.Peek(m.Image.Symbols["out"]), got)
 	}
+}
+
+// diffMachines fails the test unless two runs agree on everything a run
+// exposes: per-unit statistics, PC, PSW, registers, console output and the
+// attribution ledger.
+func diffMachines(t *testing.T, a, b *Machine) {
+	t.Helper()
+	if a.CPU.Stats != b.CPU.Stats {
+		t.Errorf("pipeline stats diverged:\n%+v\n%+v", a.CPU.Stats, b.CPU.Stats)
+	}
+	if a.ICache.Stats != b.ICache.Stats {
+		t.Errorf("icache stats diverged:\n%+v\n%+v", a.ICache.Stats, b.ICache.Stats)
+	}
+	if a.ECache.Stats != b.ECache.Stats {
+		t.Errorf("ecache stats diverged:\n%+v\n%+v", a.ECache.Stats, b.ECache.Stats)
+	}
+	if a.CPU.PC() != b.CPU.PC() || a.CPU.PSW() != b.CPU.PSW() {
+		t.Errorf("pc/psw diverged: pc=%#x psw=%#x vs pc=%#x psw=%#x",
+			a.CPU.PC(), a.CPU.PSW(), b.CPU.PC(), b.CPU.PSW())
+	}
+	for r := isa.Reg(0); r < isa.NumRegs; r++ {
+		if x, y := a.CPU.Reg(r), b.CPU.Reg(r); x != y {
+			t.Errorf("r%d diverged: %#x vs %#x", r, x, y)
+		}
+	}
+	if a.Output() != b.Output() {
+		t.Errorf("output diverged: %q vs %q", a.Output(), b.Output())
+	}
+	am, bm := a.Obs.Ledger.Map(), b.Obs.Ledger.Map()
+	if len(am) != len(bm) {
+		t.Errorf("ledger cause sets diverged: %v vs %v", am, bm)
+	}
+	for cause, n := range am {
+		if bm[cause] != n {
+			t.Errorf("ledger[%s] diverged: %d vs %d", cause, n, bm[cause])
+		}
+	}
+}
+
+// TestRunQuantumMatchesRun is the scheduler seam: driving a machine through
+// RunQuantum with a prime quantum, so expiries land at arbitrary points in
+// the program, must be invisible — identical stats, registers, PSW, output
+// and ledger versus one uninterrupted Run. This is what lets the scenario
+// scheduler preempt contexts at any quantum without a correctness tax.
+func TestRunQuantumMatchesRun(t *testing.T) {
+	var bench tinyc.Benchmark
+	for _, b := range tinyc.Benchmarks() {
+		if b.Name == "sieve" {
+			bench = b
+		}
+	}
+	im, err := tinyc.Build(bench.Source, reorg.Default(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newM := func() *Machine {
+		m := New(DefaultConfig(), nil)
+		m.Observe(obs.NewMachineSink())
+		m.Load(im)
+		return m
+	}
+
+	const quantum = 57 // prime: expiries never align with loop iterations
+	sliced := newM()
+	for i := 0; ; i++ {
+		if i > 10_000_000 {
+			t.Fatalf("no halt after %d quanta", i)
+		}
+		_, halted, err := sliced.RunQuantum(quantum)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if halted {
+			break
+		}
+	}
+	whole := newM()
+	if _, err := whole.Run(200_000_000); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []*Machine{sliced, whole} {
+		if err := m.VerifyAttribution(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if whole.Output() != bench.Expect() {
+		t.Errorf("wrong output %q, want %q", whole.Output(), bench.Expect())
+	}
+	diffMachines(t, whole, sliced)
 }

@@ -4,7 +4,7 @@ package core
 // be byte-identical to buffered ones at machine level, observation must stay
 // pure with streaming sinks and windowed ledgers attached, and windowed
 // attribution must conserve per window across every boundary the machine can
-// place one on — mid-fast-tier-block and mid-squash included.
+// place one on — mid-squash included.
 
 import (
 	"bytes"
@@ -158,11 +158,9 @@ func TestObservationPurityStreamingAndWindows(t *testing.T) {
 
 // windowedRun executes src with an attached windowed ledger of the given
 // size and returns the machine; the window doc is retained on the ledger.
-func windowedRun(t *testing.T, src string, size uint64, fast bool) (*Machine, *obs.WindowedLedger) {
+func windowedRun(t *testing.T, src string, size uint64) (*Machine, *obs.WindowedLedger) {
 	t.Helper()
-	cfg := DefaultConfig()
-	cfg.FastTier = fast
-	m := New(cfg, nil)
+	m := New(DefaultConfig(), nil)
 	s := obs.NewMachineSink()
 	win := obs.NewWindowedLedger(obs.MachineCauseNames, size)
 	s.Ledger.AttachWindows(win)
@@ -202,57 +200,6 @@ func checkWindowsAgainstLedger(t *testing.T, m *Machine, win *obs.WindowedLedger
 	return doc
 }
 
-// fastBlockProgram is a long straight-line-heavy loop the fast tier compiles
-// into multi-instruction blocks, so with a small prime window size the
-// window boundary is guaranteed to fall mid-block many times over.
-const fastBlockProgram = `
-main:	addi r1, r0, 0
-	addi r2, r0, 400
-	addi r3, r0, 4096
-loop:	st   r1, 0(r3)
-	ld   r4, 0(r3)
-	add  r6, r1, r1
-	add  r7, r6, r1
-	add  r5, r4, r1
-	st   r5, 4(r3)
-	addi r1, r1, 1
-	bne.sq r1, r2, loop
-	nop
-	nop
-	putw r5
-	halt
-`
-
-// TestWindowSeamMidFastTierBlock: with a window size prime and far smaller
-// than a compiled block's cycle footprint, boundaries land mid-block on
-// nearly every block. The fast tier must charge windows in retirement order
-// so the series is identical — window for window — to the cycle-accurate
-// pipeline's, not merely equal in total.
-func TestWindowSeamMidFastTierBlock(t *testing.T) {
-	accM, accWin := windowedRun(t, fastBlockProgram, 61, false)
-	fastM, fastWin := windowedRun(t, fastBlockProgram, 61, true)
-	if fastM.CPU.FastSteps == 0 {
-		t.Fatal("fast tier never engaged — seam test is vacuous")
-	}
-	if accM.CPU.Stats != fastM.CPU.Stats {
-		t.Fatalf("stats diverged between tiers:\naccurate %+v\nfast     %+v", accM.CPU.Stats, fastM.CPU.Stats)
-	}
-	accDoc := checkWindowsAgainstLedger(t, accM, accWin)
-	fastDoc := checkWindowsAgainstLedger(t, fastM, fastWin)
-	if len(accDoc.Windows) < 3 {
-		t.Fatalf("only %d windows — boundary never interior to the run", len(accDoc.Windows))
-	}
-	if !reflect.DeepEqual(accDoc, fastDoc) {
-		for i := range accDoc.Windows {
-			if i < len(fastDoc.Windows) && !reflect.DeepEqual(accDoc.Windows[i], fastDoc.Windows[i]) {
-				t.Errorf("window %d diverged:\naccurate %+v\nfast     %+v", i, accDoc.Windows[i], fastDoc.Windows[i])
-			}
-		}
-		t.Fatalf("windowed series diverged between tiers (%d vs %d windows)",
-			len(accDoc.Windows), len(fastDoc.Windows))
-	}
-}
-
 // squashProgram branches with the squashing scheme every few cycles, so the
 // squash-annul charges are dense and — with a deliberately tiny window —
 // some window boundary must split a squash's annulled slots.
@@ -271,7 +218,7 @@ loop:	addi r1, r1, 1
 // annulled delay slots of a taken .sq branch) must split the squash-annul
 // charge across both windows without losing a cycle.
 func TestWindowSeamMidSquash(t *testing.T) {
-	m, win := windowedRun(t, squashProgram, 5, false)
+	m, win := windowedRun(t, squashProgram, 5)
 	if m.Obs.Ledger.Count(obs.CauseSquashAnnul) == 0 {
 		t.Fatal("no squash-annul cycles — seam test is vacuous")
 	}

@@ -506,16 +506,9 @@ func (e *Engine) ResetMetrics() {
 // ---------------------------------------------------------------------------
 // Package defaults: experiment functions keep their zero-argument signatures
 // (bench_test.go, the shape tests and cmd/mipsx-bench all call them), so the
-// engine and config knobs they use are installed package-wide.
+// engine they use is installed package-wide.
 
 var defaultEngine atomic.Pointer[Engine]
-
-// useFastTier gates the compiled basic-block fast tier in machine configs
-// built by defaultConfig (mipsx-bench -fast). It is a pure simulator-speed
-// knob — tables, attribution and the conservation invariant are
-// byte-identical either way (the fast-gate CI job holds that line) — and it
-// is deliberately not memo-key material.
-var useFastTier atomic.Bool
 
 func init() { defaultEngine.Store(&Engine{}) }
 
@@ -529,7 +522,3 @@ func Configure(workers int, timeout time.Duration, record bool) *Engine {
 
 // DefaultEngine returns the engine experiment functions currently use.
 func DefaultEngine() *Engine { return defaultEngine.Load() }
-
-// SetFastTier toggles the compiled basic-block fast tier for machines built
-// by the experiment runners (defaultConfig in runners.go reads it).
-func SetFastTier(on bool) { useFastTier.Store(on) }

@@ -36,7 +36,6 @@ type BenchDoc struct {
 	Schema     string `json:"schema"`
 	Parallel   int    `json:"parallel"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
-	Fast       bool   `json:"fast"`
 	GoVersion  string `json:"go_version"`
 
 	Experiments []ExpResult `json:"experiments"`
@@ -80,25 +79,18 @@ type BenchDoc struct {
 	// wall-clock cost of each observation level against the unobserved
 	// machine.
 	ObsOverhead *ObsOverhead `json:"obs_overhead,omitempty"`
-
-	// FastTier, when measured (mipsx-bench -fast-bench), records the
-	// cold-cell suite speedup of the compiled fast tier over the plain
-	// interpreter (see MeasureFastTier).
-	FastTier *FastTierBench `json:"fast_tier,omitempty"`
 }
 
 // NewBenchDoc assembles a report from rendered tables and the engine's
 // counters. wall is the whole suite's wall clock; perExp the per-experiment
-// wall clocks, index-aligned with tables. fast records whether the compiled
-// fast tier was enabled for the run — a timing-only fact: tables and
-// attribution are identical either way. The unnamed bool is the retired
-// predecode flag, kept so perfbench/ compiles unmodified.
-func NewBenchDoc(tables []*Table, perExp []time.Duration, wall time.Duration, parallel int, _, fast bool, e *Engine) *BenchDoc {
+// wall clocks, index-aligned with tables. The two unnamed bools are the
+// retired predecode and fast-tier flags, kept so perfbench/ compiles
+// unmodified.
+func NewBenchDoc(tables []*Table, perExp []time.Duration, wall time.Duration, parallel int, _, _ bool, e *Engine) *BenchDoc {
 	doc := &BenchDoc{
 		Schema:               BenchSchema,
 		Parallel:             parallel,
 		GOMAXPROCS:           runtime.GOMAXPROCS(0),
-		Fast:                 fast,
 		GoVersion:            runtime.Version(),
 		TotalWallMS:          float64(wall) / 1e6,
 		TotalCyclesSimulated: e.Cycles(),

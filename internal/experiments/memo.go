@@ -13,15 +13,13 @@ package experiments
 //
 // The closure rule for key builders: hash every input that can change the
 // simulated outcome, and nothing that cannot (worker counts, wall-clock
-// budgets, the fast-tier simulator fast path). Machine
-// configurations enter keys as spec digests (internal/spec): a MachineSpec
-// *is* a memo key, its digest covers every architectural config field (the
-// field-coverage guard test in internal/spec red-flags a new field that is
-// neither digested nor allowlisted as timing-neutral), and the
-// timing-neutral knobs are excluded by construction so fast and accurate
-// runs share entries. Bump memoEpoch whenever the simulator's semantics
-// change, so stale on-disk entries from older binaries can never replay
-// into new tables.
+// budgets). Machine configurations enter keys as spec digests
+// (internal/spec): a MachineSpec *is* a memo key, and its digest covers
+// every architectural config field (the field-coverage guard test in
+// internal/spec red-flags a new field that is neither digested nor
+// allowlisted as timing-neutral). Bump memoEpoch whenever the simulator's
+// semantics change, so stale on-disk entries from older binaries can never
+// replay into new tables.
 
 import (
 	"crypto/sha256"

@@ -28,24 +28,21 @@ const runLimit = 50_000_000
 const runChunk = 2_000_000
 
 // buildConfig realizes a machine spec into the core.Config the simulator
-// runs, with the package-level fast-tier knob applied (a bit-identical fast
-// path, deliberately outside the spec and its digest — see SetFastTier).
-// Every experiment builds
-// machines through here, so a spec is the whole architectural closure.
-// Presets are valid by construction; a hand-rolled invalid spec panics,
-// which the engine isolates into a cell error.
+// runs. Every experiment builds machines through here, so a spec is the
+// whole architectural closure. Presets are valid by construction; a
+// hand-rolled invalid spec panics, which the engine isolates into a cell
+// error.
 func buildConfig(ms spec.MachineSpec) core.Config {
 	cfg, err := ms.Build()
 	if err != nil {
 		panic(fmt.Sprintf("experiments: %v", err))
 	}
-	cfg.FastTier = useFastTier.Load()
 	return cfg
 }
 
-// defaultConfig is the default spec realized with the package knobs — for
-// the tests and overhead measurements that construct machines directly;
-// experiment cells carry specs instead.
+// defaultConfig is the default spec realized — for the tests and overhead
+// measurements that construct machines directly; experiment cells carry
+// specs instead.
 func defaultConfig() core.Config {
 	return buildConfig(spec.Default())
 }

@@ -89,7 +89,6 @@ func (s Stats) FetchCost() float64 {
 type block struct {
 	tag   isa.Word
 	valid []bool // per-word valid bits: sub-block placement
-	nval  int    // count of set valid bits (fully-resident fast path)
 	inUse bool   // tag allocated
 	use   uint64 // LRU stamp
 	// pid is the process-ID tag of the context that installed the block.
@@ -111,18 +110,13 @@ type Cache struct {
 	setBits  uint
 	tick     uint64
 
-	// Two-entry hit memo: the last two distinct blocks a fetch hit in,
-	// keyed by block address (a >> blkShift). Sequential fetches land in the
-	// same 16-word block ~15/16 of the time; the second entry catches the
-	// call/return and loop-nest patterns that bounce between two blocks
-	// (exactly the shape the fast tier's window pair exploits). install and
-	// Flush clear both (a victim's tag may change under them);
-	// behaviour is identical either way — the memo only short-circuits the
-	// lookup, the LRU stamp still advances per hit.
+	// One-entry hit memo: the last block a fetch hit in, keyed by block
+	// address (a >> blkShift). Sequential fetches land in the same 16-word
+	// block ~15/16 of the time. install and Flush clear it (a victim's tag
+	// may change under it); behaviour is identical either way — the memo
+	// only short-circuits the lookup, the LRU stamp still advances per hit.
 	lastBlkKey isa.Word
 	lastBlk    *block
-	prevBlkKey isa.Word
-	prevBlk    *block
 
 	// curPID is the process-ID tag compared against each block's pid on
 	// every tag match (PID-tagged lines, Smith §2.8's alternative to
@@ -232,69 +226,6 @@ func (c *Cache) Fetch(a isa.Word) (isa.Word, int) {
 	return c.serviceMiss(a)
 }
 
-// ProbeWindow returns how many consecutive words starting at address a a
-// fetch would hit, limited to a's block, touching no state at all — 0 means
-// a itself would miss. Together with StampFetches it is the pipeline fast
-// tier's fetch port (pipeline.ProbePort): the tier validates a sequential
-// fetch window once, runs through it without per-fetch probes, and settles
-// the accounting in bulk. The window never spans blocks, so the sub-block
-// valid bits and the block's LRU stamp stay exact.
-func (c *Cache) ProbeWindow(a isa.Word) int {
-	b := c.blkFor(a)
-	if b == nil {
-		return 0
-	}
-	off := int(a & isa.Word(c.cfg.BlockWords-1))
-	if b.nval == c.cfg.BlockWords {
-		return c.cfg.BlockWords - off // fully resident: no bit scan
-	}
-	n := 0
-	for ; off < c.cfg.BlockWords && b.valid[off]; off++ {
-		n++
-	}
-	return n
-}
-
-// blkFor resolves the resident block holding address a through the two-entry
-// memo, falling back to the associative walk. Pure: no stats, no stamps.
-func (c *Cache) blkFor(a isa.Word) *block {
-	key := a >> c.blkShift
-	if b := c.lastBlk; b != nil && key == c.lastBlkKey {
-		return b
-	}
-	if b := c.prevBlk; b != nil && key == c.prevBlkKey {
-		c.lastBlkKey, c.lastBlk, c.prevBlkKey, c.prevBlk = key, b, c.lastBlkKey, c.lastBlk
-		return b
-	}
-	if c.cfg.Disabled {
-		return nil
-	}
-	set, tag, _ := c.index(a)
-	for i := range c.sets[set] {
-		if cand := &c.sets[set][i]; cand.inUse && cand.tag == tag && cand.pid == c.curPID {
-			c.prevBlkKey, c.prevBlk = c.lastBlkKey, c.lastBlk
-			c.lastBlkKey, c.lastBlk = key, cand
-			return cand
-		}
-	}
-	return nil
-}
-
-// StampFetches accounts k hit fetches inside the block holding address a
-// (each previously validated by ProbeWindow; they need not be consecutive
-// addresses — a loop bouncing around one window stamps here too): the fetch
-// count and the LRU use stamp advance exactly as k individual hit fetches
-// would — per-fetch, tick++ then use=tick, so after k of them tick has
-// advanced k and the block's stamp is the final tick. The equivalence is
-// exact because nothing else can touch the cache between the probe and the
-// stamp: a miss would have ended the stretch, and data accesses go through
-// the Ecache, not here.
-func (c *Cache) StampFetches(a isa.Word, k int) {
-	c.Stats.Fetches += uint64(k)
-	c.tick += uint64(k)
-	c.blkFor(a).use = c.tick
-}
-
 // hit probes the cache for address a, updating the LRU stamp on a hit.
 func (c *Cache) hit(a isa.Word) bool {
 	if b := c.lastBlk; b != nil && a>>c.blkShift == c.lastBlkKey {
@@ -362,7 +293,7 @@ func (c *Cache) install(a isa.Word, w isa.Word) {
 	if c.cfg.Disabled {
 		return
 	}
-	c.lastBlk, c.prevBlk = nil, nil // a victim's tag may change; drop the hit memo
+	c.lastBlk = nil // a victim's tag may change; drop the hit memo
 	set, tag, off := c.index(a)
 	// Existing block with this tag (owned by the current context)?
 	for i := range c.sets[set] {
@@ -389,7 +320,6 @@ func (c *Cache) install(a isa.Word, w isa.Word) {
 	b.inUse = true
 	b.tag = tag
 	b.pid = c.curPID
-	b.nval = 0
 	for i := range b.valid {
 		b.valid[i] = false
 		b.coproc[i] = false
@@ -403,14 +333,8 @@ func (c *Cache) mark(b *block, off int, w isa.Word) {
 		// instructions from ever being valid, forcing a miss each time so
 		// the coprocessor can snoop the instruction off the memory bus.
 		b.coproc[off] = true
-		if b.valid[off] {
-			b.nval--
-		}
 		b.valid[off] = false
 		return
-	}
-	if !b.valid[off] {
-		b.nval++
 	}
 	b.valid[off] = true
 	c.tick++
@@ -421,12 +345,11 @@ func (c *Cache) mark(b *block, off int, w isa.Word) {
 // context switch under the scenario layer's flush policy, also used by tests
 // and the tools.
 func (c *Cache) Flush() {
-	c.lastBlk, c.prevBlk = nil, nil
+	c.lastBlk = nil
 	for s := range c.sets {
 		for w := range c.sets[s] {
 			b := &c.sets[s][w]
 			b.inUse = false
-			b.nval = 0
 			b.pid = 0
 			for i := range b.valid {
 				b.valid[i] = false
@@ -445,7 +368,7 @@ func (c *Cache) SetPID(pid int) {
 		return
 	}
 	c.curPID = pid
-	c.lastBlk, c.prevBlk = nil, nil
+	c.lastBlk = nil
 }
 
 // StateBits returns the number of architected storage bits in the cache

@@ -9,24 +9,19 @@ package mem
 
 import "repro/internal/isa"
 
-// Page geometry, exported so the pipeline fast tier can mirror the memory's
-// paging exactly and share its backing arrays.
+// Page geometry: 4K-word pages.
 const (
-	PageBits = 12
-	PageSize = 1 << PageBits // words per page
-	PageMask = PageSize - 1
-
-	pageBits = PageBits
-	pageSize = PageSize
-	pageMask = PageMask
+	pageBits = 12
+	pageSize = 1 << pageBits // words per page
+	pageMask = pageSize - 1
 )
 
 // Memory is a sparse word-addressed main memory. The zero value is an empty
 // memory ready to use; unwritten words read as zero.
 //
 // Invariant: once a page is allocated its backing array is never replaced,
-// only written through — callers may cache the *[PageSize]Word returned by
-// PagePtr and keep reading current contents through it.
+// only written through, so a cached page pointer keeps reading current
+// contents.
 type Memory struct {
 	pages map[isa.Word]*[pageSize]isa.Word
 	// One-entry page memo: accesses cluster heavily (a loop's working set is
@@ -73,13 +68,6 @@ func (m *Memory) Write(a, w isa.Word) {
 	}
 	m.lastPN, m.lastPage = a>>pageBits, p
 	p[a&pageMask] = w
-}
-
-// PagePtr returns the backing array for page number pn (address >> PageBits),
-// or nil when the page has never been written. The array stays live for the
-// memory's lifetime (see the type invariant), so callers may cache it.
-func (m *Memory) PagePtr(pn isa.Word) *[PageSize]isa.Word {
-	return m.pages[pn]
 }
 
 // Peek reads without touching the traffic counters (used by tools & tests).

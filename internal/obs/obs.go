@@ -181,11 +181,6 @@ func (l *Ledger) AttachWindows(w *WindowedLedger) {
 	}
 }
 
-// Windowed reports whether a windowed ledger is attached — the simulator's
-// fast tier switches from bulk to per-cycle charging when it is, so bulk
-// charges cannot smear across window boundaries. Nil-safe.
-func (l *Ledger) Windowed() bool { return l != nil && l.win != nil }
-
 // Windows returns the attached windowed ledger, or nil.
 func (l *Ledger) Windows() *WindowedLedger {
 	if l == nil {

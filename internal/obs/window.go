@@ -7,8 +7,8 @@ package obs
 // ledger receives, and cuts a window every `size` attributed cycles — since
 // the flat ledger conserves (Σ causes == cycles), the attributed stream IS
 // the cycle timeline, and each full window holds exactly `size` cycles split
-// by cause. A charge straddling a boundary (a multi-cycle stall, a fast-tier
-// bulk charge) is split across the windows it spans.
+// by cause. A charge straddling a boundary (a multi-cycle stall) is split
+// across the windows it spans.
 //
 // Scenario runs additionally key charges per context (SetContext at quantum
 // boundaries), so each window carries a per-context breakdown and Icache

@@ -198,11 +198,10 @@ type CPU struct {
 	// Table 1 accounting.
 	pendingSlotBranch bool
 
-	IMem      InstrPort
-	imemProbe ProbePort // non-nil when IMem supports hit probing (fast tier)
-	DMem      DataPort
-	Coprocs   *coproc.Set
-	FPU       *coproc.FPU // nil when no FPU is attached
+	IMem    InstrPort
+	DMem    DataPort
+	Coprocs *coproc.Set
+	FPU     *coproc.FPU // nil when no FPU is attached
 
 	// Interrupt request lines, sampled each cycle.
 	IntLine bool // maskable
@@ -237,27 +236,6 @@ type CPU struct {
 	// (sum(causes) == Stats.Cycles) holds when the memory ports share this
 	// sink — core.Machine.Observe wires that up.
 	Obs *obs.Sink
-
-	// Fast, when non-nil, lets StepFast execute straight-line runs of
-	// compiled instructions bit-exactly (see fast.go). Step itself never
-	// consults it, so single-stepping stays accurate-tier by construction.
-	Fast *FastTier
-
-	// FastBudget, when nonzero, bounds the cycles one fast-tier run may
-	// consume before exiting at a Step boundary. The scenario scheduler's
-	// quantum seam: a compiled straight-line run falls back to the accurate
-	// tier where the quantum expires instead of overrunning it by a whole
-	// basic-block chain. Granularity is one Step — a single iteration's
-	// cycles (1 + data stalls) are indivisible, so the run stops at the
-	// first boundary at or past the budget, exactly as accurate Stepping
-	// would. Zero (the default) leaves runs unbounded.
-	FastBudget uint64
-
-	// FastSteps and FastRuns count instructions retired by the fast tier and
-	// the straight-line runs they came in. Diagnostic only: deliberately NOT
-	// part of Stats, which must stay bit-identical between tiers.
-	FastSteps uint64
-	FastRuns  uint64
 }
 
 // New builds a CPU with the given configuration and memory ports.
@@ -266,9 +244,6 @@ func New(cfg Config, imem InstrPort, dmem DataPort, cps *coproc.Set) *CPU {
 		panic("pipeline: BranchSlots must be 1 or 2")
 	}
 	c := &CPU{Cfg: cfg, IMem: imem, DMem: dmem, Coprocs: cps, psw: isa.ResetPSW}
-	if pp, ok := imem.(ProbePort); ok {
-		c.imemProbe = pp
-	}
 	if cps != nil {
 		if f, ok := cps.Get(1).(*coproc.FPU); ok {
 			c.FPU = f
@@ -674,9 +649,6 @@ func (c *CPU) stageMEM() int {
 		st := c.DMem.Write(s.aluOut, s.storeData)
 		stall = st
 		c.Stats.DataStalls += uint64(st)
-		if c.Fast != nil {
-			c.Fast.NoteStore(s.aluOut) // self-modification watch (fast tier)
-		}
 	case isa.MemLdf:
 		c.Stats.FPMemOps++
 		w, st := c.DMem.Read(s.aluOut)
@@ -694,9 +666,6 @@ func (c *CPU) stageMEM() int {
 		st := c.DMem.Write(s.aluOut, w)
 		stall = st
 		c.Stats.DataStalls += uint64(st)
-		if c.Fast != nil {
-			c.Fast.NoteStore(s.aluOut) // self-modification watch (fast tier)
-		}
 	case isa.MemLdc, isa.MemStc, isa.MemCpw:
 		c.Stats.CoprocOps++
 		res, st := c.Coprocs.Exec(in.CoprocNum(), in.Mem, s.aluOut, s.storeData)

@@ -264,3 +264,52 @@ func TestCompiledSuiteMatchesGoldenModel(t *testing.T) {
 		})
 	}
 }
+
+// TestSelfModifyingStoreMatchesGoldenModel: a store rewrites an instruction
+// inside the running loop itself. The pipeline fetches through the Icache,
+// so a fetch that served the stale pre-patch word would diverge from the
+// golden model, which decodes memory directly.
+func TestSelfModifyingStoreMatchesGoldenModel(t *testing.T) {
+	const src = `
+	main:	la   r1, patch
+		la   r2, alt
+		ld   r3, 0(r2)
+		addi r4, r0, 6
+	loop:
+	patch:	addi r5, r5, 1        ; overwritten by the alt instruction
+		st   r3, 0(r1)
+		addi r4, r4, -1
+		bne  r4, r0, loop
+		nop
+		nop
+		putw r5
+		halt
+	alt:	addi r5, r5, 7
+		halt
+	`
+	im, err := asm.AssembleSource(src, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := New(2, im.Base, im.Words)
+	if err := ref.Run(1_000_000); err != nil {
+		t.Fatal(err)
+	}
+	m := core.New(core.DefaultConfig(), nil)
+	m.Load(im)
+	if _, err := m.Run(1_000_000); err != nil {
+		t.Fatal(err)
+	}
+	// One pass through the original instruction, five through the patch.
+	if got, want := ref.Out.String(), "36\n"; got != want {
+		t.Fatalf("golden model printed %q, want %q", got, want)
+	}
+	if got, want := m.Output(), ref.Out.String(); got != want {
+		t.Fatalf("pipeline printed %q, golden model %q", got, want)
+	}
+	for r := isa.Reg(1); r < isa.NumRegs; r++ {
+		if got, want := m.CPU.Reg(r), ref.reg(r); got != want {
+			t.Errorf("r%d = %#x, golden model says %#x", r, got, want)
+		}
+	}
+}

@@ -1,19 +1,20 @@
-package core
+package refmodel
 
-// Differential fuzzing of the fast tier against the cycle-accurate
-// pipeline: a byte string decodes into a random but always-terminating
-// tinyc program (the same grammar idea as internal/lint's compile fuzz,
-// kept compact here because that generator lives in lint's own test
-// package), which is compiled for a fuzzer-chosen Table 1 scheme and run
-// twice under a fuzzer-chosen machine shape. Any visible divergence —
-// cycles, stats, registers, output, ledger — is a fast-tier bug. CI runs
-// this for a smoke interval on every merge (see .github/workflows/ci.yml).
+// Coverage-guided form of the golden-model differential: a byte string
+// decodes into a random but always-terminating tinyc program, compiled for
+// a fuzzer-chosen Table 1 branch scheme and run on both the pipelined
+// system and this model. Any disagreement in halting, console output or
+// r1–r31 is a pipeline (or toolchain) bug. CI runs this for a smoke
+// interval on every merge (see .github/workflows/ci.yml); `make fuzz` runs
+// it longer.
 
 import (
 	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/isa"
 	"repro/internal/obs"
 	"repro/internal/reorg"
 	"repro/internal/tinyc"
@@ -42,8 +43,7 @@ func fuzzExpr(g *fuzzGen, depth int) string {
 		case 0:
 			return vars[g.next()%len(vars)]
 		case 1:
-			// Large constants make the arithmetic overflow-prone, keeping
-			// the overflow seam hot under the sticky-overflow shape.
+			// Large constants make the arithmetic overflow-prone.
 			return fmt.Sprint(1 << (g.next() % 28))
 		default:
 			return fmt.Sprintf("a[%d]", g.next()%8)
@@ -62,6 +62,8 @@ func fuzzExpr(g *fuzzGen, depth int) string {
 	}
 }
 
+// fuzzStmts nests loops at most two deep with at most 8 iterations each, so
+// every generated program halts after a bounded, small instruction count.
 func fuzzStmts(g *fuzzGen, n, loopDepth int) string {
 	targets := []string{"x", "y", "g0"}
 	var b strings.Builder
@@ -100,51 +102,60 @@ func main() {
 `, fuzzStmts(g, 2+g.next()%5, 0))
 }
 
-func FuzzFastVsAccurate(f *testing.F) {
+// fuzzBudget bounds both sides: cycles on the pipeline, instructions on the
+// golden model. Generated programs halt far inside it, so exhausting it on
+// one side only means that side ran away.
+const fuzzBudget = 20_000_000
+
+func FuzzPipelineVsRefmodel(f *testing.F) {
 	f.Add([]byte{}, byte(0), byte(0))
 	f.Add([]byte{4, 1, 2, 3, 4, 5, 6, 7, 8}, byte(1), byte(1))
 	f.Add([]byte{4, 4, 0, 4, 1, 4, 2, 9, 9, 9, 9, 9}, byte(2), byte(2)) // nested loops
 	f.Add([]byte{3, 3, 7, 7, 7, 3, 1, 1, 1, 1}, byte(3), byte(3))       // branches
-	f.Add([]byte{1, 1, 1, 2, 2, 2, 0, 0}, byte(4), byte(7))             // tiny icache + sticky
+	f.Add([]byte{1, 1, 1, 2, 2, 2, 0, 0}, byte(4), byte(7))             // tiny icache
 	f.Fuzz(func(t *testing.T, data []byte, schemeByte, cfgByte byte) {
 		schemes := reorg.Table1Schemes()
 		scheme := schemes[int(schemeByte)%len(schemes)]
 		im, err := tinyc.Build(fuzzProgram(data), scheme, nil)
 		if err != nil {
-			t.Skip() // generator bug, not a tier bug; the lint fuzz covers it
+			t.Skip() // generator bug, not a pipeline bug; the lint fuzz covers it
 		}
-		cfg := DefaultConfig()
+
+		cfg := core.DefaultConfig()
 		cfg.Pipeline.BranchSlots = scheme.Slots
 		if cfgByte&1 != 0 {
-			// A thrash-prone icache keeps the miss-mid-block seam hot.
+			// A thrash-prone icache keeps miss service in the middle of
+			// nearly every basic block.
 			cfg.Icache.Sets = 2
 			cfg.Icache.Ways = 1
 			cfg.Icache.BlockWords = 4
 			cfg.Icache.MissPenalty = 6
 		}
-		if cfgByte&2 != 0 {
-			cfg.Pipeline.StickyOverflow = true
+		m := core.New(cfg, nil)
+		m.Observe(obs.NewMachineSink())
+		m.Load(im)
+		_, errP := m.Run(fuzzBudget)
+		if verr := m.VerifyAttribution(); verr != nil {
+			t.Fatalf("attribution broken: %v", verr)
 		}
-		run := func(useFast bool) (*Machine, error) {
-			c := cfg
-			c.FastTier = useFast
-			m := New(c, nil)
-			m.Observe(obs.NewMachineSink())
-			m.Load(im)
-			_, err := m.Run(20_000_000)
-			if verr := m.VerifyAttribution(); verr != nil {
-				t.Fatalf("fast=%v: attribution broken: %v", useFast, verr)
+
+		ref := New(scheme.Slots, im.Base, im.Words)
+		ref.PC = im.Symbols["main"]
+		errR := ref.Run(fuzzBudget)
+
+		if (errP == nil) != (errR == nil) {
+			t.Fatalf("halting diverged: pipeline err=%v, golden model err=%v", errP, errR)
+		}
+		if errP != nil {
+			t.Skip() // both exhausted the budget
+		}
+		if got, want := m.Output(), ref.Out.String(); got != want {
+			t.Fatalf("pipeline printed %q, golden model %q", got, want)
+		}
+		for r := isa.Reg(1); r < isa.NumRegs; r++ {
+			if got, want := m.CPU.Reg(r), ref.reg(r); got != want {
+				t.Errorf("r%d = %#x, golden model says %#x", r, got, want)
 			}
-			return m, err
 		}
-		acc, errA := run(false)
-		fast, errF := run(true)
-		if (errA == nil) != (errF == nil) {
-			t.Fatalf("halting diverged: accurate err=%v, fast err=%v", errA, errF)
-		}
-		if errA != nil {
-			t.Skip() // both exhausted the cycle budget mid-flight
-		}
-		diffMachines(t, acc, fast)
 	})
 }

@@ -9,10 +9,10 @@ import (
 )
 
 // timingNeutral lists the core.Config fields deliberately excluded from the
-// spec digest: bit-identical simulator fast paths and bus run state. Two runs
-// differing only in these share one memo entry by design (DESIGN.md §12).
+// spec digest: the hazard checker (a diagnostic that observes without
+// changing timing) and bus run state. Two runs differing only in these share
+// one memo entry by design (DESIGN.md §13).
 var timingNeutral = map[string]bool{
-	"FastTier":              true,
 	"Pipeline.CheckHazards": true,
 	"Bus.BusyCycles":        true,
 	"Bus.Transfers":         true,

@@ -14,10 +14,10 @@
 // prove that every architectural core.Config field is covered by the digest
 // (see TestSpecDigestCoversCoreConfig).
 //
-// The spec deliberately carries no simulator-speed knobs: the compiled fast
-// tier is a bit-identical fast path (DESIGN.md §12), so two runs differing
-// only in it share one spec, one digest and one memo entry. The guard test
-// pins the allowlist.
+// The spec deliberately carries no simulator diagnostics: the hazard
+// checker observes without changing timing, so two runs differing only in
+// it share one spec, one digest and one memo entry. The guard test pins the
+// allowlist.
 package spec
 
 import (
@@ -472,9 +472,9 @@ func (ec ECacheSpec) BuildECache() ecache.Config {
 }
 
 // Build validates the spec and realizes it into the core.Config the
-// simulator runs. Callers owning the fast-tier knob apply it after — it is
-// a bit-identical fast path and deliberately not part of the spec or its
-// digest.
+// simulator runs. Callers owning the hazard-checker knob apply it after — it
+// observes without changing timing and is deliberately not part of the spec
+// or its digest.
 func (ms MachineSpec) Build() (core.Config, error) {
 	if err := ms.Validate(); err != nil {
 		return core.Config{}, err
@@ -496,9 +496,9 @@ func (ms MachineSpec) Build() (core.Config, error) {
 // scheme, which core.Config does not carry) back to the spec that names it.
 // Enum values outside their ranges map to distinct "unknown(n)" names, so
 // any two distinct configs produce distinct digests — the property the
-// field-coverage guard test leans on. Simulator-speed knobs (FastTier,
-// CheckHazards) and bus run state are intentionally dropped; the
-// guard test pins that exact allowlist.
+// field-coverage guard test leans on. The hazard checker (CheckHazards)
+// and bus run state are intentionally dropped; the guard test pins that
+// exact allowlist.
 func FromConfig(cfg core.Config, scheme reorg.Scheme) MachineSpec {
 	return MachineSpec{
 		Branch:   BranchSpec{Slots: cfg.Pipeline.BranchSlots, Squash: squashName(scheme.Squash)},
