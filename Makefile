@@ -43,12 +43,13 @@ race:
 	$(GO) test -race ./...
 
 # Flake detector: the engine's scheduling tests and the scenario layer's
-# determinism and input checks, repeated in shuffled order so an
-# interleaving-dependent test fails here rather than once in a while in
-# `make test`.
+# determinism, input and multiprocessor checks (one scheduler serves both
+# mappings), repeated in shuffled order so an interleaving-dependent test
+# fails here rather than once in a while in `make test`.
+FLAKE_SCENARIO = TestDeterminism|TestRunRejectsBadInputs|TestClusterRunsCorrectly|TestNodesAreIsolated|TestBusContentionGrowsWithNodes|TestSharedBusCausality|TestLoadErrors|TestClusterAttributionConserves
 flake:
 	$(GO) test -run TestEngine -count=50 -shuffle=on ./internal/experiments
-	$(GO) test -run 'TestDeterminism|TestRunRejectsBadInputs' -count=3 -shuffle=on ./internal/scenario
+	$(GO) test -run '$(FLAKE_SCENARIO)' -count=3 -shuffle=on ./internal/scenario
 
 # Zero error-severity hazard findings across every benchmark × Table 1
 # scheme — the software-interlock invariant of the whole toolchain.
@@ -62,12 +63,13 @@ lint-suite:
 cost-gate:
 	$(GO) test ./internal/experiments -run TestStaticCostMatchesLedgerEveryBenchmarkEveryScheme -count=1
 
-# Longer exploration of the compile → reorganize → lint invariant, plus the
-# pipeline-vs-golden-model differential fuzz target (CI smokes both on every
-# merge).
+# Longer exploration of the compile → reorganize → lint invariant, the
+# pipeline-vs-golden-model differential and the spec JSON boundary (CI
+# smokes all three on every merge).
 fuzz:
 	$(GO) test ./internal/lint -fuzz=FuzzCompileReorgLint -fuzztime=60s
 	$(GO) test ./internal/refmodel -fuzz=FuzzPipelineVsRefmodel -fuzztime=60s -run '^$$'
+	$(GO) test ./internal/spec -fuzz=FuzzSpecParse -fuzztime=60s -run '^$$'
 
 # Bench-regression tracking: verify every experiment table against the
 # recorded golden baseline (exit 1 on drift) three times — once serially

@@ -18,6 +18,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -391,7 +392,7 @@ func runScenario(list, specPath string, quantum int, policy, obsStream string, w
 		opts.WindowEmit = winStream.Write
 	}
 
-	res, err := scenario.RunWith(programs, scheme, ms, opts)
+	res, err := scenario.RunWith(context.Background(), programs, scheme, ms, opts)
 	if err != nil {
 		fail(err)
 	}

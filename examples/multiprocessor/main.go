@@ -9,39 +9,36 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
-	"repro/internal/core"
-	"repro/internal/multi"
 	"repro/internal/reorg"
+	"repro/internal/scenario"
+	"repro/internal/spec"
 	"repro/internal/tinyc"
 )
 
-func runCluster(n int, cfg core.Config) multi.Stats {
-	srcs := make([]string, n)
-	for i := range srcs {
-		srcs[i] = tinyc.Benchmarks()[3].Source // sieve of Eratosthenes
+// runCluster runs the sieve of Eratosthenes on every node of an n-node
+// cluster.
+func runCluster(n int, ms spec.MachineSpec) scenario.ClusterStats {
+	progs := make([]scenario.Program, n)
+	for i := range progs {
+		progs[i] = scenario.Program{Name: fmt.Sprintf("node%d", i),
+			Source: tinyc.Benchmarks()[3].Source, Expect: "78\n"} // primes below 400
 	}
-	c := multi.New(n, cfg)
-	if err := c.LoadPrograms(srcs, reorg.Default()); err != nil {
+	r, err := scenario.RunWith(context.Background(), progs, reorg.Default(), ms,
+		scenario.RunOpts{Multiprocessor: true})
+	if err != nil {
 		log.Fatal(err)
 	}
-	if err := c.Run(2_000_000_000); err != nil {
-		log.Fatal(err)
-	}
-	for i, out := range c.Outputs() {
-		if out != "78\n" { // primes below 400
-			log.Fatalf("node %d computed %q", i, out)
-		}
-	}
-	return c.Stats()
+	return r.Cluster()
 }
 
 func main() {
 	fmt.Println("nodes  aggregate MIPS  bus wait/node")
 	for _, n := range []int{1, 2, 4, 6, 8, 10} {
-		s := runCluster(n, core.DefaultConfig())
+		s := runCluster(n, spec.Default())
 		fmt.Printf("%5d  %14.1f  %13.0f\n", n, s.AggregateMIPS,
 			float64(s.BusWaitCycles)/float64(n))
 	}
@@ -51,11 +48,11 @@ func main() {
 	// fetches reach the shared bus — which saturates immediately. The
 	// two-level cache is what makes the multiprocessor viable.
 	fmt.Println("\nwithout the on-chip Icache and with a 256-word board cache:")
-	cfg := core.DefaultConfig()
-	cfg.Icache.Disabled = true
-	cfg.Ecache.SizeWords = 256
+	ms := spec.Default()
+	ms.ICache.Disabled = true
+	ms.ECache.SizeWords = 256
 	for _, n := range []int{1, 4} {
-		s := runCluster(n, cfg)
+		s := runCluster(n, ms)
 		fmt.Printf("%5d  %14.1f  %13.0f\n", n, s.AggregateMIPS,
 			float64(s.BusWaitCycles)/float64(n))
 	}

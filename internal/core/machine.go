@@ -75,72 +75,35 @@ type Machine struct {
 // New builds a machine. consoleOut receives program output (nil discards it
 // into the machine's internal buffer, readable via Output).
 func New(cfg Config, consoleOut io.Writer) *Machine {
-	return NewShared(cfg, nil, nil, consoleOut)
+	return NewShared(cfg, mem.New(), nil, consoleOut)
 }
 
-// NewShared builds a machine as one node of a shared-memory multiprocessor:
-// sharedMem is the common main memory (nil allocates a private one) and arb
-// the shared-bus arbiter (nil means an uncontended private bus). This is
-// the configuration of the MIPS-X project's system goal — 6–10 processors
-// on one memory bus (see internal/multi).
-func NewShared(cfg Config, sharedMem *mem.Memory, arb *mem.Arbiter, consoleOut io.Writer) *Machine {
-	m := &Machine{Cfg: cfg}
-	if sharedMem != nil {
-		m.Mem = sharedMem
-	} else {
-		m.Mem = mem.New()
-	}
-	m.Bus = &mem.Bus{Latency: cfg.Bus.Latency, PerWord: cfg.Bus.PerWord}
-	if arb != nil {
-		m.Bus.Arb = arb
-		// The closure is installed before m.CPU exists (the pipeline is built
-		// last, over the caches that hold this bus), so it must tolerate being
-		// consulted mid-construction: before the CPU is wired, no cycles have
-		// elapsed.
-		m.Bus.Now = func() uint64 {
-			if m.CPU == nil {
-				return 0
-			}
-			return m.CPU.Stats.Cycles
-		}
-	}
-	m.ECache = ecache.New(cfg.Ecache, m.Mem, m.Bus)
-	m.ICache = icache.New(cfg.Icache, m.ECache)
-
-	var set coproc.Set
-	if !cfg.NoFPU {
-		m.FPU = coproc.NewFPU()
-		set.Attach(1, m.FPU)
-	}
-	m.IntC = &coproc.IntController{}
-	set.Attach(2, m.IntC)
-	if consoleOut == nil {
-		consoleOut = &m.out
-	}
-	m.Console = &coproc.Console{Out: consoleOut}
-	set.Attach(7, m.Console)
-
-	m.CPU = pipeline.New(cfg.Pipeline, m.ICache, m.ECache, &set)
-	return m
+// NewShared builds a machine, with its own bus front-end, Ecache and Icache,
+// over main memory it may share with other machines. A non-nil arb makes the
+// bus one node of a physically shared, arbitrated bus, whose transfers queue
+// on the caller's clock: set Bus.Now before the first run. This is the node
+// of the MIPS-X project's system goal — 6–10 processors on one memory bus —
+// that internal/scenario builds its multiprocessor from.
+func NewShared(cfg Config, shared *mem.Memory, arb *mem.Arbiter, consoleOut io.Writer) *Machine {
+	bus := &mem.Bus{Latency: cfg.Bus.Latency, PerWord: cfg.Bus.PerWord, Arb: arb}
+	ec := ecache.New(cfg.Ecache, shared, bus)
+	// A machine is the one context over its own hierarchy.
+	host := &Machine{Cfg: cfg, Mem: shared, Bus: bus, ECache: ec, ICache: icache.New(cfg.Icache, ec)}
+	return NewContext(host, consoleOut)
 }
 
-// NewContext builds a machine context for the multiprogramming scenario
-// layer (internal/scenario): a private CPU and coprocessor set over the
-// host's entire memory hierarchy — main memory, bus, external cache and
-// instruction cache are all shared. Contexts model the processes of a
-// multiprogrammed workload: only one runs at a time (the scenario scheduler
-// round-robins them), and every cache effect one context leaves behind —
-// pollution, write-backs, PID-tagged residency — is visible to the next,
-// which is exactly the interference the scenario experiments measure.
+// NewContext builds a machine context: a private CPU and coprocessor set
+// (FPU, interrupt controller, console) over host's entire memory hierarchy —
+// main memory, bus, external cache and instruction cache are all shared.
+// Contexts model the processes of a multiprogrammed workload
+// (internal/scenario): only one runs on a hierarchy at a time, and every
+// cache effect one context leaves behind — pollution, write-backs,
+// PID-tagged residency — is visible to the next, which is exactly the
+// interference the scenario experiments measure.
 func NewContext(host *Machine, consoleOut io.Writer) *Machine {
-	m := &Machine{Cfg: host.Cfg}
-	m.Mem = host.Mem
-	m.Bus = host.Bus
-	m.ECache = host.ECache
-	m.ICache = host.ICache
-
+	m := &Machine{Cfg: host.Cfg, Mem: host.Mem, Bus: host.Bus, ECache: host.ECache, ICache: host.ICache}
 	var set coproc.Set
-	if !host.Cfg.NoFPU {
+	if !m.Cfg.NoFPU {
 		m.FPU = coproc.NewFPU()
 		set.Attach(1, m.FPU)
 	}
@@ -152,7 +115,7 @@ func NewContext(host *Machine, consoleOut io.Writer) *Machine {
 	m.Console = &coproc.Console{Out: consoleOut}
 	set.Attach(7, m.Console)
 
-	m.CPU = pipeline.New(host.Cfg.Pipeline, m.ICache, m.ECache, &set)
+	m.CPU = pipeline.New(m.Cfg.Pipeline, m.ICache, m.ECache, &set)
 	return m
 }
 

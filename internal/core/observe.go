@@ -56,41 +56,55 @@ func (m *Machine) ObsReport() *obs.Report {
 	return r
 }
 
-// VerifyAttribution checks the cycle-attribution invariants against the
-// per-unit Stats counters and returns the first violation:
+// VerifyAttribution checks the machine's ledger with VerifyLedger against
+// its own pipeline cycles. Nil sink verifies trivially.
+func (m *Machine) VerifyAttribution() error {
+	if m.Obs == nil {
+		return nil
+	}
+	return VerifyLedger(m.Obs.Ledger, m.CPU.Stats.Cycles, m)
+}
+
+// VerifyLedger checks the cycle-attribution invariants of ledger l, which
+// the contexts ctxs charged over the one Icache and Ecache they share (a
+// single machine is its own only context), and returns the first violation:
 //
-//	sum(causes)                               == pipeline Cycles   (conservation)
-//	execute+nop+pipe-fill+squash+exception    == pipeline Fetches  (one base cause per Step)
+//	sum(causes)                               == cycles            (conservation)
+//	execute+nop+pipe-fill+squash+exception    == Σ pipeline Fetches (one base cause per Step)
 //	icache-miss + ecache-ifetch               == icache StallCycles (the double-count seam:
 //	    icache StallCycles INCLUDES the Ecache refill portion, which the
 //	    Ecache also counts — the ledger holds each cycle exactly once)
 //	ecache-ifetch + ecache-read + ecache-write
 //	             + flush-refill               == ecache StallCycles
-//	ecache-read + ecache-write                == pipeline DataStalls
-//	coproc-busy                               == pipeline CoprocStalls
+//	ecache-read + ecache-write                == Σ pipeline DataStalls
+//	coproc-busy                               == Σ pipeline CoprocStalls
 //
-// flush-refill joins the Ecache seam because Flush charges its write-back
-// stalls into ecache.StallCycles (see ecache.Flush) without going through
-// either data port.
+// cycles is the clock the ledger conserves against: a machine's pipeline
+// cycles, or a scenario CPU's clock, which also counts the switch-time work
+// charged to context-switch and flush-refill. flush-refill joins the Ecache
+// seam because Flush charges its write-back stalls into ecache.StallCycles
+// (see ecache.Flush) without going through either data port.
 //
-// On a shared bus (multiprocessor nodes) arbitration waits are carved out of
-// the cache causes into bus-wait, so the per-cause rows become lower bounds;
-// conservation stays exact. Nil sink verifies trivially.
-func (m *Machine) VerifyAttribution() error {
-	if m.Obs == nil {
-		return nil
-	}
-	l := m.Obs.Ledger
-	p, ic, ec := m.CPU.Stats, m.ICache.Stats, m.ECache.Stats
-	if got := l.Total(); got != p.Cycles {
+// On an arbitrated bus (multiprocessor nodes) arbitration waits are carved
+// out of the cache causes into bus-wait, so the per-cause rows become lower
+// bounds; conservation stays exact.
+func VerifyLedger(l *obs.Ledger, cycles uint64, ctxs ...*Machine) error {
+	if got := l.Total(); got != cycles {
 		return fmt.Errorf("core: attribution conservation violated: ledger %d != cycles %d (Δ%+d)",
-			got, p.Cycles, int64(got)-int64(p.Cycles))
+			got, cycles, int64(got)-int64(cycles))
+	}
+	var fetches, dataStalls, coprocStalls uint64
+	for _, m := range ctxs {
+		fetches += m.CPU.Stats.Fetches
+		dataStalls += m.CPU.Stats.DataStalls
+		coprocStalls += m.CPU.Stats.CoprocStalls
 	}
 	base := l.Count(obs.CauseExecute) + l.Count(obs.CauseNop) + l.Count(obs.CausePipeFill) +
 		l.Count(obs.CauseSquashAnnul) + l.Count(obs.CauseExceptionKill)
-	if base != p.Fetches {
-		return fmt.Errorf("core: base-cause cycles %d != pipeline fetches %d", base, p.Fetches)
+	if base != fetches {
+		return fmt.Errorf("core: base-cause cycles %d != pipeline fetches %d", base, fetches)
 	}
+	ic, ec := ctxs[0].ICache.Stats, ctxs[0].ECache.Stats
 	type seam struct {
 		name string
 		got  uint64
@@ -104,8 +118,8 @@ func (m *Machine) VerifyAttribution() error {
 				l.Count(obs.CauseFlushRefill),
 			ec.StallCycles},
 		{"ecache-read+ecache-write vs pipeline.DataStalls",
-			l.Count(obs.CauseEcacheRead) + l.Count(obs.CauseEcacheWrite), p.DataStalls},
-		{"coproc-busy vs pipeline.CoprocStalls", l.Count(obs.CauseCoprocBusy), p.CoprocStalls},
+			l.Count(obs.CauseEcacheRead) + l.Count(obs.CauseEcacheWrite), dataStalls},
+		{"coproc-busy vs pipeline.CoprocStalls", l.Count(obs.CauseCoprocBusy), coprocStalls},
 	}
 	wait := l.Count(obs.CauseBusWait)
 	for _, s := range seams {

@@ -18,38 +18,19 @@ loop:	addi r1, r1, -1
 	halt
 `
 
-// TestSharedBusNowNilSafePreConstruction is the regression test for the
-// NewShared construction-order hazard: the Bus.Now closure is installed
-// before m.CPU exists (the pipeline is built last, over the caches holding
-// the bus), so any component consulting bus time during construction used
-// to dereference a nil CPU. Pre-construction, no cycles have elapsed.
-func TestSharedBusNowNilSafePreConstruction(t *testing.T) {
-	m := NewShared(DefaultConfig(), mem.New(), &mem.Arbiter{}, nil)
-	if m.Bus.Now == nil {
-		t.Fatal("arbitrated machine has no Bus.Now clock")
-	}
-	cpu := m.CPU
-	m.CPU = nil // the state the closure observes mid-construction
-	if got := m.Bus.Now(); got != 0 {
-		t.Fatalf("Bus.Now() = %d before the CPU exists, want 0", got)
-	}
-	m.CPU = cpu
-	m.CPU.Stats.Cycles = 42
-	if got := m.Bus.Now(); got != 42 {
-		t.Fatalf("Bus.Now() = %d after construction, want the CPU clock 42", got)
-	}
-}
-
 // TestSharedBusContendedMachines builds a two-node shared-bus configuration
-// (shared memory, shared arbiter) and runs both nodes to completion,
-// interleaved lowest-clock-first as the cluster scheduler does — the
-// arbitration path exercises Bus.Now on every transfer.
+// (shared memory, shared arbiter, each bus on its node's pipeline clock) and
+// runs both nodes to completion, interleaved lowest-clock-first as the
+// scenario scheduler does — the arbitration path exercises Bus.Now on every
+// transfer.
 func TestSharedBusContendedMachines(t *testing.T) {
 	shared := mem.New()
 	arb := &mem.Arbiter{}
 	nodes := [2]*Machine{}
 	for i := range nodes {
-		nodes[i] = NewShared(DefaultConfig(), shared, arb, nil)
+		n := NewShared(DefaultConfig(), shared, arb, nil)
+		n.Bus.Now = func() uint64 { return n.CPU.Stats.Cycles }
+		nodes[i] = n
 		if err := nodes[i].LoadSource(contendedSrc); err != nil {
 			t.Fatal(err)
 		}

@@ -6,74 +6,30 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/multi"
 	"repro/internal/reorg"
+	"repro/internal/scenario"
 	"repro/internal/spec"
 	"repro/internal/tinyc"
 )
 
-// e11ClusterLimit bounds each cluster run.
-const e11ClusterLimit = 1_000_000_000
-
-// runCluster advances a cluster to completion in runChunk slices so
-// cancellation is observed (Cluster.Run checks nodes against an absolute
-// per-node cycle limit, so it is resumable with a growing limit). Every
-// node gets a ledger-only sink, so the shared-bus arbitration waits show up
-// as the bus-wait cause in the aggregated attribution; conservation is
-// verified per node on success.
-func runCluster(ctx context.Context, c *multi.Cluster, maxCycles uint64) error {
-	c.Observe()
-	account := func() {
-		e := DefaultEngine()
-		var sum uint64
-		attr := make(map[string]uint64)
-		for _, n := range c.Nodes {
-			sum += n.CPU.Stats.Cycles
-			for k, v := range n.Obs.Ledger.Map() {
-				attr[k] += v
-			}
-		}
-		e.AddCyclesCtx(ctx, sum)
-		e.AddAttrCtx(ctx, attr)
-	}
-	for limit := uint64(runChunk); ; limit += runChunk {
-		if err := ctx.Err(); err != nil {
-			account()
-			return err
-		}
-		if limit > maxCycles {
-			limit = maxCycles
-		}
-		err := c.Run(limit)
-		if err == nil {
-			account()
-			return c.VerifyAttribution()
-		}
-		if limit >= maxCycles {
-			account()
-			return err
-		}
-	}
-}
-
-// clusterCell builds a memoizable cell that runs n copies of src on an
-// n-node shared-bus cluster and deposits the cluster summary in *out.
-func clusterCell(id, src string, n int, out *multi.Stats) Cell {
+// clusterCell builds a memoizable cell that runs n copies of src, one per
+// CPU of an n-node shared-bus multiprocessor, and deposits the summary in
+// *out. Each node's ledger is conservation-verified inside the run, with
+// the shared-bus arbitration waits under the bus-wait cause.
+func clusterCell(id, src string, n int, out *scenario.ClusterStats) Cell {
 	return Cell{
 		ID: id,
 		Fn: func(ctx context.Context) error {
-			srcs := make([]string, n)
-			for j := range srcs {
-				srcs[j] = src
+			progs := make([]scenario.Program, n)
+			for j := range progs {
+				progs[j] = scenario.Program{Name: fmt.Sprintf("node%d", j), Source: src}
 			}
-			c := multi.New(n, buildConfig(spec.Default()))
-			if err := c.LoadPrograms(srcs, reorg.Default()); err != nil {
+			var r scenario.Result
+			opts := scenario.RunOpts{Multiprocessor: true}
+			if err := runScenario(ctx, progs, reorg.Default(), spec.Default(), opts, &r); err != nil {
 				return err
 			}
-			if err := runCluster(ctx, c, e11ClusterLimit); err != nil {
-				return err
-			}
-			*out = c.Stats()
+			*out = r.Cluster()
 			return nil
 		},
 		Memo: &CellMemo{
@@ -84,7 +40,7 @@ func clusterCell(id, src string, n int, out *multi.Stats) Cell {
 				k.str("source", src)
 				k.str("scheme", reorg.Default().String())
 				k.num("nodes", uint64(n))
-				k.num("limit", e11ClusterLimit)
+				k.num("limit", scenario.CycleLimit)
 				k.str("spec", spec.Default().Digest())
 				return k.sum(), nil
 			},
@@ -115,10 +71,10 @@ func MultiprocessorScaling() (*Table, error) {
 	// Each cluster size is a cell (a whole cluster shares state internally
 	// but nothing across cells), plus a cell for the VAX reference rate on
 	// the same program. All are memoizable: the cluster's closure is the
-	// program source, the reorg scheme, the node count, the per-node config
-	// and the cycle limit (multi.Stats is pure exported scalars).
+	// program source, the reorg scheme, the node count, the per-node spec
+	// and the cycle limit (scenario.ClusterStats is pure exported scalars).
 	var vaxRes VAXResult
-	stats := make([]multi.Stats, len(sizes))
+	stats := make([]scenario.ClusterStats, len(sizes))
 	cells := make([]Cell, 0, len(sizes)+1)
 	cells = append(cells, vaxCell("E11/vax", bench.Source, 200_000_000, &vaxRes))
 	for i, n := range sizes {

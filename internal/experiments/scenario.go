@@ -102,26 +102,31 @@ func scenarioKey(benches []tinyc.Benchmark, scheme reorg.Scheme, ms spec.Machine
 	return k.sum(), nil
 }
 
+// runScenario runs a scenario under the cell's context and accounts its
+// cycles and attribution to the default engine, like runMachine does for a
+// single machine. Every CPU's ledger is conservation-verified inside
+// scenario.RunWith before the result is built.
+func runScenario(ctx context.Context, progs []scenario.Program, scheme reorg.Scheme, ms spec.MachineSpec, opts scenario.RunOpts, out *scenario.Result) error {
+	r, err := scenario.RunWith(ctx, progs, scheme, ms, opts)
+	if err != nil {
+		return err
+	}
+	*out = *r
+	e := DefaultEngine()
+	e.AddCyclesCtx(ctx, r.Cycles)
+	e.AddAttrCtx(ctx, r.Obs.Map())
+	return nil
+}
+
 // scenarioCell builds a memoizable cell running the benchmarks as one
 // multiprogrammed scenario on the machine the spec names. Conservation is
-// verified inside scenario.Run before the result is built, so — like every
+// verified inside the run before the result is built, so — like every
 // benchmark cell — a live scenario cell is a standing conservation check.
 func scenarioCell(id string, benches []tinyc.Benchmark, scheme reorg.Scheme, ms spec.MachineSpec, out *scenario.Result) Cell {
 	return Cell{
 		ID: id,
 		Fn: func(ctx context.Context) error {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			r, err := scenario.Run(scenarioPrograms(benches), scheme, ms)
-			if err != nil {
-				return err
-			}
-			*out = *r
-			e := DefaultEngine()
-			e.AddCyclesCtx(ctx, r.Cycles)
-			e.AddAttrCtx(ctx, r.Obs.Map())
-			return nil
+			return runScenario(ctx, scenarioPrograms(benches), scheme, ms, scenario.RunOpts{}, out)
 		},
 		Memo: &CellMemo{
 			Key:  func() (string, error) { return scenarioKey(benches, scheme, ms) },

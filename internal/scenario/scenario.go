@@ -1,13 +1,27 @@
-// Package scenario is the multiprogramming layer over the single-machine
-// simulator: N compiled benchmark programs run as independent machine
-// contexts (private CPU and registers, shared memory hierarchy — see
-// core.NewContext) under a round-robin scheduler that switches contexts
-// every quantum. It measures the question the trace-interleave experiments
-// (E6/E10) could only approximate at the address-stream level: what does
-// multiprogramming cost at the *execution* level, where the pipeline,
-// write-back Ecache and on-chip Icache all see the switches?
+// Package scenario is the system layer over the single-machine simulator:
+// compiled benchmark programs mapped onto CPUs over one main memory. Each
+// CPU owns a memory hierarchy (bus front-end, Ecache, Icache); each program
+// is a machine context on its CPU (private pipeline, registers and
+// coprocessors — see core.NewContext). Two mappings exist:
 //
-// Two Icache policies are modeled, selected by spec.ScenarioSpec.Policy:
+//   - Time-sliced (the default): every program on one CPU, sharing its
+//     caches under a round-robin scheduler that switches contexts every
+//     quantum — the multiprogramming experiment (E12), which measures at
+//     the execution level what the trace-interleave experiments (E6/E10)
+//     could only approximate at the address-stream level.
+//   - Multiprocessor (RunOpts.Multiprocessor): every program on its own
+//     CPU, the CPUs' buses arbitrated first-come-first-served on one
+//     physical bus — the 6–10-node system MIPS-X was designed for (E11).
+//
+// One scheduler loop runs both: core.RunQuantum bursts on the lowest-clock
+// CPU (ties to the lowest index) until the running context's quantum
+// expires, it halts, or another CPU's clock falls behind. With one CPU that
+// is plain round-robin; with one program per CPU it is the step order that
+// keeps bus arbitration causal (a CPU never acquires the bus in another's
+// past).
+//
+// Two Icache switch policies are modeled, selected by
+// spec.ScenarioSpec.Policy:
 //
 //   - "flush": the OS flushes the hierarchy on every switch — the on-chip
 //     Icache is invalidated, dirty Ecache lines
@@ -23,21 +37,23 @@
 //     context-switch and flush-refill causes provably stay zero — the
 //     conservation check enforces it.
 //
-// Programs are packed into disjoint address regions exactly as the
-// multiprocessor loader does (internal/multi), so both policies are
-// functionally correct by construction — the experiment isolates the *cost*
-// of switching, not correctness of isolation. All contexts charge one
-// shared attribution ledger; Result.Verify extends the single-machine
-// conservation invariant to the scenario:
+// Programs are packed into disjoint address regions (Images), so every
+// mapping and policy is functionally correct by construction — the
+// experiments isolate the *cost* of sharing. Each CPU has one clock and one
+// attribution ledger; the run verifies every CPU's ledger against that
+// CPU's clock and caches:
 //
-//	ledger total == sum(per-context cycles) + switch cost + flush stalls
+//	CPU ledger total == CPU clock == Σ its contexts' cycles + switch cost + flush stalls
 package scenario
 
 import (
+	"context"
 	"fmt"
+	"math"
 
 	"repro/internal/asm"
 	"repro/internal/core"
+	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/reorg"
 	"repro/internal/spec"
@@ -46,6 +62,8 @@ import (
 
 // Program is one member of a scenario workload.
 type Program struct {
+	// Name identifies the program in results, errors and window rows, so it
+	// must be unique within a run.
 	Name   string
 	Source string
 	// Expect is the console output the program must produce ("" skips the
@@ -84,13 +102,14 @@ type Result struct {
 	// charged to flush-refill.
 	FlushStalls uint64 `json:"flush_stalls"`
 
-	// Cycles is the scenario's total: every context's executed cycles plus
-	// SwitchCycles plus FlushStalls — the quantity the shared ledger must
-	// conserve against.
+	// Cycles is the scenario's total over all CPUs: every context's
+	// executed cycles plus SwitchCycles plus FlushStalls — the quantity the
+	// ledgers must conserve against.
 	Cycles       uint64 `json:"cycles"`
 	Instructions uint64 `json:"instructions"`
 
-	// Obs is the shared-ledger attribution report over the whole scenario.
+	// Obs is the attribution report over the whole scenario (every CPU's
+	// ledger summed).
 	Obs *obs.Report `json:"obs"`
 
 	// Windows is the mipsx-obswin/v1 time-series when the spec requests
@@ -99,10 +118,16 @@ type Result struct {
 	// pre-existing baseline — serialize exactly as before.
 	Windows *obs.WindowDoc `json:"windows,omitempty"`
 
-	// Shared-hierarchy counters, for the pollution analysis.
+	// Hierarchy counters summed over CPUs, for the pollution analysis.
 	IcacheMisses  uint64 `json:"icache_misses"`
 	IcacheFetches uint64 `json:"icache_fetches"`
 	EcacheWBs     uint64 `json:"ecache_writebacks"`
+
+	// Shared-bus arbitration totals of a multiprocessor run: cycles CPUs
+	// queued behind each other, and transfers arbitrated. Zero, and
+	// omitted, on one CPU's private bus.
+	BusWaitCycles uint64 `json:"bus_wait_cycles,omitempty"`
+	BusTransfers  uint64 `json:"bus_transfers,omitempty"`
 }
 
 // CPI is cycles per issued instruction including all switch overheads.
@@ -113,19 +138,55 @@ func (r *Result) CPI() float64 {
 	return float64(r.Cycles) / float64(r.Instructions)
 }
 
-// runLimit bounds a scenario run (total cycles across all contexts).
-const runLimit = 200_000_000
+// ClusterStats summarizes a multiprocessor run: E11's scaling statistics.
+// Its field names are E11's memoized cell format.
+type ClusterStats struct {
+	Nodes          int
+	MakespanCycles uint64  // slowest node's cycle count
+	TotalInstr     uint64  // instructions completed across all nodes
+	AggregateMIPS  float64 // total work over the makespan at the design clock
+	SumNodeMIPS    float64 // sum of each node's own sustained rate
+	BusWaitCycles  uint64  // cycles nodes queued for the shared bus
+	BusTransfers   uint64
+}
+
+// Cluster summarizes a run made with RunOpts.Multiprocessor, in which every
+// program had a CPU to itself.
+func (r *Result) Cluster() ClusterStats {
+	s := ClusterStats{Nodes: len(r.Programs), TotalInstr: r.Instructions,
+		BusWaitCycles: r.BusWaitCycles, BusTransfers: r.BusTransfers}
+	for _, p := range r.Programs {
+		s.MakespanCycles = max(s.MakespanCycles, p.Cycles)
+		s.SumNodeMIPS += core.ClockMHz * float64(p.Instructions) / float64(p.Cycles)
+	}
+	s.AggregateMIPS = core.ClockMHz * float64(s.TotalInstr) / float64(s.MakespanCycles)
+	return s
+}
+
+// CycleLimit bounds every CPU's clock; a run whose CPU passes it without
+// its programs halting fails.
+const CycleLimit = 1_000_000_000
+
+// checkEvery is how many cycles the scheduler simulates between checks of
+// the run's context — the experiment runners' cancellation granularity.
+const checkEvery = 2_000_000
 
 // Images compiles each program at its packed base: code and static data
 // sequentially in low memory (inside the 17-bit absolute addressing window,
-// rounded to distinct Icache blocks), heaps and stacks striped above — the
-// multi.LoadPrograms discipline, so both cache policies are functionally
-// correct by construction. Exported so the experiment layer can fold the
-// exact loaded words into a scenario cell's memo key.
+// rounded to distinct Icache blocks), heaps and stacks striped above, so
+// programs sharing one main memory never collide. Names key results, errors
+// and window rows, so a repeated name (or the scheduler's own row name) is
+// rejected. Exported so the experiment layer can fold the exact loaded words
+// into a scenario cell's memo key.
 func Images(programs []Program, scheme reorg.Scheme) ([]*asm.Image, error) {
 	ims := make([]*asm.Image, len(programs))
 	base := uint32(0)
+	seen := map[string]bool{schedulerContext: true}
 	for i, p := range programs {
+		if seen[p.Name] {
+			return nil, fmt.Errorf("scenario: program name %q is repeated or reserved", p.Name)
+		}
+		seen[p.Name] = true
 		layout := tinyc.Layout{
 			HeapBase: uint32(1<<17 + i*(1<<16)),
 			StackTop: uint32(1<<17 + i*(1<<16) + 3<<14),
@@ -144,203 +205,272 @@ func Images(programs []Program, scheme reorg.Scheme) ([]*asm.Image, error) {
 	return ims, nil
 }
 
-// RunOpts attaches streaming observability to a scenario run. The zero value
-// runs unobserved (beyond the always-on shared ledger).
+// RunOpts configures a run beyond its spec: the CPU mapping and streaming
+// observability. The zero value time-slices every program on one CPU,
+// unobserved beyond the always-on ledger.
 type RunOpts struct {
+	// Multiprocessor gives every program its own CPU, with its own Icache
+	// and Ecache, on one arbitrated bus (E11). The spec then needs no
+	// scenario block: no CPU ever switches contexts.
+	Multiprocessor bool
 	// WindowEmit, when set (and the spec's ScenarioSpec.Window > 0),
 	// receives each ledger window as it closes instead of retaining the
 	// time-series in Result.Windows — O(window) memory on arbitrarily long
 	// runs. Typically a WindowStreamWriter's Write.
 	WindowEmit func(*obs.Window) error
-	// Tracer, when set, records the scenario's pipeline/cache events on a
-	// scenario-global clock (cycles across all contexts and switch-time
-	// work). Start it streaming first for bounded memory.
+	// Tracer, when set, records the scenario's pipeline/cache events on the
+	// CPU's clock (cycles across all contexts and switch-time work). Start
+	// it streaming first for bounded memory.
 	Tracer *obs.Tracer
 }
 
-// Run executes the programs as one multiprogrammed scenario on a machine
-// realized from ms (whose Scenario field must be set; the branch scheme must
-// match the toolchain scheme the programs are compiled with). It returns a
+// Run executes the programs time-sliced on one CPU of a machine realized
+// from ms (whose Scenario field must be set; the branch scheme must match
+// the toolchain scheme the programs are compiled with). It returns a
 // conservation-verified result; determinism is total — the same programs and
 // spec produce a byte-identical Result.
 func Run(programs []Program, scheme reorg.Scheme, ms spec.MachineSpec) (*Result, error) {
-	return RunWith(programs, scheme, ms, RunOpts{})
+	return RunWith(context.Background(), programs, scheme, ms, RunOpts{})
 }
 
-// RunWith is Run with streaming observability attached.
-func RunWith(programs []Program, scheme reorg.Scheme, ms spec.MachineSpec, opts RunOpts) (*Result, error) {
-	scn := ms.Scenario
-	if scn == nil {
-		return nil, fmt.Errorf("scenario: spec has no scenario block")
+// cpu is one processor of the system: a memory hierarchy over the shared
+// main memory, the contexts mapped onto it, its clock and its ledger.
+type cpu struct {
+	host  *core.Machine // owns the hierarchy; its own pipeline never runs
+	sink  *obs.Sink     // charged by the hierarchy and every context
+	win   *obs.WindowedLedger
+	ctxs  []*core.Machine // a context's position is its process ID
+	names []string
+
+	cur  int    // running context
+	live int    // contexts not yet halted
+	used uint64 // cycles the running context has had of its quantum
+	// clock is the CPU's clock between bursts; base is it minus the running
+	// context's cycle count, so now() advances with the pipeline mid-burst.
+	clock, base uint64
+
+	switches, switchCycles, flushStalls uint64
+}
+
+// newCPU builds a CPU over the shared memory; its bus arbitration and its
+// trace timestamps both read its one clock.
+func newCPU(cfg core.Config, shared *mem.Memory, arb *mem.Arbiter) *cpu {
+	c := &cpu{host: core.NewShared(cfg, shared, arb, nil), sink: obs.NewMachineSink()}
+	c.host.Bus.Now = c.now
+	c.sink.Now = c.now
+	return c
+}
+
+// add maps a loaded program onto the CPU as a new context.
+func (c *cpu) add(name string, im *asm.Image) *core.Machine {
+	m := core.NewContext(c.host, nil)
+	m.Observe(c.sink)
+	m.Load(im)
+	c.ctxs = append(c.ctxs, m)
+	c.names = append(c.names, name)
+	c.live++
+	return m
+}
+
+// now is the CPU's live clock: every cycle its contexts have executed plus
+// its switch-time work, advancing mid-burst. The bus arbiter and the tracer
+// both read it; between bursts it equals clock, which the scheduler reads.
+func (c *cpu) now() uint64 { return c.base + c.ctxs[c.cur].CPU.Stats.Cycles }
+
+// rotate ends the running context's turn: control moves round-robin to the
+// CPU's next live context, paying the policy's switch-time work when that is
+// a different context.
+func (c *cpu) rotate(scn spec.ScenarioSpec) {
+	c.used = 0
+	if c.live == 0 {
+		return
 	}
-	if err := ms.Validate(); err != nil {
-		return nil, err
+	next := (c.cur + 1) % len(c.ctxs)
+	for c.ctxs[next].Console.Halted {
+		next = (next + 1) % len(c.ctxs)
+	}
+	if next == c.cur {
+		return
+	}
+	c.switches++
+	if c.win != nil {
+		c.win.SetContext(schedulerContext) // switch-time charges are the scheduler's
+	}
+	switch scn.Policy {
+	case spec.PolicyFlush:
+		// The whole hierarchy is scrubbed and the software overhead charged.
+		c.host.ICache.Flush()
+		stall := uint64(c.host.ECache.Flush())
+		c.sink.Ledger.Add(obs.CauseContextSwitch, uint64(scn.SwitchCost))
+		c.switchCycles += uint64(scn.SwitchCost)
+		c.flushStalls += stall
+		c.clock += uint64(scn.SwitchCost) + stall
+	case spec.PolicyPID:
+		c.host.ICache.SetPID(next)
+	}
+	c.cur = next
+	c.base = c.clock - c.ctxs[next].CPU.Stats.Cycles
+}
+
+// RunWith is Run with a CPU mapping, streaming observability and a context
+// whose cancellation stops the run within checkEvery cycles.
+func RunWith(ctx context.Context, programs []Program, scheme reorg.Scheme, ms spec.MachineSpec, opts RunOpts) (*Result, error) {
+	var scn spec.ScenarioSpec
+	quantum := uint64(math.MaxUint64)
+	if ms.Scenario != nil {
+		scn = *ms.Scenario
+		quantum = uint64(scn.Quantum)
+	} else if !opts.Multiprocessor {
+		return nil, fmt.Errorf("scenario: spec has no scenario block")
 	}
 	if len(programs) == 0 {
 		return nil, fmt.Errorf("scenario: no programs")
+	}
+	if opts.Multiprocessor && (scn.Window > 0 || opts.Tracer != nil) {
+		return nil, fmt.Errorf("scenario: windows and tracing observe one CPU, not a multiprocessor")
 	}
 	cfg, err := ms.WithScheme(scheme).Build()
 	if err != nil {
 		return nil, err
 	}
-
-	// The host owns the shared hierarchy; its CPU never runs. Contexts are
-	// built over it and loaded with programs packed into disjoint regions,
-	// the same layout discipline as multi.LoadPrograms.
-	host := core.New(cfg, nil)
-	sink := obs.NewMachineSink()
-	host.ICache.Obs = sink
-	host.ECache.Obs = sink
-
-	// Windowed aggregation: every charge into the shared ledger is keyed to
-	// the context that was running (or "scheduler" for switch-time work) and
-	// folded into Window-sized slices of the scenario timeline. Contexts are
-	// registered up front so breakdown row order follows program order, not
-	// scheduling order.
-	var win *obs.WindowedLedger
-	if scn.Window > 0 {
-		win = obs.NewWindowedLedger(obs.MachineCauseNames, uint64(scn.Window))
-		for _, p := range programs {
-			win.Register(p.Name)
-		}
-		win.Register(schedulerContext)
-		if opts.WindowEmit != nil {
-			win.OnWindow(opts.WindowEmit)
-		}
-		sink.Ledger.AttachWindows(win)
-	}
-
-	// Tracing: timestamps come from a scenario-global clock — the cycles all
-	// contexts have executed so far plus the in-flight quantum's progress —
-	// so events from successive quanta land on one monotonic timeline.
-	var clockBase uint64
-	var clockCPU *core.Machine
-	var clockStart uint64
-	if opts.Tracer != nil {
-		sink.Tracer = opts.Tracer
-		sink.Now = func() uint64 {
-			if clockCPU == nil {
-				return clockBase
-			}
-			return clockBase + (clockCPU.CPU.Stats.Cycles - clockStart)
-		}
-	}
-
 	ims, err := Images(programs, scheme)
 	if err != nil {
 		return nil, err
 	}
+
+	// One CPU holds every program, or each program gets its own CPU on an
+	// arbitrated bus; either way program i lands on CPU i mod #CPUs.
+	shared := mem.New()
+	ncpu, arb := 1, (*mem.Arbiter)(nil)
+	if opts.Multiprocessor {
+		ncpu, arb = len(programs), &mem.Arbiter{}
+	}
+	cpus := make([]*cpu, ncpu)
+	for k := range cpus {
+		cpus[k] = newCPU(cfg, shared, arb)
+	}
 	ctxs := make([]*core.Machine, len(programs))
-	results := make([]ProgramResult, len(programs))
 	for i, p := range programs {
-		ctx := core.NewContext(host, nil)
-		ctx.Obs = sink
-		ctx.CPU.Obs = sink
-		ctx.Load(ims[i])
-		ctxs[i] = ctx
-		results[i] = ProgramResult{Name: p.Name, CodeWords: tinyc.StaticInstructions(ims[i])}
+		ctxs[i] = cpus[i%ncpu].add(p.Name, ims[i])
+	}
+
+	// Windowed aggregation: every charge into the ledger is keyed to the
+	// context that was running (or "scheduler" for switch-time work) and
+	// folded into Window-sized slices of the CPU's timeline. Contexts are
+	// registered up front so breakdown row order follows program order, not
+	// scheduling order.
+	c0 := cpus[0]
+	if scn.Window > 0 {
+		c0.win = obs.NewWindowedLedger(obs.MachineCauseNames, uint64(scn.Window))
+		for _, p := range programs {
+			c0.win.Register(p.Name)
+		}
+		c0.win.Register(schedulerContext)
+		if opts.WindowEmit != nil {
+			c0.win.OnWindow(opts.WindowEmit)
+		}
+		c0.sink.Ledger.AttachWindows(c0.win)
+	}
+	c0.sink.Tracer = opts.Tracer
+
+	sinceCheck := uint64(checkEvery) // check before the first burst
+	for {
+		if sinceCheck >= checkEvery {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			for _, c := range cpus {
+				if c.live > 0 && c.clock > CycleLimit {
+					return nil, fmt.Errorf("scenario: no convergence within %d cycles", CycleLimit)
+				}
+			}
+			sinceCheck = 0
+		}
+		// One pass picks the lowest-clock CPU with live contexts (ties to
+		// the lowest index) and the clock at which another CPU would be
+		// picked instead: an earlier CPU's clock, or a later one's plus one.
+		var c *cpu
+		bound := uint64(math.MaxUint64)
+		for _, k := range cpus {
+			switch {
+			case k.live == 0:
+			case c == nil:
+				c = k
+			case k.clock < c.clock:
+				c, bound = k, c.clock
+			case k.clock+1 < bound:
+				bound = k.clock + 1
+			}
+		}
+		if c == nil {
+			break
+		}
+		budget := min(quantum-c.used, bound-c.clock, checkEvery-sinceCheck)
+		if c.win != nil {
+			c.win.SetContext(c.names[c.cur])
+		}
+		n, done, err := c.ctxs[c.cur].RunQuantum(budget)
+		c.clock += n
+		c.used += n
+		sinceCheck += n
+		if err != nil {
+			return nil, fmt.Errorf("scenario: %s: %w", c.names[c.cur], err)
+		}
+		if done {
+			c.live--
+		}
+		if done || c.used >= quantum {
+			c.rotate(scn)
+		}
 	}
 
 	res := &Result{
 		Quantum:    scn.Quantum,
 		Policy:     scn.Policy,
 		SwitchCost: scn.SwitchCost,
+		Programs:   make([]ProgramResult, len(programs)),
 	}
-
-	// switchTo charges the policy's switch-time work when control moves to
-	// context next. Under flush the whole hierarchy is scrubbed and the
-	// software overhead charged; under pid the Icache just changes its
-	// current process ID.
-	switchTo := func(next int) {
-		res.Switches++
-		if win != nil {
-			win.SetContext(schedulerContext) // switch-time charges are the scheduler's
-		}
-		switch scn.Policy {
-		case spec.PolicyFlush:
-			host.ICache.Flush()
-			res.FlushStalls += uint64(host.ECache.Flush())
-			sink.Ledger.Add(obs.CauseContextSwitch, uint64(scn.SwitchCost))
-			res.SwitchCycles += uint64(scn.SwitchCost)
-		case spec.PolicyPID:
-			host.ICache.SetPID(next)
+	for i, m := range ctxs {
+		p := &res.Programs[i]
+		*p = ProgramResult{Name: programs[i].Name, Cycles: m.CPU.Stats.Cycles,
+			Instructions: m.CPU.Stats.Issued(), CodeWords: tinyc.StaticInstructions(ims[i]), Output: m.Output()}
+		res.Instructions += p.Instructions
+		if want := programs[i].Expect; want != "" && p.Output != want {
+			return nil, fmt.Errorf("scenario: %s: wrong output %q (want %q)", p.Name, p.Output, want)
 		}
 	}
-
-	// Round-robin at the quantum until every context halts. The first
-	// context starts without a switch charge (the caches are cold anyway);
-	// after each turn control moves to the next runnable context, paying the
-	// switch cost only when that is a different context.
-	halted := make([]bool, len(ctxs))
-	remaining := len(ctxs)
-	host.ICache.SetPID(0)
-	cur := 0
-	for remaining > 0 {
-		if win != nil {
-			win.SetContext(programs[cur].Name)
-		}
-		clockCPU, clockStart = ctxs[cur], ctxs[cur].CPU.Stats.Cycles
-		n, done, err := ctxs[cur].RunQuantum(uint64(scn.Quantum))
-		clockBase += n
-		clockCPU = nil
-		results[cur].Cycles += n
-		res.Cycles += n
-		if err != nil {
-			return nil, fmt.Errorf("scenario: %s: %w", programs[cur].Name, err)
-		}
-		if done {
-			halted[cur] = true
-			remaining--
-			if remaining == 0 {
-				break
-			}
-		}
-		if res.Cycles > runLimit {
-			return nil, fmt.Errorf("scenario: no convergence within %d cycles", runLimit)
-		}
-		next := cur
-		for {
-			next = (next + 1) % len(ctxs)
-			if !halted[next] {
-				break
-			}
-		}
-		if next != cur {
-			before := res.SwitchCycles + res.FlushStalls
-			switchTo(next)
-			clockBase += res.SwitchCycles + res.FlushStalls - before
-			cur = next
+	sink := &obs.Sink{Ledger: obs.NewMachineLedger(), Tracer: opts.Tracer}
+	for _, c := range cpus {
+		res.Cycles += c.clock
+		res.Switches += c.switches
+		res.SwitchCycles += c.switchCycles
+		res.FlushStalls += c.flushStalls
+		res.IcacheMisses += c.host.ICache.Stats.Misses
+		res.IcacheFetches += c.host.ICache.Stats.Fetches
+		res.EcacheWBs += c.host.ECache.Stats.WriteBacks
+		for i, cc := range c.sink.Ledger.Causes() {
+			sink.Ledger.Add(obs.Cause(i), cc.Cycles)
 		}
 	}
-
-	res.Cycles += res.SwitchCycles + res.FlushStalls
-	for i, ctx := range ctxs {
-		results[i].Instructions = ctx.CPU.Stats.Issued()
-		results[i].Output = ctx.Output()
-		res.Instructions += results[i].Instructions
-		if want := programs[i].Expect; want != "" && results[i].Output != want {
-			return nil, fmt.Errorf("scenario: %s: wrong output %q (want %q)",
-				programs[i].Name, results[i].Output, want)
-		}
+	if arb != nil {
+		res.BusWaitCycles, res.BusTransfers = arb.WaitCycles, arb.Transfers
 	}
-	res.Programs = results
-	res.IcacheMisses = host.ICache.Stats.Misses
-	res.IcacheFetches = host.ICache.Stats.Fetches
-	res.EcacheWBs = host.ECache.Stats.WriteBacks
 	res.Obs = sink.Report(res.Cycles, res.Instructions)
 
-	if win != nil {
-		win.Flush()
-		if err := win.Err(); err != nil {
+	if w := c0.win; w != nil {
+		w.Flush()
+		if err := w.Err(); err != nil {
 			return nil, fmt.Errorf("scenario: window emission: %w", err)
 		}
 		if opts.WindowEmit == nil {
-			res.Windows = win.Doc()
+			res.Windows = w.Doc()
 		}
 	}
 
-	if err := verify(res, ctxs, host, sink); err != nil {
-		return nil, err
+	for i, c := range cpus {
+		if err := c.verify(res); err != nil {
+			return nil, fmt.Errorf("scenario: cpu %d: %w", i, err)
+		}
 	}
 	return res, nil
 }
@@ -349,66 +479,41 @@ func RunWith(programs []Program, scheme reorg.Scheme, ms spec.MachineSpec, opts 
 // overhead and flush write-backs) in the per-context window breakdown.
 const schedulerContext = "scheduler"
 
-// verify extends the single-machine attribution invariants to the scenario:
-// the shared ledger must conserve against the scenario total, the cache
-// seams must balance against the shared caches' stall counters, and the two
-// scenario causes must be zero exactly when the policy does not flush.
-func verify(r *Result, ctxs []*core.Machine, host *core.Machine, sink *obs.Sink) error {
-	l := sink.Ledger
-	if got := l.Total(); got != r.Cycles {
-		return fmt.Errorf("scenario: attribution conservation violated: ledger %d != cycles %d (Δ%+d)",
-			got, r.Cycles, int64(got)-int64(r.Cycles))
-	}
-	var fetches, dataStalls, coprocStalls uint64
-	for _, ctx := range ctxs {
-		fetches += ctx.CPU.Stats.Fetches
-		dataStalls += ctx.CPU.Stats.DataStalls
-		coprocStalls += ctx.CPU.Stats.CoprocStalls
-	}
-	base := l.Count(obs.CauseExecute) + l.Count(obs.CauseNop) + l.Count(obs.CausePipeFill) +
-		l.Count(obs.CauseSquashAnnul) + l.Count(obs.CauseExceptionKill)
-	if base != fetches {
-		return fmt.Errorf("scenario: base-cause cycles %d != summed pipeline fetches %d", base, fetches)
-	}
-	ic, ec := host.ICache.Stats, host.ECache.Stats
-	if got := l.Count(obs.CauseIcacheMiss) + l.Count(obs.CauseEcacheIFetch); got != ic.StallCycles {
-		return fmt.Errorf("scenario: icache seam: %d != %d", got, ic.StallCycles)
-	}
-	if got := l.Count(obs.CauseEcacheIFetch) + l.Count(obs.CauseEcacheRead) +
-		l.Count(obs.CauseEcacheWrite) + l.Count(obs.CauseFlushRefill); got != ec.StallCycles {
-		return fmt.Errorf("scenario: ecache seam: %d != %d", got, ec.StallCycles)
-	}
-	if got := l.Count(obs.CauseEcacheRead) + l.Count(obs.CauseEcacheWrite); got != dataStalls {
-		return fmt.Errorf("scenario: data-stall seam: %d != %d", got, dataStalls)
-	}
-	if got := l.Count(obs.CauseCoprocBusy); got != coprocStalls {
-		return fmt.Errorf("scenario: coproc seam: %d != %d", got, coprocStalls)
+// verify extends the single-machine attribution invariants to the CPU: its
+// ledger must conserve against its clock and balance every seam against its
+// caches' stall counters (core.VerifyLedger), the two switch causes must
+// equal the switch-time work the scheduler did, and both must be zero when
+// the policy does not flush.
+func (c *cpu) verify(r *Result) error {
+	l := c.sink.Ledger
+	if err := core.VerifyLedger(l, c.clock, c.ctxs...); err != nil {
+		return err
 	}
 	cs, fr := l.Count(obs.CauseContextSwitch), l.Count(obs.CauseFlushRefill)
-	if cs != r.SwitchCycles {
-		return fmt.Errorf("scenario: context-switch cause %d != switch cycles %d", cs, r.SwitchCycles)
+	if cs != c.switchCycles {
+		return fmt.Errorf("context-switch cause %d != switch cycles %d", cs, c.switchCycles)
 	}
-	if fr != r.FlushStalls {
-		return fmt.Errorf("scenario: flush-refill cause %d != flush stalls %d", fr, r.FlushStalls)
+	if fr != c.flushStalls {
+		return fmt.Errorf("flush-refill cause %d != flush stalls %d", fr, c.flushStalls)
 	}
 	if r.Policy == spec.PolicyPID && (cs != 0 || fr != 0) {
-		return fmt.Errorf("scenario: pid policy charged switch causes (%d/%d); both must stay zero", cs, fr)
+		return fmt.Errorf("pid policy charged switch causes (%d/%d); both must stay zero", cs, fr)
 	}
 	// Windowed runs: conservation must also hold per window, and the
 	// time-series must fold back to exactly the flat ledger. (Streaming
 	// runs check per-window conservation at rollover instead — the windows
 	// are not retained here.)
-	if d := r.Windows; d != nil {
+	if d := r.Windows; d != nil && c.win != nil {
 		if err := d.Check(); err != nil {
 			return err
 		}
 		if got := d.Total(); got != l.Total() {
-			return fmt.Errorf("scenario: windows total %d != ledger total %d", got, l.Total())
+			return fmt.Errorf("windows total %d != ledger total %d", got, l.Total())
 		}
 		want := l.Map()
 		for cause, n := range d.CauseTotals() {
 			if want[cause] != n {
-				return fmt.Errorf("scenario: windowed cause %q = %d, ledger has %d", cause, n, want[cause])
+				return fmt.Errorf("windowed cause %q = %d, ledger has %d", cause, n, want[cause])
 			}
 		}
 	}

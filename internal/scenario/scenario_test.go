@@ -1,9 +1,13 @@
 package scenario
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
+	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/reorg"
 	"repro/internal/spec"
 	"repro/internal/tinyc"
@@ -143,5 +147,58 @@ func TestRunRejectsBadInputs(t *testing.T) {
 	bad.Scenario = &badScn
 	if _, err := Run(testPrograms(t), reorg.Default(), bad); err == nil {
 		t.Fatal("invalid quantum accepted")
+	}
+}
+
+// TestRunRejectsRepeatedNames: window rows, results and errors are keyed by
+// program name, so two contexts sharing one (or a program named after the
+// scheduler's own row) would silently merge. The entry point refuses them
+// and names the culprit.
+func TestRunRejectsRepeatedNames(t *testing.T) {
+	ms := spec.Default()
+	scn := spec.DefaultScenario()
+	ms.Scenario = &scn
+	sieve := testPrograms(t)[1]
+	for _, name := range []string{sieve.Name, schedulerContext} {
+		progs := []Program{sieve, sieve}
+		progs[0].Name = name
+		_, err := Run(progs, reorg.Default(), ms)
+		if err == nil || !strings.Contains(err.Error(), `"`+name+`"`) {
+			t.Errorf("programs %q, %q: err %v, want a rejection naming %q", progs[0].Name, progs[1].Name, err, name)
+		}
+	}
+}
+
+// TestRunStopsOnCancel: cancelling the run's context mid-run stops it at the
+// next check — within checkEvery cycles — with context.Canceled, long before
+// the program would have halted. The window emitter cancels at the first
+// window and counts the windows that follow.
+func TestRunStopsOnCancel(t *testing.T) {
+	const window = 1000
+	long := Program{Name: "count", Source: `
+func main() {
+	var i;
+	i = 0;
+	while (i < 3000000) { i = i + 1; }
+	print(i);
+}`}
+	ms := spec.Default()
+	scn := spec.DefaultScenario()
+	scn.Window = window
+	ms.Scenario = &scn
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	windows := 0
+	emit := func(*obs.Window) error {
+		windows++
+		cancel()
+		return nil
+	}
+	_, err := RunWith(ctx, []Program{long}, reorg.Default(), ms, RunOpts{WindowEmit: emit})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err %v, want context.Canceled", err)
+	}
+	if got := uint64(windows) * window; got > checkEvery+window {
+		t.Fatalf("ran %d cycles after cancellation, want at most the %d-cycle check interval", got, checkEvery)
 	}
 }

@@ -6,6 +6,7 @@ package scenario
 // streaming emitter) must not move a single cycle.
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -25,7 +26,7 @@ func runWindowed(t *testing.T, policy string, quantum, window int, opts RunOpts)
 	scn.Quantum = quantum
 	scn.Window = window
 	ms.Scenario = &scn
-	r, err := RunWith(testPrograms(t), reorg.Default(), ms, opts)
+	r, err := RunWith(context.Background(), testPrograms(t), reorg.Default(), ms, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

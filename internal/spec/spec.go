@@ -21,11 +21,14 @@
 package spec
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"strings"
 
 	"repro/internal/core"
@@ -328,8 +331,19 @@ func (ms MachineSpec) Scheme() (reorg.Scheme, error) {
 
 func powerOfTwo(v int) bool { return v > 0 && v&(v-1) == 0 }
 
+// Capacity bounds. Constructors allocate cache state proportional to these,
+// so an unbounded geometry would exhaust memory (fatal, not a recoverable
+// panic) instead of failing validation. Both admit every preset with room
+// to spare: the largest Ecache is IdealBackingECache's 1<<22 words, the
+// largest Icache the paper's 512 words.
+const (
+	maxICacheWords = 1 << 16 // sets × ways × block_words
+	maxECacheWords = 1 << 22
+)
+
 // Validate checks every constraint the simulator's constructors would
-// otherwise panic on, plus the scheme constraints the toolchain enforces.
+// otherwise panic on, the capacity bounds that keep them from exhausting
+// memory, and the scheme constraints the toolchain enforces.
 // All violations are reported, joined, so a sweep definition's errors
 // surface at once.
 func (ms MachineSpec) Validate() error {
@@ -362,11 +376,18 @@ func (ms MachineSpec) Validate() error {
 	if ic.MissPenalty <= 0 {
 		bad("icache.miss_penalty = %d, want > 0", ic.MissPenalty)
 	}
+	// Bounding each factor first keeps the product from overflowing.
+	if ic.Sets > maxICacheWords || ic.Ways > maxICacheWords || ic.BlockWords > maxICacheWords ||
+		ic.Sets*ic.Ways*ic.BlockWords > maxICacheWords {
+		bad("icache geometry %d sets × %d ways × %d words exceeds %d words", ic.Sets, ic.Ways, ic.BlockWords, maxICacheWords)
+	}
 
 	ec := ms.ECache
 	if ec.LineWords <= 0 || ec.Ways <= 0 || ec.SizeWords <= 0 {
 		bad("ecache geometry %d words / %d per line / %d ways, want all > 0",
 			ec.SizeWords, ec.LineWords, ec.Ways)
+	} else if ec.SizeWords > maxECacheWords {
+		bad("ecache.size_words = %d exceeds %d", ec.SizeWords, maxECacheWords)
 	} else {
 		if !powerOfTwo(ec.LineWords) {
 			bad("ecache.line_words = %d, want a power of two", ec.LineWords)
@@ -583,16 +604,28 @@ func framedDigest(label string, body []byte) string {
 
 // Parse reads a machine spec from its JSON encoding, rejecting unknown
 // fields (a typo in a sweep definition must not silently sweep nothing) and
-// validating the result.
+// trailing data, and validating the result.
 func Parse(b []byte) (MachineSpec, error) {
-	dec := json.NewDecoder(strings.NewReader(string(b)))
-	dec.DisallowUnknownFields()
 	var ms MachineSpec
-	if err := dec.Decode(&ms); err != nil {
+	if err := decodeStrict(b, &ms); err != nil {
 		return MachineSpec{}, fmt.Errorf("spec: %w", err)
 	}
 	if err := ms.Validate(); err != nil {
 		return MachineSpec{}, err
 	}
 	return ms, nil
+}
+
+// decodeStrict decodes b as exactly one JSON value into v, rejecting
+// unknown fields and anything but whitespace after the value.
+func decodeStrict(b []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the JSON value")
+	}
+	return nil
 }

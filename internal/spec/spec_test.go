@@ -180,3 +180,55 @@ func TestICacheStateBits(t *testing.T) {
 		t.Fatalf("invalid geometry StateBits = %d, want 0", got)
 	}
 }
+
+// TestParseRejectsTrailingData: a spec file is exactly one JSON value. A
+// second value or stray text after it is an error, not silently ignored.
+func TestParseRejectsTrailingData(t *testing.T) {
+	good := Default().CanonicalJSON()
+	for _, tail := range []string{` {"junk": 1}`, ` garbage`, `}`, `]`} {
+		if _, err := Parse(append(append([]byte{}, good...), tail...)); err == nil {
+			t.Errorf("spec followed by %q parsed", tail)
+		}
+	}
+	if _, err := Parse(append(append([]byte{}, good...), " \n\t"...)); err != nil {
+		t.Errorf("trailing whitespace rejected: %v", err)
+	}
+}
+
+// TestCapacityBounds: a geometry whose cache state would exhaust memory is
+// rejected by Validate — through Parse and through Patch — instead of
+// killing the process in the constructor, while every preset passes.
+func TestCapacityBounds(t *testing.T) {
+	huge := Default()
+	huge.ECache.SizeWords = 1 << 40
+	if _, err := Parse(huge.CanonicalJSON()); err == nil || !strings.Contains(err.Error(), "ecache.size_words") {
+		t.Errorf("1<<40-word Ecache through Parse: err = %v", err)
+	}
+	cases := []struct {
+		path string
+		v    float64
+		want string
+	}{
+		{"ecache.size_words", 1 << 40, "ecache.size_words"},
+		{"ecache.size_words", 1 << 23, "ecache.size_words"},
+		{"icache.sets", 1 << 40, "icache geometry"},
+		{"icache.ways", 1 << 62, "icache geometry"},
+		{"icache.sets", 1 << 13, "icache geometry"},
+	}
+	for _, tc := range cases {
+		if _, err := Default().Patch(tc.path, tc.v); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Patch(%s, %g): err = %v, want a violation naming %q", tc.path, tc.v, err, tc.want)
+		}
+	}
+	presets := []MachineSpec{Default()}
+	for _, ec := range []ECacheSpec{SweepECache(), IdealBackingECache()} {
+		ms := Default()
+		ms.ECache = ec
+		presets = append(presets, ms)
+	}
+	for _, ms := range presets {
+		if err := ms.Validate(); err != nil {
+			t.Errorf("preset %+v rejected: %v", ms.ECache, err)
+		}
+	}
+}

@@ -174,12 +174,11 @@ func (s Sweep) Points() ([]Point, error) {
 	return out, nil
 }
 
-// ParseSweep reads a sweep definition from JSON, rejecting unknown fields.
+// ParseSweep reads a sweep definition from JSON, rejecting unknown fields
+// and trailing data.
 func ParseSweep(b []byte) (Sweep, error) {
-	dec := json.NewDecoder(strings.NewReader(string(b)))
-	dec.DisallowUnknownFields()
 	var s Sweep
-	if err := dec.Decode(&s); err != nil {
+	if err := decodeStrict(b, &s); err != nil {
 		return Sweep{}, fmt.Errorf("spec: sweep: %w", err)
 	}
 	return s, nil

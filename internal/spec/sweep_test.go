@@ -217,3 +217,17 @@ func TestParseAxis(t *testing.T) {
 		}
 	}
 }
+
+// TestParseSweepRejectsTrailingData: like Parse, a sweep definition is
+// exactly one JSON value.
+func TestParseSweepRejectsTrailingData(t *testing.T) {
+	good := `{"axes":[{"path":"icache.sets","values":[2,4]}]}`
+	if _, err := ParseSweep([]byte(good + "\n")); err != nil {
+		t.Fatalf("valid sweep rejected: %v", err)
+	}
+	for _, tail := range []string{` {"junk": 1}`, ` garbage`, `}`} {
+		if _, err := ParseSweep([]byte(good + tail)); err == nil {
+			t.Errorf("sweep followed by %q parsed", tail)
+		}
+	}
+}

@@ -22,7 +22,7 @@ func Compile(src string) (*Compiled, error) {
 }
 
 // CompileLayout compiles with explicit heap/stack placement — used when
-// several programs share one memory (internal/multi).
+// several programs share one memory (internal/scenario).
 func CompileLayout(src string, layout Layout) (*Compiled, error) {
 	prog, err := parse(src)
 	if err != nil {
