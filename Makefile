@@ -64,12 +64,14 @@ cost-gate:
 	$(GO) test ./internal/experiments -run TestStaticCostMatchesLedgerEveryBenchmarkEveryScheme -count=1
 
 # Longer exploration of the compile → reorganize → lint invariant, the
-# pipeline-vs-golden-model differential and the spec JSON boundary (CI
-# smokes all three on every merge).
+# pipeline-vs-golden-model differential, the spec JSON boundary and the
+# trace encoder against its json.Marshal reference (CI smokes all four on
+# every merge).
 fuzz:
 	$(GO) test ./internal/lint -fuzz=FuzzCompileReorgLint -fuzztime=60s
 	$(GO) test ./internal/refmodel -fuzz=FuzzPipelineVsRefmodel -fuzztime=60s -run '^$$'
 	$(GO) test ./internal/spec -fuzz=FuzzSpecParse -fuzztime=60s -run '^$$'
+	$(GO) test ./internal/obs -fuzz=FuzzTraceEncode -fuzztime=60s -run '^$$'
 
 # Bench-regression tracking: verify every experiment table against the
 # recorded golden baseline (exit 1 on drift) three times — once serially
@@ -131,25 +133,30 @@ scenario-gate:
 scenario-baseline:
 	$(GO) run ./cmd/mipsx-bench -scenario -json > SCENARIO_baseline.json
 
-# Streaming observability gate, four layers. (1) The stream/window unit and
-# seam tests: streamed traces byte-identical to buffered WriteJSON, windowed
-# conservation across squash and context-switch boundaries, and the
-# observation-purity test with streaming tracers + windowed ledgers
-# attached. (2) End-to-end byte-identity: the same benchmark traced through
-# -trace-out (buffered) and -obs-stream (incremental) must produce identical
-# files. (3) A live windowed run whose mipsx-obswin/v1 stream mipsx-trace
+# Streaming observability gate, four layers. (1) The tracer, encoder,
+# disassembler and window unit and seam tests: every streamed line equal to
+# the json.Marshal reference encoder (per event kind, on the fuzz seeds, and
+# on a machine run that traps and uses the coprocessor), the fmt-based
+# disassembler reference on 1M random words, the whole suite's trace pinned
+# by digest, zero allocations per event, windowed conservation across squash
+# and context-switch boundaries, and observation purity with streaming
+# tracers + windowed ledgers attached. (2) End-to-end: mipsx-run -trace-out
+# on the golden-trace workload must write the committed golden trace byte
+# for byte. (3) A live windowed run whose mipsx-obswin/v1 stream mipsx-trace
 # -follow -once replays with every per-window conservation check passing.
-# (4) The wall-clock budget gate (OBS_BUDGET=1): ledger and windowed-ledger
-# overhead within the documented budget, zero dropped events.
+# (4) The wall-clock budget gate (OBS_BUDGET=1): medians of interleaved
+# off/on pairs keep the ledger and windowed ledger within the documented
+# budget and the streamed tracer within its backstop.
+TRACE_TESTDATA = internal/core/testdata
 stream-gate:
-	$(GO) test ./internal/obs -run 'TestStream|TestStart|TestWindow|TestParseWindowStream|TestReportCarriesDroppedEvents' -count=1
-	$(GO) test ./internal/core -run 'TestStreamedTraceByteIdenticalMachine|TestStreamNeverDropsOnMachineRun|TestObservationPurityStreamingAndWindows|TestWindowSeam' -count=1
+	$(GO) test ./internal/obs -run 'TestStream|TestStart|TestWindow|TestParseWindowStream|TestEncoderMatchesReference|TestTraceAllocs|FuzzTraceEncode' -count=1
+	$(GO) test ./internal/isa -run 'TestAppend' -count=1
+	$(GO) test ./internal/core -run 'TestTraceGolden|TestTraceSuiteDigest|TestStreamedTraceByteIdenticalMachine|TestStreamNeverDropsOnMachineRun|TestObservationPurityStreamingAndWindows|TestWindowSeam' -count=1
 	$(GO) test ./internal/scenario -run 'TestWindow' -count=1
-	$(GO) test ./cmd/mipsx-trace -count=1
-	$(GO) run ./cmd/mipsx-run -bench bubblesort -trace-out .streamgate_buf.json > /dev/null
-	$(GO) run ./cmd/mipsx-run -bench bubblesort -obs-stream .streamgate_stream.json > /dev/null
-	cmp .streamgate_buf.json .streamgate_stream.json
+	$(GO) test ./cmd/mipsx-trace ./cmd/mipsx-run -count=1
+	$(GO) run ./cmd/mipsx-run -trace-out .streamgate_trace.json $(TRACE_TESTDATA)/trace_program.s > /dev/null
+	cmp .streamgate_trace.json $(TRACE_TESTDATA)/trace_golden.json
 	$(GO) run ./cmd/mipsx-run -bench bubblesort -obs-window 4096 -obs-window-out .streamgate_win.jsonl > /dev/null
 	$(GO) run ./cmd/mipsx-trace -follow .streamgate_win.jsonl -once > /dev/null
-	OBS_BUDGET=1 $(GO) test ./internal/experiments -run TestObsOverheadBudget -count=1
-	rm -f .streamgate_buf.json .streamgate_stream.json .streamgate_win.jsonl
+	OBS_BUDGET=1 $(GO) test ./internal/experiments -run TestObsOverheadBudget -count=1 -v
+	rm -f .streamgate_trace.json .streamgate_win.jsonl

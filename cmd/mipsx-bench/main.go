@@ -162,13 +162,7 @@ func main() {
 			os.Exit(1)
 		}
 		doc.ObsOverhead = o
-		// The overhead measurement runs after NewBenchDoc snapshotted the
-		// engine's dropped counter, so its own truncation folds in here.
-		doc.DroppedEvents += o.DroppedEvents
 		fmt.Fprintf(os.Stderr, "mipsx-bench: %s\n", o)
-		if doc.DroppedEvents > 0 {
-			fmt.Fprintf(os.Stderr, "mipsx-bench: WARNING: %d trace events were dropped by bounded tracers this run\n", doc.DroppedEvents)
-		}
 	}
 
 	if *check != "" {

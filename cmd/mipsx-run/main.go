@@ -12,7 +12,7 @@
 //	mipsx-run -stats -check prog.s
 //	mipsx-run -lint prog.s                # refuse to run hazardous code
 //	mipsx-run -breakdown prog.s           # cycle-attribution table
-//	mipsx-run -trace-out t.json prog.s    # Chrome/Perfetto event trace
+//	mipsx-run -trace-out t.json prog.s    # stream a Chrome/Perfetto event trace
 //	mipsx-run -profile-out p.json prog.s  # pc/block profile for mipsx-lint -cost
 //	mipsx-run -spec machine.json prog.s   # run on a named design point
 package main
@@ -44,9 +44,7 @@ func main() {
 	pipe := flag.Int("pipe", 0, "print the first N cycles of pipeline occupancy")
 	breakdown := flag.Bool("breakdown", false, "print the cycle-attribution table (conservation-checked)")
 	breakdownOut := flag.String("breakdown-out", "", "write the attribution report as JSON (mipsx-trace viz renders it)")
-	traceOut := flag.String("trace-out", "", "write a Chrome trace-event/Perfetto JSON trace of the run")
-	traceEvents := flag.Int("trace-events", obs.DefaultMaxEvents, "with -trace-out: event-buffer bound (oldest kept, rest dropped)")
-	obsStream := flag.String("obs-stream", "", "stream the trace to FILE as the run executes (bounded memory, never drops; same bytes as -trace-out)")
+	traceOut := flag.String("trace-out", "", "stream a Chrome trace-event/Perfetto JSON trace of the run to FILE as it executes")
 	obsWindow := flag.Int("obs-window", 0, "fold the attribution ledger into N-cycle windows (mipsx-obswin/v1 time-series)")
 	obsWindowOut := flag.String("obs-window-out", "", "with -obs-window: stream the window time-series to FILE (mipsx-trace -follow tails it)")
 	scenarioList := flag.String("scenario", "", "run a multiprogrammed scenario of comma-separated built-in benchmarks (e.g. bubblesort,sieve)")
@@ -57,10 +55,6 @@ func main() {
 	specPath := flag.String("spec", "", "machine-spec JSON file naming the design point to run (default: the machine as built)")
 	flag.Parse()
 
-	if *traceOut != "" && *obsStream != "" {
-		fmt.Fprintln(os.Stderr, "mipsx-run: -trace-out and -obs-stream are mutually exclusive (the stream is the same bytes, unbuffered)")
-		os.Exit(2)
-	}
 	if *obsWindow < 0 {
 		fmt.Fprintln(os.Stderr, "mipsx-run: -obs-window must be >= 0")
 		os.Exit(2)
@@ -71,8 +65,19 @@ func main() {
 	}
 
 	if *scenarioList != "" {
+		// Refuse what the scenario path would otherwise silently ignore.
+		flag.Visit(func(f *flag.Flag) {
+			if !scenarioFlags[f.Name] {
+				fmt.Fprintf(os.Stderr, "mipsx-run: -%s is not supported with -scenario\n", f.Name)
+				os.Exit(2)
+			}
+		})
+		if flag.NArg() != 0 {
+			fmt.Fprintf(os.Stderr, "mipsx-run: -scenario runs built-in benchmarks; program argument %q is not supported\n", flag.Arg(0))
+			os.Exit(2)
+		}
 		runScenario(*scenarioList, *specPath, *scenarioQuantum, *scenarioPolicy,
-			*obsStream, *obsWindow, *obsWindowOut, *breakdown, *breakdownOut)
+			*traceOut, *obsWindow, *obsWindowOut, *breakdown, *breakdownOut)
 		return
 	}
 
@@ -176,24 +181,15 @@ func main() {
 	m := core.New(cfg, os.Stdout)
 	// Observation is attached only when asked for: the unobserved machine
 	// keeps the nil-sink fast path.
-	observed := *breakdown || *breakdownOut != "" || *traceOut != "" || *obsStream != "" || *obsWindow > 0
-	var streamFile *os.File
+	observed := *breakdown || *breakdownOut != "" || *traceOut != "" || *obsWindow > 0
+	var closeTrace func()
 	var win *obs.WindowedLedger
 	var winStream *obs.WindowStreamWriter
 	if observed {
 		s := obs.NewMachineSink()
 		if *traceOut != "" {
-			s.Tracer = &obs.Tracer{MaxEvents: *traceEvents, Instrs: true}
-		}
-		if *obsStream != "" {
-			var err error
-			if streamFile, err = os.Create(*obsStream); err != nil {
-				fail(err)
-			}
 			s.Tracer = &obs.Tracer{Instrs: true}
-			if err := s.Tracer.StartStream(streamFile, 0); err != nil {
-				fail(err)
-			}
+			closeTrace = openTrace(*traceOut, s.Tracer)
 		}
 		if *obsWindow > 0 {
 			win = obs.NewWindowedLedger(obs.MachineCauseNames, uint64(*obsWindow))
@@ -241,33 +237,8 @@ func main() {
 			fail(err)
 		}
 	}
-	if *obsStream != "" {
-		if err := m.Obs.Tracer.CloseStream(); err != nil {
-			fail(err)
-		}
-		if err := streamFile.Close(); err != nil {
-			fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "mipsx-run: streamed %d trace events to %s (0 dropped)\n",
-			m.Obs.Tracer.Len(), *obsStream)
-	}
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fail(err)
-		}
-		if err := m.Obs.Tracer.WriteJSON(f); err != nil {
-			fail(err)
-		}
-		if err := f.Close(); err != nil {
-			fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "mipsx-run: wrote %d trace events to %s (%d dropped at the %d-event bound)\n",
-			m.Obs.Tracer.Len(), *traceOut, m.Obs.Tracer.Dropped(), *traceEvents)
-		if d := m.Obs.Tracer.Dropped(); d > 0 {
-			fmt.Fprintf(os.Stderr, "mipsx-run: WARNING: trace is truncated — %d events were dropped at the %d-event bound; raise -trace-events or use -obs-stream\n",
-				d, *traceEvents)
-		}
+	if closeTrace != nil {
+		closeTrace()
 	}
 	if *profileOut != "" {
 		b, err := pcProf.Doc().Marshal()
@@ -314,14 +285,42 @@ func main() {
 	}
 }
 
+// scenarioFlags are the flags a -scenario run honors.
+var scenarioFlags = map[string]bool{
+	"scenario": true, "scenario-quantum": true, "scenario-policy": true, "spec": true,
+	"trace-out": true, "obs-window": true, "obs-window-out": true,
+	"breakdown": true, "breakdown-out": true,
+}
+
+// openTrace creates path and streams tr's events into it; the returned
+// function closes the trace and reports what was written.
+func openTrace(path string, tr *obs.Tracer) func() {
+	f, err := os.Create(path)
+	if err != nil {
+		fail(err)
+	}
+	if err := tr.StartStream(f, 0); err != nil {
+		fail(err)
+	}
+	return func() {
+		if err := tr.CloseStream(); err != nil {
+			fail(err)
+		}
+		if err := f.Close(); err != nil {
+			fail(err)
+		}
+		fmt.Fprintf(os.Stderr, "mipsx-run: streamed %d trace events to %s\n", tr.Len(), path)
+	}
+}
+
 // runScenario executes comma-separated built-in benchmarks as one
 // multiprogrammed scenario (internal/scenario) with the streaming
-// observability the flags ask for: -obs-stream tails trace events on the
+// observability the flags ask for: -trace-out streams trace events on the
 // scenario-global clock, -obs-window/-obs-window-out stream the per-context
 // windowed ledger. This is the production path for watching Icache pollution
 // and flush-refill cost evolve around context switches on multi-million
 // cycle runs under O(window) memory.
-func runScenario(list, specPath string, quantum int, policy, obsStream string, window int, windowOut string, breakdown bool, breakdownOut string) {
+func runScenario(list, specPath string, quantum int, policy, traceOut string, window int, windowOut string, breakdown bool, breakdownOut string) {
 	byName := make(map[string]tinyc.Benchmark)
 	for _, b := range tinyc.Benchmarks() {
 		byName[b.Name] = b
@@ -368,16 +367,10 @@ func runScenario(list, specPath string, quantum int, policy, obsStream string, w
 	}
 
 	var opts scenario.RunOpts
-	if obsStream != "" {
-		f, err := os.Create(obsStream)
-		if err != nil {
-			fail(err)
-		}
-		defer f.Close()
+	var closeTrace func()
+	if traceOut != "" {
 		opts.Tracer = &obs.Tracer{}
-		if err := opts.Tracer.StartStream(f, 0); err != nil {
-			fail(err)
-		}
+		closeTrace = openTrace(traceOut, opts.Tracer)
 	}
 	var winStream *obs.WindowStreamWriter
 	if windowOut != "" {
@@ -396,12 +389,8 @@ func runScenario(list, specPath string, quantum int, policy, obsStream string, w
 	if err != nil {
 		fail(err)
 	}
-	if opts.Tracer != nil {
-		if err := opts.Tracer.CloseStream(); err != nil {
-			fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "mipsx-run: streamed %d trace events to %s (0 dropped)\n",
-			opts.Tracer.Len(), obsStream)
+	if closeTrace != nil {
+		closeTrace()
 	}
 	if winStream != nil {
 		fmt.Fprintf(os.Stderr, "mipsx-run: streamed %d ledger windows (%d cycles each) to %s\n",

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -48,32 +49,31 @@ func TestStatsZeroValueHelpers(t *testing.T) {
 	finiteZero("ecache.Stats.TransferRatio", ec.TransferRatio())
 }
 
-// traceProgram is a short deterministic workload for the golden trace: a
-// 5-iteration loop with a store and load, so the trace carries pipe spans,
-// a branch squash, an icache miss and ecache traffic.
-const traceProgram = `
-main:	addi r1, r0, 0
-	addi r2, r0, 5
-	addi r3, r0, 4096
-loop:	st   r1, 0(r3)
-	ld   r4, 0(r3)
-	addi r1, r1, 1
-	bne.sq r1, r2, loop
-	nop
-	nop
-	putw r4
-	halt
-`
+// traceProgram is the golden-trace workload (testdata/trace_program.s). make
+// stream-gate runs the same file through mipsx-run -trace-out and compares
+// the result with the same golden.
+func traceProgram(t *testing.T) string {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("testdata", "trace_program.s"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
 
 // tracedRun executes traceProgram with a full sink (ledger + tracer with
-// instruction spans) attached.
-func tracedRun(t *testing.T) *Machine {
+// instruction spans streaming into the returned bytes) attached.
+func tracedRun(t *testing.T) (*Machine, []byte) {
 	t.Helper()
 	m := New(DefaultConfig(), nil)
 	s := obs.NewMachineSink()
 	s.Tracer = &obs.Tracer{Instrs: true}
+	var trace bytes.Buffer
+	if err := s.Tracer.StartStream(&trace, 0); err != nil {
+		t.Fatal(err)
+	}
 	m.Observe(s)
-	if err := m.LoadSource(traceProgram); err != nil {
+	if err := m.LoadSource(traceProgram(t)); err != nil {
 		t.Fatalf("load: %v", err)
 	}
 	if _, err := m.Run(100000); err != nil {
@@ -82,7 +82,10 @@ func tracedRun(t *testing.T) *Machine {
 	if err := m.VerifyAttribution(); err != nil {
 		t.Fatal(err)
 	}
-	return m
+	if err := s.Tracer.CloseStream(); err != nil {
+		t.Fatal(err)
+	}
+	return m, trace.Bytes()
 }
 
 // TestTraceGolden locks the emitted Chrome trace-event JSON byte-for-byte.
@@ -91,14 +94,10 @@ func tracedRun(t *testing.T) *Machine {
 // serialize identically — regenerate with UPDATE_GOLDEN=1 after an
 // intentional trace-format change.
 func TestTraceGolden(t *testing.T) {
-	m := tracedRun(t)
-	var buf bytes.Buffer
-	if err := m.Obs.Tracer.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
+	_, trace := tracedRun(t)
 	golden := filepath.Join("testdata", "trace_golden.json")
 	if os.Getenv("UPDATE_GOLDEN") != "" {
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(golden, trace, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -106,9 +105,9 @@ func TestTraceGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v (run with UPDATE_GOLDEN=1 to create it)", err)
 	}
-	if !bytes.Equal(buf.Bytes(), want) {
+	if !bytes.Equal(trace, want) {
 		t.Fatalf("trace JSON drifted from %s (%d vs %d bytes); regenerate with UPDATE_GOLDEN=1 if intentional",
-			golden, buf.Len(), len(want))
+			golden, len(trace), len(want))
 	}
 }
 
@@ -116,11 +115,7 @@ func TestTraceGolden(t *testing.T) {
 // trace-event contract Perfetto loads: a traceEvents array whose entries
 // carry the phase-appropriate fields.
 func TestTraceSchemaValid(t *testing.T) {
-	m := tracedRun(t)
-	var buf bytes.Buffer
-	if err := m.Obs.Tracer.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
+	_, trace := tracedRun(t)
 	var doc struct {
 		DisplayTimeUnit string `json:"displayTimeUnit"`
 		TraceEvents     []struct {
@@ -133,7 +128,7 @@ func TestTraceSchemaValid(t *testing.T) {
 			Args map[string]string `json:"args"`
 		} `json:"traceEvents"`
 	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+	if err := json.Unmarshal(trace, &doc); err != nil {
 		t.Fatalf("trace is not valid JSON: %v", err)
 	}
 	if len(doc.TraceEvents) == 0 {
@@ -172,7 +167,7 @@ func TestTraceSchemaValid(t *testing.T) {
 // TestVerifyAttributionDetectsViolation proves the conservation check has
 // teeth: corrupting the ledger by one cycle must fail verification.
 func TestVerifyAttributionDetectsViolation(t *testing.T) {
-	m := tracedRun(t)
+	m, _ := tracedRun(t)
 	m.Obs.Ledger.Add(obs.CauseExecute, 1)
 	if err := m.VerifyAttribution(); err == nil {
 		t.Fatal("tampered ledger passed VerifyAttribution")
@@ -191,9 +186,12 @@ func TestObservationDoesNotChangeCycles(t *testing.T) {
 		if observe {
 			s := obs.NewMachineSink()
 			s.Tracer = &obs.Tracer{Instrs: true}
+			if err := s.Tracer.StartStream(io.Discard, 0); err != nil {
+				t.Fatal(err)
+			}
 			m.Observe(s)
 		}
-		if err := m.LoadSource(traceProgram); err != nil {
+		if err := m.LoadSource(traceProgram(t)); err != nil {
 			t.Fatalf("load: %v", err)
 		}
 		if _, err := m.Run(100000); err != nil {
@@ -223,7 +221,7 @@ func TestObservationDoesNotChangeCycles(t *testing.T) {
 // does. Before the fix, Flush wrote the lines back without telling the
 // ledger, so a conservation check across any flush point failed.
 func TestEcacheFlushConserves(t *testing.T) {
-	m := tracedRun(t) // traceProgram stores to memory, so lines are dirty
+	m, _ := tracedRun(t) // traceProgram stores to memory, so lines are dirty
 	wbBefore := m.ECache.Stats.WriteBacks
 	stall := m.ECache.Flush()
 	if stall == 0 {

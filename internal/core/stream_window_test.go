@@ -1,75 +1,153 @@
 package core
 
 // Seam tests for the streaming observability pipeline: streamed traces must
-// be byte-identical to buffered ones at machine level, observation must stay
-// pure with streaming sinks and windowed ledgers attached, and windowed
+// equal the reference encoding at machine level, observation must stay pure
+// with streaming sinks and windowed ledgers attached, and windowed
 // attribution must conserve per window across every boundary the machine can
 // place one on — mid-squash included.
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"io"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/reorg"
+	"repro/internal/tinyc"
 )
 
-// TestStreamedTraceByteIdenticalMachine runs the golden trace workload twice
-// — buffered then streamed — and requires the serialized bytes to match
-// exactly. This is the machine-level form of the obs-package stream test:
-// the event sequence here comes from a real pipeline run, not a synthetic
-// recorder, so it covers spans, instants and pipe lanes in emission order.
-func TestStreamedTraceByteIdenticalMachine(t *testing.T) {
-	run := func(stream *bytes.Buffer) *Machine {
-		m := New(DefaultConfig(), nil)
-		s := obs.NewMachineSink()
-		s.Tracer = &obs.Tracer{Instrs: true}
-		if stream != nil {
-			if err := s.Tracer.StartStream(stream, 0); err != nil {
-				t.Fatal(err)
-			}
-		}
-		m.Observe(s)
-		if err := m.LoadSource(traceProgram); err != nil {
-			t.Fatalf("load: %v", err)
-		}
-		if _, err := m.Run(100000); err != nil {
-			t.Fatalf("run: %v", err)
-		}
-		return m
-	}
+// trapCoprocProgram overflows into a trap whose handler skips the faulting
+// instruction, and runs FPU operations back to back, so its trace carries
+// what the golden trace lacks: an exception instant with its cause, pipe
+// spans annulled by the exception, and coprocessor busy-waits.
+const trapCoprocProgram = `
+handler:
+	movs r20, pc0
+	movs r21, pc1
+	movs r22, pc2
+	addi r23, r23, 1
+	addi r20, r20, 1
+	addi r21, r21, 1
+	addi r22, r22, 1
+	mots pc0, r20
+	mots pc1, r21
+	mots pc2, r22
+	nop
+	nop
+	jpc
+	jpc
+	jpcrs
+main:	li  r10, 517           ; system | ovf trap | PC-chain shift
+	mots psw, r10
+	nop
+	nop
+	ldf f2, scale(r0)
+	addi r2, r0, 3
+loop:	cpw c1, 514(r0)        ; fmul f0, f2
+	cpw c1, 48(r0)         ; fadd f3, f0
+	addi r2, r2, -1
+	bne.sq r2, r0, loop
+	nop
+	nop
+	li  r9, 0x7FFFFFFF
+	add r11, r9, r9        ; overflow: trap, skipped by the handler
+	st   r23, 4096(r0)     ; a store miss
+	putw r23
+	halt
+scale:	.word 0x40200000
+`
 
-	var buffered bytes.Buffer
-	if err := run(nil).Obs.Tracer.WriteJSON(&buffered); err != nil {
-		t.Fatal(err)
-	}
-	var streamed bytes.Buffer
-	m := run(&streamed)
-	if err := m.Obs.Tracer.CloseStream(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buffered.Bytes(), streamed.Bytes()) {
-		t.Fatalf("streamed trace differs from buffered WriteJSON (%d vs %d bytes)",
-			streamed.Len(), buffered.Len())
-	}
-	if d := m.Obs.Tracer.Dropped(); d != 0 {
-		t.Fatalf("streaming tracer dropped %d events", d)
-	}
+// refEvent is the json.Marshal reference the trace encoder must match (the
+// obs package's reference-encoder tests hold the same struct).
+type refEvent struct {
+	Name string            `json:"name"`
+	Cat  string            `json:"cat,omitempty"`
+	Ph   string            `json:"ph"`
+	Ts   uint64            `json:"ts"`
+	Dur  uint64            `json:"dur,omitempty"`
+	Pid  int               `json:"pid"`
+	Tid  int               `json:"tid"`
+	S    string            `json:"s,omitempty"`
+	Args map[string]string `json:"args,omitempty"`
 }
 
-// TestStreamNeverDropsOnMachineRun pins the unbounded-stream promise on a
-// real run: a tracer whose buffer bound is far below the event count must
-// still drop nothing once streaming.
-func TestStreamNeverDropsOnMachineRun(t *testing.T) {
+// TestStreamedTraceByteIdenticalMachine streams a real pipeline run that
+// traps and uses the coprocessor, and requires every event line to be
+// byte-identical to its re-marshaling through the reference encoder.
+func TestStreamedTraceByteIdenticalMachine(t *testing.T) {
 	m := New(DefaultConfig(), nil)
 	s := obs.NewMachineSink()
-	s.Tracer = &obs.Tracer{Instrs: true, MaxEvents: 4}
-	var sink bytes.Buffer
-	if err := s.Tracer.StartStream(&sink, 0); err != nil {
+	s.Tracer = &obs.Tracer{Instrs: true}
+	var trace bytes.Buffer
+	if err := s.Tracer.StartStream(&trace, 0); err != nil {
 		t.Fatal(err)
 	}
 	m.Observe(s)
-	if err := m.LoadSource(traceProgram); err != nil {
+	if err := m.LoadSource(trapCoprocProgram); err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	if _, err := m.Run(100000); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if err := s.Tracer.CloseStream(); err != nil {
+		t.Fatal(err)
+	}
+	if m.Output() != "1\n" {
+		t.Fatalf("program printed %q, want one trap taken", m.Output())
+	}
+	seen := map[string]int{}
+	for _, line := range strings.Split(trace.String(), "\n") {
+		line = strings.TrimSuffix(line, ",")
+		if !strings.HasPrefix(line, `{"name"`) {
+			continue // the frame
+		}
+		var ev refEvent
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatalf("%v: %s", err, line)
+		}
+		if ev.Ph == "M" {
+			continue // metadata: pinned by the obs reference tests
+		}
+		want, err := json.Marshal(&ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if line != string(want) {
+			t.Fatalf("streamed line differs from the reference encoding:\n got %s\nwant %s", line, want)
+		}
+		seen[ev.Name]++
+		if ev.Args["annulled"] != "" {
+			seen["annulled:"+ev.Args["annulled"]]++
+		}
+		if ev.Args["cause"] != "" {
+			seen["cause"]++
+		}
+	}
+	for _, k := range []string{"exception", "cause", "annulled:exception", "annulled:squash", "branch-squash",
+		"busy-wait", "imiss", "dmiss-read", "dmiss-write"} {
+		if seen[k] == 0 {
+			t.Errorf("trace has no %s event: %v", k, seen)
+		}
+	}
+}
+
+// TestStreamNeverDropsOnMachineRun: a real run streamed in small chunks
+// drops nothing, and Len counts every event the stream holds.
+func TestStreamNeverDropsOnMachineRun(t *testing.T) {
+	m := New(DefaultConfig(), nil)
+	s := obs.NewMachineSink()
+	s.Tracer = &obs.Tracer{Instrs: true}
+	var sink bytes.Buffer
+	if err := s.Tracer.StartStream(&sink, 4); err != nil {
+		t.Fatal(err)
+	}
+	m.Observe(s)
+	if err := m.LoadSource(traceProgram(t)); err != nil {
 		t.Fatalf("load: %v", err)
 	}
 	if _, err := m.Run(100000); err != nil {
@@ -79,11 +157,64 @@ func TestStreamNeverDropsOnMachineRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	if d := s.Tracer.Dropped(); d != 0 {
-		t.Fatalf("streaming tracer dropped %d events despite no buffer bound applying", d)
+		t.Fatalf("streaming tracer dropped %d events", d)
 	}
-	if s.Tracer.Len() <= 4 {
-		t.Fatalf("only %d events recorded — stream never exceeded the buffer bound, test is vacuous", s.Tracer.Len())
+	// Lines: the header, the footer and 10 metadata events besides the
+	// recorded events.
+	if got, want := strings.Count(sink.String(), "\n")-12, s.Tracer.Len(); got != want || want <= 4 {
+		t.Fatalf("stream holds %d events, Len %d (want equal, over several chunks)", got, want)
 	}
+}
+
+// TestTraceSuiteDigest streams every benchmark, in suite order, into one
+// writer and pins the bytes: the trace the encoder writes for the whole
+// suite is the one the json.Marshal encoder it replaced wrote.
+func TestTraceSuiteDigest(t *testing.T) {
+	h := sha256.New()
+	var size countWriter
+	w := io.MultiWriter(h, &size)
+	events := 0
+	for _, b := range tinyc.Benchmarks() {
+		im, err := tinyc.Build(b.Source, reorg.Default(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := New(DefaultConfig(), nil)
+		s := obs.NewMachineSink()
+		s.Tracer = &obs.Tracer{Instrs: true}
+		if err := s.Tracer.StartStream(w, 0); err != nil {
+			t.Fatal(err)
+		}
+		m.Observe(s)
+		m.Load(im)
+		if _, err := m.Run(50_000_000); err != nil {
+			t.Fatalf("%s: %v", b.Name, err)
+		}
+		if err := s.Tracer.CloseStream(); err != nil {
+			t.Fatal(err)
+		}
+		if d := s.Tracer.Dropped(); d != 0 {
+			t.Fatalf("%s: %d events dropped", b.Name, d)
+		}
+		events += s.Tracer.Len()
+	}
+	const (
+		wantBytes  = 160_543_561
+		wantEvents = 1_516_447
+		wantSHA    = "59e2710515dee7fdd70502603d1c15117a751b3969f39ee4f636f2a87ee5b1e4"
+	)
+	if got := hex.EncodeToString(h.Sum(nil)); size.n != wantBytes || events != wantEvents || got != wantSHA {
+		t.Fatalf("suite trace: %d bytes, %d events, sha256 %s; want %d, %d, %s",
+			size.n, events, got, wantBytes, wantEvents, wantSHA)
+	}
+}
+
+// countWriter counts the bytes written through it.
+type countWriter struct{ n int }
+
+func (c *countWriter) Write(p []byte) (int, error) {
+	c.n += len(p)
+	return len(p), nil
 }
 
 // TestObservationPurityStreamingAndWindows extends the observation-purity
@@ -99,7 +230,7 @@ func TestObservationPurityStreamingAndWindows(t *testing.T) {
 			attach(s)
 			m.Observe(s)
 		}
-		if err := m.LoadSource(traceProgram); err != nil {
+		if err := m.LoadSource(traceProgram(t)); err != nil {
 			t.Fatalf("load: %v", err)
 		}
 		if _, err := m.Run(100000); err != nil {

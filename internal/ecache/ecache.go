@@ -15,7 +15,6 @@
 package ecache
 
 import (
-	"fmt"
 	"math/rand"
 
 	"repro/internal/isa"
@@ -144,7 +143,7 @@ type line struct {
 
 // Cache is a set-associative cache in front of main memory.
 type Cache struct {
-	cfg      Config
+	cfg Config
 	// lines is the flat way array: set s occupies lines[s*ways:(s+1)*ways].
 	// A [][]line set table would add numSets slice headers — 384KB of
 	// GC-scanned pointers per machine at the default geometry, allocated on
@@ -338,8 +337,7 @@ func (c *Cache) Read(a isa.Word) (isa.Word, int) {
 	if o := c.Obs; o != nil {
 		o.Ledger.Stall(obs.CauseEcacheRead, uint64(stall), uint64(wait))
 		if o.Tracer != nil {
-			o.Tracer.Span(obs.TrackEcache, "cache", "dmiss-read", o.Cycle(), uint64(stall),
-				map[string]string{"addr": fmt.Sprintf("%#x", uint32(a))})
+			o.Tracer.Span(obs.TrackEcache, "cache", "dmiss-read", o.Cycle(), uint64(stall), obs.AddrArg(uint32(a)))
 		}
 	}
 	switch c.cfg.Fetch {
@@ -384,8 +382,7 @@ func (c *Cache) Write(a, w isa.Word) int {
 			if o := c.Obs; o != nil {
 				o.Ledger.Stall(obs.CauseEcacheWrite, uint64(stall), uint64(wait))
 				if o.Tracer != nil {
-					o.Tracer.Span(obs.TrackEcache, "cache", "dmiss-write", o.Cycle(), uint64(stall),
-						map[string]string{"addr": fmt.Sprintf("%#x", uint32(a))})
+					o.Tracer.Span(obs.TrackEcache, "cache", "dmiss-write", o.Cycle(), uint64(stall), obs.AddrArg(uint32(a)))
 				}
 			}
 		} else {
@@ -434,7 +431,7 @@ func (c *Cache) Flush() int {
 		if o := c.Obs; o != nil {
 			o.Ledger.Stall(obs.CauseFlushRefill, uint64(stall), uint64(wait))
 			if o.Tracer != nil {
-				o.Tracer.Span(obs.TrackEcache, "cache", "flush", o.Cycle(), uint64(stall), nil)
+				o.Tracer.Span(obs.TrackEcache, "cache", "flush", o.Cycle(), uint64(stall), obs.Arg{})
 			}
 		}
 	}

@@ -151,7 +151,6 @@ type Engine struct {
 
 	cells     atomic.Uint64 // cells executed or replayed
 	cycles    atomic.Uint64 // simulated machine cycles, reported by cell bodies
-	dropped   atomic.Uint64 // trace events bounded tracers rejected, suite-wide
 	submitted atomic.Uint64 // cells handed to Run since construction/reset
 	started   atomic.Int64  // first-submission wall clock (UnixNano), for cells/sec
 	lastProg  atomic.Int64  // last progress line's wall clock (UnixNano)
@@ -457,19 +456,6 @@ func (e *Engine) Attribution() map[string]uint64 {
 	return out
 }
 
-// AddDropped accounts trace events a bounded tracer rejected, so suite-wide
-// truncation surfaces in the bench report instead of vanishing with the
-// tracer. Any cell or measurement that attaches a non-streaming tracer
-// should report its Dropped() here after the run.
-func (e *Engine) AddDropped(n uint64) {
-	if n > 0 {
-		e.dropped.Add(n)
-	}
-}
-
-// Dropped returns the trace events reported lost since construction/reset.
-func (e *Engine) Dropped() uint64 { return e.dropped.Load() }
-
 // Cells returns the number of cells executed since construction/reset.
 func (e *Engine) Cells() uint64 { return e.cells.Load() }
 
@@ -490,7 +476,6 @@ func (e *Engine) Timings() []CellTiming {
 func (e *Engine) ResetMetrics() {
 	e.cells.Store(0)
 	e.cycles.Store(0)
-	e.dropped.Store(0)
 	e.submitted.Store(0)
 	e.started.Store(0)
 	e.memoHits.Store(0)

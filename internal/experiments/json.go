@@ -69,12 +69,6 @@ type BenchDoc struct {
 	AttributedCycles     uint64 `json:"attributed_cycles"`
 	AttributionConserved bool   `json:"attribution_conserved"`
 
-	// DroppedEvents counts trace events bounded tracers rejected anywhere in
-	// the suite (Engine.AddDropped). Nonzero flags that some trace output of
-	// this run is truncated. omitempty: pre-existing documents and baselines
-	// are byte-identical.
-	DroppedEvents uint64 `json:"dropped_events,omitempty"`
-
 	// ObsOverhead, when measured (mipsx-bench -obs-overhead), records the
 	// wall-clock cost of each observation level against the unobserved
 	// machine.
@@ -101,7 +95,6 @@ func NewBenchDoc(tables []*Table, perExp []time.Duration, wall time.Duration, pa
 		MemoCorrupt:          e.MemoCorrupt(),
 		CellTimings:          e.Timings(),
 		Attribution:          e.Attribution(),
-		DroppedEvents:        e.Dropped(),
 	}
 	for _, v := range doc.Attribution {
 		doc.AttributedCycles += v

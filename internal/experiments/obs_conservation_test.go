@@ -170,24 +170,33 @@ func TestBenchDocConservation(t *testing.T) {
 // TestMeasureObsOverhead smoke-tests the overhead harness at a tiny
 // iteration count (the real numbers are recorded by mipsx-bench).
 func TestMeasureObsOverhead(t *testing.T) {
-	o, err := MeasureObsOverhead(2)
+	o, err := MeasureObsOverhead(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.BaselineMS <= 0 || o.LedgerMS <= 0 || o.TracerMS <= 0 {
+	if o.BaselineMS <= 0 || o.LedgerMS <= 0 || o.WindowedMS <= 0 || o.TracerMS <= 0 {
 		t.Fatalf("non-positive timing: %+v", o)
 	}
-	if o.Benchmark == "" || o.Iterations != 2 {
+	if o.Benchmark == "" || o.Iterations != 1 || o.Pairs != obsPairs {
 		t.Fatalf("bad metadata: %+v", o)
+	}
+	for _, q := range [][3]float64{
+		{o.LedgerPctQ1, o.LedgerPct, o.LedgerPctQ3},
+		{o.WindowedPctQ1, o.WindowedPct, o.WindowedPctQ3},
+		{o.TracerPctQ1, o.TracerPct, o.TracerPctQ3},
+	} {
+		if q[0] > q[1] || q[1] > q[2] {
+			t.Fatalf("quartiles out of order %v: %s", q, o)
+		}
 	}
 }
 
-// TestObsOverheadBudget enforces the documented observability budget: the
-// always-on ledger — windowed or not — must stay cheap relative to an
-// unobserved run. The documented figure is ~3%; the gate allows 15% so a
-// noisy shared CI runner cannot flake it while a regression that made the
-// ledger hot-path allocate or lock would still trip it. Wall-clock-sensitive
-// and therefore opt-in: run with OBS_BUDGET=1 (make stream-gate does).
+// TestObsOverheadBudget enforces the documented observability budget on
+// the median of interleaved off/on pairs: the always-on ledger — windowed
+// or not — must stay cheap relative to an unobserved run, and the streamed
+// instruction tracer must stay within an order of magnitude.
+// Wall-clock-sensitive and therefore opt-in: run with OBS_BUDGET=1 (make
+// stream-gate does).
 func TestObsOverheadBudget(t *testing.T) {
 	if os.Getenv("OBS_BUDGET") == "" {
 		t.Skip("timing-sensitive; set OBS_BUDGET=1 to run")
@@ -197,27 +206,29 @@ func TestObsOverheadBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Log(o.String())
-	// Absolute backstop: the documented figure is ~3% on the reference box,
-	// but shared runners measure anywhere from ~5% to ~15% run to run, so
-	// the hard gate sits at 30% — loose enough never to flake on noise,
-	// tight enough that a hot-path regression (an allocation or lock per
-	// ledger charge lands in the hundreds of percent, like the tracer's
-	// +3000%) cannot pass.
+	// Absolute backstop: the documented figure is ~3% on the reference box;
+	// the gate sits at 30% so noise cannot trip it, while a hot-path
+	// regression (an allocation or lock per ledger charge lands in the
+	// hundreds of percent) cannot pass.
 	const limit = 30.0
 	if o.LedgerPct > limit {
-		t.Errorf("ledger overhead %.1f%% exceeds the %.0f%% budget backstop (documented ~3%%)", o.LedgerPct, limit)
+		t.Errorf("ledger overhead median %.1f%% exceeds the %.0f%% budget backstop (documented ~3%%)", o.LedgerPct, limit)
 	}
 	if o.WindowedPct > limit {
-		t.Errorf("windowed-ledger overhead %.1f%% exceeds the %.0f%% budget backstop (documented ~3%%)", o.WindowedPct, limit)
+		t.Errorf("windowed-ledger overhead median %.1f%% exceeds the %.0f%% budget backstop (documented ~3%%)", o.WindowedPct, limit)
 	}
 	// Incremental gate on what windowing adds over the plain ledger: the
 	// charge path is two array writes and a bounds check, so windowed time
 	// must stay within 35% of ledger time (measured increment: ~2-5%).
 	if o.WindowedMS > o.LedgerMS*1.35 {
-		t.Errorf("windowed ledger %.1fms is more than 1.35x the plain ledger's %.1fms — windowing hot path regressed",
+		t.Errorf("windowed ledger median %.1fms is more than 1.35x the plain ledger's %.1fms — windowing hot path regressed",
 			o.WindowedMS, o.LedgerMS)
 	}
-	if o.DroppedEvents != 0 {
-		t.Errorf("overhead harness dropped %d trace events", o.DroppedEvents)
+	// Tracer backstop: streaming every instruction measures +300-400%; an
+	// encoder that reached back into fmt, reflection or a per-event
+	// allocation measures near +4000%.
+	const tracerLimit = 1000.0
+	if o.TracerPct > tracerLimit {
+		t.Errorf("tracer overhead median %.1f%% exceeds the %.0f%% backstop (documented +300-400%%)", o.TracerPct, tracerLimit)
 	}
 }

@@ -17,8 +17,6 @@
 package icache
 
 import (
-	"fmt"
-
 	"repro/internal/ecache"
 	"repro/internal/isa"
 	"repro/internal/obs"
@@ -280,8 +278,7 @@ func (c *Cache) serviceMiss(a isa.Word) (isa.Word, int) {
 	if o != nil {
 		o.Ledger.EndIFetch()
 		if o.Tracer != nil {
-			o.Tracer.Span(obs.TrackIcache, "cache", "imiss", start, uint64(stall),
-				map[string]string{"addr": fmt.Sprintf("%#x", uint32(a))})
+			o.Tracer.Span(obs.TrackIcache, "cache", "imiss", start, uint64(stall), obs.AddrArg(uint32(a)))
 		}
 	}
 	return word, stall

@@ -1,6 +1,6 @@
 package isa
 
-import "fmt"
+import "strconv"
 
 // Software register conventions used by the assembler, the tinyc compiler
 // and the examples. The hardware fixes only r0 = 0 (the paper: "The register
@@ -25,19 +25,23 @@ const (
 
 // RegName returns the conventional assembly name for a register.
 func RegName(r Reg) string {
+	var b [4]byte
+	return string(appendReg(b[:0], r))
+}
+
+// appendReg appends RegName(r) to dst.
+func appendReg(dst []byte, r Reg) []byte {
 	switch r {
-	case RegZero:
-		return "r0"
 	case RegSP:
-		return "sp"
+		return append(dst, "sp"...)
 	case RegFP:
-		return "fp"
+		return append(dst, "fp"...)
 	case RegRA:
-		return "ra"
+		return append(dst, "ra"...)
 	case RegGP:
-		return "gp"
+		return append(dst, "gp"...)
 	default:
-		return fmt.Sprintf("r%d", r)
+		return strconv.AppendUint(append(dst, 'r'), uint64(r), 10)
 	}
 }
 

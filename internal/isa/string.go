@@ -1,6 +1,6 @@
 package isa
 
-import "fmt"
+import "strconv"
 
 var memNames = [...]string{"ld", "st", "ldf", "stf", "ldc", "stc", "cpw"}
 var condNames = [...]string{"beq", "bne", "blt", "ble", "bge", "bgt", "b?6", "b?7"}
@@ -17,7 +17,7 @@ func MemName(op MemOp) string {
 	if int(op) < len(memNames) {
 		return memNames[op]
 	}
-	return fmt.Sprintf("mem?%d", op)
+	return "mem?" + strconv.Itoa(int(op))
 }
 
 // CondName returns the branch mnemonic for a condition.
@@ -28,7 +28,7 @@ func CompName(op CompOp) string {
 	if int(op) < len(compNames) {
 		return compNames[op]
 	}
-	return fmt.Sprintf("comp?%d", op)
+	return "comp?" + strconv.Itoa(int(op))
 }
 
 // ImmName returns the mnemonic for a compute-immediate op.
@@ -36,7 +36,7 @@ func ImmName(op ImmOp) string {
 	if int(op) < len(immNames) {
 		return immNames[op]
 	}
-	return fmt.Sprintf("imm?%d", op)
+	return "imm?" + strconv.Itoa(int(op))
 }
 
 // SpecName returns the name of a special register selector.
@@ -44,57 +44,83 @@ func SpecName(f uint16) string {
 	if int(f) < len(specNames) {
 		return specNames[f]
 	}
-	return fmt.Sprintf("spec?%d", f)
+	return "spec?" + strconv.Itoa(int(f))
 }
 
 // String renders the instruction in the assembler's input syntax, so that
 // disassembled output can be re-assembled.
 func (in Instruction) String() string {
+	var b [48]byte
+	return string(in.Append(b[:0]))
+}
+
+// Append appends the instruction's String text to dst. It allocates only to
+// grow dst, so the tracer can name every pipeline span with it.
+func (in Instruction) Append(dst []byte) []byte {
 	switch in.Class {
 	case ClassMem:
+		dst = appendReg(append(append(dst, MemName(in.Mem)...), ' '), in.Rd)
 		switch in.Mem {
 		case MemLd, MemSt, MemLdf, MemStf:
-			return fmt.Sprintf("%s %s, %d(%s)", MemName(in.Mem), RegName(in.Rd), in.Off, RegName(in.Rs1))
+			return appendDisp(append(dst, ", "...), in.Off, in.Rs1)
 		default:
 			// Coprocessor ops: show the coprocessor number and the low
 			// 14 bits of the offset (the coprocessor's private command).
-			return fmt.Sprintf("%s %s, c%d, %d(%s)", MemName(in.Mem), RegName(in.Rd),
-				in.CoprocNum(), in.Off&0x3FFF, RegName(in.Rs1))
+			dst = strconv.AppendUint(append(dst, ", c"...), uint64(in.CoprocNum()), 10)
+			return appendDisp(append(dst, ", "...), in.Off&0x3FFF, in.Rs1)
 		}
 	case ClassBranch:
-		sq := ""
+		dst = append(dst, CondName(in.Cond)...)
 		if in.Squash {
-			sq = ".sq"
+			dst = append(dst, ".sq"...)
 		}
-		return fmt.Sprintf("%s%s %s, %s, %d", CondName(in.Cond), sq,
-			RegName(in.Rs1), RegName(in.Rs2), in.Off)
+		dst = appendReg(append(dst, ' '), in.Rs1)
+		dst = appendReg(append(dst, ", "...), in.Rs2)
+		return strconv.AppendInt(append(dst, ", "...), int64(in.Off), 10)
 	case ClassCompute:
 		switch in.Comp {
 		case CompSh:
-			return fmt.Sprintf("sh %s, %s, %s, %d", RegName(in.Rd), RegName(in.Rs1), RegName(in.Rs2), in.Func&31)
+			dst = appendRegs(append(dst, "sh "...), in.Rd, in.Rs1, in.Rs2)
+			return strconv.AppendUint(append(dst, ", "...), uint64(in.Func&31), 10)
 		case CompMovs:
-			return fmt.Sprintf("movs %s, %s", RegName(in.Rd), SpecName(in.Func))
+			dst = appendReg(append(dst, "movs "...), in.Rd)
+			return append(append(dst, ", "...), SpecName(in.Func)...)
 		case CompMots:
-			return fmt.Sprintf("mots %s, %s", SpecName(in.Func), RegName(in.Rs1))
+			dst = append(append(dst, "mots "...), SpecName(in.Func)...)
+			return appendReg(append(dst, ", "...), in.Rs1)
 		case CompTrap:
-			return fmt.Sprintf("trap %d", in.Func)
+			return strconv.AppendUint(append(dst, "trap "...), uint64(in.Func), 10)
 		case CompJpc, CompJpcrs:
-			return CompName(in.Comp)
+			return append(dst, CompName(in.Comp)...)
 		default:
 			if in.IsNop() {
-				return "nop"
+				return append(dst, "nop"...)
 			}
-			return fmt.Sprintf("%s %s, %s, %s", CompName(in.Comp),
-				RegName(in.Rd), RegName(in.Rs1), RegName(in.Rs2))
+			return appendRegs(append(append(dst, CompName(in.Comp)...), ' '), in.Rd, in.Rs1, in.Rs2)
 		}
 	case ClassComputeImm:
 		switch in.Imm {
 		case ImmJspci:
-			return fmt.Sprintf("jspci %s, %d(%s)", RegName(in.Rd), in.Off, RegName(in.Rs1))
+			dst = appendReg(append(dst, "jspci "...), in.Rd)
+			return appendDisp(append(dst, ", "...), in.Off, in.Rs1)
 		default:
-			return fmt.Sprintf("%s %s, %s, %d", ImmName(in.Imm),
-				RegName(in.Rd), RegName(in.Rs1), in.Off)
+			dst = appendReg(append(append(dst, ImmName(in.Imm)...), ' '), in.Rd)
+			dst = appendReg(append(dst, ", "...), in.Rs1)
+			return strconv.AppendInt(append(dst, ", "...), int64(in.Off), 10)
 		}
 	}
-	return fmt.Sprintf("?class%d", in.Class)
+	return strconv.AppendUint(append(dst, "?class"...), uint64(in.Class), 10)
+}
+
+// appendRegs appends three comma-separated register operands.
+func appendRegs(dst []byte, a, b, c Reg) []byte {
+	dst = appendReg(dst, a)
+	dst = appendReg(append(dst, ", "...), b)
+	return appendReg(append(dst, ", "...), c)
+}
+
+// appendDisp appends a base-plus-displacement operand, off(rs).
+func appendDisp(dst []byte, off int32, rs Reg) []byte {
+	dst = strconv.AppendInt(dst, int64(off), 10)
+	return append(appendReg(append(dst, '('), rs), ')')
 }

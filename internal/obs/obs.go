@@ -293,11 +293,10 @@ func (s *Sink) Report(cycles, instructions uint64) *Report {
 		return nil
 	}
 	return &Report{
-		Schema:        ReportSchema,
-		Cycles:        cycles,
-		Instructions:  instructions,
-		Causes:        s.Ledger.Causes(),
-		DroppedEvents: s.Tracer.Dropped(),
+		Schema:       ReportSchema,
+		Cycles:       cycles,
+		Instructions: instructions,
+		Causes:       s.Ledger.Causes(),
 	}
 }
 
@@ -319,10 +318,6 @@ type Report struct {
 	Instructions uint64        `json:"instructions,omitempty"`
 	Causes       []CauseCycles `json:"causes"`
 	Counters     []Counter     `json:"counters,omitempty"`
-	// DroppedEvents surfaces trace truncation: events the bounded tracer
-	// rejected after its buffer filled. Nonzero means the trace file is
-	// incomplete (stream the trace instead; streaming never drops).
-	DroppedEvents uint64 `json:"dropped_events,omitempty"`
 }
 
 // Marshal renders the report as indented JSON with a trailing newline

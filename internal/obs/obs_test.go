@@ -86,17 +86,23 @@ func TestDecompositionTable(t *testing.T) {
 	}
 }
 
+// TestTracerBoundsAndJSON: events count as written only between
+// StartStream and CloseStream (those recorded after the close are dropped),
+// and the stream is a valid Chrome trace-event document.
 func TestTracerBoundsAndJSON(t *testing.T) {
-	tr := &Tracer{MaxEvents: 2}
-	tr.Span(TrackIcache, "cache", "imiss", 5, 3, map[string]string{"addr": "0x40"})
-	tr.Instant(TrackMarks, "ctl", "squash", 9, nil)
-	tr.Span(TrackEcache, "cache", "dropped", 10, 1, nil)
+	tr := &Tracer{}
+	var buf bytes.Buffer
+	if err := tr.StartStream(&buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	tr.Span(TrackIcache, "cache", "imiss", 5, 3, AddrArg(0x40))
+	tr.Instant(TrackMarks, "ctl", "branch-squash", 9, Arg{})
+	if err := tr.CloseStream(); err != nil {
+		t.Fatal(err)
+	}
+	tr.Span(TrackEcache, "cache", "dropped", 10, 1, Arg{})
 	if tr.Len() != 2 || tr.Dropped() != 1 {
 		t.Fatalf("len=%d dropped=%d, want 2/1", tr.Len(), tr.Dropped())
-	}
-	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
 	}
 	var doc struct {
 		TraceEvents []map[string]any `json:"traceEvents"`
@@ -122,32 +128,29 @@ func TestTracerBoundsAndJSON(t *testing.T) {
 
 func TestTracerNilSafe(t *testing.T) {
 	var tr *Tracer
-	tr.Span(1, "c", "n", 0, 1, nil)
-	tr.Instant(1, "c", "n", 0, nil)
-	tr.PipeSpan("n", 0, 1, nil)
-	if tr.Len() != 0 || tr.Dropped() != 0 {
+	tr.Span(1, "c", "n", 0, 1, Arg{})
+	tr.Instant(1, "c", "n", 0, Arg{})
+	tr.PipeSpan([]byte("n"), 0, 1, 0, "")
+	if tr.Len() != 0 || tr.Dropped() != 0 || tr.Streaming() {
 		t.Fatal("nil tracer must record nothing")
-	}
-	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !json.Valid(buf.Bytes()) {
-		t.Fatalf("nil tracer JSON invalid: %s", buf.String())
 	}
 }
 
 func TestPipeSpanLaneRotation(t *testing.T) {
 	tr := &Tracer{}
-	for i := 0; i < PipeLanes+1; i++ {
-		tr.PipeSpan("in", uint64(i), uint64(i+5), nil)
-	}
 	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
+	if err := tr.StartStream(&buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < PipeLanes+1; i++ {
+		tr.PipeSpan([]byte("in"), uint64(i), uint64(i+5), uint32(i), "")
+	}
+	if err := tr.CloseStream(); err != nil {
 		t.Fatal(err)
 	}
 	s := buf.String()
-	if !strings.Contains(s, `"tid":1`) || !strings.Contains(s, `"tid":5`) {
+	if !strings.Contains(s, `"ts":0,"dur":5,"pid":1,"tid":1`) || !strings.Contains(s, `"ts":4,"dur":5,"pid":1,"tid":5`) ||
+		!strings.Contains(s, `"ts":5,"dur":5,"pid":1,"tid":1`) {
 		t.Fatalf("lanes not rotated:\n%s", s)
 	}
 }

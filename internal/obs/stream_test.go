@@ -8,30 +8,28 @@ import (
 	"testing"
 )
 
-// record plays the same event sequence into a tracer whether it buffers or
-// streams, so the two serializations can be compared byte for byte.
-func record(tr *Tracer, events int) {
-	for i := 0; i < events; i++ {
+// mix is a sequence of n events cycling through spans, instants and pipe
+// spans, with their reference forms.
+func mix(n int) []call {
+	calls := make([]call, n)
+	var lane uint64
+	for i := range calls {
 		switch i % 3 {
 		case 0:
-			tr.Span(TrackIcache, "cache", "imiss", uint64(i*4), 14, map[string]string{"addr": fmt.Sprintf("0x%x", i*32)})
+			calls[i] = span(TrackIcache, "cache", "imiss", uint64(i*4), 14, AddrArg(uint32(i*32)))
 		case 1:
-			tr.Instant(TrackMarks, "ctl", "squash", uint64(i*4+1), map[string]string{"pc": fmt.Sprintf("0x%x", i)})
+			calls[i] = instant(TrackMarks, "ctl", "exception", uint64(i*4+1), CauseArg(uint32(i)))
 		default:
-			tr.PipeSpan("add", uint64(i*4), uint64(i*4+5), nil)
+			calls[i] = pipe(lane, "add r1, r2, r3", uint64(i*4), uint64(i*4+5), uint32(i), "")
+			lane++
 		}
 	}
+	return calls
 }
 
 func TestStreamedTraceByteIdentical(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 3, 7, 100, 1000} {
-		buffered := &Tracer{}
-		record(buffered, n)
-		var want bytes.Buffer
-		if err := buffered.WriteJSON(&want); err != nil {
-			t.Fatal(err)
-		}
-
+		calls := mix(n)
 		streamed := &Tracer{}
 		var got bytes.Buffer
 		if err := streamed.StartStream(&got, 16); err != nil {
@@ -40,50 +38,22 @@ func TestStreamedTraceByteIdentical(t *testing.T) {
 		if !streamed.Streaming() {
 			t.Fatal("Streaming() false after StartStream")
 		}
-		record(streamed, n)
-		if streamed.Len() != n {
-			t.Fatalf("n=%d: streaming Len = %d", n, streamed.Len())
-		}
-		if streamed.Dropped() != 0 {
-			t.Fatalf("n=%d: streaming dropped %d events", n, streamed.Dropped())
+		for _, c := range calls {
+			c.record(streamed)
 		}
 		if err := streamed.CloseStream(); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Fatalf("n=%d: streamed trace differs from buffered WriteJSON\nstreamed:\n%s\nbuffered:\n%s",
-				n, got.String(), want.String())
+		if streamed.Len() != n || streamed.Dropped() != 0 {
+			t.Fatalf("n=%d: Len %d, Dropped %d", n, streamed.Len(), streamed.Dropped())
+		}
+		if want := refDocument(t, refs(calls)); !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("n=%d: streamed trace differs from the reference encoder\nstreamed:\n%s\nreference:\n%s",
+				n, got.String(), want)
 		}
 		if !json.Valid(got.Bytes()) {
 			t.Fatalf("n=%d: streamed trace is not valid JSON", n)
 		}
-	}
-}
-
-func TestStreamNeverDropsPastMaxEvents(t *testing.T) {
-	tr := &Tracer{MaxEvents: 4}
-	var out bytes.Buffer
-	if err := tr.StartStream(&out, 0); err != nil {
-		t.Fatal(err)
-	}
-	record(tr, 100)
-	if tr.Dropped() != 0 {
-		t.Fatalf("streaming tracer dropped %d events despite MaxEvents", tr.Dropped())
-	}
-	if tr.Len() != 100 {
-		t.Fatalf("Len = %d, want 100", tr.Len())
-	}
-	if err := tr.CloseStream(); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []json.RawMessage `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(out.Bytes(), &doc); err != nil {
-		t.Fatalf("stream not parseable: %v", err)
-	}
-	if got := len(doc.TraceEvents) - len(traceMetas()); got != 100 {
-		t.Fatalf("stream holds %d events, want 100", got)
 	}
 }
 
@@ -96,12 +66,20 @@ func TestStreamLineFraming(t *testing.T) {
 	if err := tr.StartStream(&out, 1); err != nil {
 		t.Fatal(err)
 	}
-	record(tr, 9)
-	// Parse the live (unclosed) bytes: drop line 1 (header) and the
-	// held-back event that has not been written yet.
+	for _, c := range mix(9) {
+		c.record(tr)
+	}
+	// Parse the live (unclosed) bytes: only complete lines have been
+	// written, and the newest event is still held back.
+	if !strings.HasSuffix(out.String(), ",\n") {
+		t.Fatalf("live stream ends mid-line: ...%q", out.String()[max(0, out.Len()-16):])
+	}
 	lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
 	if lines[0] != strings.TrimSuffix(traceHeader, "\n") {
 		t.Fatalf("stream does not open with the trace header: %q", lines[0])
+	}
+	if got, want := len(lines)-1-len(refMetas()), 8; got != want || tr.Len() != want {
+		t.Fatalf("live stream holds %d events, Len %d; want %d (all but the held one)", got, tr.Len(), want)
 	}
 	for i, line := range lines[1:] {
 		line = strings.TrimSuffix(line, ",")
@@ -135,9 +113,9 @@ func TestStartStreamRejectsMisuse(t *testing.T) {
 	}
 
 	late := &Tracer{}
-	late.Span(TrackMarks, "c", "n", 0, 1, nil)
+	late.Span(TrackMarks, "c", "n", 0, 1, Arg{})
 	if err := late.StartStream(&a, 0); err == nil {
-		t.Fatal("StartStream after buffered events must fail")
+		t.Fatal("StartStream after events were recorded must fail")
 	}
 }
 
@@ -159,8 +137,29 @@ func TestStreamSurfacesWriteErrors(t *testing.T) {
 	if err := tr.StartStream(&failWriter{budget: 2048}, 1); err != nil {
 		t.Fatal(err)
 	}
-	record(tr, 50)
+	failedAt := -1
+	for i, c := range mix(50) {
+		before := tr.Len()
+		c.record(tr)
+		if failedAt < 0 && tr.Dropped() > 0 {
+			failedAt = i
+		}
+		if failedAt >= 0 && tr.Len() != before {
+			t.Fatalf("event %d: Len rose from %d to %d after the writer failed", i, before, tr.Len())
+		}
+	}
+	written := tr.Len()
+	if failedAt < 0 || written == 0 {
+		t.Fatalf("the write failure did not land mid-stream (failed at %d, %d written)", failedAt, written)
+	}
+	if got := uint64(written) + tr.Dropped(); got != 50 {
+		t.Fatalf("Len %d + Dropped %d = %d, want every one of the 50 events", written, tr.Dropped(), got)
+	}
 	if err := tr.CloseStream(); err == nil {
 		t.Fatal("CloseStream must report the stream's write error")
+	}
+	tr.Instant(TrackMarks, "ctl", "late", 1, Arg{})
+	if tr.Len() != written || tr.Dropped() != uint64(51-written) {
+		t.Fatalf("after close: Len %d, Dropped %d; want %d, %d", tr.Len(), tr.Dropped(), written, 51-written)
 	}
 }

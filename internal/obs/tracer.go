@@ -1,8 +1,31 @@
 package obs
 
+// The event tracer: a streaming recorder of Chrome trace-event / Perfetto
+// JSON. Call sites pass typed values (a track, cycle timestamps, a pc or an
+// address as a number); one append encoder (encode.go) writes each event's
+// bytes into a reused buffer, which is handed to an io.Writer in chunks, so
+// a trace of an arbitrarily long run costs O(chunk) memory.
+//
+// On-disk format (DESIGN.md §15):
+//
+//	{"displayTimeUnit":"ns","traceEvents":[
+//	<metadata event>,
+//	<event>,
+//	...
+//	<event>
+//	]}
+//
+// — one complete JSON event per line, comma-terminated except the last,
+// closed by CloseStream. The line framing is the streaming contract: every
+// line except the open/close braces is a self-contained JSON object, so a
+// reader tailing a live (still-unclosed) stream parses it line by line,
+// stripping the trailing comma. Which event is last is unknown until
+// CloseStream, so the newest event is held back: recording an event
+// completes the previous line with its comma, and only complete lines reach
+// the writer.
+
 import (
-	"encoding/json"
-	"fmt"
+	"errors"
 	"io"
 )
 
@@ -19,124 +42,103 @@ const (
 	TrackMarks    = TrackCoproc + 1
 )
 
-// trackNames label the fixed tracks via trace metadata events.
-var trackNames = map[int]string{
-	TrackIcache: "icache",
-	TrackEcache: "ecache",
-	TrackCoproc: "coproc",
-	TrackMarks:  "marks",
+// DefaultStreamChunk is the flush interval in events for a stream whose
+// chunk size is unset: complete lines are written every chunk so a live
+// reader (mipsx-trace -follow, a pipe) sees progress while the simulation
+// runs, without paying a write per event.
+const DefaultStreamChunk = 512
+
+// Arg is an event's optional argument: a number written as a hex string
+// under a fixed key, as in {"addr":"0x1f"}. The zero Arg writes no args
+// object.
+type Arg struct {
+	key string
+	val uint32
 }
 
-// Event is one Chrome trace-event / Perfetto JSON entry. Field order is the
-// marshal order, fixed so trace files are byte-deterministic; ts/dur are in
-// microseconds per the format, which we map 1:1 to simulated cycles.
-type Event struct {
-	Name string            `json:"name"`
-	Cat  string            `json:"cat,omitempty"`
-	Ph   string            `json:"ph"`
-	Ts   uint64            `json:"ts"`
-	Dur  uint64            `json:"dur,omitempty"`
-	Pid  int               `json:"pid"`
-	Tid  int               `json:"tid"`
-	S    string            `json:"s,omitempty"`    // instant scope ("t" = thread)
-	Args map[string]string `json:"args,omitempty"` // json sorts keys: deterministic
-}
+// AddrArg is the word address a cache miss serviced.
+func AddrArg(a uint32) Arg { return Arg{"addr", a} }
 
-// Tracer buffers structured events for one machine run and serializes them
-// as Chrome trace-event JSON (the "JSON Array Format" with a traceEvents
-// wrapper), loadable by chrome://tracing and ui.perfetto.dev. It is bounded:
-// once MaxEvents is reached further events are counted as dropped rather
-// than buffered, so tracing a long run cannot exhaust memory. Methods are
-// nil-safe; a nil *Tracer records nothing.
-//
-// StartStream switches the tracer into streaming mode (see stream.go):
-// events are serialized to an io.Writer as they occur instead of buffered,
-// the MaxEvents bound no longer applies and Dropped stays zero on
-// arbitrarily long runs. The streamed bytes are identical to what a
-// buffered WriteJSON of the same events would produce.
+// CauseArg is the PSW cause bits an exception was taken with.
+func CauseArg(c uint32) Arg { return Arg{"cause", c} }
+
+// Tracer streams structured events for one run as Chrome trace-event JSON
+// (the "JSON Array Format" with a traceEvents wrapper), loadable by
+// chrome://tracing and ui.perfetto.dev. Events are recorded only between
+// StartStream and CloseStream; events recorded with no stream open, or
+// after the writer failed, are counted by Dropped. Methods are nil-safe; a
+// nil *Tracer records nothing.
 type Tracer struct {
-	// MaxEvents bounds the buffer; 0 means DefaultMaxEvents.
-	MaxEvents int
 	// Instrs enables per-instruction pipeline occupancy spans (one span per
 	// fetched instruction from IF to WB). Off by default: it is the one
 	// event class whose volume scales with instructions rather than misses.
 	Instrs bool
 
-	events  []Event
-	dropped uint64
-	lane    uint64
+	lane uint64
 
-	// stream, when non-nil, replaces the event buffer with incremental
-	// chunked emission (StartStream/CloseStream, stream.go); emitted counts
-	// the events handed to it.
-	stream  *traceStream
-	emitted uint64
+	w     io.Writer // the open stream; nil before StartStream and after CloseStream
+	err   error     // the first write error; recording stops after it
+	chunk int
+	buf   []byte // complete lines, then the held-back newest event at buf[held:]
+	held  int
+
+	// pending counts events in buf (the held one included); written those
+	// that reached w, dropped those that never will.
+	pending, written, dropped uint64
 }
 
-// DefaultMaxEvents bounds a tracer whose MaxEvents is unset (~1M events).
-const DefaultMaxEvents = 1 << 20
-
-func (t *Tracer) add(ev Event) {
-	if t.stream != nil {
-		t.stream.emit(&ev)
-		t.emitted++
-		return
+// StartStream opens the trace on w: every subsequent event is encoded as it
+// is recorded, and complete lines are written every chunkEvents events (0
+// means DefaultStreamChunk). It must be called before any event is
+// recorded. The caller must call CloseStream when the run ends to write the
+// held-back final event and the closing frame.
+func (t *Tracer) StartStream(w io.Writer, chunkEvents int) error {
+	if t.w != nil {
+		return errors.New("obs: tracer is already streaming")
 	}
-	limit := t.MaxEvents
-	if limit <= 0 {
-		limit = DefaultMaxEvents
+	if t.written+t.dropped > 0 {
+		return errors.New("obs: StartStream after events were recorded; start the stream before the run")
 	}
-	if len(t.events) >= limit {
-		t.dropped++
-		return
+	if chunkEvents <= 0 {
+		chunkEvents = DefaultStreamChunk
 	}
-	t.events = append(t.events, ev)
+	t.w, t.err, t.chunk = w, nil, chunkEvents
+	t.buf = append(t.buf[:0], preamble...)
+	return nil
 }
 
-// Span records a complete event (ph "X") of dur cycles starting at ts.
-func (t *Tracer) Span(tid int, cat, name string, ts, dur uint64, args map[string]string) {
-	if t == nil {
-		return
+// Streaming reports whether a stream is open.
+func (t *Tracer) Streaming() bool { return t != nil && t.w != nil }
+
+// CloseStream writes the held-back final event without a trailing comma,
+// closes the JSON frame and returns the first error the stream hit (a
+// partial file is detectable: it lacks the closing frame). Events recorded
+// afterwards are dropped.
+func (t *Tracer) CloseStream() error {
+	w := t.w
+	if w == nil {
+		return errors.New("obs: tracer is not streaming")
 	}
-	t.add(Event{Name: name, Cat: cat, Ph: "X", Ts: ts, Dur: dur, Pid: 1, Tid: tid, Args: args})
+	t.w = nil
+	if t.err == nil {
+		t.write(w, append(t.buf, "\n"+traceFooter...), t.pending)
+	}
+	t.buf = nil
+	return t.err
 }
 
-// Instant records a thread-scoped instant event (ph "i") at ts.
-func (t *Tracer) Instant(tid int, cat, name string, ts uint64, args map[string]string) {
-	if t == nil {
-		return
-	}
-	// Args is attached before add so the streaming path serializes the
-	// complete event; a nil map marshals away under omitempty either way.
-	t.add(Event{Name: name, Cat: cat, Ph: "i", Ts: ts, Pid: 1, Tid: tid, S: "t", Args: args})
-}
-
-// PipeSpan records one instruction's pipeline occupancy from fetch to
-// retirement, rotating across PipeLanes tracks so overlapping in-flight
-// instructions do not nest.
-func (t *Tracer) PipeSpan(name string, start, end uint64, args map[string]string) {
-	if t == nil {
-		return
-	}
-	tid := TrackPipeBase + int(t.lane%PipeLanes)
-	t.lane++
-	dur := uint64(0)
-	if end > start {
-		dur = end - start
-	}
-	t.add(Event{Name: name, Cat: "pipe", Ph: "X", Ts: start, Dur: dur, Pid: 1, Tid: tid, Args: args})
-}
-
-// Len reports the number of events recorded: buffered events plus any
-// emitted to a stream (the count survives CloseStream).
+// Len reports the number of events written to the stream (the count
+// survives CloseStream). Until CloseStream it lags the recorded events by
+// at most one chunk.
 func (t *Tracer) Len() int {
 	if t == nil {
 		return 0
 	}
-	return int(t.emitted) + len(t.events)
+	return int(t.written)
 }
 
-// Dropped reports events rejected after the buffer filled.
+// Dropped reports the events recorded with no stream open or lost to a
+// write error.
 func (t *Tracer) Dropped() uint64 {
 	if t == nil {
 		return 0
@@ -144,74 +146,91 @@ func (t *Tracer) Dropped() uint64 {
 	return t.dropped
 }
 
-// traceHeader/traceFooter frame the Chrome trace-event JSON object; events
-// sit between them one per line. Shared by WriteJSON and the streaming path
-// so the two serializations are byte-identical.
-const (
-	traceHeader = "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n"
-	traceFooter = "]}\n"
-)
-
-// traceMeta is a metadata event naming the process or a track.
-type traceMeta struct {
-	Name string            `json:"name"`
-	Ph   string            `json:"ph"`
-	Pid  int               `json:"pid"`
-	Tid  int               `json:"tid"`
-	Args map[string]string `json:"args"`
+// Span records a complete event (ph "X") of dur cycles starting at ts.
+func (t *Tracer) Span(tid int, cat, name string, ts, dur uint64, arg Arg) {
+	if t == nil || !t.begin() {
+		return
+	}
+	b := appendHead(t.buf, name, cat, "X", ts, dur, tid)
+	t.buf = appendArg(b, arg)
+	t.end()
 }
 
-// traceMetas returns the fixed metadata preamble every trace starts with.
-func traceMetas() []traceMeta {
-	metas := []traceMeta{{Name: "process_name", Ph: "M", Pid: 1, Tid: 0, Args: map[string]string{"name": "mipsx-sim"}}}
-	for lane := 0; lane < PipeLanes; lane++ {
-		metas = append(metas, traceMeta{Name: "thread_name", Ph: "M", Pid: 1, Tid: TrackPipeBase + lane,
-			Args: map[string]string{"name": fmt.Sprintf("pipe-%d", lane)}})
+// Instant records a thread-scoped instant event (ph "i") at ts.
+func (t *Tracer) Instant(tid int, cat, name string, ts uint64, arg Arg) {
+	if t == nil || !t.begin() {
+		return
 	}
-	for _, tid := range []int{TrackIcache, TrackEcache, TrackCoproc, TrackMarks} {
-		metas = append(metas, traceMeta{Name: "thread_name", Ph: "M", Pid: 1, Tid: tid,
-			Args: map[string]string{"name": trackNames[tid]}})
-	}
-	return metas
+	b := appendHead(t.buf, name, cat, "i", ts, 0, tid)
+	b = append(b, `,"s":"t"`...)
+	t.buf = appendArg(b, arg)
+	t.end()
 }
 
-// WriteJSON serializes the trace in Chrome trace-event JSON object format:
-// metadata events naming the process and tracks, then every buffered event
-// in record order. Output is deterministic for a deterministic simulation.
-// A streaming tracer's events are not buffered here — use CloseStream.
-func (t *Tracer) WriteJSON(w io.Writer) error {
-	if _, err := io.WriteString(w, traceHeader); err != nil {
-		return err
+// PipeSpan records one instruction's pipeline occupancy from fetch (start)
+// to retirement (end), named by its disassembly, rotating across PipeLanes
+// tracks so overlapping in-flight instructions do not nest. annulled is
+// the reason a squash or exception cancelled it, or empty.
+func (t *Tracer) PipeSpan(name []byte, start, end uint64, pc uint32, annulled string) {
+	if t == nil {
+		return
 	}
-	enc := func(ev any, last bool) error {
-		b, err := json.Marshal(ev)
-		if err != nil {
-			return err
-		}
-		if !last {
-			b = append(b, ',')
-		}
-		b = append(b, '\n')
-		_, err = w.Write(b)
-		return err
+	tid := TrackPipeBase + int(t.lane%PipeLanes)
+	t.lane++
+	if !t.begin() {
+		return
 	}
-	metas := traceMetas()
-	n := 0
-	if t != nil {
-		n = len(t.events)
+	dur := uint64(0)
+	if end > start {
+		dur = end - start
 	}
-	for i, m := range metas {
-		if err := enc(m, n == 0 && i == len(metas)-1); err != nil {
-			return err
-		}
+	b := appendHead(t.buf, name, "pipe", "X", start, dur, tid)
+	b = append(b, `,"args":{`...)
+	if annulled != "" {
+		b = append(b, `"annulled":`...)
+		b = appendString(b, annulled)
+		b = append(b, ',')
 	}
-	if t != nil {
-		for i := range t.events {
-			if err := enc(&t.events[i], i == n-1); err != nil {
-				return err
-			}
-		}
+	b = append(b, `"pc":`...)
+	b = appendHex(b, pc)
+	t.buf = append(b, "}}"...)
+	t.end()
+}
+
+// begin completes the held line with its comma and marks where the next
+// event starts. It reports false, counting the event dropped, when no
+// stream is open or the writer has failed.
+func (t *Tracer) begin() bool {
+	if t.w == nil || t.err != nil {
+		t.dropped++
+		return false
 	}
-	_, err := io.WriteString(w, traceFooter)
-	return err
+	t.buf = append(t.buf, ",\n"...)
+	t.held = len(t.buf)
+	return true
+}
+
+// end accounts the event just encoded and, once a chunk of complete lines
+// has accumulated, writes them and moves the held event to the front.
+func (t *Tracer) end() {
+	if t.pending++; t.pending <= uint64(t.chunk) {
+		return
+	}
+	if t.write(t.w, t.buf[:t.held], t.pending-1) {
+		t.buf = t.buf[:copy(t.buf, t.buf[t.held:])]
+	}
+}
+
+// write hands b, holding n events' complete lines, to w. On failure the
+// stream stops: every buffered event counts as dropped.
+func (t *Tracer) write(w io.Writer, b []byte, n uint64) bool {
+	if _, err := w.Write(b); err != nil {
+		t.err = err
+		t.dropped += t.pending
+		t.pending, t.buf = 0, t.buf[:0]
+		return false
+	}
+	t.written += n
+	t.pending -= n
+	return true
 }

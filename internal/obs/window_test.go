@@ -217,31 +217,3 @@ func TestWindowDocCheckCatchesViolations(t *testing.T) {
 		t.Fatal("Check must catch a gap in the timeline")
 	}
 }
-
-func TestReportCarriesDroppedEvents(t *testing.T) {
-	tr := &Tracer{MaxEvents: 1}
-	tr.Span(TrackMarks, "c", "a", 0, 1, nil)
-	tr.Span(TrackMarks, "c", "b", 1, 1, nil)
-	s := &Sink{Ledger: NewMachineLedger(), Tracer: tr}
-	s.Ledger.Add(CauseExecute, 2)
-	r := s.Report(2, 2)
-	if r.DroppedEvents != 1 {
-		t.Fatalf("DroppedEvents = %d, want 1", r.DroppedEvents)
-	}
-	b, err := r.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(b, []byte(`"dropped_events": 1`)) {
-		t.Fatalf("dropped_events not serialized:\n%s", b)
-	}
-	// And omitted when zero, so existing report bytes are unchanged.
-	clean := (&Sink{Ledger: NewMachineLedger()}).Report(0, 0)
-	cb, err := clean.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Contains(cb, []byte("dropped_events")) {
-		t.Fatalf("zero dropped_events must be omitted:\n%s", cb)
-	}
-}

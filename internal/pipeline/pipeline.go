@@ -236,6 +236,10 @@ type CPU struct {
 	// (sum(causes) == Stats.Cycles) holds when the memory ports share this
 	// sink — core.Machine.Observe wires that up.
 	Obs *obs.Sink
+
+	// spanName is the reused buffer the retiring instruction's disassembly
+	// is formatted into for its pipeline span.
+	spanName []byte
 }
 
 // New builds a CPU with the given configuration and memory ports.
@@ -427,7 +431,7 @@ func (c *CPU) Step() int {
 		}
 		c.Squash.Trigger(CauseBranch, c.Cfg.BranchSlots)
 		if o := c.Obs; o != nil && o.Tracer != nil {
-			o.Tracer.Instant(obs.TrackMarks, "ctl", "branch-squash", o.Cycle(), nil)
+			o.Tracer.Instant(obs.TrackMarks, "ctl", "branch-squash", o.Cycle(), obs.Arg{})
 		}
 	}
 
@@ -495,14 +499,15 @@ func (c *CPU) attributeWB(o *obs.Sink) {
 		o.Ledger.Add(obs.CauseExecute, 1)
 	}
 	if t := o.Tracer; t != nil && t.Instrs && s.valid {
-		args := map[string]string{"pc": fmt.Sprintf("%#x", uint32(s.pc))}
+		annulled := ""
 		switch {
 		case s.sqNoop:
-			args["annulled"] = "squash"
+			annulled = "squash"
 		case s.excNoop:
-			args["annulled"] = "exception"
+			annulled = "exception"
 		}
-		t.PipeSpan(s.in.String(), s.fetC, c.Stats.Cycles, args)
+		c.spanName = s.in.Append(c.spanName[:0])
+		t.PipeSpan(c.spanName, s.fetC, c.Stats.Cycles, uint32(s.pc), annulled)
 	}
 }
 
@@ -532,8 +537,7 @@ func (c *CPU) takeException(cause isa.PSW) {
 	kill(&c.lRF)
 	c.Squash.Trigger(CauseException, 2)
 	if o := c.Obs; o != nil && o.Tracer != nil {
-		o.Tracer.Instant(obs.TrackMarks, "ctl", "exception", o.Cycle(),
-			map[string]string{"cause": fmt.Sprintf("%#x", uint32(cause))})
+		o.Tracer.Instant(obs.TrackMarks, "ctl", "exception", o.Cycle(), obs.CauseArg(uint32(cause)))
 	}
 
 	// chain already holds [MEM.pc, ALU.pc, RF.pc] from last cycle's shift;
@@ -677,7 +681,7 @@ func (c *CPU) stageMEM() int {
 		if o := c.Obs; o != nil && st > 0 {
 			o.Ledger.Add(obs.CauseCoprocBusy, uint64(st))
 			if o.Tracer != nil {
-				o.Tracer.Span(obs.TrackCoproc, "coproc", "busy-wait", o.Cycle(), uint64(st), nil)
+				o.Tracer.Span(obs.TrackCoproc, "coproc", "busy-wait", o.Cycle(), uint64(st), obs.Arg{})
 			}
 		}
 	}
