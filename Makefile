@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check build test vet vet-extra vulncheck race flake lint-suite cost-gate fuzz bench bench-hot trace-sample explore-smoke explore-baseline scenario-gate scenario-baseline stream-gate
+.PHONY: check build test vet vet-extra vulncheck race flake lint-suite cost-gate fuzz bench bench-hot trace-sample explore-smoke explore-baseline scenario-gate scenario-baseline stream-gate perf-pairs
 
 check: vet vet-extra vulncheck build test race flake lint-suite cost-gate explore-smoke scenario-gate stream-gate
 
@@ -160,3 +160,17 @@ stream-gate:
 	$(GO) run ./cmd/mipsx-trace -follow .streamgate_win.jsonl -once > /dev/null
 	OBS_BUDGET=1 $(GO) test ./internal/experiments -run TestObsOverheadBudget -count=1 -v
 	rm -f .streamgate_trace.json .streamgate_win.jsonl
+
+# Paired perf runs: the working tree against BASE (a git revision, exported
+# with git archive into .bench_pairs/), PAIRS alternating perfbench runs of
+# WORKLOAD that switch which side goes first. Prints each side's median and
+# quartiles per metric, the pairs the working tree won, and whether a median
+# is worse than the parent's by more than its BENCHMARK.json bound. Refuses
+# to run when perfbench/ or BENCHMARK.json differs from BASE.
+PAIRS ?= 10
+SECONDS ?= 20
+SEED ?= 0
+TRACE ?= 0
+perf-pairs:
+	@test -n "$(BASE)" -a -n "$(WORKLOAD)" || { echo "usage: make perf-pairs BASE=<rev> WORKLOAD=<w> [PAIRS=10 SECONDS=20 SEED=0 TRACE=0]"; exit 2; }
+	python3 tools/perfpairs.py --base $(BASE) --workload $(WORKLOAD) --pairs $(PAIRS) --seconds $(SECONDS) --seed $(SEED) --trace $(TRACE)

@@ -214,11 +214,20 @@ func main() {
 		pcProf = obs.NewPCProfile(uint32(im.Base), len(im.Words))
 		m.CPU.Prof = pcProf
 	}
-	for i := 0; i < *pipe && !m.Console.Halted; i++ {
+	// The first -pipe cycles run one at a time so their occupancy prints.
+	// They go through RunQuantum like the rest and count toward the total
+	// and the -max-cycles budget.
+	var cycles uint64
+	for i := 0; i < *pipe && cycles < *maxCycles && !m.Console.Halted; i++ {
 		fmt.Println(m.CPU.Snapshot())
-		m.CPU.Step()
+		n, _, err := m.RunQuantum(1)
+		cycles += n
+		if err != nil {
+			fail(err)
+		}
 	}
-	cycles, err := m.Run(*maxCycles)
+	n, err := m.Run(*maxCycles - min(cycles, *maxCycles))
+	cycles += n
 	if err != nil {
 		fail(err)
 	}

@@ -21,28 +21,60 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// mipsxRun runs the command with args and returns its exit code and stderr.
-func mipsxRun(t *testing.T, args ...string) (int, string) {
+// mipsxRun runs the command with args and returns its exit code, stdout and
+// stderr.
+func mipsxRun(t *testing.T, args ...string) (code int, stdout, stderr string) {
 	t.Helper()
 	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), "MIPSX_RUN_MAIN=1")
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
+	var out, errb bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errb
 	err := cmd.Run()
 	if exit, ok := err.(*exec.ExitError); ok {
-		return exit.ExitCode(), stderr.String()
+		return exit.ExitCode(), out.String(), errb.String()
 	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	return 0, stderr.String()
+	return 0, out.String(), errb.String()
+}
+
+// TestPipeCyclesCount: the cycles -pipe prints run on the same path as the
+// rest, so they count toward the reported total and the -max-cycles budget.
+func TestPipeCyclesCount(t *testing.T) {
+	cyclesLine := func(args ...string) string {
+		t.Helper()
+		code, stdout, stderr := mipsxRun(t, append([]string{"-bench", "bubblesort", "-stats"}, args...)...)
+		if code != 0 {
+			t.Fatalf("%v: exit %d: %s", args, code, stderr)
+		}
+		for _, l := range strings.Split(stdout, "\n") {
+			if strings.HasPrefix(l, "cycles ") {
+				return l
+			}
+		}
+		t.Fatalf("%v: no cycles line in\n%s", args, stdout)
+		return ""
+	}
+	if plain, piped := cyclesLine(), cyclesLine("-pipe", "30"); plain != piped {
+		t.Errorf("-pipe 30 reports %q, without it %q", piped, plain)
+	}
+	for _, args := range [][]string{
+		{"-max-cycles", "53500"},
+		{"-max-cycles", "53500", "-pipe", "30"},
+	} {
+		code, _, stderr := mipsxRun(t, append([]string{"-bench", "bubblesort"}, args...)...)
+		if code != 1 || !strings.Contains(stderr, "no halt within") {
+			t.Errorf("%v: exit %d, stderr %q; want exit 1 and no halt", args, code, stderr)
+		}
+	}
 }
 
 // TestScenarioTraceOut: -trace-out under -scenario streams the scenario's
 // trace, byte for byte the one the scenario tracer has always written.
 func TestScenarioTraceOut(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "t.json")
-	if code, stderr := mipsxRun(t, "-scenario", "bubblesort,sieve", "-trace-out", out); code != 0 {
+	if code, _, stderr := mipsxRun(t, "-scenario", "bubblesort,sieve", "-trace-out", out); code != 0 {
 		t.Fatalf("exit %d: %s", code, stderr)
 	}
 	b, err := os.ReadFile(out)
@@ -64,7 +96,7 @@ func TestScenarioRefusesIgnoredFlags(t *testing.T) {
 		{"-max-cycles", "5"}, {"-bench", "fib"}, {"-tiny"}, {"-profile"}, {"prog.s"},
 	} {
 		args := append([]string{"-scenario", "bubblesort,sieve"}, extra...)
-		code, stderr := mipsxRun(t, args...)
+		code, _, stderr := mipsxRun(t, args...)
 		if code != 2 || !strings.Contains(stderr, extra[0]) {
 			t.Errorf("%v: exit %d, stderr %q; want exit 2 naming %s", extra, code, stderr, extra[0])
 		}
@@ -76,7 +108,7 @@ func TestScenarioRefusesIgnoredFlags(t *testing.T) {
 func TestTraceOutMatchesGolden(t *testing.T) {
 	testdata := filepath.Join("..", "..", "internal", "core", "testdata")
 	out := filepath.Join(t.TempDir(), "t.json")
-	if code, stderr := mipsxRun(t, "-trace-out", out, filepath.Join(testdata, "trace_program.s")); code != 0 {
+	if code, _, stderr := mipsxRun(t, "-trace-out", out, filepath.Join(testdata, "trace_program.s")); code != 0 {
 		t.Fatalf("exit %d: %s", code, stderr)
 	}
 	got, err := os.ReadFile(out)

@@ -19,6 +19,7 @@ package icache
 import (
 	"repro/internal/ecache"
 	"repro/internal/isa"
+	"repro/internal/mem"
 	"repro/internal/obs"
 )
 
@@ -104,6 +105,7 @@ type Cache struct {
 	cfg      Config
 	sets     [][]block
 	blkShift uint
+	offMask  isa.Word // word offset within a block
 	setMask  isa.Word
 	setBits  uint
 	tick     uint64
@@ -124,6 +126,9 @@ type Cache struct {
 	// Backing store for misses. Fetching through the Ecache charges its
 	// stalls too, exactly like the real two-level hierarchy.
 	Backing *ecache.Cache
+	// mem is Backing's memory, the value store hits read from: the Icache
+	// models presence only (see ecache.fill).
+	mem *mem.Memory
 
 	Stats Stats
 
@@ -153,9 +158,11 @@ func New(cfg Config, backing *ecache.Cache) *Cache {
 		cfg:      cfg,
 		sets:     make([][]block, cfg.Sets),
 		blkShift: log2(cfg.BlockWords),
+		offMask:  isa.Word(cfg.BlockWords - 1),
 		setMask:  isa.Word(cfg.Sets - 1),
 		setBits:  log2(cfg.Sets),
 		Backing:  backing,
+		mem:      backing.Mem,
 		isCoprocInstr: func(w isa.Word) bool {
 			return isa.Decode(w).IsCoproc()
 		},
@@ -191,7 +198,7 @@ func (c *Cache) Config() Config { return c.cfg }
 
 func (c *Cache) index(a isa.Word) (set, tag isa.Word, off int) {
 	blk := a >> c.blkShift
-	return blk & c.setMask, blk >> c.setBits, int(a & isa.Word(c.cfg.BlockWords-1))
+	return blk & c.setMask, blk >> c.setBits, int(a & c.offMask)
 }
 
 // Present reports whether a fetch of address a would hit, without updating
@@ -216,24 +223,23 @@ func (c *Cache) Present(a isa.Word) bool {
 // states.
 func (c *Cache) Fetch(a isa.Word) (isa.Word, int) {
 	c.Stats.Fetches++
-	if c.hit(a) {
-		// Hits read the word from the backing hierarchy's notion of
-		// memory; the Icache models presence (see ecache.fill).
-		return c.Backing.Mem.Peek(a), 0
+	// The hit memo is tested here rather than in hit, so a sequential fetch
+	// that stays in the last block makes no call.
+	if b := c.lastBlk; b != nil && a>>c.blkShift == c.lastBlkKey {
+		if !b.valid[a&c.offMask] {
+			return c.serviceMiss(a) // same block, word not (yet) valid
+		}
+		c.tick++
+		b.use = c.tick
+	} else if !c.hit(a) {
+		return c.serviceMiss(a)
 	}
-	return c.serviceMiss(a)
+	return c.mem.Peek(a), 0
 }
 
-// hit probes the cache for address a, updating the LRU stamp on a hit.
+// hit probes the sets for address a, updating the LRU stamp and the hit
+// memo on a hit.
 func (c *Cache) hit(a isa.Word) bool {
-	if b := c.lastBlk; b != nil && a>>c.blkShift == c.lastBlkKey {
-		if b.valid[a&isa.Word(c.cfg.BlockWords-1)] {
-			c.tick++
-			b.use = c.tick
-			return true
-		}
-		return false // same block, word not (yet) valid: a real miss
-	}
 	if c.cfg.Disabled {
 		return false
 	}

@@ -143,11 +143,44 @@ func (s Stats) CyclesPerBranch() float64 {
 	return 1 + float64(s.BranchWasted)/float64(s.Branches)
 }
 
+// dec is an instruction word decoded once, with the facts the stages test
+// every cycle precomputed from the isa predicates.
+type dec struct {
+	in   isa.Instruction
+	dst  isa.Reg // general register written at WB; 0 for none
+	load bool    // dst's value comes from MEM (ld, ldc), not from the ALU
+	nop  bool    // the canonical no-op
+}
+
+// decode builds the record for word w. decode(0) is the zero dec: word 0 is
+// "ld r0, 0(r0)", which writes no register, so a zeroed memo entry already
+// holds the right record for the word it claims.
+func decode(w isa.Word) dec {
+	in := isa.Decode(w)
+	d := dec{in: in, nop: in.IsNop()}
+	if rd, ok := in.WritesReg(); ok {
+		d.dst, d.load = rd, in.IsLoad()
+	}
+	return d
+}
+
+// memoSize is the decode memo's entry count, a power of two above the
+// largest suite image (843 words).
+const memoSize = 1024
+
+// memoEntry is one line of the decode memo: a record and the word it was
+// decoded from. A fetch whose word differs re-decodes, so stores that
+// rewrite code need no invalidation.
+type memoEntry struct {
+	w isa.Word
+	d dec
+}
+
 // slot is one pipeline latch.
 type slot struct {
 	valid bool
 	pc    isa.Word
-	in    isa.Instruction
+	dec
 
 	sqNoop  bool // no-opped by Squash (branch shadow)
 	excNoop bool // no-opped by Exception entry
@@ -159,23 +192,22 @@ type slot struct {
 	storeData isa.Word
 	mdBefore  isa.Word
 	taken     bool
-
-	// Captured at MEM:
-	memData isa.Word
-
 	// stickyOvf marks an overflow under the sticky-overflow ablation; the
 	// PSW bit commits with the instruction at WB.
 	stickyOvf bool
+
+	// Captured at MEM:
+	memData isa.Word
 
 	// fetC is the cycle the slot was fetched, stamped only when the tracer
 	// records per-instruction occupancy spans (Tracer.Instrs).
 	fetC uint64
 }
 
-func (s *slot) noop() bool { return s.sqNoop || s.excNoop }
+func (s *slot) annulled() bool { return s.sqNoop || s.excNoop }
 
 // alive reports whether the slot holds an instruction that will execute.
-func (s *slot) alive() bool { return s.valid && !s.noop() }
+func (s *slot) alive() bool { return s.valid && !s.annulled() }
 
 // CPU is the MIPS-X processor core.
 type CPU struct {
@@ -188,10 +220,12 @@ type CPU struct {
 	chain [3]isa.Word // pc0 (oldest) .. pc2
 	pc    isa.Word
 
-	// Pipeline latches, named by the stage that will process them this
-	// cycle. The IF stage's product goes straight into the RF latch at the
-	// end of the cycle, so there is no separate IF latch.
-	lRF, lALU, lMEM, lWB slot
+	// Pipeline latches. iRF..iWB index the latch each stage processes this
+	// cycle and rotate at the end of Step, so an instruction moves down the
+	// pipe without its latch being copied. IF fills the latch WB has just
+	// retired, in place; there is no separate IF latch.
+	lat                  [4]slot
+	iRF, iALU, iMEM, iWB uint8
 
 	// pendingSlotBranch marks that a branch resolved this cycle without a
 	// squash, so Step must count explicit no-ops in its delay slots for the
@@ -240,6 +274,11 @@ type CPU struct {
 	// spanName is the reused buffer the retiring instruction's disassembly
 	// is formatted into for its pipeline span.
 	spanName []byte
+
+	// memo is the decode memo, direct-mapped by fetch PC and validated by
+	// the fetched word. It is the last field so the garbage collector's
+	// scan of a CPU stops before it (it holds no pointers).
+	memo [memoSize]memoEntry
 }
 
 // New builds a CPU with the given configuration and memory ports.
@@ -247,7 +286,8 @@ func New(cfg Config, imem InstrPort, dmem DataPort, cps *coproc.Set) *CPU {
 	if cfg.BranchSlots != 1 && cfg.BranchSlots != 2 {
 		panic("pipeline: BranchSlots must be 1 or 2")
 	}
-	c := &CPU{Cfg: cfg, IMem: imem, DMem: dmem, Coprocs: cps, psw: isa.ResetPSW}
+	c := &CPU{Cfg: cfg, IMem: imem, DMem: dmem, Coprocs: cps, psw: isa.ResetPSW,
+		iRF: 0, iALU: 1, iMEM: 2, iWB: 3}
 	if cps != nil {
 		if f, ok := cps.Get(1).(*coproc.FPU); ok {
 			c.FPU = f
@@ -264,8 +304,14 @@ func (c *CPU) Reset(entry isa.Word) {
 	c.md = 0
 	c.chain = [3]isa.Word{}
 	c.pc = entry
-	c.lRF, c.lALU, c.lMEM, c.lWB = slot{}, slot{}, slot{}, slot{}
+	c.lat = [4]slot{}
 }
+
+// The latch each stage processes this cycle.
+func (c *CPU) rf() *slot  { return &c.lat[c.iRF&3] }
+func (c *CPU) alu() *slot { return &c.lat[c.iALU&3] }
+func (c *CPU) mem() *slot { return &c.lat[c.iMEM&3] }
+func (c *CPU) wb() *slot  { return &c.lat[c.iWB&3] }
 
 // Reg returns register r (r0 reads zero).
 func (c *CPU) Reg(r isa.Reg) isa.Word {
@@ -311,14 +357,12 @@ func (c *CPU) operand(r isa.Reg, pc isa.Word) isa.Word {
 	if r == 0 {
 		return 0
 	}
-	if c.lMEM.alive() {
-		if rd, ok := c.lMEM.in.WritesReg(); ok && rd == r {
-			if c.lMEM.in.IsLoad() {
-				c.violate(pc, "uses r%d loaded by the previous instruction (load delay slot unfilled)", r)
-				return v // stale value, as the hardware would supply
-			}
-			return c.lMEM.aluOut
+	if m := c.mem(); m.dst == r && m.alive() {
+		if m.load {
+			c.violate(pc, "uses r%d loaded by the previous instruction (load delay slot unfilled)", r)
+			return v // stale value, as the hardware would supply
 		}
+		return m.aluOut
 	}
 	return v
 }
@@ -331,20 +375,16 @@ func (c *CPU) quickOperand(r isa.Reg, pc isa.Word) isa.Word {
 	if r == 0 {
 		return 0
 	}
-	if c.lALU.alive() {
-		if rd, ok := c.lALU.in.WritesReg(); ok && rd == r {
-			c.violate(pc, "quick compare uses r%d produced by the previous instruction", r)
+	if a := c.alu(); a.dst == r && a.alive() {
+		c.violate(pc, "quick compare uses r%d produced by the previous instruction", r)
+		return v
+	}
+	if m := c.mem(); m.dst == r && m.alive() {
+		if m.load {
+			c.violate(pc, "quick compare uses r%d loaded two instructions back", r)
 			return v
 		}
-	}
-	if c.lMEM.alive() {
-		if rd, ok := c.lMEM.in.WritesReg(); ok && rd == r {
-			if c.lMEM.in.IsLoad() {
-				c.violate(pc, "quick compare uses r%d loaded two instructions back", r)
-				return v
-			}
-			return c.lMEM.aluOut
-		}
+		return m.aluOut
 	}
 	return v
 }
@@ -374,13 +414,13 @@ func (c *CPU) Step() int {
 	stall := 0
 
 	// ---- Exception recognition: the faulting instruction has reached MEM.
-	if c.lMEM.alive() && c.lMEM.excCause != 0 {
-		c.takeException(c.lMEM.excCause)
+	if m := c.mem(); m.alive() && m.excCause != 0 {
+		c.takeException(m.excCause)
 	}
 
 	// ---- Cycle attribution: every Step consumes one base cycle, owned by
 	// whatever occupies the WB latch right now (the slot commitWB is about
-	// to clear). Stall cycles are charged separately by the unit that
+	// to retire). Stall cycles are charged separately by the unit that
 	// creates them, so sum(ledger) tracks Stats.Cycles exactly.
 	if o := c.Obs; o != nil {
 		c.attributeWB(o)
@@ -407,28 +447,34 @@ func (c *CPU) Step() int {
 		squashEvent = squashEvent || sq
 	}
 
-	// ---- IF: fetch into the new IF latch.
-	var newIF slot
-	{
-		w, s := c.IMem.Fetch(c.pc)
-		in := isa.Decode(w)
-		stall += s
-		c.Stats.IcacheStalls += uint64(s)
-		c.Stats.Fetches++
-		newIF = slot{valid: true, pc: c.pc, in: in}
-		if o := c.Obs; o != nil && o.Tracer != nil && o.Tracer.Instrs {
-			newIF.fetC = c.Stats.Cycles
-		}
+	// ---- IF: fetch into the latch WB just retired, decoding the word only
+	// when the memo holds another.
+	f := c.wb()
+	w, s := c.IMem.Fetch(c.pc)
+	stall += s
+	c.Stats.IcacheStalls += uint64(s)
+	c.Stats.Fetches++
+	e := &c.memo[c.pc&(memoSize-1)]
+	if e.w != w {
+		e.w, e.d = w, decode(w)
+	}
+	f.valid = true
+	f.pc = c.pc
+	f.dec = e.d
+	f.sqNoop, f.excNoop, f.taken, f.stickyOvf = false, false, false, false
+	f.excCause = 0
+	f.aluOut, f.storeData, f.mdBefore, f.memData = 0, 0, 0, 0
+	f.fetC = 0
+	if o := c.Obs; o != nil && o.Tracer != nil && o.Tracer.Instrs {
+		f.fetC = c.Stats.Cycles
 	}
 
 	// ---- Apply squash marks to the shadow instructions.
 	if squashEvent {
 		if c.Cfg.BranchSlots == 2 {
-			c.lRF.sqNoop = true
-			newIF.sqNoop = true
-		} else {
-			newIF.sqNoop = true
+			c.rf().sqNoop = true
 		}
+		f.sqNoop = true
 		c.Squash.Trigger(CauseBranch, c.Cfg.BranchSlots)
 		if o := c.Obs; o != nil && o.Tracer != nil {
 			o.Tracer.Instant(obs.TrackMarks, "ctl", "branch-squash", o.Cycle(), obs.Arg{})
@@ -436,18 +482,17 @@ func (c *CPU) Step() int {
 	}
 
 	// ---- Table 1 accounting: a branch that resolved without squashing
-	// wastes exactly the explicit no-ops sitting in its delay slots.
+	// wastes exactly the explicit no-ops sitting in its delay slots (an
+	// empty latch is zeroed, so it is no no-op).
 	if c.pendingSlotBranch {
 		c.pendingSlotBranch = false
-		slots := []*slot{&newIF}
-		if c.Cfg.BranchSlots == 2 {
-			slots = []*slot{&c.lRF, &newIF}
+		if c.Cfg.BranchSlots == 2 && c.rf().nop {
+			c.Stats.BranchSlotNops++
+			c.Stats.BranchWasted++
 		}
-		for _, sl := range slots {
-			if sl.valid && sl.in.IsNop() {
-				c.Stats.BranchSlotNops++
-				c.Stats.BranchWasted++
-			}
+		if f.nop {
+			c.Stats.BranchSlotNops++
+			c.Stats.BranchWasted++
 		}
 	}
 
@@ -457,10 +502,7 @@ func (c *CPU) Step() int {
 	c.sampleInterrupts()
 
 	// ---- Shift the pipe and update the PC.
-	c.lWB = c.lMEM
-	c.lMEM = c.lALU
-	c.lALU = c.lRF
-	c.lRF = newIF
+	c.iRF, c.iALU, c.iMEM, c.iWB = c.iWB, c.iRF, c.iALU, c.iMEM
 	if redirect {
 		c.pc = redirectTo
 	} else {
@@ -469,7 +511,7 @@ func (c *CPU) Step() int {
 
 	// ---- PC chain shifting (frozen during exception handling).
 	if c.psw.ShiftEnabled() {
-		c.chain = [3]isa.Word{c.lMEM.pc, c.lALU.pc, c.lRF.pc}
+		c.chain = [3]isa.Word{c.mem().pc, c.alu().pc, c.rf().pc}
 	}
 
 	c.Squash.Tick()
@@ -485,7 +527,7 @@ func (c *CPU) Step() int {
 // makes the ledger's conservation invariant exact. It also closes the
 // per-instruction occupancy span when the tracer records them.
 func (c *CPU) attributeWB(o *obs.Sink) {
-	s := &c.lWB
+	s := c.wb()
 	switch {
 	case !s.valid:
 		o.Ledger.Add(obs.CausePipeFill, 1)
@@ -493,7 +535,7 @@ func (c *CPU) attributeWB(o *obs.Sink) {
 		o.Ledger.Add(obs.CauseSquashAnnul, 1)
 	case s.excNoop:
 		o.Ledger.Add(obs.CauseExceptionKill, 1)
-	case s.in.IsNop():
+	case s.nop:
 		o.Ledger.Add(obs.CauseNop, 1)
 	default:
 		o.Ledger.Add(obs.CauseExecute, 1)
@@ -522,19 +564,19 @@ func (c *CPU) takeException(cause isa.PSW) {
 		c.Stats.Interrupts++
 	}
 	kill := func(s *slot) {
-		if s.valid && !s.noop() {
+		if s.valid && !s.annulled() {
 			s.excNoop = true
 			c.Stats.Killed++
 		}
 	}
 	// Roll back the speculative MD register to the value before the killed
 	// MEM-stage instruction's ALU cycle.
-	if c.lMEM.alive() {
-		c.md = c.lMEM.mdBefore
+	if m := c.mem(); m.alive() {
+		c.md = m.mdBefore
 	}
-	kill(&c.lMEM)
-	kill(&c.lALU)
-	kill(&c.lRF)
+	kill(c.mem())
+	kill(c.alu())
+	kill(c.rf())
 	c.Squash.Trigger(CauseException, 2)
 	if o := c.Obs; o != nil && o.Tracer != nil {
 		o.Tracer.Instant(obs.TrackMarks, "ctl", "exception", o.Cycle(), obs.CauseArg(uint32(cause)))
@@ -548,13 +590,13 @@ func (c *CPU) takeException(cause isa.PSW) {
 }
 
 // commitWB retires the WB latch: the single point where machine state
-// changes (delayed writeback).
+// changes (delayed writeback). The latch keeps its contents until IF
+// refills it later in the same Step.
 func (c *CPU) commitWB() {
-	s := &c.lWB
+	s := c.wb()
 	if !s.valid {
 		return
 	}
-	defer func() { *s = slot{} }()
 	if s.sqNoop {
 		c.Stats.Squashed++
 		c.Prof.NoteWB(uint32(s.pc))
@@ -576,21 +618,21 @@ func (c *CPU) commitWB() {
 		// arithmetic exactly consistent with the ledger.
 		c.Prof.NoteBranch(uint32(s.pc), s.taken)
 	}
-	if s.in.IsNop() {
+	if s.nop {
 		c.Stats.Nops++
 	}
 	if c.Trace != nil {
 		c.Trace(s.pc, s.in, false)
 	}
 
-	in := s.in
+	in := &s.in
 	// General register result.
-	if rd, ok := in.WritesReg(); ok {
+	if s.dst != 0 {
 		v := s.aluOut
-		if in.IsLoad() {
+		if s.load {
 			v = s.memData
 		}
-		c.regs[rd] = v
+		c.regs[s.dst&(isa.NumRegs-1)] = v
 	}
 	// Special-register writes commit here too; Exception and Squash
 	// suppress them exactly like register writes (the paper's one added
@@ -623,7 +665,7 @@ func (c *CPU) commitWB() {
 // stageMEM performs the MEM pipestage for the latch in MEM: external data
 // access or coprocessor operation. Returns stall cycles.
 func (c *CPU) stageMEM() int {
-	s := &c.lMEM
+	s := c.mem()
 	if !s.alive() {
 		return 0
 	}
@@ -693,7 +735,7 @@ func (c *CPU) stageMEM() int {
 // exception detection. It returns the fetch redirect (if any) and whether a
 // squash event fired.
 func (c *CPU) stageALU() (redirect bool, target isa.Word, squashEvent bool) {
-	s := &c.lALU
+	s := c.alu()
 	if !s.alive() {
 		return false, 0, false
 	}
@@ -822,8 +864,8 @@ func (c *CPU) aluCompute(s *slot) (redirect bool, target isa.Word, squashEvent b
 		}
 		s.aluOut = rem
 	case isa.CompMovs:
-		if c.lMEM.alive() && c.lMEM.in.Class == isa.ClassCompute &&
-			c.lMEM.in.Comp == isa.CompMots && c.lMEM.in.Func == in.Func {
+		if m := c.mem(); m.alive() && m.in.Class == isa.ClassCompute &&
+			m.in.Comp == isa.CompMots && m.in.Func == in.Func {
 			c.violate(s.pc, "movs reads %s written by the previous instruction (commits at WB)",
 				isa.SpecName(in.Func))
 		}
@@ -914,7 +956,7 @@ func (c *CPU) accountBranch(pc isa.Word, in isa.Instruction, taken, squash bool)
 // the branch redirects the fetch after a single delay slot — at the price of
 // one fewer level of bypassing (see quickOperand).
 func (c *CPU) stageRFQuick() (redirect bool, target isa.Word, squashEvent bool) {
-	s := &c.lRF
+	s := c.rf()
 	if !s.alive() {
 		return false, 0, false
 	}
@@ -943,7 +985,7 @@ func (c *CPU) sampleInterrupts() {
 	if !c.NMILine && !(c.IntLine && c.psw.IntEnabled()) {
 		return
 	}
-	s := &c.lALU
+	s := c.alu()
 	if !s.valid || s.sqNoop || s.excNoop || s.excCause != 0 {
 		return
 	}

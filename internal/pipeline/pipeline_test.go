@@ -527,3 +527,29 @@ func TestLdcLoadDelayAppliesToCoprocessorReads(t *testing.T) {
 		t.Fatalf("ldc result %d", r.cpu.Reg(2))
 	}
 }
+
+// TestDecodeRecord: the record carries the isa predicates' answers, and the
+// zero record is word 0's, so a zeroed memo entry is valid as it stands.
+func TestDecodeRecord(t *testing.T) {
+	if d := decode(0); d != (dec{}) {
+		t.Fatalf("decode(0) = %+v, want the zero record", d)
+	}
+	for _, tc := range []struct {
+		in   isa.Instruction
+		want dec
+	}{
+		{isa.Nop(), dec{nop: true}},
+		{isa.Instruction{Class: isa.ClassMem, Mem: isa.MemLd, Rd: 3}, dec{dst: 3, load: true}},
+		{isa.Instruction{Class: isa.ClassMem, Mem: isa.MemLdc, Rd: 4}, dec{dst: 4, load: true}},
+		{isa.Instruction{Class: isa.ClassMem, Mem: isa.MemSt, Rd: 3}, dec{}},
+		{isa.Instruction{Class: isa.ClassCompute, Comp: isa.CompAddu, Rd: 5, Rs1: 1}, dec{dst: 5}},
+		{isa.Instruction{Class: isa.ClassComputeImm, Imm: isa.ImmJspci, Rd: 31}, dec{dst: 31}},
+		{isa.Instruction{Class: isa.ClassCompute, Comp: isa.CompMots, Rs1: 2}, dec{}},
+	} {
+		w := tc.in.Encode()
+		tc.want.in = isa.Decode(w)
+		if got := decode(w); got != tc.want {
+			t.Errorf("decode(%v) = %+v, want %+v", tc.in, got, tc.want)
+		}
+	}
+}

@@ -25,9 +25,9 @@ func (c *CPU) Snapshot() string {
 		}
 		fmt.Fprintf(&b, "%06x%s %s", s.pc, mark, s.in)
 	}
-	stage("RF", &c.lRF)
-	stage("ALU", &c.lALU)
-	stage("MEM", &c.lMEM)
-	stage("WB", &c.lWB)
+	stage("RF", c.rf())
+	stage("ALU", c.alu())
+	stage("MEM", c.mem())
+	stage("WB", c.wb())
 	return b.String()
 }

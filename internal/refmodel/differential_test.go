@@ -14,6 +14,7 @@ import (
 	"repro/internal/asm"
 	"repro/internal/core"
 	"repro/internal/isa"
+	"repro/internal/lint"
 	"repro/internal/reorg"
 	"repro/internal/tinyc"
 )
@@ -265,20 +266,30 @@ func TestCompiledSuiteMatchesGoldenModel(t *testing.T) {
 	}
 }
 
-// TestSelfModifyingStoreMatchesGoldenModel: a store rewrites an instruction
-// inside the running loop itself. The pipeline fetches through the Icache,
-// so a fetch that served the stale pre-patch word would diverge from the
-// golden model, which decodes memory directly.
+// TestSelfModifyingStoreMatchesGoldenModel: programs whose fetched words
+// change under the pipeline's feet, run under both branch-slot counts. The
+// pipeline fetches through the Icache and its decode memo, so a fetch that
+// served a stale word, or a stale decode, would diverge from the golden
+// model, which decodes memory directly.
 func TestSelfModifyingStoreMatchesGoldenModel(t *testing.T) {
-	const src = `
+	cases := []struct {
+		name, src, want string
+		// apart, when set, names two labels whose PCs must be exactly
+		// memoSpan apart.
+		apart [2]string
+	}{{
+		// A store rewrites an instruction inside the running loop itself:
+		// one pass through the original instruction, five through the patch.
+		name: "patch",
+		src: `
 	main:	la   r1, patch
 		la   r2, alt
 		ld   r3, 0(r2)
 		addi r4, r0, 6
 	loop:
 	patch:	addi r5, r5, 1        ; overwritten by the alt instruction
-		st   r3, 0(r1)
 		addi r4, r4, -1
+		st   r3, 0(r1)
 		bne  r4, r0, loop
 		nop
 		nop
@@ -286,30 +297,82 @@ func TestSelfModifyingStoreMatchesGoldenModel(t *testing.T) {
 		halt
 	alt:	addi r5, r5, 7
 		halt
-	`
-	im, err := asm.AssembleSource(src, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := New(2, im.Base, im.Words)
-	if err := ref.Run(1_000_000); err != nil {
-		t.Fatal(err)
-	}
-	m := core.New(core.DefaultConfig(), nil)
-	m.Load(im)
-	if _, err := m.Run(1_000_000); err != nil {
-		t.Fatal(err)
-	}
-	// One pass through the original instruction, five through the patch.
-	if got, want := ref.Out.String(), "36\n"; got != want {
-		t.Fatalf("golden model printed %q, want %q", got, want)
-	}
-	if got, want := m.Output(), ref.Out.String(); got != want {
-		t.Fatalf("pipeline printed %q, golden model %q", got, want)
-	}
-	for r := isa.Reg(1); r < isa.NumRegs; r++ {
-		if got, want := m.CPU.Reg(r), ref.reg(r); got != want {
-			t.Errorf("r%d = %#x, golden model says %#x", r, got, want)
+	`,
+		want: "36\n",
+	}, {
+		// Two PCs one decode-memo size apart share a memo entry and hold
+		// different instructions, so every iteration re-decodes both; the
+		// store then rewrites one of them.
+		name: "memo-collision",
+		src: `
+	main:	la   r1, near
+		la   r2, alt
+		ld   r3, 0(r2)
+		addi r4, r0, 6
+		nop
+	loop:
+	near:	addi r5, r5, 1        ; overwritten by the alt instruction
+		addi r4, r4, -1
+		st   r3, 0(r1)
+		jspci r0, far(r0)
+		nop
+		nop
+		.space 1018
+	far:	addi r6, r6, 100      ; same memo entry as near
+		nop
+		bne  r4, r0, loop
+		nop
+		nop
+		putw r5
+		putw r6
+		halt
+	alt:	addi r5, r5, 7
+		halt
+	`,
+		want:  "36\n600\n",
+		apart: [2]string{"near", "far"},
+	}}
+	// memoSpan is the pipeline's decode-memo entry count: PCs this far apart
+	// map to one entry.
+	const memoSpan = 1024
+	for _, tc := range cases {
+		im, err := asm.AssembleSource(tc.src, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if a := tc.apart; a[0] != "" {
+			if d := im.Symbols[a[1]] - im.Symbols[a[0]]; d != memoSpan {
+				t.Fatalf("%s: %s is %d words past %s, want %d", tc.name, a[1], d, a[0], memoSpan)
+			}
+		}
+		for _, slots := range []int{2, 1} {
+			t.Run(fmt.Sprintf("%s/slots=%d", tc.name, slots), func(t *testing.T) {
+				if rep := lint.CheckImage(im, lint.Config{Slots: slots}); rep.HasErrors() {
+					t.Fatalf("program has interlock hazards:\n%s", rep)
+				}
+				ref := New(slots, im.Base, im.Words)
+				if err := ref.Run(1_000_000); err != nil {
+					t.Fatal(err)
+				}
+				cfg := core.DefaultConfig()
+				cfg.Pipeline.BranchSlots = slots
+				m := core.New(cfg, nil)
+				m.Load(im)
+				if _, err := m.Run(1_000_000); err != nil {
+					t.Fatal(err)
+				}
+				if got := ref.Out.String(); got != tc.want {
+					t.Fatalf("golden model printed %q, want %q", got, tc.want)
+				}
+				if got, want := m.Output(), ref.Out.String(); got != want {
+					t.Fatalf("pipeline printed %q, golden model %q", got, want)
+				}
+				for r := isa.Reg(1); r < isa.NumRegs; r++ {
+					if got, want := m.CPU.Reg(r), ref.reg(r); got != want {
+						t.Errorf("r%d = %#x, golden model says %#x", r, got, want)
+					}
+				}
+			})
 		}
 	}
 }
