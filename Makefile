@@ -64,14 +64,15 @@ cost-gate:
 	$(GO) test ./internal/experiments -run TestStaticCostMatchesLedgerEveryBenchmarkEveryScheme -count=1
 
 # Longer exploration of the compile → reorganize → lint invariant, the
-# pipeline-vs-golden-model differential, the spec JSON boundary and the
-# trace encoder against its json.Marshal reference (CI smokes all four on
-# every merge).
+# pipeline-vs-golden-model differential, the spec JSON boundary, the trace
+# encoder against its json.Marshal reference and the window-stream decoder
+# (CI smokes all five on every merge).
 fuzz:
 	$(GO) test ./internal/lint -fuzz=FuzzCompileReorgLint -fuzztime=60s
 	$(GO) test ./internal/refmodel -fuzz=FuzzPipelineVsRefmodel -fuzztime=60s -run '^$$'
 	$(GO) test ./internal/spec -fuzz=FuzzSpecParse -fuzztime=60s -run '^$$'
 	$(GO) test ./internal/obs -fuzz=FuzzTraceEncode -fuzztime=60s -run '^$$'
+	$(GO) test ./internal/obs -fuzz=FuzzParseWindowStream -fuzztime=60s -run '^$$'
 
 # Bench-regression tracking: verify every experiment table against the
 # recorded golden baseline (exit 1 on drift) three times — once serially
@@ -139,8 +140,9 @@ scenario-baseline:
 # on a machine run that traps and uses the coprocessor), the fmt-based
 # disassembler reference on 1M random words, the whole suite's trace pinned
 # by digest, zero allocations per event, windowed conservation across squash
-# and context-switch boundaries, and observation purity with streaming
-# tracers + windowed ledgers attached. (2) End-to-end: mipsx-run -trace-out
+# and context-switch boundaries, observation purity with streaming tracers
+# + windowed ledgers attached, and the window-stream decoder's fuzz seeds.
+# (2) End-to-end: mipsx-run -trace-out
 # on the golden-trace workload must write the committed golden trace byte
 # for byte. (3) A live windowed run whose mipsx-obswin/v1 stream mipsx-trace
 # -follow -once replays with every per-window conservation check passing.
@@ -149,7 +151,7 @@ scenario-baseline:
 # budget and the streamed tracer within its backstop.
 TRACE_TESTDATA = internal/core/testdata
 stream-gate:
-	$(GO) test ./internal/obs -run 'TestStream|TestStart|TestWindow|TestParseWindowStream|TestEncoderMatchesReference|TestTraceAllocs|FuzzTraceEncode' -count=1
+	$(GO) test ./internal/obs -run 'TestStream|TestStart|TestWindow|TestParseWindowStream|TestEncoderMatchesReference|TestTraceAllocs|FuzzTraceEncode|FuzzParseWindowStream' -count=1
 	$(GO) test ./internal/isa -run 'TestAppend' -count=1
 	$(GO) test ./internal/core -run 'TestTraceGolden|TestTraceSuiteDigest|TestStreamedTraceByteIdenticalMachine|TestStreamNeverDropsOnMachineRun|TestObservationPurityStreamingAndWindows|TestWindowSeam' -count=1
 	$(GO) test ./internal/scenario -run 'TestWindow' -count=1

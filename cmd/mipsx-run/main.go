@@ -165,7 +165,6 @@ func main() {
 		m := core.New(cfg, os.Stdout)
 		m.Load(im)
 		var rec trace.Recorder
-		rec.DiscardInstrs = true // only branch outcomes feed the profile
 		rec.Attach(m.CPU)
 		if _, err := m.Run(*maxCycles); err != nil {
 			fail(err)

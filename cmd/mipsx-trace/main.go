@@ -135,9 +135,16 @@ func viz(args []string) {
 	if err != nil {
 		fail(err)
 	}
-	// A window stream is line-framed JSONL, not one JSON document — probe
-	// its first line before attempting a whole-file parse.
-	if first := firstLine(b); isWindowHeader(first) {
+	// The schema comes from the file's first JSON value: the whole document,
+	// or the header line of a line-framed window stream.
+	var probe struct {
+		Schema string `json:"schema"`
+	}
+	if err := json.NewDecoder(bytes.NewReader(b)).Decode(&probe); err != nil {
+		fail(fmt.Errorf("%s: not a recognized observability document: %w", fs.Arg(0), err))
+	}
+	switch probe.Schema {
+	case obs.WindowSchema:
 		doc, err := obs.ParseWindowStream(bytes.NewReader(b))
 		if err != nil {
 			fail(fmt.Errorf("%s: %w", fs.Arg(0), err))
@@ -145,15 +152,6 @@ func viz(args []string) {
 		if err := renderWindowDoc(doc, os.Stdout); err != nil {
 			fail(fmt.Errorf("%s: %w", fs.Arg(0), err))
 		}
-		return
-	}
-	var probe struct {
-		Schema string `json:"schema"`
-	}
-	if err := json.Unmarshal(b, &probe); err != nil {
-		fail(fmt.Errorf("%s: not a recognized observability document: %w", fs.Arg(0), err))
-	}
-	switch probe.Schema {
 	case obs.ReportSchema:
 		rep, err := obs.ParseReport(b)
 		if err != nil {
@@ -209,22 +207,6 @@ func viz(args []string) {
 	}
 }
 
-// firstLine returns the bytes up to (not including) the first newline.
-func firstLine(b []byte) []byte {
-	if i := bytes.IndexByte(b, '\n'); i >= 0 {
-		return b[:i]
-	}
-	return b
-}
-
-// isWindowHeader reports whether line is a mipsx-obswin/v1 stream header.
-func isWindowHeader(line []byte) bool {
-	var probe struct {
-		Schema string `json:"schema"`
-	}
-	return json.Unmarshal(line, &probe) == nil && probe.Schema == obs.WindowSchema
-}
-
 // renderWindowDoc prints a windowed time-series: the per-window conservation
 // verdict, the cause evolution over windows, and the cumulative
 // decomposition. A conservation failure is an error — the caller exits
@@ -265,12 +247,12 @@ func writeContexts(w io.Writer, win *obs.Window) {
 	}
 }
 
-// followState replays a window stream line by line, maintaining the rolling
-// cumulative attribution the live renderer shows. Separated from the I/O
-// loop so the parsing/rendering logic is testable on byte slices.
+// followState replays a window stream line by line through the obs
+// decoder (the one viz uses), maintaining the rolling cumulative
+// attribution the live renderer shows. Separated from the I/O loop so the
+// parsing/rendering logic is testable on byte slices.
 type followState struct {
-	header  bool
-	size    uint64
+	dec     obs.WindowDecoder
 	windows uint64
 	cum     map[string]uint64
 	cycles  uint64
@@ -280,38 +262,19 @@ type followState struct {
 // feedLine consumes one complete line (header first, then windows),
 // returning whether a new window was added.
 func (st *followState) feedLine(line []byte) (bool, error) {
-	line = bytes.TrimSpace(line)
-	if len(line) == 0 {
-		return false, nil
-	}
-	if !st.header {
-		if !isWindowHeader(line) {
-			return false, fmt.Errorf("not a %s stream header: %s", obs.WindowSchema, line)
-		}
-		var h struct {
-			Window uint64 `json:"window"`
-		}
-		if err := json.Unmarshal(line, &h); err != nil {
-			return false, err
-		}
-		st.header = true
-		st.size = h.Window
-		st.cum = make(map[string]uint64)
-		return false, nil
-	}
-	var win obs.Window
-	if err := json.Unmarshal(line, &win); err != nil {
-		return false, fmt.Errorf("bad window line: %w", err)
-	}
-	if err := win.Check(); err != nil {
+	win, err := st.dec.Line(line)
+	if err != nil || win == nil {
 		return false, err
+	}
+	if st.cum == nil {
+		st.cum = make(map[string]uint64)
 	}
 	for _, c := range win.Causes {
 		st.cum[c.Cause] += c.Cycles
 	}
 	st.cycles += win.Cycles
 	st.windows++
-	st.last = &win
+	st.last = win
 	return true, nil
 }
 
@@ -319,7 +282,7 @@ func (st *followState) feedLine(line []byte) (bool, error) {
 // per-context breakdown, then the cumulative table across all windows seen.
 func (st *followState) render(w io.Writer) {
 	if st.last == nil {
-		fmt.Fprintf(w, "waiting for windows (%d-cycle windows)\n", st.size)
+		fmt.Fprintf(w, "waiting for windows (%d-cycle windows)\n", st.dec.Size)
 		return
 	}
 	fmt.Fprintf(w, "\n== window %d (start %d, %d cycles; %d windows, %d cycles so far) ==\n",
@@ -365,7 +328,7 @@ func follow(path string, interval time.Duration, once bool, out io.Writer) error
 		}
 		if rerr == io.EOF {
 			if once {
-				if !st.header {
+				if st.dec.Size == 0 {
 					return fmt.Errorf("%s: no window-stream header yet", path)
 				}
 				st.render(out)

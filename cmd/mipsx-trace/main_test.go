@@ -53,15 +53,26 @@ func TestFollowStateRejectsBadStream(t *testing.T) {
 	if _, err := ok.feedLine([]byte(`{"index":0,"start":0,"cycles":9,"causes":[{"cause":"execute","cycles":5}]}`)); err == nil {
 		t.Fatal("non-conserving window must be rejected")
 	}
-}
 
-func TestIsWindowHeader(t *testing.T) {
-	if !isWindowHeader([]byte(`{"schema":"mipsx-obswin/v1","window":4}`)) {
-		t.Fatal("valid header not recognized")
-	}
-	for _, bad := range []string{`{"schema":"mipsx-obs/v1"}`, `not json`, ``} {
-		if isWindowHeader([]byte(bad)) {
-			t.Fatalf("non-header accepted: %q", bad)
+	// Streams viz rejects as a whole: every line but the last is accepted,
+	// and the last must be rejected as it arrives.
+	lines := strings.Split(sampleStream, "\n")
+	for name, stream := range map[string][]string{
+		"window size 0":   {`{"schema":"mipsx-obswin/v1","window":0}`},
+		"repeated window": {lines[0], lines[1], lines[1]},
+		"short non-final window": {lines[0],
+			`{"index":0,"start":0,"cycles":10,"causes":[{"cause":"execute","cycles":10}]}`,
+			`{"index":1,"start":10,"cycles":16,"causes":[{"cause":"execute","cycles":16}]}`},
+	} {
+		st := &followState{}
+		for i, line := range stream {
+			_, err := st.feedLine([]byte(line))
+			if last := i == len(stream)-1; last && err == nil {
+				t.Errorf("%s: line %d accepted, want an error", name, i+1)
+			} else if !last && err != nil {
+				t.Errorf("%s: line %d rejected: %v", name, i+1, err)
+				break
+			}
 		}
 	}
 }

@@ -72,7 +72,6 @@ func main() {
 	m := core.New(core.DefaultConfig(), nil)
 	m.Load(im)
 	var rec trace.Recorder
-	rec.DiscardInstrs = true // only branch outcomes feed the profile
 	rec.Attach(m.CPU)
 	if _, err := m.Run(100_000_000); err != nil {
 		log.Fatal(err)

@@ -151,7 +151,7 @@ type Engine struct {
 
 	cells     atomic.Uint64 // cells executed or replayed
 	cycles    atomic.Uint64 // simulated machine cycles, reported by cell bodies
-	submitted atomic.Uint64 // cells handed to Run since construction/reset
+	submitted atomic.Uint64 // cells handed to Run since construction
 	started   atomic.Int64  // first-submission wall clock (UnixNano), for cells/sec
 	lastProg  atomic.Int64  // last progress line's wall clock (UnixNano)
 
@@ -456,10 +456,10 @@ func (e *Engine) Attribution() map[string]uint64 {
 	return out
 }
 
-// Cells returns the number of cells executed since construction/reset.
+// Cells returns the number of cells executed since construction.
 func (e *Engine) Cells() uint64 { return e.cells.Load() }
 
-// Cycles returns the simulated cycles accounted since construction/reset.
+// Cycles returns the simulated cycles accounted since construction.
 func (e *Engine) Cycles() uint64 { return e.cycles.Load() }
 
 // Timings returns a copy of the recorded per-cell timings (empty unless
@@ -470,22 +470,6 @@ func (e *Engine) Timings() []CellTiming {
 	out := make([]CellTiming, len(e.timings))
 	copy(out, e.timings)
 	return out
-}
-
-// ResetMetrics clears counters and recorded timings.
-func (e *Engine) ResetMetrics() {
-	e.cells.Store(0)
-	e.cycles.Store(0)
-	e.submitted.Store(0)
-	e.started.Store(0)
-	e.memoHits.Store(0)
-	e.memoMisses.Store(0)
-	e.memoWriteErrors.Store(0)
-	e.memoCorrupt.Store(0)
-	e.mu.Lock()
-	e.timings = nil
-	e.attr = nil
-	e.mu.Unlock()
 }
 
 // ---------------------------------------------------------------------------

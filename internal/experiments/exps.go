@@ -70,22 +70,15 @@ func IcacheDesign() (*Table, error) {
 		Paper:  "single fetch >20% miss; double fetch ~12% miss → 1.24 cycles/fetch; 2-cycle vs 3-cycle miss is the lever",
 		Header: []string{"organization", "miss ratio", "fetch cycles", "words/miss"},
 	}
-	ctx := context.Background()
-	eng := DefaultEngine()
-	// The two large-program traces are content-addressed artifacts: the
-	// cells below are keyed on the full synthesis closure, so a hot run
-	// replays the encoded streams instead of regenerating them.
+	// The two large-program traces, each generated on first use by the
+	// organization cells that share its source.
 	specs := []traceSpec{
 		synthTrace(trace.PascalSynth(0), 300_000),
 		synthTrace(trace.LispSynth(0), 300_000),
 	}
-	traces := make([][]isa.Word, len(specs))
-	cells := make([]Cell, len(specs))
+	srcs := make([]func() ([]isa.Word, error), len(specs))
 	for i := range specs {
-		cells[i] = specs[i].cell(fmt.Sprintf("E2/trace[%d]", i), &traces[i])
-	}
-	if err := eng.Run(ctx, cells); err != nil {
-		return nil, err
+		srcs[i] = specs[i].source()
 	}
 	type org struct {
 		name string
@@ -104,13 +97,12 @@ func IcacheDesign() (*Table, error) {
 	// One memoized cell per (organization, trace), keyed on the trace's
 	// identity plus the Icache sub-spec digest; traces are shared read-only.
 	res := make([]fetchCost, len(orgs)*len(specs))
-	ocells := make([]Cell, len(res))
+	cells := make([]Cell, len(res))
 	for k := range res {
 		o, ti := k/len(specs), k%len(specs)
-		ocells[k] = icacheCostCell(fmt.Sprintf("E2/org[%d]", k), specs[ti], orgs[o].ic,
-			shared(&traces[ti]), &res[k])
+		cells[k] = icacheCostCell(fmt.Sprintf("E2/org[%d]", k), specs[ti], orgs[o].ic, srcs[ti], &res[k])
 	}
-	if err := eng.Run(ctx, ocells); err != nil {
+	if err := DefaultEngine().Run(context.Background(), cells); err != nil {
 		return nil, err
 	}
 	for i, o := range orgs {
@@ -200,8 +192,8 @@ func BranchCacheVsStatic() (*Table, error) {
 	// benchmark, concatenated in submission order after the fan-in; the
 	// synthetic large-program stream (hundreds of static branch sites, where
 	// the 16-entry cache visibly starves — the paper's "much greater than 16
-	// entries" finding) is a content-addressed artifact keyed on its
-	// generator parameters.
+	// entries" finding) is generated in a plain cell: it costs less to
+	// synthesize than a stored copy costs to replay.
 	benches := table1Benchmarks()
 	perBench := make([][]trace.BranchEvent, len(benches))
 	var big []trace.BranchEvent
@@ -209,7 +201,10 @@ func BranchCacheVsStatic() (*Table, error) {
 	for i, b := range benches {
 		cells = append(cells, branchTraceCell("E4/trace/"+b.Name, b, reorg.Default(), spec.Default(), &perBench[i]))
 	}
-	cells = append(cells, synthBranchCell("E4/synth-branches", 120_000, 400, 11, &big))
+	cells = append(cells, Cell{ID: "E4/synthetic", Fn: func(context.Context) error {
+		big = syntheticBranchStream(120_000, 400, 11)
+		return nil
+	}})
 	if err := DefaultEngine().Run(context.Background(), cells); err != nil {
 		return nil, err
 	}
@@ -356,10 +351,11 @@ func SustainedThroughput() (*Table, error) {
 	// by each suite's data-reference density after the fan-in). The trace
 	// cells are memoized on (trace identity × cache parameters); their
 	// Icache closures are the same as E2's chosen-organization cells, so
-	// even a cold suite pass shares those simulations. The traces
-	// themselves materialize lazily through nested artifact cells.
+	// even a cold suite pass shares those simulations. Each trace is
+	// generated only if its cell misses.
 	tsPas := synthTrace(trace.PascalSynth(0), 300_000)
 	tsLis := synthTrace(trace.LispSynth(0), 300_000)
+	mpPas, mpLis := multiprogSpec(1), multiprogSpec(2)
 	var pas, lis suiteStats
 	var icost [2]fetchCost
 	var esweep [2]ecacheSweep
@@ -374,14 +370,10 @@ func SustainedThroughput() (*Table, error) {
 			lis, err = runSuite(ctx, tinyc.SuiteByClass("lisp"), reorg.Default(), true, ms)
 			return err
 		}},
-		icacheCostCell("E6/icache/pascal", tsPas, spec.Default().ICache,
-			tsPas.materialize("E6/icache/pascal/trace"), &icost[0]),
-		icacheCostCell("E6/icache/lisp", tsLis, spec.Default().ICache,
-			tsLis.materialize("E6/icache/lisp/trace"), &icost[1]),
-		ecacheSweepCell("E6/ecache/pascal", multiprogSpec(1), spec.DefaultECache(), false,
-			multiprogSpec(1).materialize("E6/ecache/pascal/trace"), &esweep[0]),
-		ecacheSweepCell("E6/ecache/lisp", multiprogSpec(2), spec.DefaultECache(), false,
-			multiprogSpec(2).materialize("E6/ecache/lisp/trace"), &esweep[1]),
+		icacheCostCell("E6/icache/pascal", tsPas, spec.Default().ICache, tsPas.source(), &icost[0]),
+		icacheCostCell("E6/icache/lisp", tsLis, spec.Default().ICache, tsLis.source(), &icost[1]),
+		ecacheSweepCell("E6/ecache/pascal", mpPas, spec.DefaultECache(), false, mpPas.source(), &esweep[0]),
+		ecacheSweepCell("E6/ecache/lisp", mpLis, spec.DefaultECache(), false, mpLis.source(), &esweep[1]),
 	}
 	if err := DefaultEngine().Run(context.Background(), cells); err != nil {
 		return nil, err
@@ -536,11 +528,9 @@ func EcacheAblations() (*Table, error) {
 		Paper:  "FIFO ~12% worse than LRU; write-through traffic ≫ copy-back; miss ratio falls with size",
 		Header: []string{"configuration", "miss ratio", "bus words/1k refs"},
 	}
-	ctx := context.Background()
-	eng := DefaultEngine()
-	// The multiprogrammed trace is a composite artifact: the interleave and
-	// both members are content-addressed, so a hot run decodes the recorded
-	// stream instead of synthesizing it.
+	// The multiprogrammed trace: two members interleaved at the survey's
+	// quantum, generated on first use by the ablation cells sharing its
+	// source.
 	ts := traceSpec{
 		Members: []synthSpec{
 			{Cfg: trace.PascalSynth(64 * 1024), Refs: 120_000},
@@ -548,10 +538,7 @@ func EcacheAblations() (*Table, error) {
 		},
 		Quantum: 10_000,
 	}
-	var tr []isa.Word
-	if err := eng.Run(ctx, []Cell{ts.cell("E10/trace", &tr)}); err != nil {
-		return nil, err
-	}
+	src := ts.source()
 	// Every row derives from the one SweepECache preset, so the ablations
 	// can never drift from each other's baseline.
 	type ablation struct {
@@ -587,10 +574,9 @@ func EcacheAblations() (*Table, error) {
 	res := make([]ecacheSweep, len(abls))
 	cells := make([]Cell, len(abls))
 	for i := range abls {
-		cells[i] = ecacheSweepCell(fmt.Sprintf("E10/abl[%d]", i), ts, abls[i].ec, abls[i].writes,
-			shared(&tr), &res[i])
+		cells[i] = ecacheSweepCell(fmt.Sprintf("E10/abl[%d]", i), ts, abls[i].ec, abls[i].writes, src, &res[i])
 	}
-	if err := eng.Run(ctx, cells); err != nil {
+	if err := DefaultEngine().Run(context.Background(), cells); err != nil {
 		return nil, err
 	}
 	for i, a := range abls {

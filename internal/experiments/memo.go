@@ -34,7 +34,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/isa"
 	"repro/internal/trace"
@@ -83,9 +82,6 @@ type MemoStore struct {
 
 	mu  sync.RWMutex
 	mem map[string]memoEntry
-
-	hits   atomic.Uint64
-	misses atomic.Uint64
 }
 
 // NewMemoStore opens a store. dir == "" keeps results in memory only
@@ -98,19 +94,6 @@ func NewMemoStore(dir string) (*MemoStore, error) {
 		}
 	}
 	return &MemoStore{dir: dir, mem: make(map[string]memoEntry)}, nil
-}
-
-// Hits and Misses report lookup outcomes since construction.
-func (s *MemoStore) Hits() uint64   { return s.hits.Load() }
-func (s *MemoStore) Misses() uint64 { return s.misses.Load() }
-
-// HitRate is hits over all lookups (0 when nothing was looked up).
-func (s *MemoStore) HitRate() float64 {
-	h, m := s.hits.Load(), s.misses.Load()
-	if h+m == 0 {
-		return 0
-	}
-	return float64(h) / float64(h+m)
 }
 
 func (s *MemoStore) path(key string) string {
@@ -134,11 +117,6 @@ func (s *MemoStore) get(key string) (e memoEntry, ok bool, err error) {
 		} else if errors.Is(err, fs.ErrNotExist) {
 			err = nil
 		}
-	}
-	if ok {
-		s.hits.Add(1)
-	} else {
-		s.misses.Add(1)
 	}
 	return e, ok, err
 }
@@ -228,7 +206,7 @@ func (k *keyBuilder) num(label string, n uint64) *keyBuilder {
 	return k
 }
 
-// words hashes a labelled word slice (assembled program images, traces).
+// words hashes a labelled word slice (assembled program images).
 func (k *keyBuilder) words(label string, ws []isa.Word) *keyBuilder {
 	k.frame(label, 4*len(ws))
 	var buf [4]byte

@@ -216,7 +216,6 @@ func runProfiled(ctx context.Context, b tinyc.Benchmark, scheme reorg.Scheme, ms
 	m1 := core.New(buildConfig(ms.WithScheme(scheme)), nil)
 	m1.Load(im)
 	var rec trace.Recorder
-	rec.DiscardInstrs = true // only branches matter for the profile
 	rec.Attach(m1.CPU)
 	if err := runMachine(ctx, m1); err != nil {
 		return nil, err
@@ -410,7 +409,6 @@ func branchTraceCell(id string, b tinyc.Benchmark, scheme reorg.Scheme, ms spec.
 			m := core.New(buildConfig(ms.WithScheme(scheme)), nil)
 			m.Load(im)
 			var rec trace.Recorder
-			rec.DiscardInstrs = true // only the branch stream feeds E4
 			rec.Attach(m.CPU)
 			if err := runMachine(ctx, m); err != nil {
 				return err

@@ -1,20 +1,21 @@
 package experiments
 
-// Content-addressed trace artifacts and the memoized cells of the
-// trace-driven experiments (E2, E4, E6, E10). A synthesized trace is a
-// deterministic function of its SynthConfig and reference count — for
-// composites, of the member configs and the interleave quantum — so a
-// trace's identity is the framed hash of that closure, and the stream
-// itself (delta/varint-encoded, see internal/trace/artifact.go) plus its
-// derived statistics are stored under that key in the engine's MemoStore.
-// The sweeps downstream of a trace key on the trace's identity plus their
-// cache/scheme parameters, so a hot run replays every trace-driven cell
-// without synthesizing a single reference.
+// The memoized cells of the trace-driven experiments (E2, E4, E6, E10). A
+// synthesized trace is a deterministic function of its SynthConfig and
+// reference count — for composites, of the member configs and the
+// interleave quantum — so a trace's identity is the framed hash of that
+// closure. The sweeps downstream of a trace key on that identity plus their
+// cache/scheme parameters and take the stream itself from the trace's lazy
+// source, so a cold miss generates each trace once and a replay that hits
+// every derived cell generates nothing. A trace is an input, not a result:
+// nothing stores it (DESIGN.md §10 has the measurement).
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"sync"
 
 	"repro/internal/bpred"
 	"repro/internal/ecache"
@@ -49,10 +50,12 @@ func synthTrace(cfg trace.SynthConfig, refs int) traceSpec {
 
 func (ts traceSpec) composite() bool { return len(ts.Members) > 1 || ts.Quantum != 0 }
 
-// key is the trace's content identity. A composite folds the quantum and
-// every member's full closure; a single member's identity is its own, so
-// the same stream reached directly or as a one-member "composite" never
-// stores twice.
+// key is the trace's identity, which the derived cells fold into their own
+// keys. A composite folds the quantum and every member's full closure; a
+// single member's identity is its own, so the same stream reached directly
+// or as a one-member "composite" keys its sweeps identically. Nothing is
+// stored under the two kind labels, but every recorded sweep key hashes
+// them, so they must not change.
 func (ts traceSpec) key() string {
 	if !ts.composite() {
 		return ts.Members[0].key()
@@ -66,94 +69,22 @@ func (ts traceSpec) key() string {
 	return k.sum()
 }
 
-// traceArtifact is the stored form of a trace: the exact address stream,
-// compactly encoded, plus its derived statistics.
-type traceArtifact struct {
-	Encoded []byte      `json:"encoded"`
-	Stats   trace.Stats `json:"stats"`
-}
-
-// traceMemo is the CellMemo contract shared by every trace cell: encode on
-// save, decode + sanity-check on load.
-func traceMemo(key string, out *[]isa.Word) *CellMemo {
-	return &CellMemo{
-		Key: func() (string, error) { return key, nil },
-		Save: func() (any, error) {
-			return traceArtifact{Encoded: trace.EncodeAddrs(*out), Stats: trace.ComputeStats(*out)}, nil
-		},
-		Load: func(data []byte) error {
-			var a traceArtifact
-			if err := json.Unmarshal(data, &a); err != nil {
-				return err
-			}
-			tr, err := trace.DecodeAddrs(a.Encoded)
-			if err != nil {
-				return err
-			}
-			if len(tr) != a.Stats.Refs {
-				return fmt.Errorf("trace artifact decodes to %d refs, recorded %d", len(tr), a.Stats.Refs)
-			}
-			*out = tr
-			return nil
-		},
-	}
-}
-
-// cell builds the memoized cell that materializes the trace into *out. A
-// composite fans out one nested memoized cell per member, so members are
-// first-class artifacts shared with any experiment using them directly.
-func (ts traceSpec) cell(id string, out *[]isa.Word) Cell {
-	if !ts.composite() {
-		sp := ts.Members[0]
-		return Cell{
-			ID: id,
-			Fn: func(context.Context) error {
-				*out = trace.NewSynthesizer(sp.Cfg).Generate(sp.Refs)
-				return nil
-			},
-			Memo: traceMemo(sp.key(), out),
+// source returns the trace's lazy generator. The first call synthesizes
+// every member (and interleaves a composite); every call returns that one
+// stream, so the cells sharing a source generate the trace at most once,
+// and not at all when they all replay. Callers treat the stream as
+// read-only.
+func (ts traceSpec) source() func() ([]isa.Word, error) {
+	return sync.OnceValues(func() ([]isa.Word, error) {
+		parts := make([][]isa.Word, len(ts.Members))
+		for i, m := range ts.Members {
+			parts[i] = trace.NewSynthesizer(m.Cfg).Generate(m.Refs)
 		}
-	}
-	return Cell{
-		ID: id,
-		Fn: func(ctx context.Context) error {
-			parts := make([][]isa.Word, len(ts.Members))
-			cells := make([]Cell, len(ts.Members))
-			for i := range ts.Members {
-				cells[i] = synthTrace(ts.Members[i].Cfg, ts.Members[i].Refs).
-					cell(fmt.Sprintf("%s/member[%d]", id, i), &parts[i])
-			}
-			if err := DefaultEngine().Run(ctx, cells); err != nil {
-				return err
-			}
-			tr, err := trace.Interleave(parts, ts.Quantum)
-			if err != nil {
-				return err
-			}
-			*out = tr
-			return nil
-		},
-		Memo: traceMemo(ts.key(), out),
-	}
-}
-
-// materialize returns a lazy accessor that runs the trace cell on demand —
-// for derived cells that own their trace exclusively, so a replay of the
-// derived cell skips materialization entirely.
-func (ts traceSpec) materialize(id string) func(ctx context.Context) ([]isa.Word, error) {
-	return func(ctx context.Context) ([]isa.Word, error) {
-		var tr []isa.Word
-		if err := DefaultEngine().Run(ctx, []Cell{ts.cell(id, &tr)}); err != nil {
-			return nil, err
+		if !ts.composite() {
+			return parts[0], nil
 		}
-		return tr, nil
-	}
-}
-
-// shared wraps an already-materialized trace (an earlier cell stage's
-// output) as the accessor derived cells take.
-func shared(tr *[]isa.Word) func(ctx context.Context) ([]isa.Word, error) {
-	return func(context.Context) ([]isa.Word, error) { return *tr, nil }
+		return trace.Interleave(parts, ts.Quantum)
+	})
 }
 
 // ---------------------------------------------------------------------------
@@ -170,11 +101,11 @@ type fetchCost struct {
 // identically, so the two experiments share cells). The organization is an
 // Icache sub-spec; its digest is the key's configuration material.
 func icacheCostCell(id string, ts traceSpec, ic spec.ICacheSpec,
-	src func(ctx context.Context) ([]isa.Word, error), out *fetchCost) Cell {
+	src func() ([]isa.Word, error), out *fetchCost) Cell {
 	return Cell{
 		ID: id,
-		Fn: func(ctx context.Context) error {
-			tr, err := src(ctx)
+		Fn: func(context.Context) error {
+			tr, err := src()
 			if err != nil {
 				return err
 			}
@@ -211,11 +142,11 @@ type ecacheSweep struct {
 // ablations). The write mix's shape is generator semantics, covered by
 // memoEpoch like the synthesizers'.
 func ecacheSweepCell(id string, ts traceSpec, ec spec.ECacheSpec, writes bool,
-	src func(ctx context.Context) ([]isa.Word, error), out *ecacheSweep) Cell {
+	src func() ([]isa.Word, error), out *ecacheSweep) Cell {
 	return Cell{
 		ID: id,
-		Fn: func(ctx context.Context) error {
-			tr, err := src(ctx)
+		Fn: func(context.Context) error {
+			tr, err := src()
 			if err != nil {
 				return err
 			}
@@ -258,61 +189,32 @@ func boolBit(b bool) uint64 {
 }
 
 // ---------------------------------------------------------------------------
-// Branch-stream artifacts and predictor evaluation (E4).
-
-// branchArtifact is the stored form of a branch-event stream.
-type branchArtifact struct {
-	Encoded []byte `json:"encoded"`
-	Count   int    `json:"count"`
-}
-
-// synthBranchCell materializes the synthetic large-program branch stream as
-// a content-addressed artifact keyed on its generator parameters.
-func synthBranchCell(id string, n, sites int, seed int64, out *[]trace.BranchEvent) Cell {
-	return Cell{
-		ID: id,
-		Fn: func(context.Context) error {
-			*out = syntheticBranchStream(n, sites, seed)
-			return nil
-		},
-		Memo: &CellMemo{
-			Key: func() (string, error) {
-				k := newKey("synth-branches")
-				k.num("refs", uint64(n))
-				k.num("sites", uint64(sites))
-				k.num("seed", uint64(seed))
-				return k.sum(), nil
-			},
-			Save: func() (any, error) {
-				return branchArtifact{Encoded: trace.EncodeBranches(*out), Count: len(*out)}, nil
-			},
-			Load: func(data []byte) error {
-				var a branchArtifact
-				if err := json.Unmarshal(data, &a); err != nil {
-					return err
-				}
-				evs, err := trace.DecodeBranches(a.Encoded)
-				if err != nil {
-					return err
-				}
-				if len(evs) != a.Count {
-					return fmt.Errorf("branch artifact decodes to %d events, recorded %d", len(evs), a.Count)
-				}
-				*out = evs
-				return nil
-			},
-		},
-	}
-}
+// Predictor evaluation (E4).
 
 // branchStreamDigest is a branch stream's content identity. E4's suite
 // stream is concatenated from per-benchmark capture cells, so its closure
 // is the union of theirs; hashing the stream content itself is both simpler
-// and exactly as sound.
+// and exactly as sound. The content is hashed in a compact form — per
+// event, the varint delta of its PC from the previous event's, then a flag
+// byte (bit 0 taken, bit 1 backward) — and these exact bytes are what
+// every recorded predictor key was built from.
 func branchStreamDigest(events []trace.BranchEvent) string {
 	k := newKey("branch-stream")
 	k.num("count", uint64(len(events)))
-	enc := trace.EncodeBranches(events)
+	enc := make([]byte, 0, 2*len(events))
+	prev := int64(0)
+	for _, e := range events {
+		enc = binary.AppendVarint(enc, int64(e.PC)-prev)
+		prev = int64(e.PC)
+		var f byte
+		if e.Taken {
+			f |= 1
+		}
+		if e.Backward {
+			f |= 2
+		}
+		enc = append(enc, f)
+	}
 	k.str("events", string(enc))
 	return k.sum()
 }

@@ -2,7 +2,10 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -72,88 +75,105 @@ func TestBenchDocMemoFieldsAgreeWithoutStore(t *testing.T) {
 	}
 }
 
-// TestTraceArtifactColdThenHot checks the trace cell's store round trip: the
-// hot pass replays the artifact (no synthesis) and the decoded stream is
-// word-identical to the generated one.
-func TestTraceArtifactColdThenHot(t *testing.T) {
+// TestTraceCellsReplayWithoutGenerating checks that a trace is an input,
+// not a stored result: cold, an Icache-cost cell and an Ecache-sweep cell
+// generate their traces through the lazy sources; hot, over the same store,
+// they replay equal results without calling a source at all.
+func TestTraceCellsReplayWithoutGenerating(t *testing.T) {
 	store, err := NewMemoStore("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := synthTrace(trace.LispSynth(0), 30_000)
-	run := func() ([]isa.Word, *Engine) {
-		e := &Engine{Workers: 1, Store: store}
-		var tr []isa.Word
-		if err := e.Run(context.Background(), []Cell{ts.cell("t", &tr)}); err != nil {
-			t.Fatal(err)
-		}
-		return tr, e
-	}
-	cold, ce := run()
-	if ce.MemoHits() != 0 || ce.MemoMisses() != 1 {
-		t.Fatalf("cold pass hits/misses = %d/%d, want 0/1", ce.MemoHits(), ce.MemoMisses())
-	}
-	hot, he := run()
-	if he.MemoHits() != 1 || he.MemoMisses() != 0 {
-		t.Fatalf("hot pass hits/misses = %d/%d, want 1/0", he.MemoHits(), he.MemoMisses())
-	}
-	if len(hot) != len(cold) {
-		t.Fatalf("replayed trace has %d refs, generated %d", len(hot), len(cold))
-	}
-	for i := range hot {
-		if hot[i] != cold[i] {
-			t.Fatalf("replayed trace diverges from generated at ref %d: %d vs %d", i, hot[i], cold[i])
-		}
-	}
-}
-
-// TestCompositeTraceReplaysWholeClosure checks the interleaved (E6/E10-style)
-// trace: cold, the composite and both members run live and store as
-// first-class artifacts; hot, the composite alone replays — the member cells
-// are never consulted.
-func TestCompositeTraceReplaysWholeClosure(t *testing.T) {
-	defer Configure(0, 0, false)
-	store, err := NewMemoStore("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := traceSpec{Members: []synthSpec{
+	single := synthTrace(trace.LispSynth(0), 30_000)
+	comp := traceSpec{Members: []synthSpec{
 		{Cfg: trace.PascalSynth(8 * 1024), Refs: 20_000},
 		{Cfg: trace.LispSynth(8 * 1024), Refs: 20_000},
 	}, Quantum: 1000}
-	run := func() ([]isa.Word, *Engine) {
-		// The composite fans its member cells out through the default engine.
-		e := Configure(1, 0, false)
-		e.Store = store
-		var tr []isa.Word
-		if err := e.Run(context.Background(), []Cell{ts.cell("mp", &tr)}); err != nil {
+	run := func(isrc, esrc func() ([]isa.Word, error)) (fetchCost, ecacheSweep, *Engine) {
+		var fc fetchCost
+		var es ecacheSweep
+		e := &Engine{Workers: 1, Store: store}
+		cells := []Cell{
+			icacheCostCell("ic", single, spec.Default().ICache, isrc, &fc),
+			ecacheSweepCell("ec", comp, spec.SweepECache(), true, esrc, &es),
+		}
+		if err := e.Run(context.Background(), cells); err != nil {
 			t.Fatal(err)
 		}
-		return tr, e
+		return fc, es, e
 	}
-	cold, ce := run()
-	if ce.MemoMisses() != 3 || ce.MemoHits() != 0 {
-		t.Fatalf("cold pass hits/misses = %d/%d, want 0/3 (composite + 2 members)",
-			ce.MemoHits(), ce.MemoMisses())
+
+	var calls atomic.Int32
+	counted := func(src func() ([]isa.Word, error)) func() ([]isa.Word, error) {
+		return func() ([]isa.Word, error) {
+			calls.Add(1)
+			return src()
+		}
 	}
-	hot, he := run()
-	if he.MemoHits() != 1 || he.MemoMisses() != 0 {
-		t.Fatalf("hot pass hits/misses = %d/%d, want 1/0 (composite replay short-circuits members)",
-			he.MemoHits(), he.MemoMisses())
+	coldFC, coldES, ce := run(counted(single.source()), counted(comp.source()))
+	if n := calls.Load(); n != 2 || ce.MemoMisses() != 2 || ce.MemoHits() != 0 {
+		t.Fatalf("cold pass: %d source calls, hits/misses %d/%d, want 2 and 0/2",
+			n, ce.MemoHits(), ce.MemoMisses())
 	}
-	if len(hot) != len(cold) {
-		t.Fatalf("replayed composite has %d refs, generated %d", len(hot), len(cold))
+	if coldFC.Miss == 0 || coldES.MissRatio == 0 || coldES.BusPerKiloRef == 0 {
+		t.Fatalf("cold results look empty: %+v %+v", coldFC, coldES)
 	}
-	for i := range hot {
-		if hot[i] != cold[i] {
-			t.Fatalf("replayed composite diverges at ref %d", i)
+
+	failing := func(name string) func() ([]isa.Word, error) {
+		return func() ([]isa.Word, error) {
+			t.Errorf("hot pass called the %s cell's trace source", name)
+			return nil, errors.New("trace source called on replay")
+		}
+	}
+	hotFC, hotES, he := run(failing("icache"), failing("ecache"))
+	if he.MemoHits() != 2 || he.MemoMisses() != 0 {
+		t.Fatalf("hot pass hits/misses = %d/%d, want 2/0", he.MemoHits(), he.MemoMisses())
+	}
+	if hotFC != coldFC || hotES != coldES {
+		t.Fatalf("replayed results differ: %+v %+v, cold %+v %+v", hotFC, hotES, coldFC, coldES)
+	}
+}
+
+// TestTraceSourceGeneratesOnce checks that every call of one source, from
+// any number of goroutines, returns the same backing array: the trace is
+// generated once and shared read-only.
+func TestTraceSourceGeneratesOnce(t *testing.T) {
+	for _, ts := range []traceSpec{
+		synthTrace(trace.PascalSynth(0), 20_000),
+		{Members: []synthSpec{
+			{Cfg: trace.PascalSynth(8 * 1024), Refs: 10_000},
+			{Cfg: trace.LispSynth(8 * 1024), Refs: 10_000},
+		}, Quantum: 1000},
+	} {
+		src := ts.source()
+		got := make([][]isa.Word, 8)
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				tr, err := src()
+				if err != nil {
+					t.Error(err)
+				}
+				got[i] = tr
+			}()
+		}
+		wg.Wait()
+		if len(got[0]) != 20_000 {
+			t.Fatalf("source returned %d refs, want 20000", len(got[0]))
+		}
+		for i := range got {
+			if len(got[i]) != len(got[0]) || &got[i][0] != &got[0][0] {
+				t.Fatalf("call %d returned a different stream: the trace was generated more than once", i)
+			}
 		}
 	}
 }
 
 // TestTraceKeysCoverTheClosure extends the closure-coverage property to the
-// trace-artifact and derived-sweep keys: every input that changes the data
-// changes the key, and only those.
+// trace identities and the derived-sweep keys: every input that changes the
+// data changes the key, and only those.
 func TestTraceKeysCoverTheClosure(t *testing.T) {
 	seen := map[string]string{}
 	add := func(name, key string) {
@@ -187,7 +207,7 @@ func TestTraceKeysCoverTheClosure(t *testing.T) {
 	}
 
 	// A one-member, zero-quantum traceSpec IS its member: same stream, same
-	// key, so the artifact never stores twice.
+	// key, so its sweeps share cells with the member's.
 	single := synthTrace(pas, 300_000)
 	if single.key() != base.key() {
 		t.Fatal("one-member traceSpec does not share its member's key")
@@ -211,22 +231,18 @@ func TestTraceKeysCoverTheClosure(t *testing.T) {
 	}
 	var fc fetchCost
 	icfg := spec.Default().ICache
-	add("icache/base", keyOf(icacheCostCell("x", single, icfg, shared(nil), &fc)))
-	add("icache/other-trace", keyOf(icacheCostCell("x", comp, icfg, shared(nil), &fc)))
-	add("icache/other-cfg", keyOf(icacheCostCell("x", single, icfg.WithFetch(1, icfg.MissPenalty), shared(nil), &fc)))
+	add("icache/base", keyOf(icacheCostCell("x", single, icfg, nil, &fc)))
+	add("icache/other-trace", keyOf(icacheCostCell("x", comp, icfg, nil, &fc)))
+	add("icache/other-cfg", keyOf(icacheCostCell("x", single, icfg.WithFetch(1, icfg.MissPenalty), nil, &fc)))
 
 	var es ecacheSweep
 	ecfg := spec.DefaultECache()
-	add("ecache/base", keyOf(ecacheSweepCell("x", single, ecfg, false, shared(nil), &es)))
-	add("ecache/writes", keyOf(ecacheSweepCell("x", single, ecfg, true, shared(nil), &es)))
-	add("ecache/other-cfg", keyOf(ecacheSweepCell("x", single, ecfg.WithLineWords(2*ecfg.LineWords), false, shared(nil), &es)))
+	add("ecache/base", keyOf(ecacheSweepCell("x", single, ecfg, false, nil, &es)))
+	add("ecache/writes", keyOf(ecacheSweepCell("x", single, ecfg, true, nil, &es)))
+	add("ecache/other-cfg", keyOf(ecacheSweepCell("x", single, ecfg.WithLineWords(2*ecfg.LineWords), false, nil, &es)))
 
-	// Branch artifacts and predictor rows.
+	// Predictor rows.
 	var evs []trace.BranchEvent
-	add("branches/base", keyOf(synthBranchCell("x", 120_000, 400, 11, &evs)))
-	add("branches/seed", keyOf(synthBranchCell("x", 120_000, 400, 12, &evs)))
-	add("branches/sites", keyOf(synthBranchCell("x", 120_000, 401, 11, &evs)))
-
 	s1 := branchStreamDigest([]trace.BranchEvent{{PC: 4, Taken: true}})
 	s2 := branchStreamDigest([]trace.BranchEvent{{PC: 4, Taken: false}})
 	if s1 == s2 {
@@ -238,4 +254,21 @@ func TestTraceKeysCoverTheClosure(t *testing.T) {
 	add("bpred/cache-64", keyOf(predictorCell("x", s1, "cache", 64, &evs, &pe)))
 	add("bpred/cache-256", keyOf(predictorCell("x", s1, "cache", 256, &evs, &pe)))
 	add("bpred/other-stream", keyOf(predictorCell("x", s2, "static", 0, &evs, &pe)))
+}
+
+// TestBranchStreamDigestBytes pins the compact form branchStreamDigest
+// hashes — per event, the zigzag varint PC delta and a flag byte — so that
+// every predictor key an earlier binary recorded still replays.
+func TestBranchStreamDigestBytes(t *testing.T) {
+	evs := []trace.BranchEvent{
+		{PC: 7, Taken: true},
+		{PC: 3, Backward: true},
+		{PC: 1 << 20, Taken: true, Backward: true},
+		{PC: 0},
+	}
+	enc := "\x0e\x01" + "\x07\x02" + "\xfa\xff\x7f\x03" + "\xff\xff\x7f\x00"
+	want := newKey("branch-stream").num("count", 4).str("events", enc).sum()
+	if got := branchStreamDigest(evs); got != want {
+		t.Fatalf("branchStreamDigest = %s, want %s (the hashed bytes moved)", got, want)
+	}
 }

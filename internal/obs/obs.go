@@ -181,14 +181,6 @@ func (l *Ledger) AttachWindows(w *WindowedLedger) {
 	}
 }
 
-// Windows returns the attached windowed ledger, or nil.
-func (l *Ledger) Windows() *WindowedLedger {
-	if l == nil {
-		return nil
-	}
-	return l.win
-}
-
 // BeginIFetch/EndIFetch bracket Icache miss service so that backing-store
 // (Ecache) stalls charged inside the bracket are attributed to instruction
 // fetch rather than the data port. Nil-safe.

@@ -97,7 +97,7 @@ func (w *Window) Check() error {
 // WindowDoc is the serializable mipsx-obswin/v1 time-series: the window size
 // and the windows in timeline order. On disk it is line-framed JSON (one
 // header object, then one window object per line) so it can be produced and
-// tailed incrementally; see MarshalStream/ParseWindowStream.
+// tailed incrementally; see WindowStreamWriter and WindowDecoder.
 type WindowDoc struct {
 	Schema string `json:"schema"`
 	// Window is the window size in attributed cycles.
@@ -111,20 +111,37 @@ func (d *WindowDoc) Check() error {
 	if d == nil {
 		return nil
 	}
-	var pos uint64
+	var t tiling
 	for i := range d.Windows {
-		w := &d.Windows[i]
-		if err := w.Check(); err != nil {
+		if err := t.next(&d.Windows[i], d.Window); err != nil {
 			return err
 		}
-		if w.Start != pos {
-			return fmt.Errorf("obs: window %d starts at %d, want %d (gap or overlap)", w.Index, w.Start, pos)
-		}
-		if w.Cycles != d.Window && i != len(d.Windows)-1 {
-			return fmt.Errorf("obs: non-final window %d holds %d cycles, want %d", w.Index, w.Cycles, d.Window)
-		}
-		pos += w.Cycles
 	}
+	return nil
+}
+
+// tiling checks windows one at a time, in timeline order, against a window
+// size: each conserves and starts at the cycles seen so far, and a window
+// may follow another only if that one was full. Fed a whole document it
+// reports the first violation WindowDoc.Check reports; fed a live stream it
+// rejects each bad window as it arrives.
+type tiling struct {
+	pos  uint64  // cycles in the windows seen so far
+	prev *Window // the latest window, nil before the first
+}
+
+func (t *tiling) next(w *Window, size uint64) error {
+	if p := t.prev; p != nil && p.Cycles != size {
+		return fmt.Errorf("obs: non-final window %d holds %d cycles, want %d", p.Index, p.Cycles, size)
+	}
+	if err := w.Check(); err != nil {
+		return err
+	}
+	if w.Start != t.pos {
+		return fmt.Errorf("obs: window %d starts at %d, want %d (gap or overlap)", w.Index, w.Start, t.pos)
+	}
+	t.pos += w.Cycles
+	t.prev = w
 	return nil
 }
 
@@ -155,66 +172,80 @@ type windowHeader struct {
 	Window uint64 `json:"window"`
 }
 
-// MarshalStream writes the document in the line-framed stream format: the
-// header line, then one compact JSON window per line.
-func (d *WindowDoc) MarshalStream(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	hb, err := json.Marshal(windowHeader{Schema: d.Schema, Window: d.Window})
-	if err != nil {
-		return err
-	}
-	bw.Write(hb)
-	bw.WriteByte('\n')
-	for i := range d.Windows {
-		b, err := json.Marshal(&d.Windows[i])
-		if err != nil {
-			return err
-		}
-		bw.Write(b)
-		bw.WriteByte('\n')
-	}
-	return bw.Flush()
+// WindowDecoder reads a mipsx-obswin/v1 stream one complete line at a
+// time; it is the format's one reader. ParseWindowStream feeds it a whole
+// stream, and mipsx-trace -follow feeds it each line as a live producer
+// finishes writing it. The first non-blank line must be a header naming the
+// schema and a window size above 0; every later non-blank line is a window,
+// checked as it arrives (see tiling). The zero decoder awaits the header.
+type WindowDecoder struct {
+	// Size is the header's window size, 0 until the header is read.
+	Size uint64
+	t    tiling
+	line int
 }
 
-// ParseWindowStream reads a line-framed window stream. The stream may be a
-// live snapshot truncated mid-run: only newline-terminated lines are
-// consumed, so a trailing partial window line (a producer caught mid-write)
-// is ignored rather than rejected.
-func ParseWindowStream(r io.Reader) (*WindowDoc, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	head, err := br.ReadBytes('\n')
-	if err != nil {
-		if err == io.EOF {
-			return nil, fmt.Errorf("obs: empty or headerless window stream")
+// Line decodes one complete line (with or without its newline). It returns
+// the window the line holds, or nil for the header and blank lines.
+func (d *WindowDecoder) Line(line []byte) (*Window, error) {
+	d.line++
+	line = bytes.TrimSpace(line)
+	if len(line) == 0 {
+		return nil, nil
+	}
+	if d.Size == 0 {
+		var h windowHeader
+		if err := json.Unmarshal(line, &h); err != nil {
+			return nil, fmt.Errorf("obs: bad window-stream header: %w", err)
 		}
+		if h.Schema != WindowSchema {
+			return nil, fmt.Errorf("obs: not a window stream (schema %q, want %q)", h.Schema, WindowSchema)
+		}
+		if h.Window == 0 {
+			return nil, fmt.Errorf("obs: window-stream header has window size 0")
+		}
+		d.Size = h.Window
+		return nil, nil
+	}
+	w := new(Window)
+	if err := json.Unmarshal(line, w); err != nil {
+		return nil, fmt.Errorf("obs: bad window at line %d: %w", d.line, err)
+	}
+	if err := d.t.next(w, d.Size); err != nil {
 		return nil, err
 	}
-	var h windowHeader
-	if err := json.Unmarshal(head, &h); err != nil {
-		return nil, fmt.Errorf("obs: bad window-stream header: %w", err)
-	}
-	if h.Schema != WindowSchema {
-		return nil, fmt.Errorf("obs: not a window stream (schema %q, want %q)", h.Schema, WindowSchema)
-	}
-	doc := &WindowDoc{Schema: h.Schema, Window: h.Window}
+	return w, nil
+}
+
+// ParseWindowStream reads a line-framed window stream through a
+// WindowDecoder. The stream may be a live snapshot truncated mid-run: only
+// newline-terminated lines are consumed, so a trailing partial line (a
+// producer caught mid-write) is ignored rather than rejected.
+func ParseWindowStream(r io.Reader) (*WindowDoc, error) {
+	br := bufio.NewReaderSize(r, 1<<16)
+	var d WindowDecoder
+	doc := &WindowDoc{Schema: WindowSchema}
 	for {
 		line, err := br.ReadBytes('\n')
+		if err == io.EOF {
+			break // drops any unterminated partial tail
+		}
 		if err != nil {
-			if err == io.EOF {
-				return doc, nil // drops any unterminated partial tail
-			}
 			return nil, err
 		}
-		line = bytes.TrimSpace(line)
-		if len(line) == 0 {
-			continue
+		w, err := d.Line(line)
+		if err != nil {
+			return nil, err
 		}
-		var w Window
-		if err := json.Unmarshal(line, &w); err != nil {
-			return nil, fmt.Errorf("obs: bad window at line %d: %w", len(doc.Windows)+2, err)
+		if w != nil {
+			doc.Windows = append(doc.Windows, *w)
 		}
-		doc.Windows = append(doc.Windows, w)
 	}
+	if d.Size == 0 {
+		return nil, fmt.Errorf("obs: empty or headerless window stream")
+	}
+	doc.Window = d.Size
+	return doc, nil
 }
 
 // WindowStreamWriter streams windows in the line-framed format as they

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -182,6 +183,13 @@ func TestParseWindowStreamRejectsBadInput(t *testing.T) {
 		"wrong schema": `{"schema":"mipsx-obs/v1","window":16}` + "\n",
 		"not json":     "windows go here\n",
 		"bad window":   `{"schema":"mipsx-obswin/v1","window":16}` + "\n{nope\n",
+		"zero window":  `{"schema":"mipsx-obswin/v1","window":0}` + "\n",
+		"repeated window": `{"schema":"mipsx-obswin/v1","window":16}` + "\n" +
+			`{"index":0,"start":0,"cycles":16,"causes":[{"cause":"execute","cycles":16}]}` + "\n" +
+			`{"index":0,"start":0,"cycles":16,"causes":[{"cause":"execute","cycles":16}]}` + "\n",
+		"short non-final window": `{"schema":"mipsx-obswin/v1","window":16}` + "\n" +
+			`{"index":0,"start":0,"cycles":10,"causes":[{"cause":"execute","cycles":10}]}` + "\n" +
+			`{"index":1,"start":10,"cycles":16,"causes":[{"cause":"execute","cycles":16}]}` + "\n",
 	}
 	for name, in := range cases {
 		if _, err := ParseWindowStream(strings.NewReader(in)); err == nil {
@@ -216,4 +224,75 @@ func TestWindowDocCheckCatchesViolations(t *testing.T) {
 	if err := doc.Check(); err == nil {
 		t.Fatal("Check must catch a gap in the timeline")
 	}
+}
+
+// followLines feeds b's newline-terminated lines to one WindowDecoder, the
+// way mipsx-trace -follow reads a live file, and collects the windows.
+func followLines(b []byte) (size uint64, ws []Window, err error) {
+	var d WindowDecoder
+	for {
+		i := bytes.IndexByte(b, '\n')
+		if i < 0 {
+			return d.Size, ws, nil
+		}
+		w, err := d.Line(b[:i])
+		if err != nil {
+			return 0, nil, err
+		}
+		if w != nil {
+			ws = append(ws, *w)
+		}
+		b = b[i+1:]
+	}
+}
+
+// FuzzParseWindowStream fuzzes the window-stream boundary: no input panics;
+// an accepted stream passes WindowDoc.Check; the same bytes fed line by line
+// through the follow decoder get the same verdict and the same windows; and
+// every prefix of an accepted stream, like a live file cut mid-line, parses
+// to a prefix of its windows once its header line is complete.
+func FuzzParseWindowStream(f *testing.F) {
+	const head = `{"schema":"mipsx-obswin/v1","window":16}` + "\n"
+	const w0 = `{"index":0,"start":0,"cycles":16,"causes":[{"cause":"execute","cycles":14},{"cause":"icache-miss","cycles":2}]}` + "\n"
+	const w1 = `{"index":1,"start":16,"cycles":10,"causes":[{"cause":"execute","cycles":10}],"contexts":[{"context":"prog","cycles":10,"causes":[{"cause":"execute","cycles":10}]}]}`
+	f.Add([]byte(head + w0 + w1 + "\n"))
+	f.Add([]byte(head + w0 + w1)) // the last line is still being written
+	f.Add([]byte(head + w0 + w0))
+	f.Add([]byte(head +
+		`{"index":0,"start":0,"cycles":10,"causes":[{"cause":"execute","cycles":10}]}` + "\n" +
+		`{"index":1,"start":10,"cycles":16,"causes":[{"cause":"execute","cycles":16}]}` + "\n"))
+	f.Add([]byte(`{"schema":"mipsx-obswin/v1","window":0}` + "\n"))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		doc, err := ParseWindowStream(bytes.NewReader(b))
+		size, ws, ferr := followLines(b)
+		if ferr == nil && size == 0 {
+			ferr = errors.New("no header")
+		}
+		if (err == nil) != (ferr == nil) {
+			t.Fatalf("ParseWindowStream error %v, line-by-line error %v", err, ferr)
+		}
+		if err != nil {
+			return
+		}
+		if err := doc.Check(); err != nil {
+			t.Fatalf("accepted stream fails Check: %v", err)
+		}
+		if doc.Window != size || !reflect.DeepEqual(doc.Windows, ws) {
+			t.Fatalf("line-by-line decode differs:\n%+v\n%+v", doc.Windows, ws)
+		}
+		for cut := 0; cut <= len(b); cut += 1 + len(b)/512 {
+			p, err := ParseWindowStream(bytes.NewReader(b[:cut]))
+			if err != nil {
+				if n, _, _ := followLines(b[:cut]); n != 0 {
+					t.Fatalf("prefix of %d bytes with a complete header rejected: %v", cut, err)
+				}
+				continue
+			}
+			n := len(p.Windows)
+			if p.Window != doc.Window || n > len(doc.Windows) ||
+				n > 0 && !reflect.DeepEqual(p.Windows, doc.Windows[:n]) {
+				t.Fatalf("prefix of %d bytes parses to %+v, not a prefix of %+v", cut, p.Windows, doc.Windows)
+			}
+		}
+	})
 }

@@ -246,10 +246,6 @@ type CPU struct {
 	Stats      Stats
 	Violations []Violation
 
-	// Trace, when non-nil, receives every retired instruction (used by the
-	// trace capture infrastructure).
-	Trace func(pc isa.Word, in isa.Instruction, squashed bool)
-
 	// BranchTrace, when non-nil, receives every resolved conditional branch
 	// (used for profiling and the branch-prediction experiments).
 	BranchTrace func(pc isa.Word, in isa.Instruction, taken bool)
@@ -600,9 +596,6 @@ func (c *CPU) commitWB() {
 	if s.sqNoop {
 		c.Stats.Squashed++
 		c.Prof.NoteWB(uint32(s.pc))
-		if c.Trace != nil {
-			c.Trace(s.pc, s.in, true)
-		}
 		return
 	}
 	if s.excNoop {
@@ -620,9 +613,6 @@ func (c *CPU) commitWB() {
 	}
 	if s.nop {
 		c.Stats.Nops++
-	}
-	if c.Trace != nil {
-		c.Trace(s.pc, s.in, false)
 	}
 
 	in := &s.in

@@ -7,8 +7,8 @@
 //
 // Two sources are provided:
 //
-//   - capture: hooks that record instruction-address and branch traces from
-//     machine runs of the compiled benchmark suite;
+//   - capture: a hook that records branch traces from machine runs of the
+//     compiled benchmark suite;
 //   - synthesis: generators for large-footprint instruction traces standing
 //     in for the Stanford Pascal/Lisp benchmarks (static code 50–270 KB,
 //     far beyond what the tinyc suite reaches), with the paper's stated
@@ -34,41 +34,13 @@ type BranchEvent struct {
 	Backward bool // branch displacement is negative (loop-shaped)
 }
 
-// Recorder captures traces from a pipeline CPU via its hooks.
+// Recorder captures a run's branch trace from a pipeline CPU's hook.
 type Recorder struct {
-	Instrs   []isa.Word // retired instruction addresses, in order
 	Branches []BranchEvent
-	// DiscardInstrs disables instruction-address capture entirely (branch
-	// events are still recorded). Callers that only need the branch stream
-	// — profile collection, E4's predictor traces — set this instead of
-	// abusing a tiny KeepInstrs bound, which would silently record a stale
-	// prefix.
-	DiscardInstrs bool
-	// KeepInstrs bounds the kept prefix of the instruction trace (0 = keep
-	// all). The bound is honest about being a prefix: once it is reached,
-	// further retired addresses are dropped and Truncated is set, so a
-	// consumer can tell a complete short run from a start-biased sample of
-	// a long one.
-	KeepInstrs int
-	// Truncated reports that at least one retired address was dropped
-	// because KeepInstrs was reached.
-	Truncated bool
 }
 
-// Attach installs the recorder's hooks on the CPU.
+// Attach installs the recorder's hook on the CPU.
 func (r *Recorder) Attach(cpu *pipeline.CPU) {
-	cpu.Trace = func(pc isa.Word, in isa.Instruction, squashed bool) {
-		if squashed {
-			return
-		}
-		switch {
-		case r.DiscardInstrs:
-		case r.KeepInstrs == 0 || len(r.Instrs) < r.KeepInstrs:
-			r.Instrs = append(r.Instrs, pc)
-		default:
-			r.Truncated = true
-		}
-	}
 	cpu.BranchTrace = func(pc isa.Word, in isa.Instruction, taken bool) {
 		r.Branches = append(r.Branches, BranchEvent{PC: pc, Taken: taken, Backward: in.Off < 0})
 	}
@@ -303,7 +275,7 @@ func (s *Synthesizer) walk(f, depth int, out *[]isa.Word, n int) {
 // Smith-survey methodology the Ecache ablations use. Each member is offset
 // into its own address space so programs conflict in the cache, not in
 // memory semantics. The stride between spaces is 2^24 words — the historical
-// layout every recorded trace artifact was built with — widened to the next
+// layout every recorded E6/E10 result was computed on — widened to the next
 // power of two above the largest member address when a member outgrows it.
 // Interleave errors instead of aliasing: before the widening, a member
 // address ≥ 2^24 silently landed in a neighbour's space, and enough members
