@@ -17,6 +17,7 @@ import (
 	"repro/internal/asm"
 	"repro/internal/lint"
 	"repro/internal/reorg"
+	"repro/internal/spec"
 )
 
 func main() {
@@ -30,6 +31,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: mipsx-asm [flags] prog.s")
 		os.Exit(2)
 	}
+	scheme, err := spec.ParseScheme(fmt.Sprintf("%d/%s", *slots, *squash))
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "mipsx-asm:", err)
+		os.Exit(2)
+	}
 	src, err := os.ReadFile(flag.Arg(0))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mipsx-asm:", err)
@@ -41,15 +47,7 @@ func main() {
 		os.Exit(1)
 	}
 	if *doReorg {
-		mode := map[string]reorg.SquashMode{
-			"none": reorg.NoSquash, "always": reorg.AlwaysSquash, "optional": reorg.SquashOptional,
-		}
-		m, ok := mode[*squash]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "mipsx-asm: bad squash mode %q\n", *squash)
-			os.Exit(2)
-		}
-		stmts = reorg.Reorganize(stmts, reorg.Scheme{Slots: *slots, Squash: m}, nil)
+		stmts = reorg.Reorganize(stmts, scheme, nil)
 	}
 	im, err := asm.Assemble(stmts, uint32(*base))
 	if err != nil {
@@ -57,7 +55,7 @@ func main() {
 		os.Exit(1)
 	}
 	if *doLint {
-		rep := lint.CheckImage(im, lint.Config{Slots: *slots})
+		rep := lint.CheckImage(im, lint.Config{Slots: scheme.Slots})
 		fmt.Fprint(os.Stderr, rep.String())
 		if rep.HasErrors() {
 			fmt.Fprintln(os.Stderr, "mipsx-asm: program has interlock hazards (see above)")

@@ -1,0 +1,75 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestMain lets the tests run this command: with MIPSX_ASM_MAIN set, the
+// test binary is mipsx-asm.
+func TestMain(m *testing.M) {
+	if os.Getenv("MIPSX_ASM_MAIN") != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// mipsxAsm runs the command with args and returns its exit code and
+// stderr.
+func mipsxAsm(t *testing.T, args ...string) (code int, stderr string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "MIPSX_ASM_MAIN=1")
+	var errb bytes.Buffer
+	cmd.Stderr = &errb
+	err := cmd.Run()
+	if exit, ok := err.(*exec.ExitError); ok {
+		return exit.ExitCode(), errb.String()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return 0, errb.String()
+}
+
+// program writes a small hazard-free program and returns its path.
+func program(t *testing.T) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "p.s")
+	src := "main:\taddi r1, r0, 3\n\tnop\n\tbeq r1, r0, main\n\tnop\n\tnop\n\thalt\n"
+	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestSchemeFlagsAreParsedOnce: -slots and -squash name a Table 1 branch
+// scheme or the command exits 2 — before reorganizing (a 3-slot scheme used
+// to panic the reorganizer) and before linting (it used to lint a 3-slot
+// machine that does not exist and exit 0).
+func TestSchemeFlagsAreParsedOnce(t *testing.T) {
+	prog := program(t)
+	for _, args := range [][]string{
+		{"-reorg", "-slots", "3"},
+		{"-lint", "-slots", "3"},
+		{"-reorg", "-squash", "sometimes"},
+	} {
+		code, stderr := mipsxAsm(t, append(args, prog)...)
+		if code != 2 || !strings.Contains(stderr, "unknown branch scheme") {
+			t.Errorf("%v: exit %d, stderr %q; want exit 2 and an unknown-scheme error", args, code, stderr)
+		}
+	}
+	for _, args := range [][]string{
+		{"-reorg", "-slots", "1", "-squash", "always"},
+		{"-lint", "-reorg"},
+	} {
+		if code, stderr := mipsxAsm(t, append(args, prog)...); code != 0 {
+			t.Errorf("%v: exit %d, stderr %q; want exit 0", args, code, stderr)
+		}
+	}
+}

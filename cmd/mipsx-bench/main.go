@@ -49,25 +49,6 @@ import (
 	"repro/internal/experiments"
 )
 
-type exp struct {
-	id string
-	fn func() (*experiments.Table, error)
-}
-
-var exps = []exp{
-	{"E1", experiments.Table1BranchSchemes},
-	{"E2", experiments.IcacheDesign},
-	{"E3", experiments.BranchConditionStats},
-	{"E4", experiments.BranchCacheVsStatic},
-	{"E5", experiments.CoprocessorSchemes},
-	{"E6", experiments.SustainedThroughput},
-	{"E7", experiments.VAXComparison},
-	{"E8", experiments.ExceptionHandling},
-	{"E9", experiments.MemoryBandwidth},
-	{"E10", experiments.EcacheAblations},
-	{"E11", experiments.MultiprocessorScaling},
-}
-
 func main() {
 	only := flag.String("only", "", "run only the experiment with this id (E1..E11)")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),
@@ -108,12 +89,12 @@ func main() {
 		os.Exit(2)
 	}
 
-	selected := exps
+	selected := experiments.Experiments
 	if *only != "" {
 		selected = nil
-		for _, e := range exps {
-			if e.id == *only {
-				selected = []exp{e}
+		for _, e := range experiments.Experiments {
+			if e.ID == *only {
+				selected = []experiments.Experiment{e}
 			}
 		}
 		if selected == nil {
@@ -127,9 +108,9 @@ func main() {
 	start := time.Now()
 	for i, e := range selected {
 		t0 := time.Now()
-		tb, err := e.fn()
+		tb, err := e.Run()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "mipsx-bench: %s: %v\n", e.id, err)
+			fmt.Fprintf(os.Stderr, "mipsx-bench: %s: %v\n", e.ID, err)
 			os.Exit(1)
 		}
 		tables[i] = tb

@@ -32,6 +32,7 @@ import (
 	"repro/internal/lint"
 	"repro/internal/obs"
 	"repro/internal/reorg"
+	"repro/internal/spec"
 	"repro/internal/tinyc"
 )
 
@@ -56,18 +57,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: mipsx-lint [flags] prog.{s,t}  |  mipsx-lint -suite")
 		os.Exit(2)
 	}
-	mode, ok := map[string]reorg.SquashMode{
-		"none": reorg.NoSquash, "always": reorg.AlwaysSquash, "optional": reorg.SquashOptional,
-	}[*squash]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "mipsx-lint: bad squash mode %q\n", *squash)
+	scheme, err := spec.ParseScheme(fmt.Sprintf("%d/%s", *slots, *squash))
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "mipsx-lint:", err)
 		os.Exit(2)
 	}
-	if *slots != 1 && *slots != 2 {
-		fmt.Fprintf(os.Stderr, "mipsx-lint: bad slot count %d\n", *slots)
-		os.Exit(2)
-	}
-	scheme := reorg.Scheme{Slots: *slots, Squash: mode}
 
 	src, err := os.ReadFile(flag.Arg(0))
 	if err != nil {

@@ -59,6 +59,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "mipsx-run: -obs-window must be >= 0")
 		os.Exit(2)
 	}
+	if *scenarioQuantum < 0 {
+		fmt.Fprintln(os.Stderr, "mipsx-run: -scenario-quantum must be >= 0")
+		os.Exit(2)
+	}
 	if *obsWindowOut != "" && *obsWindow == 0 {
 		fmt.Fprintln(os.Stderr, "mipsx-run: -obs-window-out needs -obs-window N")
 		os.Exit(2)

@@ -123,3 +123,13 @@ func TestTraceOutMatchesGolden(t *testing.T) {
 		t.Fatalf("-trace-out wrote %d bytes that differ from trace_golden.json (%d bytes)", len(got), len(want))
 	}
 }
+
+// TestNegativeScenarioQuantumIsRejected: a negative -scenario-quantum exits
+// 2, as a negative -obs-window does, instead of silently running the spec's
+// default quantum.
+func TestNegativeScenarioQuantumIsRejected(t *testing.T) {
+	code, _, stderr := mipsxRun(t, "-scenario", "fib", "-scenario-quantum", "-5")
+	if code != 2 || !strings.Contains(stderr, "-scenario-quantum") {
+		t.Fatalf("exit %d, stderr %q; want exit 2 naming -scenario-quantum", code, stderr)
+	}
+}

@@ -70,6 +70,20 @@ func main() {
 		return
 	}
 
+	if *refs < 0 || *codeKW < 0 {
+		fmt.Fprintln(os.Stderr, "mipsx-trace: -refs and -code-kwords must be >= 0")
+		os.Exit(2)
+	}
+	// The caches under study are the default machine's, with the Icache's
+	// fetch-back and miss penalty from the flags; the spec's validation
+	// rejects a pair the cache constructors would panic on.
+	ms := spec.Default()
+	ms.ICache = ms.ICache.WithFetch(*fetchBack, *penalty)
+	if err := ms.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "mipsx-trace:", err)
+		os.Exit(2)
+	}
+
 	var cfg trace.SynthConfig
 	switch *profile {
 	case "pascal":
@@ -95,10 +109,10 @@ func main() {
 		return
 	}
 
-	icfg := spec.Default().ICache.WithFetch(*fetchBack, *penalty).BuildICache()
+	icfg := ms.ICache.BuildICache()
 	m := mem.New()
 	bus := mem.DefaultBus()
-	e := ecache.New(spec.DefaultECache().BuildECache(), m, bus)
+	e := ecache.New(ms.ECache.BuildECache(), m, bus)
 	ic := icache.New(icfg, e)
 	for _, a := range tr {
 		ic.Fetch(a)

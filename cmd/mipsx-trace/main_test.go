@@ -1,11 +1,68 @@
 package main
 
 import (
+	"bytes"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 
 	"repro/internal/obs"
 )
+
+// TestMain lets the tests run this command: with MIPSX_TRACE_MAIN set, the
+// test binary is mipsx-trace.
+func TestMain(m *testing.M) {
+	if os.Getenv("MIPSX_TRACE_MAIN") != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// mipsxTrace runs the command with args and returns its exit code, stdout
+// and stderr.
+func mipsxTrace(t *testing.T, args ...string) (code int, stdout, stderr string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "MIPSX_TRACE_MAIN=1")
+	var out, errb bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errb
+	err := cmd.Run()
+	if exit, ok := err.(*exec.ExitError); ok {
+		return exit.ExitCode(), out.String(), errb.String()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return 0, out.String(), errb.String()
+}
+
+// TestTraceFlagsAreValidated: a trace length or code size below zero, and an
+// Icache fetch-back or miss penalty the machine spec rejects, exit 2 with a
+// message naming the problem instead of panicking or running a cache that
+// cannot exist.
+func TestTraceFlagsAreValidated(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-refs", "-1"}, "-refs"},
+		{[]string{"-code-kwords", "-1"}, "-code-kwords"},
+		{[]string{"-fetchback", "0"}, "icache.fetch_back = 0"},
+		{[]string{"-penalty", "0"}, "icache.miss_penalty = 0"},
+		{[]string{"-fetchback", "99"}, "icache.fetch_back = 99 exceeds block_words = 16"},
+	} {
+		code, _, stderr := mipsxTrace(t, tc.args...)
+		if code != 2 || !strings.Contains(stderr, tc.want) {
+			t.Errorf("%v: exit %d, stderr %q; want exit 2 naming %q", tc.args, code, stderr, tc.want)
+		}
+	}
+	code, stdout, stderr := mipsxTrace(t, "-refs", "1000", "-fetchback", "1", "-penalty", "3")
+	if code != 0 || !strings.Contains(stdout, "fetch-back 1, 3-cycle miss") {
+		t.Fatalf("valid flags: exit %d, stdout %q, stderr %q", code, stdout, stderr)
+	}
+}
 
 const sampleStream = `{"schema":"mipsx-obswin/v1","window":16}
 {"index":0,"start":0,"cycles":16,"causes":[{"cause":"execute","cycles":14},{"cause":"icache-miss","cycles":2}]}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/core"
@@ -44,8 +43,7 @@ func clusterCell(id, src string, n int, out *scenario.ClusterStats) Cell {
 				k.str("spec", spec.Default().Digest())
 				return k.sum(), nil
 			},
-			Save: func() (any, error) { return out, nil },
-			Load: func(data []byte) error { return json.Unmarshal(data, out) },
+			Out: out,
 		},
 	}
 }

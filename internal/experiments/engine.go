@@ -1,17 +1,18 @@
 package experiments
 
-// The experiment engine: every experiment's independent (benchmark × scheme)
-// work is expressed as a Cell and fanned out across a worker pool, with
-// deterministic result assembly. Cells write their results into
-// caller-owned, index-distinct slots; all aggregation (sums, geometric
-// means, table rows) happens after the fan-in, in submission order — so the
-// rendered tables are byte-identical at any parallelism, which the
-// determinism test and `mipsx-bench -check` both enforce.
+// The experiment engine: every experiment's independent work is expressed
+// as a Cell and fanned out across a worker pool, with deterministic result
+// assembly. Cells write their results into caller-owned, index-distinct
+// slots; all aggregation (sums, geometric means, table rows) happens after
+// the fan-in, in submission order — so the rendered tables are
+// byte-identical at any parallelism, which the determinism test and
+// `mipsx-bench -check` both enforce.
 //
-// Each Run call drives its own bounded set of worker goroutines rather than
-// sharing one global pool, so cells may themselves fan out sub-cells (E1's
-// per-scheme suites each fan out per-benchmark runs) without pool-starvation
-// deadlock; total concurrency is still governed by GOMAXPROCS.
+// Cells are flat: each is one leaf simulation (a benchmark run, a trace
+// sweep, a cluster size), and no cell body calls Run — an experiment
+// submits all of its cells in one Run and folds the results itself. Each
+// cell accounts its simulated cycles to its own meter, and the engine that
+// ran it folds the meter's total into its counters when the cell returns.
 
 import (
 	"context"
@@ -38,20 +39,18 @@ type Cell struct {
 }
 
 // CellMemo is a cell's memoization contract. The runner that builds the
-// cell owns the key (only it knows the cell's full input closure) and the
-// serialization of its result; the engine owns lookup, replay and
-// recording.
+// cell owns the key (only it knows the cell's full input closure); the
+// engine owns lookup, replay and recording, and the JSON encoding of Out.
 type CellMemo struct {
 	// Key returns the content hash of the cell's full input closure (see
 	// memo.go for the closure rule). An error means the closure could not
 	// be computed (e.g. the program failed to build); the cell then runs
 	// live and surfaces the error itself.
 	Key func() (string, error)
-	// Save returns the cell's serializable result after a live run; the
-	// engine records its JSON encoding under the key.
-	Save func() (any, error)
-	// Load installs a recorded result in place of running Fn.
-	Load func(data []byte) error
+	// Out points at the cell's result slot: after a live run the engine
+	// records its JSON encoding under the key, and on a hit it decodes the
+	// recorded result into it instead of running Fn.
+	Out any
 }
 
 // CellTiming records one scheduled cell for the bench report.
@@ -71,61 +70,36 @@ type CellTiming struct {
 	Attribution map[string]uint64 `json:"attribution,omitempty"`
 }
 
-// cellMeter attributes simulated cycles to the cell that accounted them,
-// so a memo entry can replay exactly the cycles its live run reported.
-// Meters chain: nested cells (E1's per-scheme suites fan out per-benchmark
-// sub-cells) propagate their cycles to every enclosing cell's meter.
+// cellMeter holds the simulated cycles, and their per-cause breakdown, that
+// one cell's runs accounted. Only the cell's own goroutine touches it: the
+// runners add to it, and the engine reads it after the cell returns.
 type cellMeter struct {
-	n      atomic.Uint64
-	parent *cellMeter
-
-	mu   sync.Mutex
-	attr map[string]uint64
+	cycles uint64
+	attr   map[string]uint64
 }
 
 type meterKeyType struct{}
 
-func (m *cellMeter) add(n uint64) {
-	for ; m != nil; m = m.parent {
-		m.n.Add(n)
-	}
-}
-
-// addAttr folds a per-cause cycle breakdown into this meter and every
-// enclosing cell's, mirroring add for the attributed decomposition.
-func (m *cellMeter) addAttr(a map[string]uint64) {
-	if len(a) == 0 {
-		return
-	}
-	for ; m != nil; m = m.parent {
-		m.mu.Lock()
-		if m.attr == nil {
-			m.attr = make(map[string]uint64, len(a))
-		}
-		for k, v := range a {
-			m.attr[k] += v
-		}
-		m.mu.Unlock()
-	}
-}
-
-// attrSnapshot copies the accumulated attribution (nil when none).
-func (m *cellMeter) attrSnapshot() map[string]uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.attr) == 0 {
-		return nil
-	}
-	out := make(map[string]uint64, len(m.attr))
-	for k, v := range m.attr {
-		out[k] = v
-	}
-	return out
-}
-
 func meterFrom(ctx context.Context) *cellMeter {
 	m, _ := ctx.Value(meterKeyType{}).(*cellMeter)
 	return m
+}
+
+// account charges a finished run's simulated cycles and their per-cause
+// breakdown (an obs ledger's Map, summing to cycles) to the cell running
+// under ctx. Outside a cell it does nothing.
+func account(ctx context.Context, cycles uint64, attr map[string]uint64) {
+	m := meterFrom(ctx)
+	if m == nil {
+		return
+	}
+	m.cycles += cycles
+	for k, v := range attr {
+		if m.attr == nil {
+			m.attr = make(map[string]uint64, len(attr))
+		}
+		m.attr[k] += v
+	}
 }
 
 // Engine schedules cells across a worker pool.
@@ -150,7 +124,7 @@ type Engine struct {
 	Progress io.Writer
 
 	cells     atomic.Uint64 // cells executed or replayed
-	cycles    atomic.Uint64 // simulated machine cycles, reported by cell bodies
+	cycles    atomic.Uint64 // simulated machine cycles, folded in from the cells
 	submitted atomic.Uint64 // cells handed to Run since construction
 	started   atomic.Int64  // first-submission wall clock (UnixNano), for cells/sec
 	lastProg  atomic.Int64  // last progress line's wall clock (UnixNano)
@@ -228,8 +202,12 @@ func (e *Engine) reportProgress(final bool) {
 
 // Run executes the cells and returns the first error in cell order (cells
 // after a failure may be skipped). Results must be communicated through the
-// cells' own slots; Run itself only schedules.
+// cells' own slots; Run itself only schedules. Cells do not nest: a ctx
+// that belongs to a running cell is an error.
 func (e *Engine) Run(ctx context.Context, cells []Cell) error {
+	if meterFrom(ctx) != nil {
+		return errors.New("experiments: Run called from inside a cell (cells do not nest)")
+	}
 	workers := e.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -315,9 +293,10 @@ func (e *Engine) Run(ctx context.Context, cells []Cell) error {
 
 // runOne executes one cell: a content-addressed replay when the cell is
 // memoizable and its key hits, a live run otherwise (recording the result
-// on success). attr is the cell's per-cause cycle breakdown — live from its
-// meter, replayed from the memo entry — for the bench report's per-cell
-// attribution.
+// on success). Either way the cell's simulated cycles and their
+// attribution — live from its meter, replayed from the memo entry — fold
+// into the engine, and attr returns the breakdown for the bench report's
+// per-cell row.
 func (e *Engine) runOne(ctx context.Context, c Cell) (replayed bool, attr map[string]uint64, err error) {
 	memoizable := c.Memo != nil && c.Memo.Key != nil
 	var key string
@@ -329,15 +308,12 @@ func (e *Engine) runOne(ctx context.Context, c Cell) (replayed bool, attr map[st
 			if gerr != nil {
 				e.memoCorrupt.Add(1)
 			}
-			if ok && c.Memo.Load != nil {
-				if lerr := c.Memo.Load(entry.Data); lerr == nil {
+			if ok {
+				if json.Unmarshal(entry.Data, c.Memo.Out) == nil {
 					// Replay: account the recorded simulated cycles and their
-					// attribution exactly as the live run did, to the engine
-					// and to any enclosing cell's meter.
+					// attribution exactly as the live run did.
 					e.memoHits.Add(1)
-					e.cycles.Add(entry.Cycles)
-					meterFrom(ctx).add(entry.Cycles)
-					e.AddAttrCtx(ctx, entry.Attr)
+					e.fold(entry.Cycles, entry.Attr)
 					return true, entry.Attr, nil
 				}
 				// An undecodable entry is a corrupt miss; the live run
@@ -358,31 +334,40 @@ func (e *Engine) runOne(ctx context.Context, c Cell) (replayed bool, attr map[st
 		cctx, ccancel = context.WithTimeout(ctx, e.Timeout)
 	}
 	defer ccancel()
-	// The cell gets its own meter, chained to any enclosing cell's, so its
-	// simulated cycles (and their attribution) can be recorded with the
-	// result.
-	meter := &cellMeter{parent: meterFrom(ctx)}
+	meter := &cellMeter{}
 	cctx = context.WithValue(cctx, meterKeyType{}, meter)
 
-	if err := runCell(cctx, c); err != nil {
-		return false, meter.attrSnapshot(), err
+	err = runCell(cctx, c)
+	e.fold(meter.cycles, meter.attr)
+	if err != nil || key == "" {
+		return false, meter.attr, err
 	}
-	attr = meter.attrSnapshot()
-	if key != "" && c.Memo.Save != nil {
-		res, serr := c.Memo.Save()
-		var data []byte
-		if serr == nil {
-			data, serr = json.Marshal(res)
-		}
-		if serr == nil {
-			serr = e.Store.put(memoEntry{Schema: memoSchema, Key: key, CellID: c.ID,
-				Cycles: meter.n.Load(), Attr: attr, Data: data})
-		}
-		if serr != nil {
-			e.memoWriteErrors.Add(1)
-		}
+	data, serr := json.Marshal(c.Memo.Out)
+	if serr == nil {
+		serr = e.Store.put(memoEntry{Schema: memoSchema, Key: key, CellID: c.ID,
+			Cycles: meter.cycles, Attr: meter.attr, Data: data})
 	}
-	return false, attr, nil
+	if serr != nil {
+		e.memoWriteErrors.Add(1)
+	}
+	return false, meter.attr, nil
+}
+
+// fold accounts one cell's simulated cycles and their per-cause breakdown
+// against the engine.
+func (e *Engine) fold(cycles uint64, attr map[string]uint64) {
+	e.cycles.Add(cycles)
+	if len(attr) == 0 {
+		return
+	}
+	e.mu.Lock()
+	if e.attr == nil {
+		e.attr = make(map[string]uint64, len(attr))
+	}
+	for k, v := range attr {
+		e.attr[k] += v
+	}
+	e.mu.Unlock()
 }
 
 // runCell isolates a cell panic into an error so one bad cell cannot take
@@ -399,53 +384,9 @@ func runCell(ctx context.Context, c Cell) (err error) {
 	return nil
 }
 
-// Map fans f out over n indexed cells named prefix[i].
-func (e *Engine) Map(ctx context.Context, prefix string, n int, f func(ctx context.Context, i int) error) error {
-	cells := make([]Cell, n)
-	for i := range cells {
-		i := i
-		cells[i] = Cell{ID: fmt.Sprintf("%s[%d]", prefix, i), Fn: func(ctx context.Context) error {
-			return f(ctx, i)
-		}}
-	}
-	return e.Run(ctx, cells)
-}
-
-// AddCycles accounts simulated machine cycles against the engine (the bench
-// report's total_cycles_simulated).
-func (e *Engine) AddCycles(n uint64) { e.cycles.Add(n) }
-
-// AddCyclesCtx accounts simulated cycles against the engine and attributes
-// them to the running cell (and its enclosing cells), so memoized cells
-// record exactly the cycles their live run reported. Cell bodies should
-// prefer this over AddCycles whenever they have the cell's ctx.
-func (e *Engine) AddCyclesCtx(ctx context.Context, n uint64) {
-	e.cycles.Add(n)
-	meterFrom(ctx).add(n)
-}
-
-// AddAttrCtx accounts a per-cause cycle breakdown (an obs ledger's Map)
-// against the engine and the running cell's meter chain, pairing with
-// AddCyclesCtx: the map's values should sum to the n passed there, so the
-// engine-wide Attribution conserves against Cycles.
-func (e *Engine) AddAttrCtx(ctx context.Context, a map[string]uint64) {
-	if len(a) == 0 {
-		return
-	}
-	e.mu.Lock()
-	if e.attr == nil {
-		e.attr = make(map[string]uint64, len(a))
-	}
-	for k, v := range a {
-		e.attr[k] += v
-	}
-	e.mu.Unlock()
-	meterFrom(ctx).addAttr(a)
-}
-
 // Attribution returns a copy of the engine-wide per-cause cycle breakdown.
-// When every cell body pairs AddAttrCtx with AddCyclesCtx, the values sum to
-// Cycles() — the bench report checks exactly that.
+// Every runner accounts a run's cycles together with their breakdown, so
+// the values sum to Cycles() — the bench report checks exactly that.
 func (e *Engine) Attribution() map[string]uint64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -11,13 +11,24 @@ import (
 	"time"
 )
 
+// indexedCells builds n cells named prefix[i] whose bodies call f(ctx, i).
+func indexedCells(prefix string, n int, f func(ctx context.Context, i int) error) []Cell {
+	cells := make([]Cell, n)
+	for i := range cells {
+		cells[i] = Cell{ID: fmt.Sprintf("%s[%d]", prefix, i), Fn: func(ctx context.Context) error {
+			return f(ctx, i)
+		}}
+	}
+	return cells
+}
+
 func TestEngineRunsEveryCell(t *testing.T) {
 	e := &Engine{Workers: 4}
 	var hits [100]atomic.Int32
-	err := e.Map(context.Background(), "cell", len(hits), func(_ context.Context, i int) error {
+	err := e.Run(context.Background(), indexedCells("cell", len(hits), func(_ context.Context, i int) error {
 		hits[i].Add(1)
 		return nil
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,12 +48,12 @@ func TestEngineErrorIsFirstInSubmissionOrder(t *testing.T) {
 	// lower-index failure can never be masked by a higher-index one).
 	for _, workers := range []int{1, 8} {
 		e := &Engine{Workers: workers}
-		err := e.Map(context.Background(), "c", 40, func(_ context.Context, i int) error {
+		err := e.Run(context.Background(), indexedCells("c", 40, func(_ context.Context, i int) error {
 			if i == 7 || i == 23 {
 				return fmt.Errorf("boom %d", i)
 			}
 			return nil
-		})
+		}))
 		if err == nil || !strings.Contains(err.Error(), "boom 7") {
 			t.Fatalf("workers=%d: err = %v, want boom 7", workers, err)
 		}
@@ -56,7 +67,7 @@ func TestEngineCancellation(t *testing.T) {
 	e := &Engine{Workers: 2}
 	release := make(chan struct{})
 	var ran, observed atomic.Int32
-	err := e.Map(ctx, "c", 50, func(ctx context.Context, i int) error {
+	err := e.Run(ctx, indexedCells("c", 50, func(ctx context.Context, i int) error {
 		ran.Add(1)
 		if i == 0 {
 			cancel()
@@ -68,7 +79,7 @@ func TestEngineCancellation(t *testing.T) {
 			observed.Add(1)
 		}
 		return ctx.Err()
-	})
+	}))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -98,28 +109,33 @@ func TestEnginePanicBecomesError(t *testing.T) {
 	}
 }
 
-func TestEngineNestedMapDoesNotDeadlock(t *testing.T) {
-	// E1's shape: outer cells each fan out inner cells through the same
-	// engine. A fixed shared pool would deadlock at Workers=1.
+// TestEngineRejectsNestedRun: cells are flat, so Run given the context of
+// a running cell fails instead of scheduling a cell inside a cell.
+func TestEngineRejectsNestedRun(t *testing.T) {
 	e := &Engine{Workers: 1}
-	var sum atomic.Int64
-	err := e.Map(context.Background(), "outer", 3, func(ctx context.Context, i int) error {
-		return e.Map(ctx, "inner", 4, func(_ context.Context, j int) error {
-			sum.Add(int64(i*4 + j))
+	var inner error
+	var innerRan bool
+	err := e.Run(context.Background(), []Cell{{ID: "outer", Fn: func(ctx context.Context) error {
+		inner = e.Run(ctx, []Cell{{ID: "inner", Fn: func(context.Context) error {
+			innerRan = true
 			return nil
-		})
-	})
+		}}})
+		return nil
+	}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.Load() != 66 {
-		t.Fatalf("sum = %d, want 66", sum.Load())
+	if inner == nil || !strings.Contains(inner.Error(), "do not nest") {
+		t.Fatalf("nested Run returned %v, want a cells-do-not-nest error", inner)
+	}
+	if innerRan || e.Cells() != 1 {
+		t.Fatalf("inner cell ran = %v, cells = %d; want false, 1", innerRan, e.Cells())
 	}
 }
 
 // TestEngineConcurrentSubmission drives one engine from several goroutines
-// at once — the sharing pattern All() creates when experiments themselves
-// are cells — and is the designated -race exercise for the engine.
+// at once, each cell accounting cycles to its own meter for the engine to
+// fold in, and is the designated -race exercise for the engine.
 func TestEngineConcurrentSubmission(t *testing.T) {
 	e := &Engine{Workers: 8, Record: true}
 	const gs, cellsPer = 4, 50
@@ -129,11 +145,11 @@ func TestEngineConcurrentSubmission(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			err := e.Map(context.Background(), fmt.Sprintf("g%d", g), cellsPer, func(_ context.Context, i int) error {
+			err := e.Run(context.Background(), indexedCells(fmt.Sprintf("g%d", g), cellsPer, func(ctx context.Context, _ int) error {
 				total.Add(1)
-				e.AddCycles(3)
+				account(ctx, 3, map[string]uint64{"execute": 3})
 				return nil
-			})
+			}))
 			if err != nil {
 				t.Error(err)
 			}
@@ -146,8 +162,8 @@ func TestEngineConcurrentSubmission(t *testing.T) {
 	if e.Cells() != gs*cellsPer {
 		t.Fatalf("Cells() = %d, want %d", e.Cells(), gs*cellsPer)
 	}
-	if e.Cycles() != 3*gs*cellsPer {
-		t.Fatalf("Cycles() = %d, want %d", e.Cycles(), 3*gs*cellsPer)
+	if e.Cycles() != 3*gs*cellsPer || e.Attribution()["execute"] != 3*gs*cellsPer {
+		t.Fatalf("Cycles() = %d, attribution %v, want %d", e.Cycles(), e.Attribution(), 3*gs*cellsPer)
 	}
 	if n := len(e.Timings()); n != gs*cellsPer {
 		t.Fatalf("recorded %d timings, want %d", n, gs*cellsPer)

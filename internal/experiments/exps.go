@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/ecache"
@@ -31,32 +32,28 @@ func Table1BranchSchemes() (*Table, error) {
 	benches := table1Benchmarks()
 	ms := spec.Default()
 	schemes := reorg.Table1Schemes()
-	// One cell per scheme (each fans out per-benchmark sub-cells), plus the
-	// shipped configuration with profile feedback ("our most recent results
-	// show that ... the average branch takes 1.27 cycles").
-	aggs := make([]suiteStats, len(schemes)+1)
-	cells := make([]Cell, len(schemes)+1)
+	// One memoizable cell per (scheme × benchmark), plus the shipped
+	// configuration with profile feedback ("our most recent results show
+	// that ... the average branch takes 1.27 cycles"), all in one Run.
+	suites := make([]suite, len(schemes)+1)
 	for i, scheme := range schemes {
-		i, scheme := i, scheme
-		cells[i] = Cell{ID: "E1/" + scheme.String(), Fn: func(ctx context.Context) error {
-			var err error
-			aggs[i], err = runSuite(ctx, benches, scheme, false, ms)
-			return err
-		}}
+		suites[i] = newSuite("E1/"+scheme.String(), benches, scheme, false, ms)
 	}
 	last := len(schemes)
-	cells[last] = Cell{ID: "E1/profiled", Fn: func(ctx context.Context) error {
-		var err error
-		aggs[last], err = runSuite(ctx, benches, reorg.Default(), true, ms)
-		return err
-	}}
+	suites[last] = newSuite("E1/profiled", benches, reorg.Default(), true, ms)
+	var cells []Cell
+	for _, s := range suites {
+		cells = append(cells, s.cells...)
+	}
 	if err := DefaultEngine().Run(context.Background(), cells); err != nil {
 		return nil, err
 	}
 	for i, scheme := range schemes {
-		t.AddRow(scheme.String(), aggs[i].cyclesPerBranch(), aggs[i].Branches, aggs[i].Wasted)
+		agg := suites[i].stats()
+		t.AddRow(scheme.String(), agg.cyclesPerBranch(), agg.Branches, agg.Wasted)
 	}
-	t.AddRow("2-slot squash optional + profile", aggs[last].cyclesPerBranch(), aggs[last].Branches, aggs[last].Wasted)
+	agg := suites[last].stats()
+	t.AddRow("2-slot squash optional + profile", agg.cyclesPerBranch(), agg.Branches, agg.Wasted)
 	return t, nil
 }
 
@@ -146,23 +143,19 @@ func BranchConditionStats() (*Table, error) {
 	benches := table1Benchmarks()
 	// CISC side: one memoizable cell per benchmark counts whether condition
 	// codes came from an explicit CMP/TST or rode on a prior arithmetic op.
-	// MIPS-X side: one suite cell (fanning out per-benchmark memo cells —
-	// the same cells E1's shipped-scheme row and E9 run, so a shared cache
-	// services all three).
+	// MIPS-X side: one memoizable cell per benchmark — the same cells E1's
+	// shipped-scheme row and E9 run, so a shared cache services all three.
 	vr := make([]VAXResult, len(benches))
-	var agg suiteStats
-	cells := make([]Cell, 0, len(benches)+1)
+	mx := newSuite("E3/mipsx", benches, reorg.Default(), false, spec.Default())
+	cells := make([]Cell, 0, 2*len(benches))
 	for i, b := range benches {
 		cells = append(cells, vaxCell("E3/vax/"+b.Name, b.Source, 100_000_000, &vr[i]))
 	}
-	cells = append(cells, Cell{ID: "E3/mipsx", Fn: func(ctx context.Context) error {
-		var err error
-		agg, err = runSuite(ctx, benches, reorg.Default(), false, spec.Default())
-		return err
-	}})
+	cells = append(cells, mx.cells...)
 	if err := DefaultEngine().Run(context.Background(), cells); err != nil {
 		return nil, err
 	}
+	agg := mx.stats()
 	var cmp, alu uint64
 	for _, r := range vr {
 		cmp += r.Stats.CCFromCmp
@@ -345,39 +338,31 @@ func SustainedThroughput() (*Table, error) {
 		Header: []string{"metric", "pascal", "lisp"},
 	}
 	ms := spec.Default()
-	// Six independent cells: the two compiled suites, the two large
-	// instruction traces, and the two multiprogrammed data traces (the
-	// per-reference Ecache stall is independent of the suites; it is scaled
-	// by each suite's data-reference density after the fan-in). The trace
-	// cells are memoized on (trace identity × cache parameters); their
-	// Icache closures are the same as E2's chosen-organization cells, so
-	// even a cold suite pass shares those simulations. Each trace is
-	// generated only if its cell misses.
+	// One memoizable cell per benchmark of the two compiled suites, plus
+	// four trace cells: the two large instruction traces and the two
+	// multiprogrammed data traces (the per-reference Ecache stall is
+	// independent of the suites; it is scaled by each suite's data-reference
+	// density after the fan-in). The trace cells are memoized on (trace
+	// identity × cache parameters); their Icache closures are the same as
+	// E2's chosen-organization cells, so even a cold suite pass shares those
+	// simulations. Each trace is generated only if its cell misses.
 	tsPas := synthTrace(trace.PascalSynth(0), 300_000)
 	tsLis := synthTrace(trace.LispSynth(0), 300_000)
 	mpPas, mpLis := multiprogSpec(1), multiprogSpec(2)
-	var pas, lis suiteStats
+	pasSuite := newSuite("E6/suite/pascal", tinyc.SuiteByClass("pascal"), reorg.Default(), true, ms)
+	lisSuite := newSuite("E6/suite/lisp", tinyc.SuiteByClass("lisp"), reorg.Default(), true, ms)
 	var icost [2]fetchCost
 	var esweep [2]ecacheSweep
-	cells := []Cell{
-		{ID: "E6/suite/pascal", Fn: func(ctx context.Context) error {
-			var err error
-			pas, err = runSuite(ctx, tinyc.SuiteByClass("pascal"), reorg.Default(), true, ms)
-			return err
-		}},
-		{ID: "E6/suite/lisp", Fn: func(ctx context.Context) error {
-			var err error
-			lis, err = runSuite(ctx, tinyc.SuiteByClass("lisp"), reorg.Default(), true, ms)
-			return err
-		}},
+	cells := slices.Concat(pasSuite.cells, lisSuite.cells, []Cell{
 		icacheCostCell("E6/icache/pascal", tsPas, spec.Default().ICache, tsPas.source(), &icost[0]),
 		icacheCostCell("E6/icache/lisp", tsLis, spec.Default().ICache, tsLis.source(), &icost[1]),
 		ecacheSweepCell("E6/ecache/pascal", mpPas, spec.DefaultECache(), false, mpPas.source(), &esweep[0]),
 		ecacheSweepCell("E6/ecache/lisp", mpLis, spec.DefaultECache(), false, mpLis.source(), &esweep[1]),
-	}
+	})
 	if err := DefaultEngine().Run(context.Background(), cells); err != nil {
 		return nil, err
 	}
+	pas, lis := pasSuite.stats(), lisSuite.stats()
 	t.AddRow("no-op fraction", fmt.Sprintf("%.1f%%", 100*pas.nopFraction()), fmt.Sprintf("%.1f%%", 100*lis.nopFraction()))
 	t.AddRow("pipeline CPI (suite, caches warm)", pas.cpi(), lis.cpi())
 	iPas, iLis := icost[0].Cycles-1, icost[1].Cycles-1
@@ -437,13 +422,11 @@ func VAXComparison() (*Table, error) {
 	// same closure as E1's profiled row, so the cache serves both) and the
 	// CISC reference run; ratios assemble after the fan-in, in benchmark
 	// order, then the geometric mean.
-	risc := make([]RunResult, len(benches))
+	mx := newSuite("E7/mipsx", benches, reorg.Default(), true, spec.Default())
 	cisc := make([]VAXResult, len(benches))
-	cells := make([]Cell, 0, 2*len(benches))
+	cells := slices.Clone(mx.cells)
 	for i, b := range benches {
-		cells = append(cells,
-			benchCell("E7/mipsx/"+b.Name, b, reorg.Default(), true, spec.Default(), &risc[i]),
-			vaxCell("E7/vax/"+b.Name, b.Source, 200_000_000, &cisc[i]))
+		cells = append(cells, vaxCell("E7/vax/"+b.Name, b.Source, 200_000_000, &cisc[i]))
 	}
 	if err := DefaultEngine().Run(context.Background(), cells); err != nil {
 		return nil, err
@@ -457,9 +440,10 @@ func VAXComparison() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		riscInstr := float64(risc[i].Stats.Pipeline.Issued())
+		risc := mx.rs[i].Stats.Pipeline
+		riscInstr := float64(risc.Issued())
 		ciscInstr := float64(cisc[i].Stats.Instructions)
-		riscTime := float64(risc[i].Stats.Pipeline.Cycles) / core.ClockMHz // µs
+		riscTime := float64(risc.Cycles) / core.ClockMHz // µs
 		ciscTime := float64(cisc[i].Stats.Cycles) / vaxlike.ClockMHz
 		path := riscInstr / ciscInstr
 		size := float64(tinyc.StaticInstructions(im)) / float64(cisc[i].CodeLen)
@@ -491,17 +475,13 @@ func MemoryBandwidth() (*Table, error) {
 	// One memoizable cell per benchmark, the same (benchmark × shipped
 	// scheme × default config) closure as E1's shipped row and E3's MIPS-X
 	// suite — three experiments, one set of simulations under the cache.
-	rs := make([]RunResult, len(benches))
-	cells := make([]Cell, len(benches))
-	for i, b := range benches {
-		cells[i] = benchCell("E9/"+b.Name, b, reorg.Default(), false, spec.Default(), &rs[i])
-	}
-	if err := DefaultEngine().Run(context.Background(), cells); err != nil {
+	mx := newSuite("E9", benches, reorg.Default(), false, spec.Default())
+	if err := DefaultEngine().Run(context.Background(), mx.cells); err != nil {
 		return nil, err
 	}
 	agg := core.Stats{}
-	for i := range rs {
-		s := rs[i].Stats
+	for i := range mx.rs {
+		s := mx.rs[i].Stats
 		agg.Pipeline.Fetches += s.Pipeline.Fetches
 		agg.Pipeline.Loads += s.Pipeline.Loads
 		agg.Pipeline.Stores += s.Pipeline.Stores
@@ -587,35 +567,40 @@ func EcacheAblations() (*Table, error) {
 	return t, nil
 }
 
-// All runs every experiment in DESIGN.md order. The experiments themselves
-// run as engine cells (each fanning out its own sub-cells), so the whole
-// suite saturates the worker pool; tables come back in order regardless.
+// Experiment is one table of the evaluation: its ID (E1..E11) and the
+// zero-argument function that regenerates it.
+type Experiment struct {
+	ID  string
+	Run func() (*Table, error)
+}
+
+// Experiments lists the evaluation in DESIGN.md order. All and
+// cmd/mipsx-bench run it; each experiment fans its own cells out through
+// the default engine.
+var Experiments = []Experiment{
+	{"E1", Table1BranchSchemes},
+	{"E2", IcacheDesign},
+	{"E3", BranchConditionStats},
+	{"E4", BranchCacheVsStatic},
+	{"E5", CoprocessorSchemes},
+	{"E6", SustainedThroughput},
+	{"E7", VAXComparison},
+	{"E8", ExceptionHandling},
+	{"E9", MemoryBandwidth},
+	{"E10", EcacheAblations},
+	{"E11", MultiprocessorScaling},
+}
+
+// All runs every experiment in order and returns the tables; on an error
+// it returns the tables finished before it.
 func All() ([]*Table, error) {
-	fns := []func() (*Table, error){
-		Table1BranchSchemes, IcacheDesign, BranchConditionStats,
-		BranchCacheVsStatic, CoprocessorSchemes, SustainedThroughput,
-		VAXComparison, ExceptionHandling, MemoryBandwidth, EcacheAblations,
-		MultiprocessorScaling,
-	}
-	out := make([]*Table, len(fns))
-	err := DefaultEngine().Map(context.Background(), "experiment", len(fns), func(_ context.Context, i int) error {
-		tb, err := fns[i]()
+	var out []*Table
+	for _, x := range Experiments {
+		tb, err := x.Run()
 		if err != nil {
-			return err
+			return out, fmt.Errorf("%s: %w", x.ID, err)
 		}
-		out[i] = tb
-		return nil
-	})
-	if err != nil {
-		// Preserve the partial prefix the serial runner used to return.
-		var done []*Table
-		for _, tb := range out {
-			if tb == nil {
-				break
-			}
-			done = append(done, tb)
-		}
-		return done, err
+		out = append(out, tb)
 	}
 	return out, nil
 }

@@ -60,12 +60,12 @@ type memoEntry struct {
 	// CellID is the recording cell's ID, kept for cache-dir forensics only;
 	// it is not part of the identity (several cells may share one key).
 	CellID string `json:"cell_id"`
-	// Cycles is the simulated-cycle count the live run accounted against
-	// the engine, replayed on a hit so hot and cold runs report identical
+	// Cycles is the simulated-cycle count the live run accounted to its
+	// cell, replayed on a hit so hot and cold runs report identical
 	// total_cycles_simulated.
 	Cycles uint64 `json:"cycles"`
-	// Attr is the per-cause decomposition of Cycles (the obs ledger map the
-	// live run accounted via AddAttrCtx), replayed on a hit so hot and cold
+	// Attr is the per-cause decomposition of Cycles (the obs ledger maps the
+	// live run accounted to its cell), replayed on a hit so hot and cold
 	// runs report byte-identical attribution. Entries recorded before the
 	// ledger existed can never replay: adding this field came with a
 	// memoEpoch bump.

@@ -244,24 +244,22 @@ func memoCell(out *int, runs *atomic.Int32) Cell {
 		ID: "memoized",
 		Fn: func(ctx context.Context) error {
 			runs.Add(1)
-			DefaultEngine().AddCyclesCtx(ctx, 7)
+			account(ctx, 7, nil)
 			*out = 99
 			return nil
 		},
 		Memo: &CellMemo{
-			Key:  func() (string, error) { return memoCellKey, nil },
-			Save: func() (any, error) { return out, nil },
-			Load: func(data []byte) error { *out = 99; return nil },
+			Key: func() (string, error) { return memoCellKey, nil },
+			Out: out,
 		},
 	}
 }
 
-// runMemoCell runs memoCell once on a fresh default engine over store and
-// returns the engine; the cell must produce its result either way.
+// runMemoCell runs memoCell once on a fresh engine over store and returns
+// the engine; the cell must produce its result either way.
 func runMemoCell(t *testing.T, store *MemoStore, runs *atomic.Int32) *Engine {
 	t.Helper()
-	e := Configure(0, 0, false)
-	e.Store = store
+	e := &Engine{Store: store}
 	var got int
 	if err := e.Run(context.Background(), []Cell{memoCell(&got, runs)}); err != nil {
 		t.Fatal(err)
@@ -276,7 +274,6 @@ func runMemoCell(t *testing.T, store *MemoStore, runs *atomic.Int32) *Engine {
 // must say so — put returns the error, the engine counts it into the bench
 // document, and a failed rename leaves no .tmp file behind.
 func TestMemoStoreWriteErrorsAreCounted(t *testing.T) {
-	defer Configure(0, 0, false)
 	cases := []struct {
 		name    string
 		corrupt uint64 // the blocker also reads as a corrupt entry
@@ -328,7 +325,6 @@ func TestMemoStoreWriteErrorsAreCounted(t *testing.T) {
 // the engine reports as corrupt; the live run overwrites it, so the next
 // store replays cleanly. Healthy documents carry neither counter.
 func TestMemoStoreCorruptEntryIsReportedMiss(t *testing.T) {
-	defer Configure(0, 0, false)
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, memoCellKey+".json"), []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
@@ -370,7 +366,6 @@ func TestEngineReplaySkipsCellBody(t *testing.T) {
 		t.Fatal(err)
 	}
 	var runs atomic.Int32
-	defer Configure(0, 0, false)
 	for pass := 0; pass < 2; pass++ {
 		e := runMemoCell(t, store, &runs)
 		if e.Cycles() != 7 {

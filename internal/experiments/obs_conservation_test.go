@@ -12,6 +12,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -83,14 +85,9 @@ func TestMemoReplaysAttributionByteIdentical(t *testing.T) {
 	}
 	b := table1Benchmarks()[0]
 	scheme := reorg.Default()
-	// Cell bodies account cycles against the package default engine;
-	// install ours for the test's duration.
-	old := DefaultEngine()
-	defer defaultEngine.Store(old)
 
 	runOnce := func() (*Engine, RunResult, CellTiming) {
 		e := &Engine{Record: true, Store: store}
-		defaultEngine.Store(e)
 		var out RunResult
 		cell := benchCell("memo-attr/"+b.Name, b, scheme, false, spec.Default(), &out)
 		if err := e.Run(context.Background(), []Cell{cell}); err != nil {
@@ -146,10 +143,7 @@ func TestMemoReplaysAttributionByteIdentical(t *testing.T) {
 // TestBenchDocConservation asserts the report-level invariant the CI bench
 // gate greps for.
 func TestBenchDocConservation(t *testing.T) {
-	old := DefaultEngine()
-	defer defaultEngine.Store(old)
 	e := &Engine{Record: true}
-	defaultEngine.Store(e)
 	var out RunResult
 	cell := benchCell("doc-attr", table1Benchmarks()[0], reorg.Default(), false, spec.Default(), &out)
 	if err := e.Run(context.Background(), []Cell{cell}); err != nil {
@@ -164,6 +158,73 @@ func TestBenchDocConservation(t *testing.T) {
 	}
 	if len(doc.Attribution) == 0 {
 		t.Fatal("empty attribution map")
+	}
+}
+
+// TestCellAccountsToItsOwnEngine: a live cell's cycles and attribution land
+// on the engine that ran it — here not the package default — and the
+// default engine gains none of them.
+func TestCellAccountsToItsOwnEngine(t *testing.T) {
+	def := DefaultEngine()
+	defCycles, defAttr := def.Cycles(), def.Attribution()
+	e := &Engine{Record: true}
+	var out RunResult
+	cell := benchCell("own-engine", table1Benchmarks()[0], reorg.Default(), false, spec.Default(), &out)
+	if err := e.Run(context.Background(), []Cell{cell}); err != nil {
+		t.Fatal(err)
+	}
+	want := out.Stats.Pipeline.Cycles
+	if want == 0 || e.Cycles() != want {
+		t.Fatalf("engine accounted %d cycles, the run simulated %d", e.Cycles(), want)
+	}
+	var attributed uint64
+	for _, v := range e.Attribution() {
+		attributed += v
+	}
+	if attributed != want {
+		t.Fatalf("engine attribution sums to %d, want %d", attributed, want)
+	}
+	if tm := e.Timings(); len(tm) != 1 || !reflect.DeepEqual(tm[0].Attribution, e.Attribution()) {
+		t.Fatalf("cell row attribution %v, engine %v", tm, e.Attribution())
+	}
+	if def.Cycles() != defCycles || !reflect.DeepEqual(def.Attribution(), defAttr) {
+		t.Fatalf("default engine gained %d cycles from a cell it did not run", def.Cycles()-defCycles)
+	}
+}
+
+// TestCellTimingsPartitionCycles: cells are flat, so a report's per-cell
+// rows partition its totals — each simulated cycle appears in exactly one
+// row — and every row names its experiment uniquely. E1, E3 and E6 are the
+// experiments whose suites used to run as cells inside cells.
+func TestCellTimingsPartitionCycles(t *testing.T) {
+	defer Configure(0, 0, false)
+	e := Configure(1, 0, true)
+	for _, fn := range []func() (*Table, error){Table1BranchSchemes, BranchConditionStats, SustainedThroughput} {
+		if _, err := fn(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sum := map[string]uint64{}
+	var total uint64
+	ids := map[string]bool{}
+	for _, ct := range e.Timings() {
+		if ids[ct.ID] {
+			t.Errorf("cell ID %q appears twice", ct.ID)
+		}
+		ids[ct.ID] = true
+		if !strings.HasPrefix(ct.ID, "E1/") && !strings.HasPrefix(ct.ID, "E3/") && !strings.HasPrefix(ct.ID, "E6/") {
+			t.Errorf("cell ID %q does not name its experiment", ct.ID)
+		}
+		for k, v := range ct.Attribution {
+			sum[k] += v
+			total += v
+		}
+	}
+	if total != e.Cycles() || !reflect.DeepEqual(sum, e.Attribution()) {
+		t.Fatalf("cell rows sum to %d cycles %v; engine accounted %d %v", total, sum, e.Cycles(), e.Attribution())
+	}
+	if uint64(len(ids)) != e.Cells() {
+		t.Fatalf("%d distinct cell IDs, %d cells", len(ids), e.Cells())
 	}
 }
 

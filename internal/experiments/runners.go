@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -48,12 +47,12 @@ func defaultConfig() core.Config {
 }
 
 // runMachine runs m until it halts or runLimit cycles pass, in runChunk
-// slices so cancellation is observed, accounting simulated cycles to the
-// default engine (attributed to the running cell via ctx). Only the
-// resumable core.ErrNotHalted sentinel continues the loop; a genuine
-// machine fault (runaway PC, and whatever fault classes the core grows)
-// returns immediately with its own message instead of burning the rest of
-// the 50M-cycle budget and surfacing as a bogus timeout.
+// slices so cancellation is observed, accounting the simulated cycles to
+// the running cell. Only the resumable core.ErrNotHalted sentinel continues
+// the loop; a genuine machine fault (runaway PC, and whatever fault classes
+// the core grows) returns immediately with its own message instead of
+// burning the rest of the 50M-cycle budget and surfacing as a bogus
+// timeout.
 //
 // Every machine gets a ledger-only observability sink (unless the caller
 // attached its own, e.g. with a tracer): the per-cause breakdown is
@@ -64,29 +63,21 @@ func runMachine(ctx context.Context, m *core.Machine) error {
 	if m.Obs == nil {
 		m.Observe(obs.NewMachineSink())
 	}
-	e := DefaultEngine()
 	var total uint64
-	account := func() {
-		e.AddCyclesCtx(ctx, total)
-		e.AddAttrCtx(ctx, m.Obs.Ledger.Map())
-	}
+	defer func() { account(ctx, total, m.Obs.Ledger.Map()) }()
 	for {
 		if err := ctx.Err(); err != nil {
-			account()
 			return err
 		}
 		n, err := m.Run(runChunk)
 		total += n
 		if err == nil {
-			account()
 			return m.VerifyAttribution()
 		}
 		if !errors.Is(err, core.ErrNotHalted) {
-			account()
 			return fmt.Errorf("%w (%d cycles simulated)", err, total)
 		}
 		if total >= runLimit {
-			account()
 			return fmt.Errorf("no halt within %d cycles (pc %#x)", runLimit, m.CPU.PC())
 		}
 	}
@@ -95,7 +86,8 @@ func runMachine(ctx context.Context, m *core.Machine) error {
 // runVAX runs the CISC reference machine until it halts or maxInstr
 // instructions retire, in runChunk slices so cancellation is observed
 // (vaxlike.Run counts instructions against an absolute limit, so it is
-// resumable the same way Machine.Run is).
+// resumable the same way Machine.Run is), accounting a finished run's
+// cycles to the running cell.
 func runVAX(ctx context.Context, vm *vaxlike.Machine, maxInstr uint64) error {
 	if vm.Led == nil {
 		vm.Observe(vaxlike.NewVAXLedger())
@@ -109,9 +101,7 @@ func runVAX(ctx context.Context, vm *vaxlike.Machine, maxInstr uint64) error {
 		}
 		err := vm.Run(limit)
 		if err == nil {
-			e := DefaultEngine()
-			e.AddCyclesCtx(ctx, vm.Stats.Cycles)
-			e.AddAttrCtx(ctx, vm.Led.Map())
+			account(ctx, vm.Stats.Cycles, vm.Led.Map())
 			return vm.VerifyAttribution()
 		}
 		// A real step error leaves the machine short of the limit; only a
@@ -327,9 +317,8 @@ func benchCell(id string, b tinyc.Benchmark, scheme reorg.Scheme, profiled bool,
 			return nil
 		},
 		Memo: &CellMemo{
-			Key:  func() (string, error) { return benchKey(kind, b, scheme, ms) },
-			Save: func() (any, error) { return out, nil },
-			Load: func(data []byte) error { return json.Unmarshal(data, out) },
+			Key: func() (string, error) { return benchKey(kind, b, scheme, ms) },
+			Out: out,
 		},
 	}
 }
@@ -359,8 +348,7 @@ func asmCell(id, src string, ms spec.MachineSpec, out *RunResult) Cell {
 				k.str("spec", ms.Digest())
 				return k.sum(), nil
 			},
-			Save: func() (any, error) { return out, nil },
-			Load: func(data []byte) error { return json.Unmarshal(data, out) },
+			Out: out,
 		},
 	}
 }
@@ -390,8 +378,7 @@ func vaxCell(id, src string, maxInstr uint64, out *VAXResult) Cell {
 				k.num("max-instr", maxInstr)
 				return k.sum(), nil
 			},
-			Save: func() (any, error) { return out, nil },
-			Load: func(data []byte) error { return json.Unmarshal(data, out) },
+			Out: out,
 		},
 	}
 }
@@ -417,9 +404,8 @@ func branchTraceCell(id string, b tinyc.Benchmark, scheme reorg.Scheme, ms spec.
 			return nil
 		},
 		Memo: &CellMemo{
-			Key:  func() (string, error) { return benchKey("branch-trace", b, scheme, ms) },
-			Save: func() (any, error) { return out, nil },
-			Load: func(data []byte) error { return json.Unmarshal(data, out) },
+			Key: func() (string, error) { return benchKey("branch-trace", b, scheme, ms) },
+			Out: out,
 		},
 	}
 }
@@ -475,22 +461,30 @@ func (s *suiteStats) cpi() float64 {
 	return float64(s.Cycles) / float64(s.issued())
 }
 
-// runSuite runs the benchmarks under one scheme, one memoizable engine
-// cell per benchmark, and aggregates in submission order after the fan-in.
-func runSuite(ctx context.Context, benches []tinyc.Benchmark, scheme reorg.Scheme, profiled bool, ms spec.MachineSpec) (suiteStats, error) {
-	rs := make([]RunResult, len(benches))
-	cells := make([]Cell, len(benches))
+// suite is one pass over a benchmark set under one scheme: a memoizable
+// cell per benchmark, named prefix/<benchmark>, and the result slots they
+// fill, index-aligned with the benchmarks. The experiment submits the cells
+// in its own Run and folds the results afterwards.
+type suite struct {
+	cells []Cell
+	rs    []RunResult
+}
+
+func newSuite(prefix string, benches []tinyc.Benchmark, scheme reorg.Scheme, profiled bool, ms spec.MachineSpec) suite {
+	s := suite{cells: make([]Cell, len(benches)), rs: make([]RunResult, len(benches))}
 	for i, b := range benches {
-		cells[i] = benchCell(fmt.Sprintf("suite/%s/%s", scheme, b.Name), b, scheme, profiled, ms, &rs[i])
+		s.cells[i] = benchCell(prefix+"/"+b.Name, b, scheme, profiled, ms, &s.rs[i])
 	}
+	return s
+}
+
+// stats aggregates the results in benchmark order.
+func (s suite) stats() suiteStats {
 	var agg suiteStats
-	if err := DefaultEngine().Run(ctx, cells); err != nil {
-		return agg, err
+	for i := range s.rs {
+		agg.add(&s.rs[i])
 	}
-	for i := range rs {
-		agg.add(&rs[i])
-	}
-	return agg, nil
+	return agg
 }
 
 // runAsm assembles and runs hand-written (already scheduled) assembly on

@@ -103,7 +103,7 @@ func scenarioKey(benches []tinyc.Benchmark, scheme reorg.Scheme, ms spec.Machine
 }
 
 // runScenario runs a scenario under the cell's context and accounts its
-// cycles and attribution to the default engine, like runMachine does for a
+// cycles and attribution to the running cell, like runMachine does for a
 // single machine. Every CPU's ledger is conservation-verified inside
 // scenario.RunWith before the result is built.
 func runScenario(ctx context.Context, progs []scenario.Program, scheme reorg.Scheme, ms spec.MachineSpec, opts scenario.RunOpts, out *scenario.Result) error {
@@ -112,9 +112,7 @@ func runScenario(ctx context.Context, progs []scenario.Program, scheme reorg.Sch
 		return err
 	}
 	*out = *r
-	e := DefaultEngine()
-	e.AddCyclesCtx(ctx, r.Cycles)
-	e.AddAttrCtx(ctx, r.Obs.Map())
+	account(ctx, r.Cycles, r.Obs.Map())
 	return nil
 }
 
@@ -129,9 +127,8 @@ func scenarioCell(id string, benches []tinyc.Benchmark, scheme reorg.Scheme, ms 
 			return runScenario(ctx, scenarioPrograms(benches), scheme, ms, scenario.RunOpts{}, out)
 		},
 		Memo: &CellMemo{
-			Key:  func() (string, error) { return scenarioKey(benches, scheme, ms) },
-			Save: func() (any, error) { return out, nil },
-			Load: func(data []byte) error { return json.Unmarshal(data, out) },
+			Key: func() (string, error) { return scenarioKey(benches, scheme, ms) },
+			Out: out,
 		},
 	}
 }

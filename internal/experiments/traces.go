@@ -13,7 +13,6 @@ package experiments
 import (
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"sync"
 
@@ -119,8 +118,7 @@ func icacheCostCell(id string, ts traceSpec, ic spec.ICacheSpec,
 				k.str("icache-spec", ic.Digest())
 				return k.sum(), nil
 			},
-			Save: func() (any, error) { return out, nil },
-			Load: func(data []byte) error { return json.Unmarshal(data, out) },
+			Out: out,
 		},
 	}
 }
@@ -175,8 +173,7 @@ func ecacheSweepCell(id string, ts traceSpec, ec spec.ECacheSpec, writes bool,
 				k.num("writes", boolBit(writes))
 				return k.sum(), nil
 			},
-			Save: func() (any, error) { return out, nil },
-			Load: func(data []byte) error { return json.Unmarshal(data, out) },
+			Out: out,
 		},
 	}
 }
@@ -255,8 +252,7 @@ func predictorCell(id, streamDigest, kind string, entries int,
 				k.num("entries", uint64(entries))
 				return k.sum(), nil
 			},
-			Save: func() (any, error) { return out, nil },
-			Load: func(data []byte) error { return json.Unmarshal(data, out) },
+			Out: out,
 		},
 	}
 }

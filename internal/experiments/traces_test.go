@@ -24,9 +24,8 @@ func countedMemoCell(runs *int, out *int) Cell {
 			return nil
 		},
 		Memo: &CellMemo{
-			Key:  func() (string, error) { return newKey("test").str("id", "counted").sum(), nil },
-			Save: func() (any, error) { return out, nil },
-			Load: func(data []byte) error { *out = 7; return nil },
+			Key: func() (string, error) { return newKey("test").str("id", "counted").sum(), nil },
+			Out: out,
 		},
 	}
 }

@@ -14,7 +14,10 @@ Both sides must run identical benchmark code: the tool refuses to start when
 `git diff --quiet REV -- perfbench BENCHMARK.json` fails.
 
 For every metric the runs report, it prints each side's median, q1 and q3,
-the pairs the working tree won, and the median change. For the end-to-end
+the pairs the working tree won, and the median change. The quartiles are
+statistics.quantiles(values, n=4) with its default (exclusive) method, the
+way perfbench reports its own quartiles, so the claim rule below measures
+the base's spread as the benchmark does. For the end-to-end
 metrics (--trace 0) it also flags a working-tree median worse than the
 base's by more than the metric's BENCHMARK.json bound, and says whether the
 gain clears the claim rule: better in at least nine of ten pairs, and a
@@ -75,7 +78,7 @@ def run_once(tree, args):
 def spread(values):
     if len(values) < 2:
         return values[0], values[0], values[0]
-    q1, _, q3 = quantiles(values, n=4, method="inclusive")
+    q1, _, q3 = quantiles(values, n=4)
     return median(values), q1, q3
 
 
