@@ -64,13 +64,14 @@ cost-gate:
 	$(GO) test ./internal/experiments -run TestStaticCostMatchesLedgerEveryBenchmarkEveryScheme -count=1
 
 # Longer exploration of the compile → reorganize → lint invariant, the
-# pipeline-vs-golden-model differential, the spec JSON boundary, the trace
-# encoder against its json.Marshal reference and the window-stream decoder
-# (CI smokes all five on every merge).
+# pipeline-vs-golden-model differential, the spec JSON and sweep boundaries,
+# the trace encoder against its json.Marshal reference and the window-stream
+# decoder (CI smokes all six on every merge).
 fuzz:
 	$(GO) test ./internal/lint -fuzz=FuzzCompileReorgLint -fuzztime=60s
 	$(GO) test ./internal/refmodel -fuzz=FuzzPipelineVsRefmodel -fuzztime=60s -run '^$$'
 	$(GO) test ./internal/spec -fuzz=FuzzSpecParse -fuzztime=60s -run '^$$'
+	$(GO) test ./internal/spec -fuzz=FuzzSweep -fuzztime=60s -run '^$$'
 	$(GO) test ./internal/obs -fuzz=FuzzTraceEncode -fuzztime=60s -run '^$$'
 	$(GO) test ./internal/obs -fuzz=FuzzParseWindowStream -fuzztime=60s -run '^$$'
 

@@ -66,8 +66,6 @@ func main() {
 		"with -check: also require cycle totals and the attribution breakdown to match the baseline exactly")
 	scenarioMode := flag.Bool("scenario", false,
 		"run the multiprogramming scenario sweep (workload × quantum × Icache switch policy) instead of the experiment tables")
-	obsWindow := flag.Int("obs-window", 0,
-		"with -scenario: carry an N-cycle windowed ledger time-series (mipsx-obswin/v1) in every cell's result (not for golden -check runs)")
 	flag.Parse()
 
 	eng := experiments.Configure(*parallel, *timeout, *jsonOut || *check != "")
@@ -82,11 +80,7 @@ func main() {
 	}
 
 	if *scenarioMode {
-		os.Exit(runScenario(eng, *jsonOut, *check, *obsWindow))
-	}
-	if *obsWindow != 0 {
-		fmt.Fprintln(os.Stderr, "mipsx-bench: -obs-window needs -scenario")
-		os.Exit(2)
+		os.Exit(runScenario(eng, *jsonOut, *check))
 	}
 
 	selected := experiments.Experiments
@@ -175,14 +169,8 @@ func main() {
 // is conservation-verified inside scenario.Run before it reaches the
 // document, and the pid-policy cells' zero-overhead invariant is re-checked
 // here so the gate fails loudly even on a reseeded baseline.
-func runScenario(eng *experiments.Engine, jsonOut bool, check string, window int) int {
-	if window != 0 && check != "" {
-		// The golden baseline was recorded windowless; a windowed document
-		// can never byte-match it, so refuse the combination up front.
-		fmt.Fprintln(os.Stderr, "mipsx-bench: -obs-window cannot be combined with a golden -check (the baseline is windowless)")
-		return 2
-	}
-	doc, err := experiments.ScenarioSweepWindowed(context.Background(), nil, nil, nil, window)
+func runScenario(eng *experiments.Engine, jsonOut bool, check string) int {
+	doc, err := experiments.ScenarioSweep(context.Background(), nil, nil, nil)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mipsx-bench: -scenario: %v\n", err)
 		return 1

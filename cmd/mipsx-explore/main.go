@@ -155,17 +155,11 @@ func pickBenches(list string) ([]tinyc.Benchmark, error) {
 	if list == "" {
 		return nil, nil
 	}
-	byName := make(map[string]tinyc.Benchmark)
-	var names []string
-	for _, b := range tinyc.Benchmarks() {
-		byName[b.Name] = b
-		names = append(names, b.Name)
-	}
 	var out []tinyc.Benchmark
 	for _, name := range strings.Split(list, ",") {
-		b, ok := byName[name]
-		if !ok {
-			return nil, fmt.Errorf("unknown benchmark %q (have %s)", name, strings.Join(names, ", "))
+		b, err := tinyc.BenchmarkByName(name)
+		if err != nil {
+			return nil, err
 		}
 		out = append(out, b)
 	}

@@ -45,7 +45,7 @@ func main() {
 	breakdown := flag.Bool("breakdown", false, "print the cycle-attribution table (conservation-checked)")
 	breakdownOut := flag.String("breakdown-out", "", "write the attribution report as JSON (mipsx-trace viz renders it)")
 	traceOut := flag.String("trace-out", "", "stream a Chrome trace-event/Perfetto JSON trace of the run to FILE as it executes")
-	obsWindow := flag.Int("obs-window", 0, "fold the attribution ledger into N-cycle windows (mipsx-obswin/v1 time-series)")
+	obsWindow := flag.Int("obs-window", 0, "with -obs-window-out: fold the attribution ledger into N-cycle windows (mipsx-obswin/v1 time-series)")
 	obsWindowOut := flag.String("obs-window-out", "", "with -obs-window: stream the window time-series to FILE (mipsx-trace -follow tails it)")
 	scenarioList := flag.String("scenario", "", "run a multiprogrammed scenario of comma-separated built-in benchmarks (e.g. bubblesort,sieve)")
 	scenarioQuantum := flag.Int("scenario-quantum", 0, "with -scenario: scheduler quantum in cycles (0 = spec default)")
@@ -63,8 +63,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "mipsx-run: -scenario-quantum must be >= 0")
 		os.Exit(2)
 	}
-	if *obsWindowOut != "" && *obsWindow == 0 {
-		fmt.Fprintln(os.Stderr, "mipsx-run: -obs-window-out needs -obs-window N")
+	if (*obsWindowOut != "") != (*obsWindow > 0) {
+		// Windows only stream: a size without a file would compute them for
+		// nothing, and a file without a size has nothing to write.
+		fmt.Fprintln(os.Stderr, "mipsx-run: -obs-window N and -obs-window-out FILE go together")
 		os.Exit(2)
 	}
 
@@ -94,16 +96,12 @@ func main() {
 			os.Exit(2)
 		}
 		*tiny = true
-		found := false
-		for _, b := range tinyc.Benchmarks() {
-			if b.Name == *benchName {
-				src, found = []byte(b.Source), true
-			}
-		}
-		if !found {
-			fmt.Fprintf(os.Stderr, "mipsx-run: unknown benchmark %q (see internal/tinyc)\n", *benchName)
+		b, err := tinyc.BenchmarkByName(*benchName)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "mipsx-run: -bench:", err)
 			os.Exit(2)
 		}
+		src = []byte(b.Source)
 	case flag.NArg() == 1:
 		if src, err = os.ReadFile(flag.Arg(0)); err != nil {
 			fail(err)
@@ -185,9 +183,7 @@ func main() {
 	// Observation is attached only when asked for: the unobserved machine
 	// keeps the nil-sink fast path.
 	observed := *breakdown || *breakdownOut != "" || *traceOut != "" || *obsWindow > 0
-	var closeTrace func()
-	var win *obs.WindowedLedger
-	var winStream *obs.WindowStreamWriter
+	var closeTrace, closeWindows func()
 	if observed {
 		s := obs.NewMachineSink()
 		if *traceOut != "" {
@@ -195,18 +191,8 @@ func main() {
 			closeTrace = openTrace(*traceOut, s.Tracer)
 		}
 		if *obsWindow > 0 {
-			win = obs.NewWindowedLedger(obs.MachineCauseNames, uint64(*obsWindow))
-			if *obsWindowOut != "" {
-				f, err := os.Create(*obsWindowOut)
-				if err != nil {
-					fail(err)
-				}
-				defer f.Close()
-				if winStream, err = obs.NewWindowStreamWriter(f, uint64(*obsWindow)); err != nil {
-					fail(err)
-				}
-				win.OnWindow(winStream.Write)
-			}
+			var win *obs.WindowedLedger
+			win, closeWindows = openWindows(*obsWindowOut, *obsWindow)
 			s.Ledger.AttachWindows(win)
 		}
 		m.Observe(s)
@@ -234,15 +220,8 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	if win != nil {
-		win.Flush()
-		if err := win.Err(); err != nil {
-			fail(err)
-		}
-		if winStream != nil {
-			fmt.Fprintf(os.Stderr, "mipsx-run: streamed %d ledger windows (%d cycles each) to %s\n",
-				winStream.Count(), *obsWindow, *obsWindowOut)
-		}
+	if closeWindows != nil {
+		closeWindows()
 	}
 	if observed {
 		if err := m.VerifyAttribution(); err != nil {
@@ -325,6 +304,31 @@ func openTrace(path string, tr *obs.Tracer) func() {
 	}
 }
 
+// openWindows builds the -obs-window ledger, streaming each window to path
+// as it closes. The returned function flushes the last window, which also
+// checks that the windows add back to the ledger, and closes the file.
+func openWindows(path string, size int) (*obs.WindowedLedger, func()) {
+	f, err := os.Create(path)
+	if err != nil {
+		fail(err)
+	}
+	sw, err := obs.NewWindowStreamWriter(f, uint64(size))
+	if err != nil {
+		fail(err)
+	}
+	win := obs.NewWindowedLedger(obs.MachineCauseNames, uint64(size))
+	win.OnWindow(sw.Write)
+	return win, func() {
+		if err := win.Flush(); err != nil {
+			fail(err)
+		}
+		if err := f.Close(); err != nil {
+			fail(err)
+		}
+		fmt.Fprintf(os.Stderr, "mipsx-run: streamed %d ledger windows (%d cycles each) to %s\n", sw.Count(), size, path)
+	}
+}
+
 // runScenario executes comma-separated built-in benchmarks as one
 // multiprogrammed scenario (internal/scenario) with the streaming
 // observability the flags ask for: -trace-out streams trace events on the
@@ -333,16 +337,11 @@ func openTrace(path string, tr *obs.Tracer) func() {
 // and flush-refill cost evolve around context switches on multi-million
 // cycle runs under O(window) memory.
 func runScenario(list, specPath string, quantum int, policy, traceOut string, window int, windowOut string, breakdown bool, breakdownOut string) {
-	byName := make(map[string]tinyc.Benchmark)
-	for _, b := range tinyc.Benchmarks() {
-		byName[b.Name] = b
-	}
 	var programs []scenario.Program
 	for _, name := range strings.Split(list, ",") {
-		name = strings.TrimSpace(name)
-		b, ok := byName[name]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "mipsx-run: unknown scenario benchmark %q (see internal/tinyc)\n", name)
+		b, err := tinyc.BenchmarkByName(strings.TrimSpace(name))
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "mipsx-run: -scenario:", err)
 			os.Exit(2)
 		}
 		programs = append(programs, scenario.Program{Name: b.Name, Source: b.Source, Expect: b.Expect()})
@@ -368,7 +367,6 @@ func runScenario(list, specPath string, quantum int, policy, traceOut string, wi
 	if policy != "" {
 		scn.Policy = policy
 	}
-	scn.Window = window
 	ms.Scenario = &scn
 	if err := ms.Validate(); err != nil {
 		fail(err)
@@ -384,17 +382,9 @@ func runScenario(list, specPath string, quantum int, policy, traceOut string, wi
 		opts.Tracer = &obs.Tracer{}
 		closeTrace = openTrace(traceOut, opts.Tracer)
 	}
-	var winStream *obs.WindowStreamWriter
-	if windowOut != "" {
-		f, err := os.Create(windowOut)
-		if err != nil {
-			fail(err)
-		}
-		defer f.Close()
-		if winStream, err = obs.NewWindowStreamWriter(f, uint64(window)); err != nil {
-			fail(err)
-		}
-		opts.WindowEmit = winStream.Write
+	var closeWindows func()
+	if window > 0 {
+		opts.Windows, closeWindows = openWindows(windowOut, window)
 	}
 
 	res, err := scenario.RunWith(context.Background(), programs, scheme, ms, opts)
@@ -404,9 +394,8 @@ func runScenario(list, specPath string, quantum int, policy, traceOut string, wi
 	if closeTrace != nil {
 		closeTrace()
 	}
-	if winStream != nil {
-		fmt.Fprintf(os.Stderr, "mipsx-run: streamed %d ledger windows (%d cycles each) to %s\n",
-			winStream.Count(), window, windowOut)
+	if closeWindows != nil {
+		closeWindows()
 	}
 
 	fmt.Printf("scenario %s: quantum %d, policy %s, switch cost %d\n",

@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // TestMain lets the tests run this command: with MIPSX_RUN_MAIN set, the
@@ -131,5 +133,48 @@ func TestNegativeScenarioQuantumIsRejected(t *testing.T) {
 	code, _, stderr := mipsxRun(t, "-scenario", "fib", "-scenario-quantum", "-5")
 	if code != 2 || !strings.Contains(stderr, "-scenario-quantum") {
 		t.Fatalf("exit %d, stderr %q; want exit 2 naming -scenario-quantum", code, stderr)
+	}
+}
+
+// TestObsWindowOnlyStreams: -obs-window without -obs-window-out, and the
+// reverse, exit 2 on both paths instead of computing windows nobody reads;
+// together they stream a window series that parses, conserves and, under
+// -scenario, carries the per-context breakdown.
+func TestObsWindowOnlyStreams(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "w.jsonl")
+	for _, args := range [][]string{
+		{"-bench", "fib", "-obs-window", "512"},
+		{"-scenario", "fib,sieve", "-obs-window", "512"},
+		{"-bench", "fib", "-obs-window-out", out},
+		{"-scenario", "fib,sieve", "-obs-window-out", out},
+	} {
+		code, _, stderr := mipsxRun(t, args...)
+		if code != 2 || !strings.Contains(stderr, "-obs-window N and -obs-window-out FILE go together") {
+			t.Errorf("%v: exit %d, stderr %q; want exit 2", args, code, stderr)
+		}
+	}
+	for _, args := range [][]string{
+		{"-bench", "fib"},
+		{"-scenario", "fib,sieve"},
+	} {
+		args = append(args, "-obs-window", "512", "-obs-window-out", out)
+		if code, _, stderr := mipsxRun(t, args...); code != 0 {
+			t.Fatalf("%v: exit %d: %s", args, code, stderr)
+		}
+		f, err := os.Open(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc, err := obs.ParseWindowStream(f)
+		f.Close()
+		if err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		if err := doc.Check(); err != nil || doc.Window != 512 || len(doc.Windows) < 2 {
+			t.Fatalf("%v: %d windows of %d cycles, check %v", args, len(doc.Windows), doc.Window, err)
+		}
+		if scn := args[0] == "-scenario"; scn != (len(doc.Windows[0].Contexts) > 0) {
+			t.Errorf("%v: first window's contexts %+v", args, doc.Windows[0].Contexts)
+		}
 	}
 }

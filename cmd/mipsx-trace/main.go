@@ -47,6 +47,15 @@ import (
 	"repro/internal/trace"
 )
 
+// Input caps. The trace is held in memory (4 bytes a reference) and the
+// synthetic program's layout grows with its code size, so both are bounded
+// well above what the experiments use (300,000 references, 160 K-word
+// code): at both caps a run takes about 60 MB.
+const (
+	maxRefs       = 10_000_000
+	maxCodeKWords = 4096
+)
+
 func main() {
 	if len(os.Args) > 1 && os.Args[1] == "viz" {
 		viz(os.Args[2:])
@@ -54,24 +63,32 @@ func main() {
 	}
 	followPath := flag.String("follow", "", "tail a mipsx-obswin/v1 window stream and re-render the rolling CPI decomposition")
 	followOnce := flag.Bool("once", false, "with -follow: render what the stream holds now and exit instead of tailing")
-	followInterval := flag.Duration("interval", 250*time.Millisecond, "with -follow: poll interval while waiting for new windows")
+	followInterval := flag.Duration("interval", 250*time.Millisecond, "with -follow: poll interval while waiting for new windows (> 0)")
 	profile := flag.String("profile", "pascal", "workload profile: pascal, lisp, fp")
-	codeKW := flag.Int("code-kwords", 0, "static code footprint in K words (0 = profile default)")
-	refs := flag.Int("refs", 300_000, "trace length in instruction references")
+	codeKW := flag.Int("code-kwords", 0, "static code footprint in K words (0 = profile default, at most 4096)")
+	refs := flag.Int("refs", 300_000, "trace length in instruction references (at most 10,000,000)")
 	fetchBack := flag.Int("fetchback", 2, "words fetched per Icache miss")
 	penalty := flag.Int("penalty", 2, "Icache miss service cycles")
 	dump := flag.Int("dump", 0, "print the first N trace addresses and exit")
 	flag.Parse()
 
 	if *followPath != "" {
+		if *followInterval <= 0 {
+			fmt.Fprintln(os.Stderr, "mipsx-trace: -follow needs -interval > 0")
+			os.Exit(2)
+		}
 		if err := follow(*followPath, *followInterval, *followOnce, os.Stdout); err != nil {
 			fail(err)
 		}
 		return
 	}
 
-	if *refs < 0 || *codeKW < 0 {
-		fmt.Fprintln(os.Stderr, "mipsx-trace: -refs and -code-kwords must be >= 0")
+	if *refs < 0 || *refs > maxRefs {
+		fmt.Fprintf(os.Stderr, "mipsx-trace: -refs must be in [0, %d]\n", maxRefs)
+		os.Exit(2)
+	}
+	if *codeKW < 0 || *codeKW > maxCodeKWords {
+		fmt.Fprintf(os.Stderr, "mipsx-trace: -code-kwords must be in [0, %d]\n", maxCodeKWords)
 		os.Exit(2)
 	}
 	// The caches under study are the default machine's, with the Icache's

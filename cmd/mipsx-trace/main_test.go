@@ -38,17 +38,23 @@ func mipsxTrace(t *testing.T, args ...string) (code int, stdout, stderr string) 
 	return 0, out.String(), errb.String()
 }
 
-// TestTraceFlagsAreValidated: a trace length or code size below zero, and an
-// Icache fetch-back or miss penalty the machine spec rejects, exit 2 with a
-// message naming the problem instead of panicking or running a cache that
-// cannot exist.
+// TestTraceFlagsAreValidated: a trace length or code size below zero or
+// above its cap, an Icache fetch-back or miss penalty the machine spec
+// rejects, and a -follow poll interval that would spin exit 2 with a message
+// naming the problem instead of panicking, exhausting memory or running a
+// cache that cannot exist.
 func TestTraceFlagsAreValidated(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
 		want string
 	}{
 		{[]string{"-refs", "-1"}, "-refs"},
+		{[]string{"-refs", "10000001"}, "-refs must be in [0, 10000000]"},
+		{[]string{"-refs", "1099511627776"}, "-refs"},
 		{[]string{"-code-kwords", "-1"}, "-code-kwords"},
+		{[]string{"-code-kwords", "200000"}, "-code-kwords must be in [0, 4096]"},
+		{[]string{"-follow", "w.jsonl", "-interval", "0"}, "-interval > 0"},
+		{[]string{"-follow", "w.jsonl", "-interval", "-1s", "-once"}, "-interval > 0"},
 		{[]string{"-fetchback", "0"}, "icache.fetch_back = 0"},
 		{[]string{"-penalty", "0"}, "icache.miss_penalty = 0"},
 		{[]string{"-fetchback", "99"}, "icache.fetch_back = 99 exceeds block_words = 16"},
@@ -61,6 +67,11 @@ func TestTraceFlagsAreValidated(t *testing.T) {
 	code, stdout, stderr := mipsxTrace(t, "-refs", "1000", "-fetchback", "1", "-penalty", "3")
 	if code != 0 || !strings.Contains(stdout, "fetch-back 1, 3-cycle miss") {
 		t.Fatalf("valid flags: exit %d, stdout %q, stderr %q", code, stdout, stderr)
+	}
+	// The caps admit the largest sizes the experiments use.
+	code, stdout, stderr = mipsxTrace(t, "-refs", "300000", "-code-kwords", "160")
+	if code != 0 || !strings.Contains(stdout, "163840 words static code") {
+		t.Fatalf("experiment sizes: exit %d, stdout %q, stderr %q", code, stdout, stderr)
 	}
 }
 

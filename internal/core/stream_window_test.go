@@ -288,12 +288,17 @@ func TestObservationPurityStreamingAndWindows(t *testing.T) {
 }
 
 // windowedRun executes src with an attached windowed ledger of the given
-// size and returns the machine; the window doc is retained on the ledger.
-func windowedRun(t *testing.T, src string, size uint64) (*Machine, *obs.WindowedLedger) {
+// size and returns the machine and the windows its emitter received.
+func windowedRun(t *testing.T, src string, size uint64) (*Machine, *obs.WindowDoc) {
 	t.Helper()
 	m := New(DefaultConfig(), nil)
 	s := obs.NewMachineSink()
 	win := obs.NewWindowedLedger(obs.MachineCauseNames, size)
+	doc := &obs.WindowDoc{Schema: obs.WindowSchema, Window: size}
+	win.OnWindow(func(w *obs.Window) error {
+		doc.Windows = append(doc.Windows, *w)
+		return nil
+	})
 	s.Ledger.AttachWindows(win)
 	m.Observe(s)
 	if err := m.LoadSource(src); err != nil {
@@ -302,22 +307,20 @@ func windowedRun(t *testing.T, src string, size uint64) (*Machine, *obs.Windowed
 	if _, err := m.Run(10_000_000); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	win.Flush()
-	if err := win.Err(); err != nil {
+	if err := win.Flush(); err != nil {
 		t.Fatalf("window self-check: %v", err)
 	}
 	if err := m.VerifyAttribution(); err != nil {
 		t.Fatal(err)
 	}
-	return m, win
+	return m, doc
 }
 
-// checkWindowsAgainstLedger asserts the satellite invariant: every window
+// checkWindowsAgainstLedger asserts the windowed-ledger invariant: every window
 // conserves on its own, and the windowed series sums back to the unwindowed
 // ledger cause-for-cause.
-func checkWindowsAgainstLedger(t *testing.T, m *Machine, win *obs.WindowedLedger) *obs.WindowDoc {
+func checkWindowsAgainstLedger(t *testing.T, m *Machine, doc *obs.WindowDoc) {
 	t.Helper()
-	doc := win.Doc()
 	if err := doc.Check(); err != nil {
 		t.Fatalf("window doc: %v", err)
 	}
@@ -328,7 +331,6 @@ func checkWindowsAgainstLedger(t *testing.T, m *Machine, win *obs.WindowedLedger
 	if !reflect.DeepEqual(totals, ledger) {
 		t.Fatalf("windowed cause totals diverge from ledger:\nwindows %v\nledger  %v", totals, ledger)
 	}
-	return doc
 }
 
 // squashProgram branches with the squashing scheme every few cycles, so the
@@ -349,11 +351,11 @@ loop:	addi r1, r1, 1
 // annulled delay slots of a taken .sq branch) must split the squash-annul
 // charge across both windows without losing a cycle.
 func TestWindowSeamMidSquash(t *testing.T) {
-	m, win := windowedRun(t, squashProgram, 5)
+	m, doc := windowedRun(t, squashProgram, 5)
 	if m.Obs.Ledger.Count(obs.CauseSquashAnnul) == 0 {
 		t.Fatal("no squash-annul cycles — seam test is vacuous")
 	}
-	doc := checkWindowsAgainstLedger(t, m, win)
+	checkWindowsAgainstLedger(t, m, doc)
 	// With 5-cycle windows over a 6-cycle loop body the boundary phase
 	// rotates through every alignment, so at least one squash straddles.
 	var squashWindows int

@@ -91,12 +91,20 @@ func ParseExploreDoc(b []byte) (*ExploreDoc, error) {
 }
 
 // Explore evaluates every point of the sweep on the benchmarks (nil means
-// the Table 1 integer suite) and folds the results into a document. Points
+// the Table 1 integer suite; a repeated one is an error, since it would
+// count twice in every point) and folds the results into a document. Points
 // keep sweep enumeration order; the cells fan out through the default
 // engine, so -parallel, -cache and -timeout apply as everywhere else.
 func Explore(ctx context.Context, sw spec.Sweep, benches []tinyc.Benchmark) (*ExploreDoc, error) {
 	if benches == nil {
 		benches = table1Benchmarks()
+	}
+	seen := make(map[string]bool, len(benches))
+	for _, b := range benches {
+		if seen[b.Name] {
+			return nil, fmt.Errorf("benchmark %q is repeated", b.Name)
+		}
+		seen[b.Name] = true
 	}
 	points, err := sw.Points()
 	if err != nil {

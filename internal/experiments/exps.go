@@ -175,71 +175,60 @@ func BranchConditionStats() (*Table, error) {
 // branch cache needs far more than 16 entries and never does much better
 // than static prediction.
 func BranchCacheVsStatic() (*Table, error) {
+	return branchPrediction(e4Streams())
+}
+
+// e4Streams returns E4's two predictor inputs: the Table 1 suite's branches
+// under the shipped scheme, and a synthetic large-program stream (hundreds
+// of static branch sites, where the 16-entry cache visibly starves — the
+// paper's "much greater than 16 entries" finding).
+func e4Streams() (suite, big branchStream) {
+	return suiteBranches(table1Benchmarks(), reorg.Default(), spec.Default()),
+		syntheticBranches(120_000, 400, 11)
+}
+
+// branchPrediction builds E4's table from one memoized cell per stream,
+// each evaluating that stream's predictor rows.
+func branchPrediction(suite, big branchStream) (*Table, error) {
 	t := &Table{
 		ID:     "E4",
 		Title:  "Branch cache vs static prediction",
 		Paper:  "branch cache must be ≫16 entries for a high hit rate; never much better than static",
 		Header: []string{"predictor", "accuracy", "hit rate"},
 	}
-	// Real branch traces from the compiled suite, one memoizable cell per
-	// benchmark, concatenated in submission order after the fan-in; the
-	// synthetic large-program stream (hundreds of static branch sites, where
-	// the 16-entry cache visibly starves — the paper's "much greater than 16
-	// entries" finding) is generated in a plain cell: it costs less to
-	// synthesize than a stored copy costs to replay.
-	benches := table1Benchmarks()
-	perBench := make([][]trace.BranchEvent, len(benches))
-	var big []trace.BranchEvent
-	cells := make([]Cell, 0, len(benches)+1)
-	for i, b := range benches {
-		cells = append(cells, branchTraceCell("E4/trace/"+b.Name, b, reorg.Default(), spec.Default(), &perBench[i]))
+	suiteRows := []predRow{
+		{"static (backward taken)", "static", 0},
+		{"static + profile", "profile", 0},
 	}
-	cells = append(cells, Cell{ID: "E4/synthetic", Fn: func(context.Context) error {
-		big = syntheticBranchStream(120_000, 400, 11)
-		return nil
-	}})
+	for _, n := range []int{8, 16, 64, 256, 1024} {
+		suiteRows = append(suiteRows, predRow{fmt.Sprintf("branch cache, %d entries", n), "cache", n})
+	}
+	bigRows := []predRow{{"large program: static + profile", "profile", 0}}
+	for _, n := range []int{16, 64, 512} {
+		bigRows = append(bigRows, predRow{fmt.Sprintf("large program: branch cache, %d entries", n), "cache", n})
+	}
+	var suiteRes, bigRes []predEval
+	cells := []Cell{
+		bpredCell("E4/suite", suite, suiteRows, &suiteRes),
+		bpredCell("E4/synthetic", big, bigRows, &bigRes),
+	}
 	if err := DefaultEngine().Run(context.Background(), cells); err != nil {
 		return nil, err
 	}
-	var events []trace.BranchEvent
-	for _, e := range perBench {
-		events = append(events, e...)
-	}
-	// One memoized cell per predictor row, keyed on the branch stream's
-	// content digest plus the predictor parameters.
-	suiteDig, bigDig := branchStreamDigest(events), branchStreamDigest(big)
-	type row struct {
-		name    string
-		kind    string
-		entries int
-		stream  *[]trace.BranchEvent
-		digest  string
-	}
-	rows := []row{
-		{"static (backward taken)", "static", 0, &events, suiteDig},
-		{"static + profile", "profile", 0, &events, suiteDig},
-	}
-	for _, n := range []int{8, 16, 64, 256, 1024} {
-		rows = append(rows, row{fmt.Sprintf("branch cache, %d entries", n), "cache", n, &events, suiteDig})
-	}
-	rows = append(rows, row{"large program: static + profile", "profile", 0, &big, bigDig})
-	for _, n := range []int{16, 64, 512} {
-		rows = append(rows, row{fmt.Sprintf("large program: branch cache, %d entries", n), "cache", n, &big, bigDig})
-	}
-	evals := make([]predEval, len(rows))
-	pcells := make([]Cell, len(rows))
-	for i, r := range rows {
-		pcells[i] = predictorCell(fmt.Sprintf("E4/pred[%d]", i), r.digest, r.kind, r.entries, r.stream, &evals[i])
-	}
-	if err := DefaultEngine().Run(context.Background(), pcells); err != nil {
-		return nil, err
-	}
-	for i, r := range rows {
-		hit := "-"
-		if r.kind == "cache" {
-			hit = fmt.Sprintf("%.2f", evals[i].Hit)
+	for _, g := range []struct {
+		rows []predRow
+		res  []predEval
+	}{{suiteRows, suiteRes}, {bigRows, bigRes}} {
+		if len(g.res) != len(g.rows) {
+			return nil, fmt.Errorf("E4: %d predictor results for %d rows", len(g.res), len(g.rows))
 		}
-		t.AddRow(r.name, evals[i].Acc, hit)
+		for i, r := range g.rows {
+			hit := "-"
+			if r.kind == "cache" {
+				hit = fmt.Sprintf("%.2f", g.res[i].Hit)
+			}
+			t.AddRow(r.name, g.res[i].Acc, hit)
+		}
 	}
 	return t, nil
 }

@@ -199,19 +199,28 @@ func crossCheckCost(im *asm.Image, slots int, m *core.Machine, pcProf *obs.PCPro
 // with the profile — the paper's "static prediction (possibly with
 // profiling)" toolchain.
 func runProfiled(ctx context.Context, b tinyc.Benchmark, scheme reorg.Scheme, ms spec.MachineSpec) (*core.Machine, error) {
-	im, err := buildCached(b, scheme)
+	im, events, err := captureBranches(ctx, b, scheme, ms)
 	if err != nil {
 		return nil, err
 	}
-	m1 := core.New(buildConfig(ms.WithScheme(scheme)), nil)
-	m1.Load(im)
-	var rec trace.Recorder
-	rec.Attach(m1.CPU)
-	if err := runMachine(ctx, m1); err != nil {
-		return nil, err
+	return run(ctx, b, scheme, trace.Profile(im, events), ms)
+}
+
+// captureBranches runs benchmark b's unprofiled image under scheme on the
+// machine the spec names and returns the image and its dynamic branches.
+func captureBranches(ctx context.Context, b tinyc.Benchmark, scheme reorg.Scheme, ms spec.MachineSpec) (*asm.Image, []trace.BranchEvent, error) {
+	im, err := buildCached(b, scheme)
+	if err != nil {
+		return nil, nil, err
 	}
-	prof := trace.Profile(im, rec.Branches)
-	return run(ctx, b, scheme, prof, ms)
+	m := core.New(buildConfig(ms.WithScheme(scheme)), nil)
+	m.Load(im)
+	var rec trace.Recorder
+	rec.Attach(m.CPU)
+	if err := runMachine(ctx, m); err != nil {
+		return nil, nil, err
+	}
+	return im, rec.Branches, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -279,17 +288,25 @@ type VAXResult struct {
 // closure needs no separate profile hash — the kind string distinguishes
 // the two pipelines.
 func benchKey(kind string, b tinyc.Benchmark, scheme reorg.Scheme, ms spec.MachineSpec) (string, error) {
-	im, err := buildCached(b, scheme)
-	if err != nil {
+	k := newKey(kind)
+	if err := k.bench(b, scheme, ms); err != nil {
 		return "", err
 	}
-	k := newKey(kind)
+	return k.sum(), nil
+}
+
+// bench hashes one benchmark run's closure (benchKey's fields) into k.
+func (k *keyBuilder) bench(b tinyc.Benchmark, scheme reorg.Scheme, ms spec.MachineSpec) error {
+	im, err := buildCached(b, scheme)
+	if err != nil {
+		return err
+	}
 	k.str("bench", b.Name)
 	k.str("source", b.Source)
 	k.str("scheme", scheme.String())
 	k.num("image-base", uint64(im.Base)).words("image", im.Words)
 	k.str("spec", ms.WithScheme(scheme).Digest())
-	return k.sum(), nil
+	return nil
 }
 
 // benchCell builds a memoizable cell that runs benchmark b under scheme on
@@ -378,33 +395,6 @@ func vaxCell(id, src string, maxInstr uint64, out *VAXResult) Cell {
 				k.num("max-instr", maxInstr)
 				return k.sum(), nil
 			},
-			Out: out,
-		},
-	}
-}
-
-// branchTraceCell builds a memoizable cell that runs benchmark b and
-// records its dynamic branch outcomes (E4's predictor inputs).
-func branchTraceCell(id string, b tinyc.Benchmark, scheme reorg.Scheme, ms spec.MachineSpec, out *[]trace.BranchEvent) Cell {
-	return Cell{
-		ID: id,
-		Fn: func(ctx context.Context) error {
-			im, err := buildCached(b, scheme)
-			if err != nil {
-				return err
-			}
-			m := core.New(buildConfig(ms.WithScheme(scheme)), nil)
-			m.Load(im)
-			var rec trace.Recorder
-			rec.Attach(m.CPU)
-			if err := runMachine(ctx, m); err != nil {
-				return err
-			}
-			*out = rec.Branches
-			return nil
-		},
-		Memo: &CellMemo{
-			Key: func() (string, error) { return benchKey("branch-trace", b, scheme, ms) },
 			Out: out,
 		},
 	}

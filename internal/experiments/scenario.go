@@ -144,16 +144,12 @@ type ScenarioWorkload struct {
 // mostly costs refills) and one pointer/recursion pair that genuinely
 // competes for blocks.
 func DefaultScenarioWorkloads() []ScenarioWorkload {
-	byName := make(map[string]tinyc.Benchmark)
-	for _, b := range tinyc.Benchmarks() {
-		byName[b.Name] = b
-	}
 	pick := func(name string, members ...string) ScenarioWorkload {
 		w := ScenarioWorkload{Name: name}
 		for _, m := range members {
-			b, ok := byName[m]
-			if !ok {
-				panic(fmt.Sprintf("experiments: unknown scenario benchmark %q", m))
+			b, err := tinyc.BenchmarkByName(m)
+			if err != nil {
+				panic("experiments: " + err.Error())
 			}
 			w.Benches = append(w.Benches, b)
 		}
@@ -175,16 +171,6 @@ var DefaultScenarioQuanta = []int{2_000, 20_000}
 // everything else); the grid keeps workload-major, quantum-then-policy order
 // so the document is deterministic.
 func ScenarioSweep(ctx context.Context, workloads []ScenarioWorkload, quanta []int, policies []string) (*ScenarioDoc, error) {
-	return ScenarioSweepWindowed(ctx, workloads, quanta, policies, 0)
-}
-
-// ScenarioSweepWindowed is ScenarioSweep with windowed ledger aggregation:
-// window > 0 sets ScenarioSpec.Window on every cell, so each cell's Result
-// carries the per-context mipsx-obswin/v1 time-series. The window size is
-// part of the spec digest, hence of the memo key — windowed cells and their
-// windowless twins never collide in the cache, and a memoized windowed cell
-// replays with its windows intact.
-func ScenarioSweepWindowed(ctx context.Context, workloads []ScenarioWorkload, quanta []int, policies []string, window int) (*ScenarioDoc, error) {
 	if workloads == nil {
 		workloads = DefaultScenarioWorkloads()
 	}
@@ -215,7 +201,6 @@ func ScenarioSweepWindowed(ctx context.Context, workloads []ScenarioWorkload, qu
 				scn := spec.DefaultScenario()
 				scn.Quantum = q
 				scn.Policy = pol
-				scn.Window = window
 				ms := base
 				ms.Scenario = &scn
 				if err := ms.Validate(); err != nil {

@@ -12,15 +12,11 @@ import (
 
 func benchesByName(t *testing.T, names ...string) []tinyc.Benchmark {
 	t.Helper()
-	byName := map[string]tinyc.Benchmark{}
-	for _, b := range tinyc.Benchmarks() {
-		byName[b.Name] = b
-	}
 	var out []tinyc.Benchmark
 	for _, n := range names {
-		b, ok := byName[n]
-		if !ok {
-			t.Fatalf("benchmark %q missing", n)
+		b, err := tinyc.BenchmarkByName(n)
+		if err != nil {
+			t.Fatal(err)
 		}
 		out = append(out, b)
 	}

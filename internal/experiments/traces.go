@@ -8,11 +8,12 @@ package experiments
 // cache/scheme parameters and take the stream itself from the trace's lazy
 // source, so a cold miss generates each trace once and a replay that hits
 // every derived cell generates nothing. A trace is an input, not a result:
-// nothing stores it (DESIGN.md §10 has the measurement).
+// nothing stores it (DESIGN.md §10 has the measurement). E4's branch
+// streams are inputs the same way: each of its two cells keys on its
+// stream's closure and stores only its predictor rows.
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"sync"
 
@@ -20,7 +21,9 @@ import (
 	"repro/internal/ecache"
 	"repro/internal/isa"
 	"repro/internal/mem"
+	"repro/internal/reorg"
 	"repro/internal/spec"
+	"repro/internal/tinyc"
 	"repro/internal/trace"
 )
 
@@ -188,32 +191,12 @@ func boolBit(b bool) uint64 {
 // ---------------------------------------------------------------------------
 // Predictor evaluation (E4).
 
-// branchStreamDigest is a branch stream's content identity. E4's suite
-// stream is concatenated from per-benchmark capture cells, so its closure
-// is the union of theirs; hashing the stream content itself is both simpler
-// and exactly as sound. The content is hashed in a compact form — per
-// event, the varint delta of its PC from the previous event's, then a flag
-// byte (bit 0 taken, bit 1 backward) — and these exact bytes are what
-// every recorded predictor key was built from.
-func branchStreamDigest(events []trace.BranchEvent) string {
-	k := newKey("branch-stream")
-	k.num("count", uint64(len(events)))
-	enc := make([]byte, 0, 2*len(events))
-	prev := int64(0)
-	for _, e := range events {
-		enc = binary.AppendVarint(enc, int64(e.PC)-prev)
-		prev = int64(e.PC)
-		var f byte
-		if e.Taken {
-			f |= 1
-		}
-		if e.Backward {
-			f |= 2
-		}
-		enc = append(enc, f)
-	}
-	k.str("events", string(enc))
-	return k.sum()
+// predRow is one row of E4's table: kind is "static", "profile" or
+// "cache", and entries sizes a cache.
+type predRow struct {
+	name    string
+	kind    string
+	entries int
 }
 
 // predEval is the serializable outcome of one predictor over one stream.
@@ -223,33 +206,99 @@ type predEval struct {
 	Hit float64 `json:"hit,omitempty"`
 }
 
-// predictor rows: kind is "static", "profile" or "cache" (entries used for
-// "cache" only).
-func predictorCell(id, streamDigest, kind string, entries int,
-	events *[]trace.BranchEvent, out *predEval) Cell {
+// branchStream is one of E4's predictor inputs. closure starts a memo key
+// over everything the stream is a function of; events produces the stream,
+// which, like a synthesized address trace, is never stored.
+type branchStream struct {
+	closure func() (*keyBuilder, error)
+	events  func(ctx context.Context) ([]trace.BranchEvent, error)
+}
+
+// suiteBranches is the benchmarks' dynamic branches, captured in order
+// under one scheme on the machine the spec names. Its closure is every
+// member's run closure. Each capture runs through runMachine, so its cycles
+// and their attribution account to the cell that captures.
+func suiteBranches(benches []tinyc.Benchmark, scheme reorg.Scheme, ms spec.MachineSpec) branchStream {
+	return branchStream{
+		closure: func() (*keyBuilder, error) {
+			k := newKey("bpred-suite")
+			k.num("members", uint64(len(benches)))
+			for _, b := range benches {
+				if err := k.bench(b, scheme, ms); err != nil {
+					return nil, err
+				}
+			}
+			return k, nil
+		},
+		events: func(ctx context.Context) ([]trace.BranchEvent, error) {
+			var events []trace.BranchEvent
+			for _, b := range benches {
+				_, evs, err := captureBranches(ctx, b, scheme, ms)
+				if err != nil {
+					return nil, fmt.Errorf("%s: %w", b.Name, err)
+				}
+				events = append(events, evs...)
+			}
+			return events, nil
+		},
+	}
+}
+
+// syntheticBranches is syntheticBranchStream(n, sites, seed); those three
+// numbers are its whole closure.
+func syntheticBranches(n, sites int, seed int64) branchStream {
+	return branchStream{
+		closure: func() (*keyBuilder, error) {
+			k := newKey("bpred-synthetic")
+			k.num("n", uint64(n)).num("sites", uint64(sites)).num("seed", uint64(seed))
+			return k, nil
+		},
+		events: func(context.Context) ([]trace.BranchEvent, error) {
+			return syntheticBranchStream(n, sites, seed), nil
+		},
+	}
+}
+
+// bpredCell evaluates the rows over one branch stream and stores only
+// their results, index-aligned with rows. It keys on the stream's closure
+// plus the row list.
+func bpredCell(id string, src branchStream, rows []predRow, out *[]predEval) Cell {
 	return Cell{
 		ID: id,
-		Fn: func(context.Context) error {
-			switch kind {
-			case "static":
-				out.Acc = bpred.Accuracy(bpred.Static{}, *events)
-			case "profile":
-				out.Acc = bpred.Accuracy(bpred.NewStaticProfile(*events), *events)
-			case "cache":
-				bc := bpred.NewBranchCache(entries)
-				out.Acc = bpred.Accuracy(bc, *events)
-				out.Hit = bc.HitRate()
-			default:
-				return fmt.Errorf("unknown predictor kind %q", kind)
+		Fn: func(ctx context.Context) error {
+			events, err := src.events(ctx)
+			if err != nil {
+				return err
 			}
+			res := make([]predEval, len(rows))
+			for i, r := range rows {
+				switch r.kind {
+				case "static":
+					res[i].Acc = bpred.Accuracy(bpred.Static{}, events)
+				case "profile":
+					res[i].Acc = bpred.Accuracy(bpred.NewStaticProfile(events), events)
+				case "cache":
+					bc := bpred.NewBranchCache(r.entries)
+					res[i].Acc = bpred.Accuracy(bc, events)
+					res[i].Hit = bc.HitRate()
+				default:
+					return fmt.Errorf("unknown predictor kind %q", r.kind)
+				}
+			}
+			*out = res
 			return nil
 		},
 		Memo: &CellMemo{
 			Key: func() (string, error) {
-				k := newKey("bpred")
-				k.str("stream", streamDigest)
-				k.str("predictor", kind)
-				k.num("entries", uint64(entries))
+				k, err := src.closure()
+				if err != nil {
+					return "", err
+				}
+				k.num("rows", uint64(len(rows)))
+				for i, r := range rows {
+					k.str(fmt.Sprintf("row[%d].kind", i), r.kind)
+					k.num(fmt.Sprintf("row[%d].entries", i), uint64(r.entries))
+				}
 				return k.sum(), nil
 			},
 			Out: out,

@@ -4,12 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/isa"
+	"repro/internal/reorg"
 	"repro/internal/spec"
 	"repro/internal/trace"
 )
@@ -240,34 +243,103 @@ func TestTraceKeysCoverTheClosure(t *testing.T) {
 	add("ecache/writes", keyOf(ecacheSweepCell("x", single, ecfg, true, nil, &es)))
 	add("ecache/other-cfg", keyOf(ecacheSweepCell("x", single, ecfg.WithLineWords(2*ecfg.LineWords), false, nil, &es)))
 
-	// Predictor rows.
-	var evs []trace.BranchEvent
-	s1 := branchStreamDigest([]trace.BranchEvent{{PC: 4, Taken: true}})
-	s2 := branchStreamDigest([]trace.BranchEvent{{PC: 4, Taken: false}})
-	if s1 == s2 {
-		t.Fatal("branch-stream digest ignores outcomes")
+	// E4's cells: the suite stream's closure is every member's run closure
+	// (source, scheme, spec), the synthetic stream's is (n, sites, seed),
+	// and both cells add the row list.
+	var pe []predEval
+	rows := []predRow{{"s", "static", 0}, {"c", "cache", 64}}
+	benches := table1Benchmarks()[:2]
+	ms := spec.Default()
+	// The base key builds (and caches) the real images first, so the
+	// altered-source member below hashes a different source over the same
+	// cached image instead of caching its own.
+	add("bpred-suite/base", keyOf(bpredCell("x", suiteBranches(benches, reorg.Default(), ms), rows, &pe)))
+	edited := slices.Clone(benches)
+	edited[1].Source += "\n"
+	add("bpred-suite/source", keyOf(bpredCell("x", suiteBranches(edited, reorg.Default(), ms), rows, &pe)))
+	add("bpred-suite/members", keyOf(bpredCell("x", suiteBranches(benches[:1], reorg.Default(), ms), rows, &pe)))
+	oneSlot := reorg.Scheme{Slots: 1, Squash: reorg.SquashOptional}
+	add("bpred-suite/scheme", keyOf(bpredCell("x", suiteBranches(benches, oneSlot, ms), rows, &pe)))
+	ms8 := ms
+	ms8.ICache.Sets = 8
+	add("bpred-suite/spec", keyOf(bpredCell("x", suiteBranches(benches, reorg.Default(), ms8), rows, &pe)))
+	add("bpred-suite/rows", keyOf(bpredCell("x", suiteBranches(benches, reorg.Default(), ms), rows[:1], &pe)))
+	add("bpred-suite/entries", keyOf(bpredCell("x", suiteBranches(benches, reorg.Default(), ms),
+		[]predRow{rows[0], {"c", "cache", 256}}, &pe)))
+	add("bpred-suite/kind", keyOf(bpredCell("x", suiteBranches(benches, reorg.Default(), ms),
+		[]predRow{{"s", "profile", 0}, rows[1]}, &pe)))
+
+	add("bpred-synthetic/base", keyOf(bpredCell("x", syntheticBranches(1000, 40, 11), rows, &pe)))
+	add("bpred-synthetic/n", keyOf(bpredCell("x", syntheticBranches(1001, 40, 11), rows, &pe)))
+	add("bpred-synthetic/sites", keyOf(bpredCell("x", syntheticBranches(1000, 41, 11), rows, &pe)))
+	add("bpred-synthetic/seed", keyOf(bpredCell("x", syntheticBranches(1000, 40, 12), rows, &pe)))
+	add("bpred-synthetic/rows", keyOf(bpredCell("x", syntheticBranches(1000, 40, 11), rows[1:], &pe)))
+
+	// Row names are presentation: they do not reach the key.
+	renamed := []predRow{{"other", "static", 0}, {"names", "cache", 64}}
+	if keyOf(bpredCell("x", syntheticBranches(1000, 40, 11), renamed, &pe)) !=
+		keyOf(bpredCell("x", syntheticBranches(1000, 40, 11), rows, &pe)) {
+		t.Fatal("a row's display name moved the key")
 	}
-	var pe predEval
-	add("bpred/static", keyOf(predictorCell("x", s1, "static", 0, &evs, &pe)))
-	add("bpred/profile", keyOf(predictorCell("x", s1, "profile", 0, &evs, &pe)))
-	add("bpred/cache-64", keyOf(predictorCell("x", s1, "cache", 64, &evs, &pe)))
-	add("bpred/cache-256", keyOf(predictorCell("x", s1, "cache", 256, &evs, &pe)))
-	add("bpred/other-stream", keyOf(predictorCell("x", s2, "static", 0, &evs, &pe)))
 }
 
-// TestBranchStreamDigestBytes pins the compact form branchStreamDigest
-// hashes — per event, the zigzag varint PC delta and a flag byte — so that
-// every predictor key an earlier binary recorded still replays.
-func TestBranchStreamDigestBytes(t *testing.T) {
-	evs := []trace.BranchEvent{
-		{PC: 7, Taken: true},
-		{PC: 3, Backward: true},
-		{PC: 1 << 20, Taken: true, Backward: true},
-		{PC: 0},
+// TestE4StoresRowsNotStreams runs E4 cold, then hot over the same store
+// with the branch capture and the synthesis stubbed to fail: both cells
+// replay their rows, the table is unchanged, and neither stream is
+// produced. The cold rows carry the capture's cycles on E4/suite and none
+// on E4/synthetic, and together they partition the engine's totals.
+func TestE4StoresRowsNotStreams(t *testing.T) {
+	defer Configure(0, 0, false)
+	store, err := NewMemoStore("")
+	if err != nil {
+		t.Fatal(err)
 	}
-	enc := "\x0e\x01" + "\x07\x02" + "\xfa\xff\x7f\x03" + "\xff\xff\x7f\x00"
-	want := newKey("branch-stream").num("count", 4).str("events", enc).sum()
-	if got := branchStreamDigest(evs); got != want {
-		t.Fatalf("branchStreamDigest = %s, want %s (the hashed bytes moved)", got, want)
+	pass := func(suite, big branchStream) (*Table, *Engine) {
+		e := Configure(1, 0, true)
+		e.Store = store
+		tb, err := branchPrediction(suite, big)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tb, e
+	}
+
+	cold, ce := pass(e4Streams())
+	if ce.MemoHits() != 0 || ce.MemoMisses() != 2 || ce.Cells() != 2 {
+		t.Fatalf("cold pass: %d cells, hits/misses %d/%d; want 2 cells, 0/2", ce.Cells(), ce.MemoHits(), ce.MemoMisses())
+	}
+	rows := map[string]uint64{}
+	sum := map[string]uint64{}
+	for _, ct := range ce.Timings() {
+		for k, v := range ct.Attribution {
+			rows[ct.ID] += v
+			sum[k] += v
+		}
+	}
+	if rows["E4/suite"] != 1_528_236 || rows["E4/synthetic"] != 0 {
+		t.Fatalf("cold rows carry %v cycles; want E4/suite 1528236, E4/synthetic 0", rows)
+	}
+	if ce.Cycles() != 1_528_236 || !reflect.DeepEqual(sum, ce.Attribution()) {
+		t.Fatalf("cell rows sum to %v; engine accounted %d cycles %v", sum, ce.Cycles(), ce.Attribution())
+	}
+
+	suite, big := e4Streams()
+	suite.events = func(context.Context) ([]trace.BranchEvent, error) {
+		t.Error("hot pass captured the suite's branches")
+		return nil, errors.New("capture called on replay")
+	}
+	big.events = func(context.Context) ([]trace.BranchEvent, error) {
+		t.Error("hot pass synthesized the large-program stream")
+		return nil, errors.New("synthesis called on replay")
+	}
+	hot, he := pass(suite, big)
+	if he.MemoHits() != 2 || he.MemoMisses() != 0 {
+		t.Fatalf("hot pass hits/misses = %d/%d, want 2/0", he.MemoHits(), he.MemoMisses())
+	}
+	if hot.String() != cold.String() {
+		t.Fatalf("replayed table differs:\n%s\ncold:\n%s", hot, cold)
+	}
+	if he.Cycles() != ce.Cycles() || !reflect.DeepEqual(he.Attribution(), ce.Attribution()) {
+		t.Fatalf("hot pass accounted %d cycles %v; cold %d %v", he.Cycles(), he.Attribution(), ce.Cycles(), ce.Attribution())
 	}
 }

@@ -174,10 +174,14 @@ func (l *Ledger) Stall(cause Cause, n, wait uint64) {
 
 // AttachWindows mirrors subsequent charges into w (nil detaches). Attach
 // before the run starts: the windowed timeline covers only charges made
-// while attached. Nil-safe.
+// while attached, and w.Flush reports any it missed. Nil-safe.
 func (l *Ledger) AttachWindows(w *WindowedLedger) {
-	if l != nil {
-		l.win = w
+	if l == nil {
+		return
+	}
+	l.win = w
+	if w != nil {
+		w.led = l
 	}
 }
 

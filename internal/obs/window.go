@@ -14,10 +14,10 @@ package obs
 // boundaries), so each window carries a per-context breakdown and Icache
 // pollution/flush-refill cost is visible as it happens around each switch.
 //
-// Memory is O(window): with an OnWindow emitter attached, completed windows
-// stream out and are not retained — a million-cycle run holds one in-flight
-// window regardless of length. Without an emitter, windows accumulate into a
-// WindowDoc (bounded uses only: per-cell documents).
+// Windows only stream: each closed window goes to the OnWindow emitter and
+// nothing is retained, so a million-cycle run holds one in-flight window
+// regardless of length. Flush closes the last window and checks that the
+// windows add back to the flat ledger they mirror, cause for cause.
 
 import (
 	"bufio"
@@ -46,9 +46,6 @@ type Window struct {
 	Index  uint64 `json:"index"`
 	Start  uint64 `json:"start"`
 	Cycles uint64 `json:"cycles"`
-	// Label tags the window with its producer (the experiment layer stamps
-	// the cell id when streaming a sweep); empty in single-run streams.
-	Label string `json:"label,omitempty"`
 	// Causes is the per-cause decomposition, schema order, zero rows elided.
 	Causes []CauseCycles `json:"causes"`
 	// Contexts splits Causes by execution context (scenario runs only),
@@ -303,8 +300,8 @@ type WindowedLedger struct {
 	size  uint64
 	names []string
 
-	emit func(*Window) error // when set, completed windows stream out
-	done []Window            // else they accumulate here
+	emit func(*Window) error // receives each window as it closes
+	sums []uint64            // per-cause cycles of the closed windows
 
 	idx    uint64 // next window's index
 	filled uint64 // attributed cycles in the current window
@@ -318,6 +315,7 @@ type WindowedLedger struct {
 	cur      [][]uint64
 
 	err error
+	led *Ledger // the ledger it is attached to
 }
 
 // NewWindowedLedger builds a windowed ledger over a cause-name schema with
@@ -329,6 +327,7 @@ func NewWindowedLedger(names []string, size uint64) *WindowedLedger {
 	return &WindowedLedger{
 		size:     size,
 		names:    names,
+		sums:     make([]uint64, len(names)),
 		ctxNames: []string{""},
 		ctxIdx:   map[string]int{"": 0},
 		cur:      [][]uint64{make([]uint64, len(names))},
@@ -338,12 +337,11 @@ func NewWindowedLedger(names []string, size uint64) *WindowedLedger {
 // Size returns the window size in cycles.
 func (w *WindowedLedger) Size() uint64 { return w.size }
 
-// OnWindow attaches an emitter receiving each window as it closes; attached,
-// the ledger retains nothing and memory stays O(window). The first emit
-// error stops emission and is reported by Err.
+// OnWindow attaches an emitter receiving each window as it closes. The
+// first emit error stops emission and is reported by Err.
 func (w *WindowedLedger) OnWindow(emit func(*Window) error) { w.emit = emit }
 
-// Err returns the first emission error.
+// Err returns the first emission or conservation error.
 func (w *WindowedLedger) Err() error { return w.err }
 
 // Register adds a context key (idempotent), fixing its order in the
@@ -389,7 +387,7 @@ func (w *WindowedLedger) charge(cause Cause, n uint64) {
 
 // rollover closes the current window: builds its record, verifies its
 // conservation (cheap — by construction it cannot fail unless this code is
-// wrong), emits or retains it, and resets the accumulators.
+// wrong), emits it, and resets the accumulators.
 func (w *WindowedLedger) rollover() {
 	win := Window{Index: w.idx, Start: w.idx * w.size, Cycles: w.filled}
 	keyed := len(w.ctxNames) > 1
@@ -415,6 +413,7 @@ func (w *WindowedLedger) rollover() {
 	for c, v := range totals {
 		if v != 0 {
 			win.Causes = append(win.Causes, CauseCycles{Cause: w.names[c], Cycles: v})
+			w.sums[c] += v
 		}
 	}
 	w.idx++
@@ -426,24 +425,24 @@ func (w *WindowedLedger) rollover() {
 		if err := w.emit(&win); err != nil && w.err == nil {
 			w.err = err
 		}
-		return
 	}
-	w.done = append(w.done, win)
 }
 
-// Flush closes the final partial window (no-op when empty). Call once at
-// end of run, before Doc.
-func (w *WindowedLedger) Flush() {
+// Flush closes the final partial window (no-op when empty) and checks that
+// the windows add back to the attached ledger cause for cause, which fails
+// when the ledger was charged before the windows were attached or after
+// they were detached. It returns Err. Call it at the end of the run.
+func (w *WindowedLedger) Flush() error {
 	if w.filled > 0 {
 		w.rollover()
 	}
-}
-
-// Windows returns the number of windows closed so far.
-func (w *WindowedLedger) Windows() uint64 { return w.idx }
-
-// Doc snapshots the retained windows as a mipsx-obswin/v1 document. With an
-// OnWindow emitter attached the document is empty — the windows streamed out.
-func (w *WindowedLedger) Doc() *WindowDoc {
-	return &WindowDoc{Schema: WindowSchema, Window: w.size, Windows: w.done}
+	if w.led != nil && w.err == nil {
+		for c, n := range w.sums {
+			if got := w.led.counts[c]; got != n {
+				w.err = fmt.Errorf("obs: windows add back to %d %s cycles, the ledger holds %d", n, w.names[c], got)
+				break
+			}
+		}
+	}
+	return w.err
 }

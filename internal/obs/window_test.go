@@ -8,9 +8,20 @@ import (
 	"testing"
 )
 
+// collect attaches an emitter to w that keeps every window it closes.
+func collect(w *WindowedLedger) *WindowDoc {
+	doc := &WindowDoc{Schema: WindowSchema, Window: w.Size()}
+	w.OnWindow(func(win *Window) error {
+		doc.Windows = append(doc.Windows, *win)
+		return nil
+	})
+	return doc
+}
+
 func TestWindowedLedgerSplitsAcrossBoundaries(t *testing.T) {
 	l := NewMachineLedger()
 	w := NewWindowedLedger(MachineCauseNames, 10)
+	doc := collect(w)
 	l.AttachWindows(w)
 
 	// 7 + 6 straddles the first boundary: 3 of the ecache stall must land
@@ -18,9 +29,10 @@ func TestWindowedLedgerSplitsAcrossBoundaries(t *testing.T) {
 	l.Add(CauseExecute, 7)
 	l.Stall(CauseEcacheRead, 6, 2) // 4 read + 2 bus-wait
 	l.Add(CauseNop, 24)
-	w.Flush()
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
 
-	doc := w.Doc()
 	if err := doc.Check(); err != nil {
 		t.Fatal(err)
 	}
@@ -51,6 +63,7 @@ func TestWindowedLedgerSplitsAcrossBoundaries(t *testing.T) {
 func TestWindowedLedgerContexts(t *testing.T) {
 	l := NewMachineLedger()
 	w := NewWindowedLedger(MachineCauseNames, 8)
+	doc := collect(w)
 	l.AttachWindows(w)
 	w.Register("progA")
 	w.Register("progB")
@@ -61,9 +74,10 @@ func TestWindowedLedgerContexts(t *testing.T) {
 	l.Add(CauseContextSwitch, 4) // straddles the boundary: 3 in w0, 1 in w1
 	w.SetContext("progB")
 	l.Add(CauseExecute, 7)
-	w.Flush()
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
 
-	doc := w.Doc()
 	if err := doc.Check(); err != nil {
 		t.Fatal(err)
 	}
@@ -90,11 +104,14 @@ func TestWindowedLedgerContexts(t *testing.T) {
 
 func TestWindowedLedgerUnkeyedElidesContexts(t *testing.T) {
 	w := NewWindowedLedger(MachineCauseNames, 4)
+	doc := collect(w)
 	l := NewMachineLedger()
 	l.AttachWindows(w)
 	l.Add(CauseExecute, 9)
-	w.Flush()
-	for _, win := range w.Doc().Windows {
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for _, win := range doc.Windows {
 		if win.Contexts != nil {
 			t.Fatalf("single-context run must omit Contexts: %+v", win)
 		}
@@ -117,9 +134,6 @@ func TestWindowedLedgerStreamsWithoutRetention(t *testing.T) {
 	if w.Err() != nil {
 		t.Fatal(w.Err())
 	}
-	if len(w.Doc().Windows) != 0 {
-		t.Fatalf("emitter attached but %d windows retained", len(w.Doc().Windows))
-	}
 	if len(emitted) != 63 { // 1000 cycles / 16 = 62 full + 1 partial
 		t.Fatalf("emitted %d windows, want 63", len(emitted))
 	}
@@ -133,8 +147,34 @@ func TestWindowedLedgerStreamsWithoutRetention(t *testing.T) {
 	if total != 1000 {
 		t.Fatalf("emitted windows total %d, want 1000", total)
 	}
-	if got := w.Windows(); got != 63 {
-		t.Fatalf("Windows() = %d, want 63", got)
+}
+
+// TestWindowsMustAddBackToTheLedger: windows attached after the ledger was
+// charged miss those cycles, so Flush reports that they no longer add back
+// to the ledger, and Err keeps reporting it.
+func TestWindowsMustAddBackToTheLedger(t *testing.T) {
+	l := NewMachineLedger()
+	l.Add(CauseExecute, 5)
+	w := NewWindowedLedger(MachineCauseNames, 16)
+	w.OnWindow(func(*Window) error { return nil })
+	l.AttachWindows(w)
+	l.Add(CauseExecute, 20)
+	l.Add(CauseNop, 3)
+	w.Flush()
+	if err := w.Err(); err == nil || !strings.Contains(err.Error(), "add back") {
+		t.Fatalf("late attach: Err = %v, want an add-back error", err)
+	}
+
+	// Detaching midway loses the later charges the same way.
+	l = NewMachineLedger()
+	w = NewWindowedLedger(MachineCauseNames, 16)
+	l.AttachWindows(w)
+	l.Add(CauseExecute, 20)
+	l.AttachWindows(nil)
+	l.Add(CauseNop, 1)
+	w.Flush()
+	if w.Err() == nil {
+		t.Fatal("detached windows: no error")
 	}
 }
 

@@ -112,12 +112,6 @@ type Result struct {
 	// ledger summed).
 	Obs *obs.Report `json:"obs"`
 
-	// Windows is the mipsx-obswin/v1 time-series when the spec requests
-	// windowed aggregation (ScenarioSpec.Window > 0) and no streaming
-	// emitter consumed the windows. omitempty: windowless runs — every
-	// pre-existing baseline — serialize exactly as before.
-	Windows *obs.WindowDoc `json:"windows,omitempty"`
-
 	// Hierarchy counters summed over CPUs, for the pollution analysis.
 	IcacheMisses  uint64 `json:"icache_misses"`
 	IcacheFetches uint64 `json:"icache_fetches"`
@@ -213,11 +207,11 @@ type RunOpts struct {
 	// and Ecache, on one arbitrated bus (E11). The spec then needs no
 	// scenario block: no CPU ever switches contexts.
 	Multiprocessor bool
-	// WindowEmit, when set (and the spec's ScenarioSpec.Window > 0),
-	// receives each ledger window as it closes instead of retaining the
-	// time-series in Result.Windows — O(window) memory on arbitrarily long
-	// runs. Typically a WindowStreamWriter's Write.
-	WindowEmit func(*obs.Window) error
+	// Windows, when set, is attached to the CPU's ledger with every
+	// program (and the scheduler) registered as a context, so its windows
+	// carry a per-context breakdown; the run flushes it at the end. Its
+	// size and its OnWindow emitter are the caller's.
+	Windows *obs.WindowedLedger
 	// Tracer, when set, records the scenario's pipeline/cache events on the
 	// CPU's clock (cycles across all contexts and switch-time work). Start
 	// it streaming first for bounded memory.
@@ -326,7 +320,7 @@ func RunWith(ctx context.Context, programs []Program, scheme reorg.Scheme, ms sp
 	if len(programs) == 0 {
 		return nil, fmt.Errorf("scenario: no programs")
 	}
-	if opts.Multiprocessor && (scn.Window > 0 || opts.Tracer != nil) {
+	if opts.Multiprocessor && (opts.Windows != nil || opts.Tracer != nil) {
 		return nil, fmt.Errorf("scenario: windows and tracing observe one CPU, not a multiprocessor")
 	}
 	cfg, err := ms.WithScheme(scheme).Build()
@@ -356,20 +350,17 @@ func RunWith(ctx context.Context, programs []Program, scheme reorg.Scheme, ms sp
 
 	// Windowed aggregation: every charge into the ledger is keyed to the
 	// context that was running (or "scheduler" for switch-time work) and
-	// folded into Window-sized slices of the CPU's timeline. Contexts are
+	// folded into fixed-size slices of the CPU's timeline. Contexts are
 	// registered up front so breakdown row order follows program order, not
 	// scheduling order.
 	c0 := cpus[0]
-	if scn.Window > 0 {
-		c0.win = obs.NewWindowedLedger(obs.MachineCauseNames, uint64(scn.Window))
+	if w := opts.Windows; w != nil {
 		for _, p := range programs {
-			c0.win.Register(p.Name)
+			w.Register(p.Name)
 		}
-		c0.win.Register(schedulerContext)
-		if opts.WindowEmit != nil {
-			c0.win.OnWindow(opts.WindowEmit)
-		}
-		c0.sink.Ledger.AttachWindows(c0.win)
+		w.Register(schedulerContext)
+		c0.sink.Ledger.AttachWindows(w)
+		c0.win = w
 	}
 	c0.sink.Tracer = opts.Tracer
 
@@ -458,12 +449,8 @@ func RunWith(ctx context.Context, programs []Program, scheme reorg.Scheme, ms sp
 	res.Obs = sink.Report(res.Cycles, res.Instructions)
 
 	if w := c0.win; w != nil {
-		w.Flush()
-		if err := w.Err(); err != nil {
-			return nil, fmt.Errorf("scenario: window emission: %w", err)
-		}
-		if opts.WindowEmit == nil {
-			res.Windows = w.Doc()
+		if err := w.Flush(); err != nil {
+			return nil, fmt.Errorf("scenario: windows: %w", err)
 		}
 	}
 
@@ -498,24 +485,6 @@ func (c *cpu) verify(r *Result) error {
 	}
 	if r.Policy == spec.PolicyPID && (cs != 0 || fr != 0) {
 		return fmt.Errorf("pid policy charged switch causes (%d/%d); both must stay zero", cs, fr)
-	}
-	// Windowed runs: conservation must also hold per window, and the
-	// time-series must fold back to exactly the flat ledger. (Streaming
-	// runs check per-window conservation at rollover instead — the windows
-	// are not retained here.)
-	if d := r.Windows; d != nil && c.win != nil {
-		if err := d.Check(); err != nil {
-			return err
-		}
-		if got := d.Total(); got != l.Total() {
-			return fmt.Errorf("windows total %d != ledger total %d", got, l.Total())
-		}
-		want := l.Map()
-		for cause, n := range d.CauseTotals() {
-			if want[cause] != n {
-				return fmt.Errorf("windowed cause %q = %d, ledger has %d", cause, n, want[cause])
-			}
-		}
 	}
 	return nil
 }

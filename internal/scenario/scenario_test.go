@@ -17,15 +17,11 @@ import (
 // flush policy has dirty Ecache lines to write back).
 func testPrograms(t *testing.T) []Program {
 	t.Helper()
-	byName := map[string]tinyc.Benchmark{}
-	for _, b := range tinyc.Benchmarks() {
-		byName[b.Name] = b
-	}
 	var progs []Program
 	for _, n := range []string{"bubblesort", "sieve"} {
-		b, ok := byName[n]
-		if !ok {
-			t.Fatalf("benchmark %q missing from the suite", n)
+		b, err := tinyc.BenchmarkByName(n)
+		if err != nil {
+			t.Fatal(err)
 		}
 		progs = append(progs, Program{Name: b.Name, Source: b.Source, Expect: b.Expect()})
 	}
@@ -184,17 +180,17 @@ func main() {
 }`}
 	ms := spec.Default()
 	scn := spec.DefaultScenario()
-	scn.Window = window
 	ms.Scenario = &scn
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	windows := 0
-	emit := func(*obs.Window) error {
+	w := obs.NewWindowedLedger(obs.MachineCauseNames, window)
+	w.OnWindow(func(*obs.Window) error {
 		windows++
 		cancel()
 		return nil
-	}
-	_, err := RunWith(ctx, []Program{long}, reorg.Default(), ms, RunOpts{WindowEmit: emit})
+	})
+	_, err := RunWith(ctx, []Program{long}, reorg.Default(), ms, RunOpts{Windows: w})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err %v, want context.Canceled", err)
 	}

@@ -2,12 +2,13 @@ package scenario
 
 // Windowed-ledger seams at the scenario layer: per-window conservation must
 // hold when the boundary lands exactly on a context switch, the windowed
-// series must sum back to the unwindowed ledger, and attaching windows (or a
-// streaming emitter) must not move a single cycle.
+// series must sum back to the unwindowed ledger, and attaching windows must
+// not move a single cycle.
 
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -16,21 +17,26 @@ import (
 )
 
 // runWindowed executes the standard workload with an N-cycle windowed
-// ledger; Run's internal verify() already checks the per-window and
-// windows-vs-ledger conservation equations before returning.
-func runWindowed(t *testing.T, policy string, quantum, window int, opts RunOpts) *Result {
+// ledger attached and returns the run and the windows its emitter received;
+// the run's Flush has already checked that they add back to the ledger.
+func runWindowed(t *testing.T, policy string, quantum, window int) (*Result, *obs.WindowDoc) {
 	t.Helper()
 	ms := spec.Default()
 	scn := spec.DefaultScenario()
 	scn.Policy = policy
 	scn.Quantum = quantum
-	scn.Window = window
 	ms.Scenario = &scn
-	r, err := RunWith(context.Background(), testPrograms(t), reorg.Default(), ms, opts)
+	w := obs.NewWindowedLedger(obs.MachineCauseNames, uint64(window))
+	doc := &obs.WindowDoc{Schema: obs.WindowSchema, Window: uint64(window)}
+	w.OnWindow(func(win *obs.Window) error {
+		doc.Windows = append(doc.Windows, *win)
+		return nil
+	})
+	r, err := RunWith(context.Background(), testPrograms(t), reorg.Default(), ms, RunOpts{Windows: w})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return r
+	return r, doc
 }
 
 // TestWindowBoundaryOnContextSwitch sets the window size equal to the
@@ -43,11 +49,11 @@ func TestWindowBoundaryOnContextSwitch(t *testing.T) {
 	for _, policy := range []string{spec.PolicyFlush, spec.PolicyPID} {
 		t.Run(policy, func(t *testing.T) {
 			plain := runPolicy(t, policy, quantum)
-			win := runWindowed(t, policy, quantum, quantum, RunOpts{})
-			if win.Windows == nil {
-				t.Fatal("windowed run retained no window doc")
+			win, doc := runWindowed(t, policy, quantum, quantum)
+			if len(doc.Windows) == 0 {
+				t.Fatal("windowed run emitted no windows")
 			}
-			if err := win.Windows.Check(); err != nil {
+			if err := doc.Check(); err != nil {
 				t.Fatal(err)
 			}
 			if win.Switches == 0 {
@@ -64,18 +70,18 @@ func TestWindowBoundaryOnContextSwitch(t *testing.T) {
 			}
 
 			// The series sums back to the unwindowed ledger.
-			if got := win.Windows.Total(); got != win.Cycles {
+			if got := doc.Total(); got != win.Cycles {
 				t.Fatalf("windows total %d, run total %d", got, win.Cycles)
 			}
-			if !reflect.DeepEqual(win.Windows.CauseTotals(), win.Obs.Map()) {
+			if !reflect.DeepEqual(doc.CauseTotals(), win.Obs.Map()) {
 				t.Fatalf("window cause totals diverge from ledger:\nwindows %v\nledger  %v",
-					win.Windows.CauseTotals(), win.Obs.Map())
+					doc.CauseTotals(), win.Obs.Map())
 			}
 
 			// Windows are context-keyed: both programs appear, and under the
 			// flush policy the scheduler's switch-time work is its own slice.
 			seen := map[string]uint64{}
-			for _, w := range win.Windows.Windows {
+			for _, w := range doc.Windows {
 				for _, cs := range w.Contexts {
 					seen[cs.Context] += cs.Cycles
 				}
@@ -97,27 +103,21 @@ func TestWindowBoundaryOnContextSwitch(t *testing.T) {
 	}
 }
 
-// TestWindowEmitStreamsWithoutRetention: with a streaming emitter attached
-// the Result carries no window doc, yet the emitted series is the same one a
-// retained run would have produced.
-func TestWindowEmitStreamsWithoutRetention(t *testing.T) {
-	const quantum, window = 2000, 512
-	retained := runWindowed(t, spec.PolicyFlush, quantum, window, RunOpts{})
-	var emitted []obs.Window
-	streamed := runWindowed(t, spec.PolicyFlush, quantum, window, RunOpts{
-		WindowEmit: func(w *obs.Window) error { emitted = append(emitted, *w); return nil },
-	})
-	if streamed.Windows != nil {
-		t.Fatal("streaming run retained a window doc")
-	}
-	if retained.Windows == nil {
-		t.Fatal("retained run carries no window doc")
-	}
-	if !reflect.DeepEqual(emitted, retained.Windows.Windows) {
-		t.Fatalf("emitted series (%d windows) differs from retained (%d windows)",
-			len(emitted), len(retained.Windows.Windows))
-	}
-	if streamed.Cycles != retained.Cycles {
-		t.Fatalf("streaming emitter changed the run: %d vs %d cycles", streamed.Cycles, retained.Cycles)
+// TestWindowsThatMissChargesFailTheRun: a windowed ledger that does not
+// cover the CPU's whole ledger (here one already used for an earlier run)
+// no longer adds back, and the run reports it instead of a result.
+func TestWindowsThatMissChargesFailTheRun(t *testing.T) {
+	ms := spec.Default()
+	scn := spec.DefaultScenario()
+	ms.Scenario = &scn
+	w := obs.NewWindowedLedger(obs.MachineCauseNames, 4096)
+	for run := 0; run < 2; run++ {
+		_, err := RunWith(context.Background(), testPrograms(t), reorg.Default(), ms, RunOpts{Windows: w})
+		if run == 0 && err != nil {
+			t.Fatal(err)
+		}
+		if run == 1 && (err == nil || !strings.Contains(err.Error(), "add back")) {
+			t.Fatalf("reused windows: err = %v, want an add-back error", err)
+		}
 	}
 }

@@ -77,12 +77,6 @@ type ScenarioSpec struct {
 	// the register-bank design where switching is free). Charged to the
 	// context-switch ledger cause.
 	SwitchCost int `json:"switch_cost"`
-	// Window, when nonzero, attaches a windowed ledger (obs.WindowedLedger)
-	// folding the run's cycle attribution into fixed-size windows keyed per
-	// context — the mipsx-obswin/v1 time-series. omitempty: zero (off, the
-	// default) encodes and digests exactly as specs did before the field
-	// existed, so memo keys and golden baselines are unchanged.
-	Window int `json:"window,omitempty"`
 }
 
 // Scenario policy names.
@@ -424,9 +418,6 @@ func (ms MachineSpec) Validate() error {
 		}
 		if sc.SwitchCost < 0 {
 			bad("scenario.switch_cost = %d, want >= 0", sc.SwitchCost)
-		}
-		if sc.Window < 0 {
-			bad("scenario.window = %d, want >= 0", sc.Window)
 		}
 	}
 

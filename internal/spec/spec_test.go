@@ -44,6 +44,25 @@ func TestParseRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// TestParseRejectsScenarioWindow: the window size is a run option, not part
+// of the machine, so a scenario block that carries one is rejected.
+func TestParseRejectsScenarioWindow(t *testing.T) {
+	ms := Default()
+	scn := DefaultScenario()
+	ms.Scenario = &scn
+	good := ms.CanonicalJSON()
+	if _, err := Parse(good); err != nil {
+		t.Fatal(err)
+	}
+	bad := strings.Replace(string(good), `"switch_cost":64`, `"switch_cost":64,"window":4096`, 1)
+	if bad == string(good) {
+		t.Fatalf("scenario block not found in %s", good)
+	}
+	if _, err := Parse([]byte(bad)); err == nil || !strings.Contains(err.Error(), "window") {
+		t.Fatalf("err = %v, want an unknown-field rejection naming window", err)
+	}
+}
+
 // TestValidateRejections is the rejection table: every constructor
 // constraint surfaces as a named violation, and independent violations
 // report together.

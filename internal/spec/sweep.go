@@ -129,11 +129,17 @@ func (ms MachineSpec) Patch(path string, value any) (MachineSpec, error) {
 	return patched, nil
 }
 
+// MaxSweepPoints caps a sweep's cross product. The largest sweep in the
+// repository has 108 points; a cross product far past the cap would exhaust
+// memory while it is enumerated, before any point runs.
+const MaxSweepPoints = 4096
+
 // Points enumerates the sweep's cross product in row-major order (first axis
 // slowest), deduplicated by spec digest (an axis value equal to the base
 // collapses), every point validated. Any invalid point fails the whole
 // enumeration — a sweep definition's errors should surface before the first
-// simulation, not between cells.
+// simulation, not between cells — and so does a cross product of more than
+// MaxSweepPoints points, before any is built.
 func (s Sweep) Points() ([]Point, error) {
 	base := Default()
 	if s.Base != nil {
@@ -142,11 +148,19 @@ func (s Sweep) Points() ([]Point, error) {
 	if err := base.Validate(); err != nil {
 		return nil, err
 	}
-	points := []Point{{Spec: base}}
+	n := 1
 	for _, ax := range s.Axes {
 		if ax.Path == "" || len(ax.Values) == 0 {
 			return nil, fmt.Errorf("spec: axis %q needs a path and at least one value", ax.Path)
 		}
+		// n ≤ MaxSweepPoints throughout, so this cannot overflow.
+		if len(ax.Values) > MaxSweepPoints/n {
+			return nil, fmt.Errorf("spec: sweep has more than %d points", MaxSweepPoints)
+		}
+		n *= len(ax.Values)
+	}
+	points := []Point{{Spec: base}}
+	for _, ax := range s.Axes {
 		next := make([]Point, 0, len(points)*len(ax.Values))
 		for _, p := range points {
 			for _, v := range ax.Values {

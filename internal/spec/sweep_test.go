@@ -231,3 +231,23 @@ func TestParseSweepRejectsTrailingData(t *testing.T) {
 		}
 	}
 }
+
+// TestSweepPointCap: a cross product past MaxSweepPoints is rejected before
+// any point is built (five 20-value axes, 3.2M points, used to exhaust
+// memory during enumeration), and a small sweep still enumerates.
+func TestSweepPointCap(t *testing.T) {
+	for _, doc := range []string{oversizedSweep(5, 20), oversizedSweep(2, 65)} {
+		sw, err := ParseSweep([]byte(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sw.Points(); err == nil || !strings.Contains(err.Error(), "more than 4096 points") {
+			t.Fatalf("%d-axis sweep: err = %v, want the point cap", len(sw.Axes), err)
+		}
+	}
+	sw := Sweep{Axes: []Axis{{Path: "icache.sets", Values: []any{float64(2), float64(4)}}}}
+	pts, err := sw.Points()
+	if err != nil || len(pts) != 2 {
+		t.Fatalf("2-point sweep: %d points, err %v", len(pts), err)
+	}
+}

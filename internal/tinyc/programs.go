@@ -674,6 +674,19 @@ func main() {
 	}
 }
 
+// BenchmarkByName returns the suite's benchmark with the given name; the
+// error for any other name lists the names the suite has.
+func BenchmarkByName(name string) (Benchmark, error) {
+	var names []string
+	for _, b := range Benchmarks() {
+		if b.Name == name {
+			return b, nil
+		}
+		names = append(names, b.Name)
+	}
+	return Benchmark{}, fmt.Errorf("unknown benchmark %q (have %s)", name, strings.Join(names, ", "))
+}
+
 // SuiteByClass filters the suite.
 func SuiteByClass(class string) []Benchmark {
 	var out []Benchmark

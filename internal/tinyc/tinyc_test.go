@@ -239,3 +239,18 @@ func TestDeepExpressionRejected(t *testing.T) {
 		t.Skip("expression folded shallower than expected") // acceptable
 	}
 }
+
+// TestBenchmarkByName: every suite name resolves to its benchmark, and any
+// other name is an error that lists the suite.
+func TestBenchmarkByName(t *testing.T) {
+	for _, want := range Benchmarks() {
+		b, err := BenchmarkByName(want.Name)
+		if err != nil || b.Name != want.Name || b.Source != want.Source {
+			t.Fatalf("%s: got %q, err %v", want.Name, b.Name, err)
+		}
+	}
+	_, err := BenchmarkByName("nosuch")
+	if err == nil || !strings.Contains(err.Error(), `"nosuch"`) || !strings.Contains(err.Error(), "bubblesort, ") {
+		t.Fatalf("unknown name: err = %v, want one listing the suite", err)
+	}
+}
