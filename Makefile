@@ -75,22 +75,26 @@ fuzz:
 	$(GO) test ./internal/obs -fuzz=FuzzTraceEncode -fuzztime=60s -run '^$$'
 	$(GO) test ./internal/obs -fuzz=FuzzParseWindowStream -fuzztime=60s -run '^$$'
 
-# Bench-regression tracking: verify every experiment table against the
-# recorded golden baseline (exit 1 on drift) three times — once serially
-# with no cache (every cell live at -parallel 1), then cold (recording) and
-# hot (replaying) over one cache directory, so scheduling nondeterminism and
-# unsound memo keys both surface as table drift; the hot pass's report is
-# BENCH_pr.json (with the observation-overhead measurement recorded), then
-# run the Go benchmarks once. CI uploads BENCH_pr.json. The greps are the
-# attribution gate: the report must carry the cycle-attribution breakdown
-# with conservation passing, both engine-wide and per cell (more than one
-# "attribution" key means the cell_timings entries carry their own).
+# Bench-regression tracking, three passes. The serial pass (every cell
+# live at -parallel 1, no cache) must match the recorded golden tables
+# (exit 1 on drift) and writes its report to BENCH_serial.json. The cold
+# (recording) and hot (replaying) passes over one cache directory run at
+# the default parallelism, where cells wait on each other's captures, and
+# must reproduce the serial pass's tables, total_cycles_simulated and
+# per-cause attribution exactly (-check-attr), so scheduling
+# nondeterminism and unsound memo keys both surface as drift. The hot
+# pass's report is BENCH_pr.json (with the observation-overhead
+# measurement recorded); then the Go benchmarks run once. CI uploads
+# BENCH_pr.json. The greps are the attribution gate: the report must carry
+# the cycle-attribution breakdown with conservation passing, both
+# engine-wide and per cell (more than one "attribution" key means the
+# cell_timings entries carry their own).
 BENCHCACHE ?= .benchcache
 bench:
 	rm -rf $(BENCHCACHE)
-	$(GO) run ./cmd/mipsx-bench -parallel 1 -check BENCH_baseline.json > /dev/null
-	$(GO) run ./cmd/mipsx-bench -check BENCH_baseline.json -cache $(BENCHCACHE) -json > BENCH_cold.json
-	$(GO) run ./cmd/mipsx-bench -check BENCH_baseline.json -cache $(BENCHCACHE) -json -obs-overhead > BENCH_pr.json
+	$(GO) run ./cmd/mipsx-bench -parallel 1 -check BENCH_baseline.json -json > BENCH_serial.json
+	$(GO) run ./cmd/mipsx-bench -check BENCH_serial.json -check-attr -cache $(BENCHCACHE) -json > BENCH_cold.json
+	$(GO) run ./cmd/mipsx-bench -check BENCH_serial.json -check-attr -cache $(BENCHCACHE) -json -obs-overhead > BENCH_pr.json
 	grep -q '"attribution_conserved": true' BENCH_pr.json
 	grep -q '"attribution_conserved": true' BENCH_cold.json
 	test `grep -c '"attribution"' BENCH_pr.json` -gt 1

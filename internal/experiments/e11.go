@@ -74,7 +74,7 @@ func MultiprocessorScaling() (*Table, error) {
 	var vaxRes VAXResult
 	stats := make([]scenario.ClusterStats, len(sizes))
 	cells := make([]Cell, 0, len(sizes)+1)
-	cells = append(cells, vaxCell("E11/vax", bench.Source, 200_000_000, &vaxRes))
+	cells = append(cells, vaxCell("E11/vax", bench.Source, &vaxRes))
 	for i, n := range sizes {
 		cells = append(cells, clusterCell(fmt.Sprintf("E11/nodes=%d", n), bench.Source, n, &stats[i]))
 	}

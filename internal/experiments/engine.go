@@ -13,6 +13,8 @@ package experiments
 // submits all of its cells in one Run and folds the results itself. Each
 // cell accounts its simulated cycles to its own meter, and the engine that
 // ran it folds the meter's total into its counters when the cell returns.
+// A run several cells read (a capture) is simulated once, and each reader
+// accounts its cycles as a memo hit does.
 
 import (
 	"context"
@@ -72,10 +74,12 @@ type CellTiming struct {
 
 // cellMeter holds the simulated cycles, and their per-cause breakdown, that
 // one cell's runs accounted. Only the cell's own goroutine touches it: the
-// runners add to it, and the engine reads it after the cell returns.
+// runners add to it, and the engine reads it after the cell returns. Next
+// to it the cell's runners find the engine's capture table.
 type cellMeter struct {
 	cycles uint64
 	attr   map[string]uint64
+	caps   *captureTable
 }
 
 type meterKeyType struct{}
@@ -143,6 +147,10 @@ type Engine struct {
 	mu      sync.Mutex
 	timings []CellTiming
 	attr    map[string]uint64 // simulated cycles by cause, summed over all cells
+
+	// caps holds the runs captured for their branches, shared by every cell
+	// that reads one (captures.go).
+	caps captureTable
 }
 
 // progressEvery throttles progress lines.
@@ -334,7 +342,7 @@ func (e *Engine) runOne(ctx context.Context, c Cell) (replayed bool, attr map[st
 		cctx, ccancel = context.WithTimeout(ctx, e.Timeout)
 	}
 	defer ccancel()
-	meter := &cellMeter{}
+	meter := &cellMeter{caps: &e.caps}
 	cctx = context.WithValue(cctx, meterKeyType{}, meter)
 
 	err = runCell(cctx, c)

@@ -267,16 +267,17 @@ func TestObsOverheadBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Log(o.String())
-	// Absolute backstop: the documented figure is ~3% on the reference box;
-	// the gate sits at 30% so noise cannot trip it, while a hot-path
+	// Absolute backstop: on the 2-vCPU reference host the ledger medians
+	// measure +6.7 to +23.2% and the windowed-ledger medians near +23%
+	// (DESIGN.md §11 records them); the gate sits at 30% so that a hot-path
 	// regression (an allocation or lock per ledger charge lands in the
 	// hundreds of percent) cannot pass.
 	const limit = 30.0
 	if o.LedgerPct > limit {
-		t.Errorf("ledger overhead median %.1f%% exceeds the %.0f%% budget backstop (documented ~3%%)", o.LedgerPct, limit)
+		t.Errorf("ledger overhead median %.1f%% exceeds the %.0f%% budget backstop (measured medians +6.7 to +23.2%%, DESIGN.md §11)", o.LedgerPct, limit)
 	}
 	if o.WindowedPct > limit {
-		t.Errorf("windowed-ledger overhead median %.1f%% exceeds the %.0f%% budget backstop (documented ~3%%)", o.WindowedPct, limit)
+		t.Errorf("windowed-ledger overhead median %.1f%% exceeds the %.0f%% budget backstop (measured medians near +23%%, DESIGN.md §11)", o.WindowedPct, limit)
 	}
 	// Incremental gate on what windowing adds over the plain ledger: the
 	// charge path is two array writes and a bounds check, so windowed time

@@ -21,6 +21,12 @@ import (
 // runLimit bounds every experiment run.
 const runLimit = 50_000_000
 
+// vaxInstrLimit bounds every run on the CISC reference machine, in retired
+// instructions. No benchmark comes near it (the largest retires about
+// 225,000), and with one bound every experiment's run of a program has one
+// memo key.
+const vaxInstrLimit = 200_000_000
+
 // runChunk is the cycle budget a machine simulates between cancellation
 // checks; cells observe Engine.Timeout and ctx cancellation at this
 // granularity (Machine.Run is resumable across calls).
@@ -83,12 +89,12 @@ func runMachine(ctx context.Context, m *core.Machine) error {
 	}
 }
 
-// runVAX runs the CISC reference machine until it halts or maxInstr
+// runVAX runs the CISC reference machine until it halts or vaxInstrLimit
 // instructions retire, in runChunk slices so cancellation is observed
 // (vaxlike.Run counts instructions against an absolute limit, so it is
 // resumable the same way Machine.Run is), accounting a finished run's
 // cycles to the running cell.
-func runVAX(ctx context.Context, vm *vaxlike.Machine, maxInstr uint64) error {
+func runVAX(ctx context.Context, vm *vaxlike.Machine) error {
 	if vm.Led == nil {
 		vm.Observe(vaxlike.NewVAXLedger())
 	}
@@ -96,8 +102,8 @@ func runVAX(ctx context.Context, vm *vaxlike.Machine, maxInstr uint64) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if limit > maxInstr {
-			limit = maxInstr
+		if limit > vaxInstrLimit {
+			limit = vaxInstrLimit
 		}
 		err := vm.Run(limit)
 		if err == nil {
@@ -106,7 +112,7 @@ func runVAX(ctx context.Context, vm *vaxlike.Machine, maxInstr uint64) error {
 		}
 		// A real step error leaves the machine short of the limit; only a
 		// limit hit below the cap means "keep going".
-		if vm.Stats.Instructions < limit || limit >= maxInstr {
+		if vm.Stats.Instructions < limit || limit >= vaxInstrLimit {
 			return err
 		}
 	}
@@ -140,9 +146,28 @@ func buildCached(b tinyc.Benchmark, scheme reorg.Scheme) (*asm.Image, error) {
 
 // run builds a tinyc benchmark for the scheme and runs it to completion on
 // a machine realized from the spec (the branch scheme is applied to the
-// spec, so slots always match the toolchain). Returns the machine for its
-// statistics.
-func run(ctx context.Context, b tinyc.Benchmark, scheme reorg.Scheme, prof reorg.Profile, ms spec.MachineSpec) (*core.Machine, error) {
+// spec, so slots always match the toolchain), and returns its result. An
+// unprofiled run whose identity the cell's engine has captured returns the
+// capture's result instead of simulating it again (captures.go).
+func run(ctx context.Context, b tinyc.Benchmark, scheme reorg.Scheme, prof reorg.Profile, ms spec.MachineSpec) (RunResult, error) {
+	if prof == nil {
+		c, err := meterFrom(ctx).caps.shared(ctx, b, scheme, ms)
+		if err != nil {
+			return RunResult{}, err
+		}
+		if c != nil {
+			return c.res, nil
+		}
+	}
+	_, res, err := simulate(ctx, b, scheme, prof, ms, nil)
+	return res, err
+}
+
+// simulate is one run of b: built for the scheme (with profile feedback
+// when prof is set), run on the machine the spec names under the PC
+// profile, and checked — conservation (runMachine), the expected output
+// and the static-cost cross-check. A non-nil rec records its branches.
+func simulate(ctx context.Context, b tinyc.Benchmark, scheme reorg.Scheme, prof reorg.Profile, ms spec.MachineSpec, rec *trace.Recorder) (*asm.Image, RunResult, error) {
 	var im *asm.Image
 	var err error
 	if prof == nil {
@@ -151,22 +176,25 @@ func run(ctx context.Context, b tinyc.Benchmark, scheme reorg.Scheme, prof reorg
 		im, err = tinyc.Build(b.Source, scheme, prof)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", b.Name, err)
+		return nil, RunResult{}, fmt.Errorf("%s: %w", b.Name, err)
 	}
 	m := core.New(buildConfig(ms.WithScheme(scheme)), nil)
 	m.Load(im)
 	pcProf := obs.NewPCProfile(uint32(im.Base), len(im.Words))
 	m.CPU.Prof = pcProf
+	if rec != nil {
+		rec.Attach(m.CPU)
+	}
 	if err := runMachine(ctx, m); err != nil {
-		return nil, fmt.Errorf("%s: %w", b.Name, err)
+		return nil, RunResult{}, fmt.Errorf("%s: %w", b.Name, err)
 	}
 	if want := b.Expect(); m.Output() != want {
-		return nil, fmt.Errorf("%s: wrong output %q (want %q)", b.Name, m.Output(), want)
+		return nil, RunResult{}, fmt.Errorf("%s: wrong output %q (want %q)", b.Name, m.Output(), want)
 	}
 	if err := crossCheckCost(im, scheme.Slots, m, pcProf); err != nil {
-		return nil, fmt.Errorf("%s: %w", b.Name, err)
+		return nil, RunResult{}, fmt.Errorf("%s: %w", b.Name, err)
 	}
-	return m, nil
+	return im, machineResult(m), nil
 }
 
 // crossCheckCost validates the static cycle-cost model against the run's
@@ -195,32 +223,15 @@ func crossCheckCost(im *asm.Image, slots int, m *core.Machine, pcProf *obs.PCPro
 	return nil
 }
 
-// runProfiled runs twice: once to collect a branch profile, then rebuilt
-// with the profile — the paper's "static prediction (possibly with
-// profiling)" toolchain.
-func runProfiled(ctx context.Context, b tinyc.Benchmark, scheme reorg.Scheme, ms spec.MachineSpec) (*core.Machine, error) {
-	im, events, err := captureBranches(ctx, b, scheme, ms)
+// runProfiled rebuilds b with the branch profile of its unprofiled run's
+// capture and runs the result — the paper's "static prediction (possibly
+// with profiling)" toolchain.
+func runProfiled(ctx context.Context, b tinyc.Benchmark, scheme reorg.Scheme, ms spec.MachineSpec) (RunResult, error) {
+	c, err := captured(ctx, b, scheme, ms)
 	if err != nil {
-		return nil, err
+		return RunResult{}, err
 	}
-	return run(ctx, b, scheme, trace.Profile(im, events), ms)
-}
-
-// captureBranches runs benchmark b's unprofiled image under scheme on the
-// machine the spec names and returns the image and its dynamic branches.
-func captureBranches(ctx context.Context, b tinyc.Benchmark, scheme reorg.Scheme, ms spec.MachineSpec) (*asm.Image, []trace.BranchEvent, error) {
-	im, err := buildCached(b, scheme)
-	if err != nil {
-		return nil, nil, err
-	}
-	m := core.New(buildConfig(ms.WithScheme(scheme)), nil)
-	m.Load(im)
-	var rec trace.Recorder
-	rec.Attach(m.CPU)
-	if err := runMachine(ctx, m); err != nil {
-		return nil, nil, err
-	}
-	return im, rec.Branches, nil
+	return run(ctx, b, scheme, trace.Profile(c.im, c.events), ms)
 }
 
 // ---------------------------------------------------------------------------
@@ -319,19 +330,13 @@ func benchCell(id string, b tinyc.Benchmark, scheme reorg.Scheme, profiled bool,
 	}
 	return Cell{
 		ID: id,
-		Fn: func(ctx context.Context) error {
-			var m *core.Machine
-			var err error
+		Fn: func(ctx context.Context) (err error) {
 			if profiled {
-				m, err = runProfiled(ctx, b, scheme, ms)
+				*out, err = runProfiled(ctx, b, scheme, ms)
 			} else {
-				m, err = run(ctx, b, scheme, nil, ms)
+				*out, err = run(ctx, b, scheme, nil, ms)
 			}
-			if err != nil {
-				return err
-			}
-			*out = machineResult(m)
-			return nil
+			return err
 		},
 		Memo: &CellMemo{
 			Key: func() (string, error) { return benchKey(kind, b, scheme, ms) },
@@ -371,8 +376,8 @@ func asmCell(id, src string, ms spec.MachineSpec, out *RunResult) Cell {
 }
 
 // vaxCell builds a memoizable cell that compiles src for the CISC
-// reference machine and runs it to completion (bounded by maxInstr).
-func vaxCell(id, src string, maxInstr uint64, out *VAXResult) Cell {
+// reference machine and runs it to completion (bounded by vaxInstrLimit).
+func vaxCell(id, src string, out *VAXResult) Cell {
 	return Cell{
 		ID: id,
 		Fn: func(ctx context.Context) error {
@@ -380,7 +385,7 @@ func vaxCell(id, src string, maxInstr uint64, out *VAXResult) Cell {
 			if err != nil {
 				return err
 			}
-			if err := runVAX(ctx, vm, maxInstr); err != nil {
+			if err := runVAX(ctx, vm); err != nil {
 				return err
 			}
 			*out = VAXResult{Stats: vm.Stats, CodeLen: len(vm.Code)}
@@ -392,7 +397,7 @@ func vaxCell(id, src string, maxInstr uint64, out *VAXResult) Cell {
 				// source plus the instruction bound is the whole closure.
 				k := newKey("vax")
 				k.str("source", src)
-				k.num("max-instr", maxInstr)
+				k.num("max-instr", vaxInstrLimit)
 				return k.sum(), nil
 			},
 			Out: out,

@@ -216,8 +216,9 @@ type branchStream struct {
 
 // suiteBranches is the benchmarks' dynamic branches, captured in order
 // under one scheme on the machine the spec names. Its closure is every
-// member's run closure. Each capture runs through runMachine, so its cycles
-// and their attribution account to the cell that captures.
+// member's run closure. The captures come from the engine's table, so a
+// run E1 already captured is not simulated again, and each capture's
+// cycles and attribution account to the cell that reads it.
 func suiteBranches(benches []tinyc.Benchmark, scheme reorg.Scheme, ms spec.MachineSpec) branchStream {
 	return branchStream{
 		closure: func() (*keyBuilder, error) {
@@ -233,11 +234,11 @@ func suiteBranches(benches []tinyc.Benchmark, scheme reorg.Scheme, ms spec.Machi
 		events: func(ctx context.Context) ([]trace.BranchEvent, error) {
 			var events []trace.BranchEvent
 			for _, b := range benches {
-				_, evs, err := captureBranches(ctx, b, scheme, ms)
+				c, err := captured(ctx, b, scheme, ms)
 				if err != nil {
-					return nil, fmt.Errorf("%s: %w", b.Name, err)
+					return nil, err
 				}
-				events = append(events, evs...)
+				events = append(events, c.events...)
 			}
 			return events, nil
 		},
