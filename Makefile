@@ -144,9 +144,12 @@ scenario-baseline:
 # the json.Marshal reference encoder (per event kind, on the fuzz seeds, and
 # on a machine run that traps and uses the coprocessor), the fmt-based
 # disassembler reference on 1M random words, the whole suite's trace pinned
-# by digest, zero allocations per event, windowed conservation across squash
-# and context-switch boundaries, observation purity with streaming tracers
-# + windowed ledgers attached, and the window-stream decoder's fuzz seeds.
+# by digest, span labels re-encoded when code is rewritten or two pcs share
+# a memo line, zero allocations per event and per traced cycle, windowed
+# conservation across squash and context-switch boundaries, E12's window
+# table and three window streams pinned by digest, an idempotent Flush,
+# observation purity with streaming tracers + windowed ledgers attached,
+# and the window-stream decoder's fuzz seeds.
 # (2) End-to-end: mipsx-run -trace-out
 # on the golden-trace workload must write the committed golden trace byte
 # for byte. (3) A live windowed run whose mipsx-obswin/v1 stream mipsx-trace
@@ -158,8 +161,9 @@ TRACE_TESTDATA = internal/core/testdata
 stream-gate:
 	$(GO) test ./internal/obs -run 'TestStream|TestStart|TestWindow|TestParseWindowStream|TestEncoderMatchesReference|TestTraceAllocs|FuzzTraceEncode|FuzzParseWindowStream' -count=1
 	$(GO) test ./internal/isa -run 'TestAppend' -count=1
-	$(GO) test ./internal/core -run 'TestTraceGolden|TestTraceSuiteDigest|TestStreamedTraceByteIdenticalMachine|TestStreamNeverDropsOnMachineRun|TestObservationPurityStreamingAndWindows|TestWindowSeam' -count=1
+	$(GO) test ./internal/core -run 'TestTraceGolden|TestTraceSuiteDigest|TestTraceLabelsNameRetiredInstruction|TestStreamedTraceByteIdenticalMachine|TestStreamNeverDropsOnMachineRun|TestObservationPurityStreamingAndWindows|TestWindowSeam' -count=1
 	$(GO) test ./internal/scenario -run 'TestWindow' -count=1
+	$(GO) test ./internal/experiments -run 'TestCycleLoopAllocatesNothing' -count=1
 	$(GO) test ./cmd/mipsx-trace ./cmd/mipsx-run -count=1
 	$(GO) run ./cmd/mipsx-run -trace-out .streamgate_trace.json $(TRACE_TESTDATA)/trace_program.s > /dev/null
 	cmp .streamgate_trace.json $(TRACE_TESTDATA)/trace_golden.json

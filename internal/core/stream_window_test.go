@@ -11,12 +11,15 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"io"
 	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/isa"
 	"repro/internal/obs"
+	"repro/internal/pipeline"
 	"repro/internal/reorg"
 	"repro/internal/tinyc"
 )
@@ -368,5 +371,129 @@ func TestWindowSeamMidSquash(t *testing.T) {
 	}
 	if squashWindows < 2 {
 		t.Fatalf("squash cycles confined to %d window(s) — boundary never hit a squash", squashWindows)
+	}
+}
+
+// fetchLog records every pc the pipeline fetches and the word it got.
+type fetchLog struct {
+	pipeline.InstrPort
+	pcs, words []isa.Word
+}
+
+func (f *fetchLog) Fetch(pc isa.Word) (isa.Word, int) {
+	w, s := f.InstrPort.Fetch(pc)
+	f.pcs, f.words = append(f.pcs, pc), append(f.words, w)
+	return w, s
+}
+
+// TestTraceLabelsNameRetiredInstruction: the pipeline memoizes each
+// instruction's span label by pc, so it must re-encode when a store
+// rewrites the instruction at a pc, and when two pcs one memo size apart
+// take turns on one memo line. Every fetched slot retires through WB in
+// fetch order, so span i must carry the pc of fetch i and the disassembly
+// of the word fetch i returned.
+func TestTraceLabelsNameRetiredInstruction(t *testing.T) {
+	for _, tc := range []struct{ name, src string }{{
+		// One pass through the instruction at patch, five through the
+		// instruction a store writes over it.
+		name: "self-modifying store",
+		src: `
+main:	la   r1, patch
+	la   r2, alt
+	ld   r3, 0(r2)
+	addi r4, r0, 6
+loop:
+patch:	addi r5, r5, 1
+	addi r4, r4, -1
+	st   r3, 0(r1)
+	bne  r4, r0, loop
+	nop
+	nop
+	putw r5
+	halt
+alt:	addi r5, r5, 7
+	halt
+`,
+	}, {
+		// near and far are 1,024 words apart, so both use one memo line
+		// and re-encode on every pass: 1,500 passes re-encode past the
+		// label arena's bound.
+		name: "memo collision",
+		src: `
+main:	la   r1, near
+	la   r2, alt
+	ld   r3, 0(r2)
+	addi r4, r0, 1500
+	nop
+loop:
+near:	addi r5, r5, 1
+	addi r4, r4, -1
+	st   r3, 0(r1)
+	jspci r0, far(r0)
+	nop
+	nop
+	.space 1018
+far:	addi r6, r6, 100
+	nop
+	bne  r4, r0, loop
+	nop
+	nop
+	putw r5
+	putw r6
+	halt
+alt:	addi r5, r5, 7
+	halt
+`,
+	}} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := New(DefaultConfig(), nil)
+			log := &fetchLog{InstrPort: m.CPU.IMem}
+			m.CPU.IMem = log
+			s := obs.NewMachineSink()
+			s.Tracer = &obs.Tracer{Instrs: true}
+			var trace bytes.Buffer
+			if err := s.Tracer.StartStream(&trace, 0); err != nil {
+				t.Fatal(err)
+			}
+			m.Observe(s)
+			if err := m.LoadSource(tc.src); err != nil {
+				t.Fatal(err)
+			}
+			if far, ok := m.Image.Symbols["far"]; ok && far-m.Image.Symbols["near"] != 1024 {
+				t.Fatalf("far is %d words past near, want 1024", far-m.Image.Symbols["near"])
+			}
+			if _, err := m.Run(100_000); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Tracer.CloseStream(); err != nil {
+				t.Fatal(err)
+			}
+			names := map[string]map[string]bool{} // pc -> names its spans carry
+			i := 0
+			for _, line := range strings.Split(trace.String(), "\n") {
+				var ev refEvent
+				if json.Unmarshal([]byte(strings.TrimSuffix(line, ",")), &ev) != nil || ev.Cat != "pipe" {
+					continue
+				}
+				want := isa.Decode(log.words[i]).String()
+				if pc := fmt.Sprintf("%#x", log.pcs[i]); ev.Name != want || ev.Args["pc"] != pc {
+					t.Fatalf("span %d is %q at pc %s; fetch %d got %q at pc %s", i, ev.Name, ev.Args["pc"], i, want, pc)
+				}
+				if names[ev.Args["pc"]] == nil {
+					names[ev.Args["pc"]] = map[string]bool{}
+				}
+				names[ev.Args["pc"]][ev.Name] = true
+				i++
+			}
+			rewritten := 0
+			for _, n := range names {
+				if len(n) > 1 {
+					rewritten++
+				}
+			}
+			if i == 0 || rewritten != 1 {
+				t.Fatalf("%d spans, %d pcs retired more than one instruction; want spans and exactly 1", i, rewritten)
+			}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"io"
 	"testing"
 
 	"repro/internal/core"
@@ -12,19 +13,38 @@ import (
 
 // TestCycleLoopAllocatesNothing: a warm machine with the ledger sink and PC
 // profile attached, as experiment cells attach them, allocates nothing per
-// cycle, under a 2-slot and a 1-slot scheme.
+// cycle, under a 2-slot and a 1-slot scheme; nor does a warm machine under
+// the instruction tracer, streaming to io.Discard, once its span labels
+// are encoded.
 func TestCycleLoopAllocatesNothing(t *testing.T) {
 	b := tinyc.Benchmarks()[0] // bubblesort: 53,633 cycles, longer than the quanta below
-	for _, scheme := range []reorg.Scheme{reorg.Default(), {Slots: 1, Squash: reorg.SquashOptional}} {
-		t.Run(scheme.String(), func(t *testing.T) {
-			im, err := buildCached(b, scheme)
+	oneSlot := reorg.Scheme{Slots: 1, Squash: reorg.SquashOptional}
+	for _, c := range []struct {
+		name   string
+		scheme reorg.Scheme
+		traced bool
+	}{
+		{reorg.Default().String(), reorg.Default(), false},
+		{oneSlot.String(), oneSlot, false},
+		{"traced", reorg.Default(), true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			im, err := buildCached(b, c.scheme)
 			if err != nil {
 				t.Fatal(err)
 			}
-			m := core.New(buildConfig(spec.Default().WithScheme(scheme)), nil)
+			m := core.New(buildConfig(spec.Default().WithScheme(c.scheme)), nil)
 			m.Load(im)
-			m.CPU.Prof = obs.NewPCProfile(uint32(im.Base), len(im.Words))
-			m.Observe(obs.NewMachineSink())
+			s := obs.NewMachineSink()
+			if c.traced {
+				s.Tracer = &obs.Tracer{Instrs: true}
+				if err := s.Tracer.StartStream(io.Discard, 0); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				m.CPU.Prof = obs.NewPCProfile(uint32(im.Base), len(im.Words))
+			}
+			m.Observe(s)
 			if _, _, err := m.RunQuantum(5000); err != nil {
 				t.Fatal(err)
 			}

@@ -116,18 +116,21 @@ func IcacheDesign() (*Table, error) {
 	return t, nil
 }
 
-// icacheCost runs a trace against an Icache over an ideal (zero-latency,
-// effectively infinite) backing store so only the on-chip organization is
-// measured.
+// icacheCost runs a trace against an Icache over an ideal backing store
+// so only the on-chip organization is measured.
 func icacheCost(icSpec spec.ICacheSpec, tr []isa.Word) (missRatio, fetchCycles float64) {
-	m := mem.New()
-	bus := &mem.Bus{Latency: 0, PerWord: 0}
-	e := ecache.New(spec.IdealBackingECache().BuildECache(), m, bus)
-	ic := icache.New(icSpec.BuildICache(), e)
+	ic := idealBackedIcache(icSpec)
 	for _, a := range tr {
 		ic.Fetch(a)
 	}
 	return ic.Stats.MissRatio(), ic.Stats.FetchCost()
+}
+
+// idealBackedIcache builds an Icache whose backing Ecache, on a bus with no
+// latency and no per-word cost, answers every access in 0 cycles.
+func idealBackedIcache(icSpec spec.ICacheSpec) *icache.Cache {
+	e := ecache.New(spec.IdealBackingECache().BuildECache(), mem.New(), &mem.Bus{Latency: 0, PerWord: 0})
+	return icache.New(icSpec.BuildICache(), e)
 }
 
 // BranchConditionStats reproduces the condition-code analysis (§Branches):

@@ -267,30 +267,33 @@ func TestObsOverheadBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Log(o.String())
-	// Absolute backstop: on the 2-vCPU reference host the ledger medians
-	// measure +6.7 to +23.2% and the windowed-ledger medians near +23%
-	// (DESIGN.md §11 records them); the gate sits at 30% so that a hot-path
-	// regression (an allocation or lock per ledger charge lands in the
-	// hundreds of percent) cannot pass.
+	// Absolute backstop: over 53 standalone runs on the 2-vCPU reference
+	// host the ledger medians measure -1.1 to +53.7% (middle +11.9%) and
+	// the windowed-ledger medians -4.2 to +32.8% (middle +13.1%) (DESIGN.md
+	// §11 records them); the gate sits at 30% so that a hot-path regression
+	// (an allocation or lock per ledger charge lands in the hundreds of
+	// percent) cannot pass.
 	const limit = 30.0
 	if o.LedgerPct > limit {
-		t.Errorf("ledger overhead median %.1f%% exceeds the %.0f%% budget backstop (measured medians +6.7 to +23.2%%, DESIGN.md §11)", o.LedgerPct, limit)
+		t.Errorf("ledger overhead median %.1f%% exceeds the %.0f%% budget backstop (measured medians -1.1 to +53.7%%, middle +11.9%%, DESIGN.md §11)", o.LedgerPct, limit)
 	}
 	if o.WindowedPct > limit {
-		t.Errorf("windowed-ledger overhead median %.1f%% exceeds the %.0f%% budget backstop (measured medians near +23%%, DESIGN.md §11)", o.WindowedPct, limit)
+		t.Errorf("windowed-ledger overhead median %.1f%% exceeds the %.0f%% budget backstop (measured medians -4.2 to +32.8%%, middle +13.1%%, DESIGN.md §11)", o.WindowedPct, limit)
 	}
-	// Incremental gate on what windowing adds over the plain ledger: the
-	// charge path is two array writes and a bounds check, so windowed time
-	// must stay within 35% of ledger time (measured increment: ~2-5%).
+	// Incremental gate on what windowing adds over the plain ledger: with
+	// windows attached a charge is two adds and a compare, and a window is
+	// cut from ledger snapshots, so windowed time must stay within 35% of
+	// ledger time (measured ratio of the medians over 53 runs: 0.71 to
+	// 1.45, middle 1.03; DESIGN.md §11).
 	if o.WindowedMS > o.LedgerMS*1.35 {
 		t.Errorf("windowed ledger median %.1fms is more than 1.35x the plain ledger's %.1fms — windowing hot path regressed",
 			o.WindowedMS, o.LedgerMS)
 	}
-	// Tracer backstop: streaming every instruction measures +300-400%; an
-	// encoder that reached back into fmt, reflection or a per-event
-	// allocation measures near +4000%.
+	// Tracer backstop: streaming every instruction measures +101 to +208%
+	// (middle +153%); an encoder that reached back into fmt, reflection or
+	// a per-event allocation measures near +4000%.
 	const tracerLimit = 1000.0
 	if o.TracerPct > tracerLimit {
-		t.Errorf("tracer overhead median %.1f%% exceeds the %.0f%% backstop (documented +300-400%%)", o.TracerPct, tracerLimit)
+		t.Errorf("tracer overhead median %.1f%% exceeds the %.0f%% backstop (measured medians +101 to +208%%, DESIGN.md §11)", o.TracerPct, tracerLimit)
 	}
 }

@@ -343,3 +343,30 @@ func TestE4StoresRowsNotStreams(t *testing.T) {
 		t.Fatalf("hot pass accounted %d cycles %v; cold %d %v", he.Cycles(), he.Attribution(), ce.Cycles(), ce.Attribution())
 	}
 }
+
+// TestIdealBackingNeverStalls: over E2's organization grid and both of its
+// traces, the one-line backing Ecache never stalls, so each Icache's stall
+// cycles are exactly its misses times its miss penalty.
+func TestIdealBackingNeverStalls(t *testing.T) {
+	traces := []traceSpec{
+		synthTrace(trace.PascalSynth(0), 300_000),
+		synthTrace(trace.LispSynth(0), 300_000),
+	}
+	for _, ts := range traces {
+		tr, err := ts.source()()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range [][2]int{{1, 2}, {2, 2}, {3, 2}, {2, 3}, {1, 3}} {
+			ic := idealBackedIcache(spec.Default().ICache.WithFetch(f[0], f[1]))
+			for _, a := range tr {
+				ic.Fetch(a)
+			}
+			st := ic.Stats
+			if ec := ic.Backing.Stats; ec.StallCycles != 0 || st.Misses == 0 || st.StallCycles != st.Misses*uint64(f[1]) {
+				t.Errorf("%s, fetch-back %d, penalty %d: backing stalled %d cycles; icache %d misses, %d stall cycles",
+					ts.key(), f[0], f[1], ec.StallCycles, st.Misses, st.StallCycles)
+			}
+		}
+	}
+}

@@ -50,7 +50,7 @@ func appendMeta(b []byte, name string, tid int, arg string) []byte {
 
 // appendHead appends an event's fields from its opening brace through tid,
 // leaving the object open for s and args.
-func appendHead[S []byte | string](b []byte, name S, cat, ph string, ts, dur uint64, tid int) []byte {
+func appendHead(b []byte, name, cat, ph string, ts, dur uint64, tid int) []byte {
 	b = append(b, `{"name":`...)
 	b = appendString(b, name)
 	if cat != "" {
@@ -60,6 +60,12 @@ func appendHead[S []byte | string](b []byte, name S, cat, ph string, ts, dur uin
 	b = append(b, `,"ph":`...)
 	b = appendString(b, ph)
 	b = append(b, `,"ts":`...)
+	return appendClock(b, ts, dur, tid)
+}
+
+// appendClock appends an event's timestamp value, its duration when
+// nonzero, pid and tid.
+func appendClock(b []byte, ts, dur uint64, tid int) []byte {
 	b = strconv.AppendUint(b, ts, 10)
 	if dur != 0 {
 		b = append(b, `,"dur":`...)
@@ -67,6 +73,24 @@ func appendHead[S []byte | string](b []byte, name S, cat, ph string, ts, dur uin
 	}
 	b = append(b, `,"pid":1,"tid":`...)
 	return strconv.AppendInt(b, int64(tid), 10)
+}
+
+// AppendPipeLabel appends the label of the pipe spans of the instruction
+// named name at pc to b: the bytes those spans share whenever it retires.
+// A label is two runs of bytes. Its head is the span from its opening
+// brace to the timestamp, `{"name":<name>,"cat":"pipe","ph":"X","ts":`;
+// its tail is the pc argument through the closing braces,
+// `"pc":"0x…"}}`. It returns b and the head's length. PipeSpan writes a
+// span from a label, so a label encoded once serves every retirement.
+func AppendPipeLabel(b, name []byte, pc uint32) ([]byte, int) {
+	start := len(b)
+	b = append(b, `{"name":`...)
+	b = appendString(b, name)
+	b = append(b, `,"cat":"pipe","ph":"X","ts":`...)
+	head := len(b) - start
+	b = append(b, `"pc":`...)
+	b = appendHex(b, pc)
+	return append(b, "}}"...), head
 }
 
 // appendArg appends the args object holding arg, if any, and closes the

@@ -123,11 +123,16 @@ type Ledger struct {
 	// as a data-side Ecache stall.
 	ifetchDepth int
 
-	// win, when attached, mirrors every resolved charge into fixed-size
-	// cycle windows (window.go). It sees the post-resolution (cause, n)
-	// stream — after the ifetch re-attribution and bus-wait split — so the
-	// windowed view decomposes exactly like the flat counts.
+	// win, when attached, cuts the charges into fixed-size cycle windows
+	// (window.go). A window is cut from snapshots of counts, so it sees the
+	// post-resolution charges — after the ifetch re-attribution and
+	// bus-wait split — and decomposes exactly like the flat counts.
 	win *WindowedLedger
+
+	// total counts the cycles charged while windows are attached, and next
+	// is the total at which the current window ends. Unwindowed charges
+	// touch neither.
+	total, next uint64
 }
 
 // NewLedger builds a ledger over an arbitrary cause-name schema.
@@ -145,7 +150,10 @@ func (l *Ledger) Add(cause Cause, n uint64) {
 	}
 	l.counts[cause] += n
 	if l.win != nil {
-		l.win.charge(cause, n)
+		l.total += n
+		if l.total >= l.next {
+			l.win.cut(cause)
+		}
 	}
 }
 
@@ -164,24 +172,30 @@ func (l *Ledger) Stall(cause Cause, n, wait uint64) {
 	if wait > n {
 		wait = n
 	}
+	if l.win != nil {
+		// One part at a time, so a boundary between them splits the stall
+		// bus-wait first.
+		l.Add(CauseBusWait, wait)
+		l.Add(cause, n-wait)
+		return
+	}
 	l.counts[CauseBusWait] += wait
 	l.counts[cause] += n - wait
-	if l.win != nil {
-		l.win.charge(CauseBusWait, wait)
-		l.win.charge(cause, n-wait)
-	}
 }
 
-// AttachWindows mirrors subsequent charges into w (nil detaches). Attach
-// before the run starts: the windowed timeline covers only charges made
-// while attached, and w.Flush reports any it missed. Nil-safe.
+// AttachWindows cuts subsequent charges into w's windows (nil detaches).
+// Attach before the run starts: the windowed timeline covers only charges
+// made while attached, and w.Flush reports any it missed. Nil-safe.
 func (l *Ledger) AttachWindows(w *WindowedLedger) {
 	if l == nil {
 		return
 	}
+	if l.win != nil {
+		l.win.fold(0, 0) // the outgoing windows keep what was charged while attached
+	}
 	l.win = w
 	if w != nil {
-		w.led = l
+		w.attach(l)
 	}
 }
 

@@ -130,7 +130,8 @@ func TestTracerNilSafe(t *testing.T) {
 	var tr *Tracer
 	tr.Span(1, "c", "n", 0, 1, Arg{})
 	tr.Instant(1, "c", "n", 0, Arg{})
-	tr.PipeSpan([]byte("n"), 0, 1, 0, "")
+	label, head := AppendPipeLabel(nil, []byte("n"), 0)
+	tr.PipeSpan(label, head, 0, 1, "")
 	if tr.Len() != 0 || tr.Dropped() != 0 || tr.Streaming() {
 		t.Fatal("nil tracer must record nothing")
 	}
@@ -142,8 +143,9 @@ func TestPipeSpanLaneRotation(t *testing.T) {
 	if err := tr.StartStream(&buf, 0); err != nil {
 		t.Fatal(err)
 	}
+	label, head := AppendPipeLabel(nil, []byte("in"), 0)
 	for i := 0; i < PipeLanes+1; i++ {
-		tr.PipeSpan([]byte("in"), uint64(i), uint64(i+5), uint32(i), "")
+		tr.PipeSpan(label, head, uint64(i), uint64(i+5), "")
 	}
 	if err := tr.CloseStream(); err != nil {
 		t.Fatal(err)

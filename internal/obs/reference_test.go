@@ -116,8 +116,11 @@ func instant(tid int, cat, name string, ts uint64, a Arg) call {
 		refEvent{Name: name, Cat: cat, Ph: "i", Ts: ts, Pid: 1, Tid: tid, S: "t", Args: refArgs(a)}}
 }
 
+// pipe records a pipe span from the label AppendPipeLabel builds for name
+// and pc.
 func pipe(lane uint64, name string, start, end uint64, pc uint32, annulled string) call {
-	return call{func(t *Tracer) { t.PipeSpan([]byte(name), start, end, pc, annulled) },
+	label, head := AppendPipeLabel(nil, []byte(name), pc)
+	return call{func(t *Tracer) { t.PipeSpan(label, head, start, end, annulled) },
 		refPipe(lane, name, start, end, pc, annulled)}
 }
 
@@ -195,6 +198,7 @@ func TestEncoderMatchesReference(t *testing.T) {
 
 // FuzzTraceEncode: for any event names, categories, annulled reasons, arg
 // keys and numbers, the streamed document equals the reference encoder's.
+// Its pipe spans are written from labels built from the fuzzed name and pc.
 func FuzzTraceEncode(f *testing.F) {
 	f.Add("imiss", "cache", "squash", "addr", uint64(17), uint64(9), uint32(0x2bffa))
 	f.Add(`say "hi"`, `back\slash`, "exception", "cause", uint64(0), uint64(0), uint32(0))
@@ -229,15 +233,15 @@ func TestTraceAllocs(t *testing.T) {
 	if err := tr.StartStream(io.Discard, 0); err != nil {
 		t.Fatal(err)
 	}
-	name := []byte("addi r3, r0, 4096")
+	label, head := AppendPipeLabel(nil, []byte("addi r3, r0, 4096"), 0x1f)
 	for i := 0; i < 4*DefaultStreamChunk; i++ {
-		tr.PipeSpan(name, uint64(i), uint64(i+5), uint32(i), "squash")
+		tr.PipeSpan(label, head, uint64(i), uint64(i+5), "squash")
 	}
 	for _, c := range []struct {
 		kind string
 		f    func()
 	}{
-		{"pipe span", func() { tr.PipeSpan(name, 100, 117, 0x1f, "") }},
+		{"pipe span", func() { tr.PipeSpan(label, head, 100, 117, "") }},
 		{"span", func() { tr.Span(TrackEcache, "cache", "dmiss-read", 100, 9, AddrArg(0x40)) }},
 		{"instant", func() { tr.Instant(TrackMarks, "ctl", "exception", 100, CauseArg(0x20)) }},
 	} {

@@ -48,6 +48,11 @@ const (
 // runs, without paying a write per event.
 const DefaultStreamChunk = 512
 
+// eventBytes is the size StartStream budgets for each event in a chunk. A
+// pipe span, the bulk of an instruction-level trace, averages about 106
+// bytes.
+const eventBytes = 128
+
 // Arg is an event's optional argument: a number written as a hex string
 // under a fixed key, as in {"addr":"0x1f"}. The zero Arg writes no args
 // object.
@@ -103,7 +108,10 @@ func (t *Tracer) StartStream(w io.Writer, chunkEvents int) error {
 		chunkEvents = DefaultStreamChunk
 	}
 	t.w, t.err, t.chunk = w, nil, chunkEvents
-	t.buf = append(t.buf[:0], preamble...)
+	// A chunk of complete lines plus the held event, at a typical event's
+	// size; a larger chunk, or longer events, grow it.
+	n := len(preamble) + (min(chunkEvents, DefaultStreamChunk)+1)*eventBytes
+	t.buf = append(make([]byte, 0, n), preamble...)
 	return nil
 }
 
@@ -168,10 +176,12 @@ func (t *Tracer) Instant(tid int, cat, name string, ts uint64, arg Arg) {
 }
 
 // PipeSpan records one instruction's pipeline occupancy from fetch (start)
-// to retirement (end), named by its disassembly, rotating across PipeLanes
-// tracks so overlapping in-flight instructions do not nest. annulled is
-// the reason a squash or exception cancelled it, or empty.
-func (t *Tracer) PipeSpan(name []byte, start, end uint64, pc uint32, annulled string) {
+// to retirement (end), rotating across PipeLanes tracks so overlapping
+// in-flight instructions do not nest. label, whose head is its first head
+// bytes, is the instruction's label from AppendPipeLabel: it carries the
+// name and the pc. annulled is the reason a squash or exception cancelled
+// the instruction, or empty.
+func (t *Tracer) PipeSpan(label []byte, head int, start, end uint64, annulled string) {
 	if t == nil {
 		return
 	}
@@ -184,16 +194,14 @@ func (t *Tracer) PipeSpan(name []byte, start, end uint64, pc uint32, annulled st
 	if end > start {
 		dur = end - start
 	}
-	b := appendHead(t.buf, name, "pipe", "X", start, dur, tid)
+	b := appendClock(append(t.buf, label[:head]...), start, dur, tid)
 	b = append(b, `,"args":{`...)
 	if annulled != "" {
 		b = append(b, `"annulled":`...)
 		b = appendString(b, annulled)
 		b = append(b, ',')
 	}
-	b = append(b, `"pc":`...)
-	b = appendHex(b, pc)
-	t.buf = append(b, "}}"...)
+	t.buf = append(b, label[head:]...)
 	t.end()
 }
 

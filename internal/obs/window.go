@@ -1,18 +1,21 @@
 package obs
 
-// Windowed ledger aggregation: the attribution ledger folded into fixed-size
+// Windowed ledger aggregation: the attribution ledger cut into fixed-size
 // cycle windows, producing the mipsx-obswin/v1 time-series the live renderer
 // (mipsx-trace -follow) tails. Conservation holds per window by construction:
-// the windowed ledger mirrors the exact (cause, n) charge stream the flat
-// ledger receives, and cuts a window every `size` attributed cycles — since
-// the flat ledger conserves (Σ causes == cycles), the attributed stream IS
-// the cycle timeline, and each full window holds exactly `size` cycles split
-// by cause. A charge straddling a boundary (a multi-cycle stall) is split
-// across the windows it spans.
+// the flat ledger conserves (Σ causes == cycles), so its attributed total IS
+// the cycle timeline, and a window closes each time that total crosses a
+// multiple of `size`. The window's row is the difference of two snapshots
+// of the ledger's counts, so each full window holds exactly `size` cycles
+// split by cause. A charge straddling a boundary (a multi-cycle stall) is
+// split across the windows it spans: the part past the boundary is held
+// back from the closing window's snapshot.
 //
 // Scenario runs additionally key charges per context (SetContext at quantum
-// boundaries), so each window carries a per-context breakdown and Icache
-// pollution/flush-refill cost is visible as it happens around each switch.
+// boundaries, which folds the charges since the last snapshot into the
+// outgoing context's row), so each window carries a per-context breakdown
+// and Icache pollution/flush-refill cost is visible as it happens around
+// each switch.
 //
 // Windows only stream: each closed window goes to the OnWindow emitter and
 // nothing is retained, so a million-cycle run holds one in-flight window
@@ -293,8 +296,11 @@ func (sw *WindowStreamWriter) Write(win *Window) error {
 // Count reports the windows written.
 func (sw *WindowStreamWriter) Count() uint64 { return sw.n }
 
-// WindowedLedger folds the charge stream of the Ledger it is attached to
-// (Ledger.AttachWindows) into fixed-size cycle windows. It is not
+// WindowedLedger cuts the charges of the Ledger it is attached to
+// (Ledger.AttachWindows) into fixed-size cycle windows. It copies no
+// charge: while it is attached the ledger keeps a running total and the
+// boundary where the current window ends, and a window's row is the
+// ledger's counts minus a snapshot taken where the window began. It is not
 // internally synchronized, exactly like the Ledger that feeds it.
 type WindowedLedger struct {
 	size  uint64
@@ -303,12 +309,15 @@ type WindowedLedger struct {
 	emit func(*Window) error // receives each window as it closes
 	sums []uint64            // per-cause cycles of the closed windows
 
-	idx    uint64 // next window's index
-	filled uint64 // attributed cycles in the current window
+	idx uint64 // next window's index
+
+	// snap is the attached ledger's counts as of the latest fold: the
+	// charges since then are the current context's, not yet in cur.
+	snap []uint64
 
 	// Context keying. Slot 0 is the unkeyed context (""); SetContext
 	// registers further contexts in first-use order. cur[slot][cause]
-	// accumulates the current window.
+	// holds the current window's folded cycles.
 	ctxNames []string
 	ctxIdx   map[string]int
 	curCtx   int
@@ -328,6 +337,7 @@ func NewWindowedLedger(names []string, size uint64) *WindowedLedger {
 		size:     size,
 		names:    names,
 		sums:     make([]uint64, len(names)),
+		snap:     make([]uint64, len(names)),
 		ctxNames: []string{""},
 		ctxIdx:   map[string]int{"": 0},
 		cur:      [][]uint64{make([]uint64, len(names))},
@@ -359,37 +369,71 @@ func (w *WindowedLedger) Register(name string) int {
 }
 
 // SetContext keys subsequent charges to the named context ("" reverts to
-// the unkeyed slot). The scenario scheduler calls this at quantum
+// the unkeyed slot), folding the charges made since the last fold into the
+// outgoing context's row. The scenario scheduler calls this at quantum
 // boundaries and around switch-time work.
 func (w *WindowedLedger) SetContext(name string) {
+	w.fold(0, 0)
 	w.curCtx = w.Register(name)
 }
 
-// charge mirrors one ledger charge into the timeline, splitting across
-// window boundaries. Called by Ledger.Add/Stall via the attachment seam.
-func (w *WindowedLedger) charge(cause Cause, n uint64) {
+// attach starts cutting l's charges: what l holds already stays out of the
+// windows, and the current window ends after the cycles it still has room
+// for.
+func (w *WindowedLedger) attach(l *Ledger) {
+	w.led = l
+	copy(w.snap, l.counts)
+	l.next = l.total + w.size - w.inWindow()
+}
+
+// fold moves the attached ledger's charges since the last fold into the
+// current context's row, holding back the last over cycles charged to
+// cause: the part of a crossing charge that belongs to the next window.
+// Charges made while w is detached are not w's.
+func (w *WindowedLedger) fold(cause Cause, over uint64) {
+	l := w.led
+	if l == nil || l.win != w {
+		return
+	}
 	row := w.cur[w.curCtx]
-	for n > 0 {
-		room := w.size - w.filled
-		take := n
-		if take > room {
-			take = room
+	for c, n := range l.counts {
+		d := n - w.snap[c]
+		if Cause(c) == cause {
+			d -= over
 		}
-		row[cause] += take
-		w.filled += take
-		n -= take
-		if w.filled == w.size {
-			w.rollover()
-			row = w.cur[w.curCtx]
-		}
+		row[c] += d
+		w.snap[c] += d
 	}
 }
 
-// rollover closes the current window: builds its record, verifies its
-// conservation (cheap — by construction it cannot fail unless this code is
-// wrong), emits it, and resets the accumulators.
-func (w *WindowedLedger) rollover() {
-	win := Window{Index: w.idx, Start: w.idx * w.size, Cycles: w.filled}
+// cut closes every window whose end the ledger's total has reached. The
+// latest charge, to cause, reached it; the part of that charge past an end
+// belongs to the windows after it. Called by Ledger.Add.
+func (w *WindowedLedger) cut(cause Cause) {
+	l := w.led
+	for l.total >= l.next {
+		w.fold(cause, l.total-l.next)
+		w.rollover(w.size)
+		l.next += w.size
+	}
+}
+
+// inWindow returns the cycles folded into the current window.
+func (w *WindowedLedger) inWindow() uint64 {
+	var n uint64
+	for _, row := range w.cur {
+		for _, v := range row {
+			n += v
+		}
+	}
+	return n
+}
+
+// rollover closes the current window, which holds cycles cycles: builds its
+// record, verifies its conservation (cheap — by construction it cannot fail
+// unless this code is wrong), emits it, and resets the rows.
+func (w *WindowedLedger) rollover(cycles uint64) {
+	win := Window{Index: w.idx, Start: w.idx * w.size, Cycles: cycles}
 	keyed := len(w.ctxNames) > 1
 	totals := make([]uint64, len(w.names))
 	for slot, row := range w.cur {
@@ -417,7 +461,6 @@ func (w *WindowedLedger) rollover() {
 		}
 	}
 	w.idx++
-	w.filled = 0
 	if err := win.Check(); err != nil && w.err == nil {
 		w.err = err
 	}
@@ -431,10 +474,12 @@ func (w *WindowedLedger) rollover() {
 // Flush closes the final partial window (no-op when empty) and checks that
 // the windows add back to the attached ledger cause for cause, which fails
 // when the ledger was charged before the windows were attached or after
-// they were detached. It returns Err. Call it at the end of the run.
+// they were detached. It returns Err. Call it at the end of the run; a
+// second call emits nothing and returns the same result.
 func (w *WindowedLedger) Flush() error {
-	if w.filled > 0 {
-		w.rollover()
+	w.fold(0, 0)
+	if n := w.inWindow(); n > 0 {
+		w.rollover(n)
 	}
 	if w.led != nil && w.err == nil {
 		for c, n := range w.sums {

@@ -178,6 +178,35 @@ func TestWindowsMustAddBackToTheLedger(t *testing.T) {
 	}
 }
 
+// TestWindowFlushIsIdempotent: a second Flush, as mipsx-run -scenario makes
+// after scenario.Run has flushed, emits no window and returns what the
+// first returned — nil on a clean run, the add-back error on a late attach.
+func TestWindowFlushIsIdempotent(t *testing.T) {
+	for _, late := range []bool{false, true} {
+		l := NewMachineLedger()
+		if late {
+			l.Add(CauseExecute, 3)
+		}
+		w := NewWindowedLedger(MachineCauseNames, 16)
+		doc := collect(w)
+		l.AttachWindows(w)
+		w.SetContext("prog")
+		l.Add(CauseExecute, 20)
+		l.Stall(CauseEcacheRead, 9, 4)
+		first := w.Flush()
+		if (first != nil) != late {
+			t.Fatalf("late=%v: first Flush = %v", late, first)
+		}
+		n := len(doc.Windows)
+		if n != 2 || doc.Windows[1].Cycles != 13 {
+			t.Fatalf("late=%v: first Flush left windows %+v; want 2, the last 13 cycles", late, doc.Windows)
+		}
+		if second := w.Flush(); second != first || len(doc.Windows) != n {
+			t.Fatalf("late=%v: second Flush = %v with %d windows; want %v with %d", late, second, len(doc.Windows), first, n)
+		}
+	}
+}
+
 func TestWindowStreamRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	sw, err := NewWindowStreamWriter(&buf, 32)

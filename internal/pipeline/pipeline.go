@@ -267,9 +267,12 @@ type CPU struct {
 	// sink — core.Machine.Observe wires that up.
 	Obs *obs.Sink
 
-	// spanName is the reused buffer the retiring instruction's disassembly
-	// is formatted into for its pipeline span.
-	spanName []byte
+	// labels memoizes each instruction's pipe-span label. It is allocated
+	// on the first retire the tracer records a span for, so an untraced
+	// CPU holds nil. The blank field keeps memo at the offset the cycle
+	// loop was measured at.
+	labels *spanLabels
+	_      [16]byte
 
 	// memo is the decode memo, direct-mapped by fetch PC and validated by
 	// the fetched word. It is the last field so the garbage collector's
@@ -544,9 +547,55 @@ func (c *CPU) attributeWB(o *obs.Sink) {
 		case s.excNoop:
 			annulled = "exception"
 		}
-		c.spanName = s.in.Append(c.spanName[:0])
-		t.PipeSpan(c.spanName, s.fetC, c.Stats.Cycles, uint32(s.pc), annulled)
+		label, head := c.label(s)
+		t.PipeSpan(label, head, s.fetC, c.Stats.Cycles, annulled)
 	}
+}
+
+// spanLabels is the pipe-span label memo, direct-mapped by pc like the
+// decode memo. Labels sit back to back in one arena, so an entry locates
+// its label by offsets into it.
+type spanLabels struct {
+	memo  [memoSize]labelEntry
+	arena []byte
+	name  []byte // the disassembly being encoded
+}
+
+// labelEntry locates the label encoded for one pc and instruction: it is
+// arena[off:end], its head the first head bytes. end is 0 in an entry
+// that holds none.
+type labelEntry struct {
+	pc             isa.Word
+	in             isa.Instruction
+	off, end, head uint32
+}
+
+// labelArenaCap bounds the label arena. Code rewritten in place, or two
+// hot pcs on one memo line, re-encode labels without end; past this size
+// the memo starts over.
+const labelArenaCap = memoSize * 128
+
+// label returns the pipe-span label of the instruction retiring from s
+// and its head length, encoding it unless the memo holds it for the same
+// pc and instruction.
+func (c *CPU) label(s *slot) ([]byte, int) {
+	l := c.labels
+	if l == nil {
+		l = new(spanLabels)
+		c.labels = l
+	}
+	e := &l.memo[s.pc&(memoSize-1)]
+	if e.end == 0 || e.pc != s.pc || e.in != s.in {
+		if len(l.arena) > labelArenaCap {
+			l.memo, l.arena = [memoSize]labelEntry{}, l.arena[:0]
+		}
+		l.name = s.in.Append(l.name[:0])
+		off := len(l.arena)
+		var head int
+		l.arena, head = obs.AppendPipeLabel(l.arena, l.name, uint32(s.pc))
+		*e = labelEntry{pc: s.pc, in: s.in, off: uint32(off), end: uint32(len(l.arena)), head: uint32(head)}
+	}
+	return l.arena[e.off:e.end], int(e.head)
 }
 
 // takeException implements exception entry: Exception no-ops MEM and ALU,

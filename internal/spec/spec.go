@@ -194,11 +194,14 @@ func SweepECache() ECacheSpec {
 		Repl: ReplLRU, Write: WriteCopyBack, Fetch: FetchDemand}
 }
 
-// IdealBackingECache is the effectively-infinite backing store the
-// Icache-only sweeps (E2, E6) put behind the cache under study, so only the
-// on-chip organization is measured.
+// IdealBackingECache is the zero-cost backing store the Icache-only sweeps
+// (E2, E6) put behind the cache under study, so only the on-chip
+// organization is measured. It has no late-miss extra and sits on a bus
+// with no latency and no per-word cost, so every access, hit or miss,
+// costs 0 cycles whatever its geometry; it therefore takes the smallest
+// valid one, a single 4-word line.
 func IdealBackingECache() ECacheSpec {
-	return ECacheSpec{SizeWords: 1 << 22, LineWords: 4, Ways: 1,
+	return ECacheSpec{SizeWords: 4, LineWords: 4, Ways: 1,
 		Repl: ReplLRU, Write: WriteCopyBack, Fetch: FetchDemand}
 }
 
@@ -328,8 +331,8 @@ func powerOfTwo(v int) bool { return v > 0 && v&(v-1) == 0 }
 // Capacity bounds. Constructors allocate cache state proportional to these,
 // so an unbounded geometry would exhaust memory (fatal, not a recoverable
 // panic) instead of failing validation. Both admit every preset with room
-// to spare: the largest Ecache is IdealBackingECache's 1<<22 words, the
-// largest Icache the paper's 512 words.
+// to spare: the largest Ecache is DefaultECache's 64K words, the largest
+// Icache the paper's 512 words.
 const (
 	maxICacheWords = 1 << 16 // sets × ways × block_words
 	maxECacheWords = 1 << 22
