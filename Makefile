@@ -65,8 +65,9 @@ cost-gate:
 
 # Longer exploration of the compile → reorganize → lint invariant, the
 # pipeline-vs-golden-model differential, the spec JSON and sweep boundaries,
-# the trace encoder against its json.Marshal reference and the window-stream
-# decoder (CI smokes all six on every merge).
+# the trace encoder against its json.Marshal reference, the window-stream
+# decoder and the assembler's layout bounds (CI smokes all seven on every
+# merge).
 fuzz:
 	$(GO) test ./internal/lint -fuzz=FuzzCompileReorgLint -fuzztime=60s
 	$(GO) test ./internal/refmodel -fuzz=FuzzPipelineVsRefmodel -fuzztime=60s -run '^$$'
@@ -74,6 +75,7 @@ fuzz:
 	$(GO) test ./internal/spec -fuzz=FuzzSweep -fuzztime=60s -run '^$$'
 	$(GO) test ./internal/obs -fuzz=FuzzTraceEncode -fuzztime=60s -run '^$$'
 	$(GO) test ./internal/obs -fuzz=FuzzParseWindowStream -fuzztime=60s -run '^$$'
+	$(GO) test ./internal/asm -fuzz=FuzzAssemble -fuzztime=60s -run '^$$'
 
 # Bench-regression tracking, three passes. The serial pass (every cell
 # live at -parallel 1, no cache) must match the recorded golden tables

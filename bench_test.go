@@ -1,8 +1,10 @@
 // Package repro's top-level benchmarks regenerate every table and figure in
 // the paper's evaluation (run with `go test -bench=. -benchmem`). Each
 // BenchmarkE* target prints its paper-style table once and then measures the
-// cost of regenerating it; the Benchmark<Substrate> targets measure the
-// simulator substrates themselves.
+// cost of regenerating it cold: every iteration runs on a fresh engine, so
+// no result or capture carries over from an earlier iteration or benchmark,
+// and only the process-wide build cache stays warm. The
+// Benchmark<Substrate> targets measure the simulator substrates themselves.
 package repro_test
 
 import (
@@ -24,7 +26,9 @@ import (
 
 func runExperiment(b *testing.B, fn func() (*experiments.Table, error)) {
 	b.Helper()
+	defer experiments.Configure(0, 0, false)
 	for i := 0; i < b.N; i++ {
+		experiments.Configure(0, 0, false)
 		tb, err := fn()
 		if err != nil {
 			b.Fatal(err)
@@ -106,9 +110,9 @@ func BenchmarkESuiteParallel(b *testing.B) {
 
 func benchAll(b *testing.B, workers int) {
 	b.Helper()
-	experiments.Configure(workers, 0, false)
 	defer experiments.Configure(0, 0, false)
 	for i := 0; i < b.N; i++ {
+		experiments.Configure(workers, 0, false)
 		if _, err := experiments.All(); err != nil {
 			b.Fatal(err)
 		}

@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"repro/internal/asm"
@@ -34,6 +35,10 @@ func main() {
 	scheme, err := spec.ParseScheme(fmt.Sprintf("%d/%s", *slots, *squash))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mipsx-asm:", err)
+		os.Exit(2)
+	}
+	if *base > math.MaxUint32 {
+		fmt.Fprintf(os.Stderr, "mipsx-asm: -base %d does not fit in 32 bits\n", *base)
 		os.Exit(2)
 	}
 	src, err := os.ReadFile(flag.Arg(0))

@@ -73,3 +73,32 @@ func TestSchemeFlagsAreParsedOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestLayoutBounds: a -base that does not fit in 32 bits exits 2 (it used
+// to be truncated to its low 32 bits); an image that would wrap past the
+// top of the address space, or a .space above the assembler's cap, exits 1
+// with the assembler's line error before the image is allocated.
+func TestLayoutBounds(t *testing.T) {
+	prog := program(t)
+	huge := filepath.Join(t.TempDir(), "huge.s")
+	if err := os.WriteFile(huge, []byte(".space 2147483647\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		args []string
+		code int
+		msg  string
+	}{
+		{[]string{"-base", "4294967296", prog}, 2, "-base 4294967296 does not fit in 32 bits"},
+		{[]string{"-base", "4294967295", prog}, 1, "asm: line 2: image at base 0xffffffff wraps"},
+		{[]string{huge}, 1, "asm: line 1: .space 2147483647 is outside"},
+	} {
+		if code, stderr := mipsxAsm(t, tc.args...); code != tc.code || !strings.Contains(stderr, tc.msg) {
+			t.Errorf("%v: exit %d, stderr %q; want exit %d and %q", tc.args, code, stderr, tc.code, tc.msg)
+		}
+	}
+	// The program's six words end exactly at the top of the address space.
+	if code, stderr := mipsxAsm(t, "-base", "4294967290", prog); code != 0 {
+		t.Errorf("-base 4294967290: exit %d, stderr %q; want exit 0", code, stderr)
+	}
+}

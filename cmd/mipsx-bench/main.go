@@ -59,7 +59,7 @@ func main() {
 	cacheDir := flag.String("cache", "",
 		"directory backing the content-addressed result cache (empty = in-memory only)")
 	progress := flag.Bool("progress", false,
-		"print live progress to stderr (cells done/total, memo hit rate, cells/sec)")
+		"print live progress to stderr (cells done/total, memo hits of lookups, cells/sec)")
 	obsOverhead := flag.Bool("obs-overhead", false,
 		"measure the observation substrate's wall-clock overhead and record it in the report")
 	checkAttr := flag.Bool("check-attr", false,

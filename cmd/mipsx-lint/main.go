@@ -26,6 +26,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"repro/internal/asm"
@@ -60,6 +61,10 @@ func main() {
 	scheme, err := spec.ParseScheme(fmt.Sprintf("%d/%s", *slots, *squash))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mipsx-lint:", err)
+		os.Exit(2)
+	}
+	if *base > math.MaxUint32 {
+		fmt.Fprintf(os.Stderr, "mipsx-lint: -base %d does not fit in 32 bits\n", *base)
 		os.Exit(2)
 	}
 

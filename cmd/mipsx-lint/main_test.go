@@ -68,3 +68,27 @@ func TestSchemeFlagsAreParsedOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestLayoutBounds: a -base that does not fit in 32 bits, an image that
+// would wrap past the top of the address space, and a .space above the
+// assembler's cap are input errors (exit 2), reported before the image is
+// allocated.
+func TestLayoutBounds(t *testing.T) {
+	prog := program(t)
+	huge := filepath.Join(t.TempDir(), "huge.s")
+	if err := os.WriteFile(huge, []byte(".space 2147483647\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		args []string
+		msg  string
+	}{
+		{[]string{"-base", "4294967296", prog}, "-base 4294967296 does not fit in 32 bits"},
+		{[]string{"-base", "4294967295", prog}, "asm: line 2: image at base 0xffffffff wraps"},
+		{[]string{huge}, "asm: line 1: .space 2147483647 is outside"},
+	} {
+		if code, stderr := mipsxLint(t, tc.args...); code != 2 || !strings.Contains(stderr, tc.msg) {
+			t.Errorf("%v: exit %d, stderr %q; want exit 2 and %q", tc.args, code, stderr, tc.msg)
+		}
+	}
+}

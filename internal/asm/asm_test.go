@@ -317,3 +317,38 @@ func TestBaseOffsetLayout(t *testing.T) {
 		t.Error("Instr accessor wrong")
 	}
 }
+
+// boundsCases are layouts Assemble must refuse before allocating the image:
+// each names the source, the base, and the line and message of the error.
+var boundsCases = []struct {
+	name, src string
+	base      isa.Word
+	line      int
+	msg       string
+}{
+	{"huge space", ".space 2147483647", 0, 1, "outside 0..4194304 words"},
+	{"space past 32 bits", "nop\n.space 99999999999", 0, 2, "outside 0..4194304 words"},
+	{"cumulative space", ".space 3000000\nnop\n.space 3000000", 0, 3, "image exceeds 4194304 words"},
+	{"wrapping base", "main: nop\nhalt", 0xFFFFFFFF, 2, "wraps past the top"},
+	{"space wraps", ".space 16", 0xFFFFFFF8, 1, "wraps past the top"},
+}
+
+// TestImageBounds: an image above MaxImageWords, a .space above it, and an
+// image that would wrap past the top of the 32-bit word address space are
+// errors on the line that crosses the bound; the largest image that fits
+// at the top of the address space is accepted.
+func TestImageBounds(t *testing.T) {
+	for _, tc := range boundsCases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := AssembleSource(tc.src, tc.base)
+			ae, ok := err.(*Error)
+			if !ok || ae.Line != tc.line || !strings.Contains(ae.Msg, tc.msg) {
+				t.Fatalf("got %v; want an asm error on line %d containing %q", err, tc.line, tc.msg)
+			}
+		})
+	}
+	im, err := AssembleSource("main: nop\nhalt", 0xFFFFFFFE)
+	if err != nil || len(im.Words) != 2 || im.Symbols["main"] != 0xFFFFFFFE {
+		t.Fatalf("two words at the top of the address space: %v, %+v", err, im)
+	}
+}

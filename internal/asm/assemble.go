@@ -7,14 +7,31 @@ import (
 	"repro/internal/isa"
 )
 
+// MaxImageWords caps an assembled image: far above every program in the
+// repository and tinyc's largest array (1<<20 words), and small enough that
+// a hostile .space cannot exhaust memory.
+const MaxImageWords = 1 << 22
+
 // Assemble lays out the statements contiguously starting at base, resolves
-// symbolic targets, and returns the memory image.
+// symbolic targets, and returns the memory image. An image above
+// MaxImageWords, or one that would wrap past the top of the 32-bit word
+// address space, is an error before anything is allocated for it.
 func Assemble(stmts []Stmt, base isa.Word) (*Image, error) {
 	// Pass 1: assign addresses and collect symbols.
 	syms := make(map[string]isa.Word)
 	addr := base
 	addrs := make([]isa.Word, len(stmts))
+	var size uint64
 	for i, s := range stmts {
+		if s.Space < 0 || s.Space > MaxImageWords {
+			return nil, errf(s.Line, ".space %d is outside 0..%d words", s.Space, MaxImageWords)
+		}
+		if size += uint64(s.Size()); size > MaxImageWords {
+			return nil, errf(s.Line, "image exceeds %d words", MaxImageWords)
+		}
+		if uint64(base)+size > 1<<32 {
+			return nil, errf(s.Line, "image at base %#x wraps past the top of the 32-bit address space", base)
+		}
 		addrs[i] = addr
 		for _, l := range s.Labels {
 			if _, dup := syms[l]; dup {

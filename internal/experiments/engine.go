@@ -13,8 +13,9 @@ package experiments
 // submits all of its cells in one Run and folds the results itself. Each
 // cell accounts its simulated cycles to its own meter, and the engine that
 // ran it folds the meter's total into its counters when the cell returns.
-// A run several cells read (a capture) is simulated once, and each reader
-// accounts its cycles as a memo hit does.
+// A result several cells read — a memoizable cell's, or a capture — is
+// produced once per engine in its table (captures.go), and each reader
+// accounts its cycles and attribution to its own cell.
 
 import (
 	"context"
@@ -22,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -34,24 +36,27 @@ import (
 type Cell struct {
 	ID string
 	Fn func(ctx context.Context) error
-	// Memo, when set, makes the cell content-addressable: the engine
-	// consults its store before running Fn and replays a recorded result
-	// instead when the key hits.
+	// Memo, when set, makes the cell content-addressable: the engine reads
+	// its result through the engine's table by key, and runs Fn only if no
+	// other cell has produced it and the store does not hold it.
 	Memo *CellMemo
 }
 
 // CellMemo is a cell's memoization contract. The runner that builds the
 // cell owns the key (only it knows the cell's full input closure); the
-// engine owns lookup, replay and recording, and the JSON encoding of Out.
+// engine owns sharing, replay and recording, and the JSON encoding of Out
+// in the store.
 type CellMemo struct {
 	// Key returns the content hash of the cell's full input closure (see
-	// memo.go for the closure rule). An error means the closure could not
-	// be computed (e.g. the program failed to build); the cell then runs
-	// live and surfaces the error itself.
+	// memo.go for the closure rule); it is required. Keys name the cell's
+	// kind, so cells that share a key share Out's type. An error means the
+	// closure could not be computed (e.g. the program failed to build); the
+	// cell then runs live and surfaces the error itself.
 	Key func() (string, error)
-	// Out points at the cell's result slot: after a live run the engine
-	// records its JSON encoding under the key, and on a hit it decodes the
-	// recorded result into it instead of running Fn.
+	// Out points at the cell's result slot. A cell that reads another's
+	// result gets a copy of that cell's *Out; with a store, a live run's
+	// result is recorded as JSON under the key, and a stored one is decoded
+	// into Out instead of running Fn.
 	Out any
 }
 
@@ -60,7 +65,9 @@ type CellTiming struct {
 	ID     string  `json:"id"`
 	WallMS float64 `json:"wall_ms"`
 	Err    string  `json:"err,omitempty"`
-	// Memo marks a cell replayed from the content-addressed cache.
+	// Memo marks a memoizable cell whose body did not run: it read the
+	// result another cell produced in this engine, or one replayed from the
+	// store.
 	Memo bool `json:"memo,omitempty"`
 	// Skipped marks a cell claimed after a cancellation (another cell's
 	// failure, a timeout, or the caller's ctx); it never ran.
@@ -75,11 +82,11 @@ type CellTiming struct {
 // cellMeter holds the simulated cycles, and their per-cause breakdown, that
 // one cell's runs accounted. Only the cell's own goroutine touches it: the
 // runners add to it, and the engine reads it after the cell returns. Next
-// to it the cell's runners find the engine's capture table.
+// to it the cell's runners find the engine's table of shared results.
 type cellMeter struct {
 	cycles uint64
 	attr   map[string]uint64
-	caps   *captureTable
+	table  *resultTable
 }
 
 type meterKeyType struct{}
@@ -119,12 +126,14 @@ type Engine struct {
 	// long-lived default engines (tests, benchmarks) don't grow without
 	// bound.
 	Record bool
-	// Store, when non-nil, enables content-addressed memoization for cells
-	// that carry a Memo contract.
+	// Store, when non-nil, persists memoizable cells' results across
+	// processes: the producer of a table entry replays it from the store
+	// when present and records it there after a live run. Sharing within
+	// the engine needs no store.
 	Store *MemoStore
 	// Progress, when non-nil, receives one-line progress updates (cells
-	// done/submitted, memo hit rate, cells/sec) as cells complete, at most
-	// one every progressEvery.
+	// done/submitted, memo hits of lookups, cells/sec) as cells complete, at
+	// most one every progressEvery.
 	Progress io.Writer
 
 	cells     atomic.Uint64 // cells executed or replayed
@@ -133,10 +142,9 @@ type Engine struct {
 	started   atomic.Int64  // first-submission wall clock (UnixNano), for cells/sec
 	lastProg  atomic.Int64  // last progress line's wall clock (UnixNano)
 
-	// Memo lookup outcomes are engine-owned (not read off the store): a hit
-	// is a cell replayed from the store, a miss a memoizable cell that ran
-	// live — including store-less runs, so a report's hit/miss/rate fields
-	// are consistent with each other in every configuration.
+	// Memo lookup outcomes: a hit is a memoizable cell whose body did not
+	// run (it read a result from the table or the store), a miss one that
+	// ran live.
 	memoHits   atomic.Uint64
 	memoMisses atomic.Uint64
 	// Memo-store I/O failures: results the store could not record, and disk
@@ -148,17 +156,18 @@ type Engine struct {
 	timings []CellTiming
 	attr    map[string]uint64 // simulated cycles by cause, summed over all cells
 
-	// caps holds the runs captured for their branches, shared by every cell
-	// that reads one (captures.go).
-	caps captureTable
+	// table holds the results shared by every cell that reads one
+	// (captures.go).
+	table resultTable
 }
 
 // progressEvery throttles progress lines.
 const progressEvery = 250 * time.Millisecond
 
-// MemoHits and MemoMisses report memoizable-cell outcomes: replays from
-// the store vs live runs (a store-less engine counts every memoizable cell
-// as a miss — it had no chance to replay).
+// MemoHits and MemoMisses report memoizable-cell outcomes: results read
+// from the table or replayed from the store vs live runs. A store-less
+// engine shares the same results, so it counts the same hits as one over
+// an empty store.
 func (e *Engine) MemoHits() uint64   { return e.memoHits.Load() }
 func (e *Engine) MemoMisses() uint64 { return e.memoMisses.Load() }
 
@@ -167,15 +176,6 @@ func (e *Engine) MemoMisses() uint64 { return e.memoMisses.Load() }
 // match their key (each replaced by a live run).
 func (e *Engine) MemoWriteErrors() uint64 { return e.memoWriteErrors.Load() }
 func (e *Engine) MemoCorrupt() uint64     { return e.memoCorrupt.Load() }
-
-// MemoHitRate is hits over all memoizable-cell lookups (0 when none ran).
-func (e *Engine) MemoHitRate() float64 {
-	h, m := e.memoHits.Load(), e.memoMisses.Load()
-	if h+m == 0 {
-		return 0
-	}
-	return float64(h) / float64(h+m)
-}
 
 // FlushProgress forces out a final progress line (end-of-run summary),
 // bypassing the throttle. No-op without a Progress writer.
@@ -200,12 +200,9 @@ func (e *Engine) reportProgress(final bool) {
 	if start := e.started.Load(); start > 0 && now > start {
 		rate = float64(done) / (float64(now-start) / 1e9)
 	}
-	if e.Store != nil {
-		fmt.Fprintf(e.Progress, "cells %d/%d  memo hits %d (%.0f%%)  %.0f cells/s\n",
-			done, total, e.MemoHits(), 100*e.MemoHitRate(), rate)
-	} else {
-		fmt.Fprintf(e.Progress, "cells %d/%d  %.0f cells/s\n", done, total, rate)
-	}
+	hits := e.MemoHits()
+	fmt.Fprintf(e.Progress, "cells %d/%d  memo hits %d of %d  %.0f cells/s\n",
+		done, total, hits, hits+e.MemoMisses(), rate)
 }
 
 // Run executes the cells and returns the first error in cell order (cells
@@ -299,66 +296,85 @@ func (e *Engine) Run(ctx context.Context, cells []Cell) error {
 	return first
 }
 
-// runOne executes one cell: a content-addressed replay when the cell is
-// memoizable and its key hits, a live run otherwise (recording the result
-// on success). Either way the cell's simulated cycles and their
-// attribution — live from its meter, replayed from the memo entry — fold
-// into the engine, and attr returns the breakdown for the bench report's
-// per-cell row.
+// runOne executes one cell: a memoizable cell reads its result through the
+// engine's table (readMemo), any other runs live. Either way the cell's
+// simulated cycles and their attribution fold into the engine, and attr
+// returns the breakdown for the bench report's per-cell row.
 func (e *Engine) runOne(ctx context.Context, c Cell) (replayed bool, attr map[string]uint64, err error) {
-	memoizable := c.Memo != nil && c.Memo.Key != nil
-	var key string
-	if memoizable && e.Store != nil {
-		k, kerr := c.Memo.Key()
-		if kerr == nil {
-			key = k
-			entry, ok, gerr := e.Store.get(key)
-			if gerr != nil {
-				e.memoCorrupt.Add(1)
-			}
-			if ok {
-				if json.Unmarshal(entry.Data, c.Memo.Out) == nil {
-					// Replay: account the recorded simulated cycles and their
-					// attribution exactly as the live run did.
-					e.memoHits.Add(1)
-					e.fold(entry.Cycles, entry.Attr)
-					return true, entry.Attr, nil
-				}
-				// An undecodable entry is a corrupt miss; the live run
-				// below overwrites it.
-				e.memoCorrupt.Add(1)
-			}
-		}
-		// A key error means the input closure itself could not be built
-		// (e.g. compilation failed); the live run surfaces that error.
+	if e.Timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, e.Timeout)
+		defer cancel()
 	}
-	if memoizable {
+	meter := &cellMeter{table: &e.table}
+	ctx = context.WithValue(ctx, meterKeyType{}, meter)
+	if c.Memo == nil {
+		err = runCell(ctx, c)
+	} else if replayed, err = e.readMemo(ctx, c); replayed {
+		e.memoHits.Add(1)
+	} else {
 		e.memoMisses.Add(1)
 	}
-
-	cctx := ctx
-	ccancel := func() {}
-	if e.Timeout > 0 {
-		cctx, ccancel = context.WithTimeout(ctx, e.Timeout)
-	}
-	defer ccancel()
-	meter := &cellMeter{caps: &e.caps}
-	cctx = context.WithValue(cctx, meterKeyType{}, meter)
-
-	err = runCell(cctx, c)
 	e.fold(meter.cycles, meter.attr)
-	if err != nil || key == "" {
-		return false, meter.attr, err
+	return replayed, meter.attr, err
+}
+
+// readMemo reads cell c's result through the table by its memo key
+// (captures.go). The first reader produces it; every later reader copies
+// the producer's value into its own slot, with no JSON round trip.
+// replayed reports that c's body did not run. A cell whose key cannot be
+// computed (its program failed to build) runs live outside the table and
+// surfaces the error itself.
+func (e *Engine) readMemo(ctx context.Context, c Cell) (replayed bool, err error) {
+	key, err := c.Memo.Key()
+	if err != nil {
+		return false, runCell(ctx, c)
 	}
-	data, serr := json.Marshal(c.Memo.Out)
-	if serr == nil {
-		serr = e.Store.put(memoEntry{Schema: memoSchema, Key: key, CellID: c.ID,
-			Cycles: meter.cycles, Attr: meter.attr, Data: data})
+	val, fresh, err := e.table.read(ctx, key, func(ctx context.Context) (any, error) {
+		replayed, err = e.produce(ctx, c, key)
+		return c.Memo.Out, err
+	})
+	if err != nil || fresh {
+		return replayed, err
 	}
-	if serr != nil {
+	reflect.ValueOf(c.Memo.Out).Elem().Set(reflect.ValueOf(val).Elem())
+	return true, nil
+}
+
+// produce makes key's entry for cell c: replayed from the store when it
+// holds the key, otherwise c run live and, with a store, its result
+// recorded there. stored reports a replay.
+func (e *Engine) produce(ctx context.Context, c Cell, key string) (stored bool, err error) {
+	if e.Store != nil {
+		rec, ok, gerr := e.Store.get(key)
+		if gerr != nil {
+			e.memoCorrupt.Add(1)
+		}
+		if ok {
+			if json.Unmarshal(rec.Data, c.Memo.Out) == nil {
+				// Replay: account the recorded simulated cycles and their
+				// attribution exactly as the live run did.
+				account(ctx, rec.Cycles, rec.Attr)
+				return true, nil
+			}
+			// An undecodable entry is a corrupt miss; the live run below
+			// overwrites it.
+			e.memoCorrupt.Add(1)
+		}
+	}
+	if err := runCell(ctx, c); err != nil || e.Store == nil {
+		return false, err
+	}
+	m := meterFrom(ctx)
+	data, err := json.Marshal(c.Memo.Out)
+	if err == nil {
+		err = e.Store.put(memoEntry{Schema: memoSchema, Key: key, CellID: c.ID,
+			Cycles: m.cycles, Attr: m.attr, Data: data})
+	}
+	if err != nil {
 		e.memoWriteErrors.Add(1)
 	}
-	return false, meter.attr, nil
+	return false, nil
 }
 
 // fold accounts one cell's simulated cycles and their per-cause breakdown

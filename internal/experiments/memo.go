@@ -7,9 +7,11 @@ package experiments
 // that closure, the simulator is deterministic, so a recorded result can
 // be replayed byte-for-byte in place of re-simulating the cell (the same
 // one-trace/many-configurations economics as the trace-driven cache
-// studies in Smith's survey). The golden `-check` gate runs with the cache
-// both cold and hot, so an unsound key — one that fails to cover part of
-// the closure — shows up as table drift, not silent corruption.
+// studies in Smith's survey). Within one engine the key names a result in
+// the engine's table (captures.go), which needs no store; the store only
+// persists results across processes. The golden `-check` gate runs with
+// the cache both cold and hot, so an unsound key — one that fails to cover
+// part of the closure — shows up as table drift, not silent corruption.
 //
 // The closure rule for key builders: hash every input that can change the
 // simulated outcome, and nothing that cannot (worker counts, wall-clock
@@ -33,7 +35,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sync"
 
 	"repro/internal/isa"
 	"repro/internal/trace"
@@ -73,81 +74,52 @@ type memoEntry struct {
 	Data json.RawMessage   `json:"data"`
 }
 
-// MemoStore is the content-addressed result cache: an in-memory map,
-// optionally backed by a directory of JSON entries (one file per key) that
-// persists across processes. The zero store is not usable; call
-// NewMemoStore.
-type MemoStore struct {
-	dir string // "" = memory-only
+// MemoStore is the on-disk result cache: a directory of JSON entries, one
+// file per key, that persists results across processes. The zero store is
+// not usable; call NewMemoStore.
+type MemoStore struct{ dir string }
 
-	mu  sync.RWMutex
-	mem map[string]memoEntry
-}
-
-// NewMemoStore opens a store. dir == "" keeps results in memory only
-// (still useful: experiments within one run share identical cells);
-// otherwise entries are also written to dir, which is created if needed.
+// NewMemoStore opens the store on dir, creating it if needed. dir == ""
+// opens no store (nil): an engine shares results within itself without
+// one.
 func NewMemoStore(dir string) (*MemoStore, error) {
-	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("memo cache: %w", err)
-		}
+	if dir == "" {
+		return nil, nil
 	}
-	return &MemoStore{dir: dir, mem: make(map[string]memoEntry)}, nil
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("memo cache: %w", err)
+	}
+	return &MemoStore{dir: dir}, nil
 }
 
 func (s *MemoStore) path(key string) string {
 	return filepath.Join(s.dir, key+".json")
 }
 
-// get returns the recorded entry for key, consulting memory first and then
-// the backing directory. A disk entry that exists but cannot be read, does
-// not parse, or carries another schema or key is a miss (a live run
-// overwrites it) reported through err.
+// get returns the recorded entry for key. An entry that exists but cannot
+// be read, does not parse, or carries another schema or key is a miss (a
+// live run overwrites it) reported through err.
 func (s *MemoStore) get(key string) (e memoEntry, ok bool, err error) {
-	s.mu.RLock()
-	e, ok = s.mem[key]
-	s.mu.RUnlock()
-	if !ok && s.dir != "" {
-		e, err = s.readEntry(key)
-		if ok = err == nil; ok {
-			s.mu.Lock()
-			s.mem[key] = e
-			s.mu.Unlock()
-		} else if errors.Is(err, fs.ErrNotExist) {
-			err = nil
-		}
-	}
-	return e, ok, err
-}
-
-// readEntry loads and checks key's disk entry.
-func (s *MemoStore) readEntry(key string) (memoEntry, error) {
-	var e memoEntry
 	b, err := os.ReadFile(s.path(key))
+	if errors.Is(err, fs.ErrNotExist) {
+		return e, false, nil
+	}
+	if err == nil {
+		err = json.Unmarshal(b, &e)
+	}
+	if err == nil && (e.Schema != memoSchema || e.Key != key) {
+		err = fmt.Errorf("schema %q key %q", e.Schema, e.Key)
+	}
 	if err != nil {
-		return e, err
+		return e, false, fmt.Errorf("memo entry %s: %w", key, err)
 	}
-	if err := json.Unmarshal(b, &e); err != nil {
-		return e, fmt.Errorf("memo entry %s: %w", key, err)
-	}
-	if e.Schema != memoSchema || e.Key != key {
-		return e, fmt.Errorf("memo entry %s: schema %q key %q", key, e.Schema, e.Key)
-	}
-	return e, nil
+	return e, true, nil
 }
 
-// put records an entry in memory and, when backed, on disk, returning any
-// marshal, write or rename error (the in-memory entry stands either way).
-// Racing duplicates are identical by construction (the simulator is
+// put records an entry on disk, returning any marshal, write or rename
+// error. Racing duplicates are identical by construction (the simulator is
 // deterministic over the key's closure), so last-write-wins is sound.
 func (s *MemoStore) put(e memoEntry) error {
-	s.mu.Lock()
-	s.mem[e.Key] = e
-	s.mu.Unlock()
-	if s.dir == "" {
-		return nil
-	}
 	b, err := json.Marshal(e)
 	if err != nil {
 		return err

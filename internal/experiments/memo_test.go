@@ -357,11 +357,11 @@ func TestMemoStoreCorruptEntryIsReportedMiss(t *testing.T) {
 }
 
 // TestEngineReplaySkipsCellBody checks the engine-level contract directly:
-// a memoized cell's Fn runs once; the second engine replays from the store
-// without running Fn, and the replay restores both the result slot and the
-// recorded cycle attribution.
+// a memoized cell's Fn runs once; a second engine over the same store
+// directory replays without running Fn, and the replay restores both the
+// result slot and the recorded cycle attribution.
 func TestEngineReplaySkipsCellBody(t *testing.T) {
-	store, err := NewMemoStore("")
+	store, err := NewMemoStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -151,7 +151,7 @@ func buildCached(b tinyc.Benchmark, scheme reorg.Scheme) (*asm.Image, error) {
 // capture's result instead of simulating it again (captures.go).
 func run(ctx context.Context, b tinyc.Benchmark, scheme reorg.Scheme, prof reorg.Profile, ms spec.MachineSpec) (RunResult, error) {
 	if prof == nil {
-		c, err := meterFrom(ctx).caps.shared(ctx, b, scheme, ms)
+		c, err := captured(ctx, b, scheme, ms, false)
 		if err != nil {
 			return RunResult{}, err
 		}
@@ -227,7 +227,7 @@ func crossCheckCost(im *asm.Image, slots int, m *core.Machine, pcProf *obs.PCPro
 // capture and runs the result — the paper's "static prediction (possibly
 // with profiling)" toolchain.
 func runProfiled(ctx context.Context, b tinyc.Benchmark, scheme reorg.Scheme, ms spec.MachineSpec) (RunResult, error) {
-	c, err := captured(ctx, b, scheme, ms)
+	c, err := captured(ctx, b, scheme, ms, true)
 	if err != nil {
 		return RunResult{}, err
 	}

@@ -234,7 +234,7 @@ func suiteBranches(benches []tinyc.Benchmark, scheme reorg.Scheme, ms spec.Machi
 		events: func(ctx context.Context) ([]trace.BranchEvent, error) {
 			var events []trace.BranchEvent
 			for _, b := range benches {
-				c, err := captured(ctx, b, scheme, ms)
+				c, err := captured(ctx, b, scheme, ms, true)
 				if err != nil {
 					return nil, err
 				}

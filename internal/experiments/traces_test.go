@@ -52,14 +52,10 @@ func TestBenchDocMemoFieldsAgreeWithoutStore(t *testing.T) {
 		t.Fatalf("store-less hit rate = %v, want 0", doc.MemoHitRate)
 	}
 
-	// With a store: one miss (cold) + one hit (replay) → rate 0.5, derived
-	// from the document's own counters.
-	store, err := NewMemoStore("")
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Two runs on one engine: one miss (cold) + one hit (the engine's
+	// table) → rate 0.5, derived from the document's own counters.
 	runs = 0
-	e2 := &Engine{Workers: 1, Store: store}
+	e2 := &Engine{Workers: 1}
 	for pass := 0; pass < 2; pass++ {
 		if err := e2.Run(context.Background(), []Cell{countedMemoCell(&runs, &out)}); err != nil {
 			t.Fatal(err)
@@ -79,10 +75,11 @@ func TestBenchDocMemoFieldsAgreeWithoutStore(t *testing.T) {
 
 // TestTraceCellsReplayWithoutGenerating checks that a trace is an input,
 // not a stored result: cold, an Icache-cost cell and an Ecache-sweep cell
-// generate their traces through the lazy sources; hot, over the same store,
-// they replay equal results without calling a source at all.
+// generate their traces through the lazy sources; hot, a fresh engine over
+// the same store directory replays equal results without calling a source
+// at all.
 func TestTraceCellsReplayWithoutGenerating(t *testing.T) {
-	store, err := NewMemoStore("")
+	store, err := NewMemoStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +287,7 @@ func TestTraceKeysCoverTheClosure(t *testing.T) {
 // on E4/synthetic, and together they partition the engine's totals.
 func TestE4StoresRowsNotStreams(t *testing.T) {
 	defer Configure(0, 0, false)
-	store, err := NewMemoStore("")
+	store, err := NewMemoStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
