@@ -66,8 +66,10 @@ cost-gate:
 # Longer exploration of the compile → reorganize → lint invariant, the
 # pipeline-vs-golden-model differential, the spec JSON and sweep boundaries,
 # the trace encoder against its json.Marshal reference, the window-stream
-# decoder and the assembler's layout bounds (CI smokes all seven on every
-# merge).
+# decoder, the assembler's layout bounds and the document parsers (CI smokes
+# all eight on every merge). FuzzDocuments' seeds are 2-40 KB documents, so
+# each new input is minimized for 1 s, not the default 60 s that would take
+# the whole budget.
 fuzz:
 	$(GO) test ./internal/lint -fuzz=FuzzCompileReorgLint -fuzztime=60s
 	$(GO) test ./internal/refmodel -fuzz=FuzzPipelineVsRefmodel -fuzztime=60s -run '^$$'
@@ -76,15 +78,18 @@ fuzz:
 	$(GO) test ./internal/obs -fuzz=FuzzTraceEncode -fuzztime=60s -run '^$$'
 	$(GO) test ./internal/obs -fuzz=FuzzParseWindowStream -fuzztime=60s -run '^$$'
 	$(GO) test ./internal/asm -fuzz=FuzzAssemble -fuzztime=60s -run '^$$'
+	$(GO) test ./internal/experiments -fuzz=FuzzDocuments -fuzztime=60s -fuzzminimizetime=1s -run '^$$'
 
 # Bench-regression tracking, three passes. The serial pass (every cell
-# live at -parallel 1, no cache) must match the recorded golden tables
-# (exit 1 on drift) and writes its report to BENCH_serial.json. The cold
-# (recording) and hot (replaying) passes over one cache directory run at
-# the default parallelism, where cells wait on each other's captures, and
-# must reproduce the serial pass's tables, total_cycles_simulated and
-# per-cause attribution exactly (-check-attr), so scheduling
-# nondeterminism and unsound memo keys both surface as drift. The hot
+# live at -parallel 1, no cache) must match the recorded golden tables and
+# total_cycles_simulated (exit 1 on drift) and writes its report to
+# BENCH_serial.json. The cold (recording) and hot (replaying) passes over
+# one cache directory run at the default parallelism, where cells wait on
+# each other's captures, and must reproduce the serial pass's tables,
+# total_cycles_simulated and per-cause attribution exactly (-check
+# compares the totals over the same experiments, and the attribution the
+# baseline carries), so scheduling nondeterminism and unsound memo keys
+# both surface as drift. The hot
 # pass's report is BENCH_pr.json (with the observation-overhead
 # measurement recorded); then the Go benchmarks run once. CI uploads
 # BENCH_pr.json. The greps are the attribution gate: the report must carry
@@ -95,8 +100,8 @@ BENCHCACHE ?= .benchcache
 bench:
 	rm -rf $(BENCHCACHE)
 	$(GO) run ./cmd/mipsx-bench -parallel 1 -check BENCH_baseline.json -json > BENCH_serial.json
-	$(GO) run ./cmd/mipsx-bench -check BENCH_serial.json -check-attr -cache $(BENCHCACHE) -json > BENCH_cold.json
-	$(GO) run ./cmd/mipsx-bench -check BENCH_serial.json -check-attr -cache $(BENCHCACHE) -json -obs-overhead > BENCH_pr.json
+	$(GO) run ./cmd/mipsx-bench -check BENCH_serial.json -cache $(BENCHCACHE) -json > BENCH_cold.json
+	$(GO) run ./cmd/mipsx-bench -check BENCH_serial.json -cache $(BENCHCACHE) -json -obs-overhead > BENCH_pr.json
 	grep -q '"attribution_conserved": true' BENCH_pr.json
 	grep -q '"attribution_conserved": true' BENCH_cold.json
 	test `grep -c '"attribution"' BENCH_pr.json` -gt 1

@@ -10,14 +10,13 @@
 //	mipsx-bench -json > BENCH.json       # machine-readable results+timings
 //	mipsx-bench -check BENCH_baseline.json
 //	                                     # fail (exit 1) if any table drifts
-//	                                     # from the recorded baseline
+//	                                     # from the recorded baseline, or,
+//	                                     # when both ran the same experiments,
+//	                                     # the cycle total or the attribution
 //	mipsx-bench -cache .benchcache       # persist the content-addressed
 //	                                     # result cache across runs
 //	mipsx-bench -progress                # live cells/hit-rate/rate lines
 //	mipsx-bench -json -obs-overhead      # also measure observation overhead
-//	mipsx-bench -check X.json -check-attr
-//	                                     # tables AND cycle totals AND
-//	                                     # attribution must match X exactly
 //	mipsx-bench -scenario                # multiprogramming sweep: workload ×
 //	                                     # quantum × Icache switch policy
 //	mipsx-bench -scenario -check SCENARIO_baseline.json
@@ -47,6 +46,7 @@ import (
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/jsondoc"
 )
 
 func main() {
@@ -55,15 +55,13 @@ func main() {
 		"worker goroutines for experiment cells (1 = serial)")
 	timeout := flag.Duration("timeout", 0, "per-cell wall-clock budget (0 = none)")
 	jsonOut := flag.Bool("json", false, "emit a machine-readable report on stdout instead of tables")
-	check := flag.String("check", "", "baseline JSON report; exit 1 if any table differs")
+	check := flag.String("check", "", "baseline JSON report; exit 1 if any table differs (and, over the same experiments, the cycle total or attribution)")
 	cacheDir := flag.String("cache", "",
 		"directory backing the content-addressed result cache (empty = in-memory only)")
 	progress := flag.Bool("progress", false,
 		"print live progress to stderr (cells done/total, memo hits of lookups, cells/sec)")
 	obsOverhead := flag.Bool("obs-overhead", false,
 		"measure the observation substrate's wall-clock overhead and record it in the report")
-	checkAttr := flag.Bool("check-attr", false,
-		"with -check: also require cycle totals and the attribution breakdown to match the baseline exactly")
 	scenarioMode := flag.Bool("scenario", false,
 		"run the multiprogramming scenario sweep (workload × quantum × Icache switch policy) instead of the experiment tables")
 	flag.Parse()
@@ -141,13 +139,13 @@ func main() {
 	}
 
 	if *check != "" {
-		if code := compare(*check, doc, *checkAttr); code != 0 {
+		if code := compare(*check, doc); code != 0 {
 			os.Exit(code)
 		}
 	}
 
 	if *jsonOut {
-		b, err := doc.Marshal()
+		b, err := jsondoc.Marshal(doc)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "mipsx-bench: %v\n", err)
 			os.Exit(1)
@@ -187,7 +185,7 @@ func runScenario(eng *experiments.Engine, jsonOut bool, check string) int {
 	}
 	fmt.Fprintf(os.Stderr, "mipsx-bench: scenario sweep: %d cells, all conservation-verified\n", len(doc.Cells))
 
-	out, err := doc.Marshal()
+	out, err := jsondoc.Marshal(doc)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mipsx-bench: -scenario: %v\n", err)
 		return 1
@@ -217,14 +215,15 @@ func runScenario(eng *experiments.Engine, jsonOut bool, check string) int {
 	return 0
 }
 
-// compare diffs this run's tables against a recorded baseline report:
+// compare diffs this run's report against a recorded baseline report:
 // experiments present in both must render identically (the simulated
-// results are deterministic; only timings may differ). It also reports the
-// wall-clock ratio, the bench-regression signal CI tracks. With attr, the
-// comparison extends to the cycle totals and the full per-cause attribution
-// breakdown — for a refactor that must leave every simulated cycle on the
-// same cause, where identical tables are not enough.
-func compare(path string, doc *experiments.BenchDoc, attr bool) int {
+// results are deterministic; only timings may differ). When the run and the
+// baseline cover the same experiments, the simulated-cycle total must match
+// too, and so must every cause of the attribution when the baseline carries
+// one — a refactor must leave every simulated cycle on the same cause, where
+// identical tables are not enough. It also reports the wall-clock ratio,
+// the bench-regression signal CI tracks.
+func compare(path string, doc *experiments.BenchDoc) int {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mipsx-bench: -check: %v\n", err)
@@ -240,9 +239,11 @@ func compare(path string, doc *experiments.BenchDoc, attr bool) int {
 		baseByID[e.ID] = e
 	}
 	drift := 0
+	sameExps := len(doc.Experiments) == len(base.Experiments)
 	for _, e := range doc.Experiments {
 		want, ok := baseByID[e.ID]
 		if !ok {
+			sameExps = false
 			fmt.Fprintf(os.Stderr, "mipsx-bench: %s: not in baseline %s (new experiment? reseed the baseline)\n", e.ID, path)
 			continue
 		}
@@ -252,12 +253,13 @@ func compare(path string, doc *experiments.BenchDoc, attr bool) int {
 				e.ID, path, want.Text, e.Text)
 		}
 	}
-	if attr {
-		if doc.TotalCyclesSimulated != base.TotalCyclesSimulated {
-			drift++
-			fmt.Fprintf(os.Stderr, "mipsx-bench: total_cycles_simulated drifted: %d, baseline %d\n",
-				doc.TotalCyclesSimulated, base.TotalCyclesSimulated)
-		}
+	checkAttr := sameExps && len(base.Attribution) > 0
+	if sameExps && doc.TotalCyclesSimulated != base.TotalCyclesSimulated {
+		drift++
+		fmt.Fprintf(os.Stderr, "mipsx-bench: total_cycles_simulated drifted: %d, baseline %d\n",
+			doc.TotalCyclesSimulated, base.TotalCyclesSimulated)
+	}
+	if checkAttr {
 		for cause, n := range base.Attribution {
 			if doc.Attribution[cause] != n {
 				drift++
@@ -277,7 +279,10 @@ func compare(path string, doc *experiments.BenchDoc, attr bool) int {
 		return 1
 	}
 	fmt.Fprintf(os.Stderr, "mipsx-bench: all %d experiment tables match %s\n", len(doc.Experiments), path)
-	if attr {
+	if sameExps {
+		fmt.Fprintf(os.Stderr, "mipsx-bench: total cycles match: %d\n", doc.TotalCyclesSimulated)
+	}
+	if checkAttr {
 		fmt.Fprintf(os.Stderr, "mipsx-bench: attribution matches: %d cycles across %d causes\n",
 			doc.AttributedCycles, len(doc.Attribution))
 	}

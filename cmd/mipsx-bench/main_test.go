@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/jsondoc"
 )
 
 // TestMain lets the tests run this command: with MIPSX_BENCH_MAIN set, the
@@ -90,5 +92,48 @@ func TestCellRowsPartitionTheReport(t *testing.T) {
 	}
 	if uint64(len(doc.CellTimings)) != doc.Cells || doc.TotalCyclesSimulated == 0 {
 		t.Fatalf("%d cell rows for %d cells, %d cycles", len(doc.CellTimings), doc.Cells, doc.TotalCyclesSimulated)
+	}
+}
+
+// TestCheckComparesTotalsOverTheSameExperiments: -check compares the cycle
+// total, and the attribution the baseline carries, when the run covers the
+// baseline's experiments, so one edited cycle fails it; a run of fewer
+// experiments than the baseline compares tables only.
+func TestCheckComparesTotalsOverTheSameExperiments(t *testing.T) {
+	code, stdout, stderr := mipsxBench(t, "-only", "E5", "-parallel", "1", "-json")
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	dir := t.TempDir()
+	write := func(name string, edit func(*experiments.BenchDoc)) string {
+		doc, err := experiments.ParseBenchDoc([]byte(stdout))
+		if err != nil {
+			t.Fatal(err)
+		}
+		edit(doc)
+		b, err := jsondoc.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	for _, tc := range []struct {
+		args []string
+		code int
+		want string
+	}{
+		{[]string{"-only", "E5", "-check", write("same.json", func(*experiments.BenchDoc) {})}, 0, "attribution matches: 10031 cycles"},
+		{[]string{"-only", "E5", "-check", write("attr.json", func(d *experiments.BenchDoc) { d.Attribution["execute"]++ })}, 1, "attribution[execute] drifted"},
+		{[]string{"-only", "E5", "-check", write("total.json", func(d *experiments.BenchDoc) { d.TotalCyclesSimulated++ })}, 1, "total_cycles_simulated drifted"},
+		{[]string{"-only", "E1", "-check", "../../BENCH_pr.json"}, 0, "all 1 experiment tables match"},
+	} {
+		code, _, stderr := mipsxBench(t, tc.args...)
+		if code != tc.code || !strings.Contains(stderr, tc.want) {
+			t.Errorf("%v: exit %d, stderr %q; want exit %d and %q", tc.args, code, stderr, tc.code, tc.want)
+		}
 	}
 }

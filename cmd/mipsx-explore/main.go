@@ -28,6 +28,7 @@ import (
 	"strings"
 
 	"repro/internal/experiments"
+	"repro/internal/jsondoc"
 	"repro/internal/spec"
 	"repro/internal/tinyc"
 )
@@ -66,6 +67,17 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
+	var want []byte
+	if *check != "" {
+		if want, err = os.ReadFile(*check); err != nil {
+			fail(err)
+		}
+		// A file that is not an explorer document is one error before the
+		// sweep runs, not a drift report of two unrelated documents.
+		if _, err := experiments.ParseExploreDoc(want); err != nil {
+			fail(fmt.Errorf("-check %s: %w", *check, err))
+		}
+	}
 
 	eng := experiments.Configure(*parallel, *timeout, false)
 	store, err := experiments.NewMemoStore(*cacheDir)
@@ -85,15 +97,11 @@ func main() {
 	fmt.Fprintf(os.Stderr, "mipsx-explore: %d points (%d on the frontier), memo hits %d of %d lookups\n",
 		len(doc.Points), doc.FrontierSize, eng.MemoHits(), eng.MemoHits()+eng.MemoMisses())
 
+	got, err := jsondoc.Marshal(doc)
+	if err != nil {
+		fail(err)
+	}
 	if *check != "" {
-		want, err := os.ReadFile(*check)
-		if err != nil {
-			fail(err)
-		}
-		got, err := doc.Marshal()
-		if err != nil {
-			fail(err)
-		}
 		if string(want) != string(got) {
 			fmt.Fprintf(os.Stderr, "mipsx-explore: document drifted from %s\n--- baseline ---\n%s--- current ---\n%s",
 				*check, want, got)
@@ -103,11 +111,7 @@ func main() {
 	}
 
 	if *jsonOut {
-		b, err := doc.Marshal()
-		if err != nil {
-			fail(err)
-		}
-		os.Stdout.Write(b)
+		os.Stdout.Write(got)
 		return
 	}
 	if *check == "" {

@@ -90,3 +90,27 @@ func TestCheckDrift(t *testing.T) {
 		t.Fatalf("drifted document: exit %d, stderr %q; want exit 1 and drift", code, stderr)
 	}
 }
+
+// TestCheckRejectsForeignBaseline: a -check file that is not an explorer
+// document (another schema, or an unknown field) exits 1 with one line
+// naming the problem, not a drift report of both documents.
+func TestCheckRejectsForeignBaseline(t *testing.T) {
+	args := []string{"-axis", "icache.sets=8", "-benches", "fib"}
+	code, doc, stderr := mipsxExplore(t, append(args, "-json")...)
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	typo := filepath.Join(t.TempDir(), "typo.json")
+	if err := os.WriteFile(typo, []byte(strings.Replace(doc, `"benchmarks"`, `"benchmarkz"`, 1)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for path, want := range map[string]string{
+		"../../SCENARIO_baseline.json": `not an explorer document (schema "mipsx-scenario/v1"`,
+		typo:                           `unknown field "benchmarkz"`,
+	} {
+		code, _, stderr := mipsxExplore(t, append(args, "-check", path)...)
+		if code != 1 || !strings.Contains(stderr, want) || strings.Count(stderr, "\n") != 1 {
+			t.Errorf("-check %s: exit %d, stderr %q; want exit 1 and one line with %q", path, code, stderr, want)
+		}
+	}
+}

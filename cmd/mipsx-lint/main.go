@@ -23,13 +23,13 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"math"
 	"os"
 
 	"repro/internal/asm"
+	"repro/internal/jsondoc"
 	"repro/internal/lint"
 	"repro/internal/obs"
 	"repro/internal/reorg"
@@ -110,7 +110,7 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		fmt.Println(string(b))
+		os.Stdout.Write(b)
 	} else {
 		if !*quiet {
 			fmt.Print(rep.String())
@@ -145,7 +145,7 @@ func runCost(im *asm.Image, cfg lint.Config, asJSON bool, profPath string) {
 		if err != nil {
 			fail(err)
 		}
-		fmt.Println(string(b))
+		os.Stdout.Write(b)
 		return
 	}
 	fmt.Print(rep.Render(prof))
@@ -190,14 +190,14 @@ func runSuite(jsonOut bool) int {
 		}
 	}
 	if jsonOut {
-		b, err := json.MarshalIndent(struct {
+		b, err := jsondoc.Marshal(struct {
 			Schema  string     `json:"schema"`
 			Targets []suiteRow `json:"targets"`
-		}{SuiteSchema, rows}, "", "  ")
+		}{SuiteSchema, rows})
 		if err != nil {
 			fail(err)
 		}
-		fmt.Println(string(b))
+		os.Stdout.Write(b)
 	}
 	return status
 }

@@ -26,6 +26,7 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/core"
+	"repro/internal/jsondoc"
 	"repro/internal/lint"
 	"repro/internal/obs"
 	"repro/internal/scenario"
@@ -232,7 +233,7 @@ func main() {
 		closeTrace()
 	}
 	if *profileOut != "" {
-		b, err := pcProf.Doc().Marshal()
+		b, err := jsondoc.Marshal(pcProf.Doc())
 		if err != nil {
 			fail(err)
 		}
@@ -241,7 +242,7 @@ func main() {
 		}
 	}
 	if *breakdownOut != "" {
-		b, err := m.ObsReport().Marshal()
+		b, err := jsondoc.Marshal(m.ObsReport())
 		if err != nil {
 			fail(err)
 		}
@@ -407,7 +408,7 @@ func runScenario(list, specPath string, quantum int, policy, traceOut string, wi
 		"total", res.Cycles, res.Switches, res.SwitchCycles, res.FlushStalls)
 	fmt.Printf("  CPI %.4f over %d instructions\n", res.CPI(), res.Instructions)
 	if breakdownOut != "" {
-		b, err := res.Obs.Marshal()
+		b, err := jsondoc.Marshal(res.Obs)
 		if err != nil {
 			fail(err)
 		}

@@ -30,7 +30,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -41,6 +40,7 @@ import (
 	"repro/internal/ecache"
 	"repro/internal/experiments"
 	"repro/internal/icache"
+	"repro/internal/jsondoc"
 	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/spec"
@@ -168,13 +168,11 @@ func viz(args []string) {
 	}
 	// The schema comes from the file's first JSON value: the whole document,
 	// or the header line of a line-framed window stream.
-	var probe struct {
-		Schema string `json:"schema"`
-	}
-	if err := json.NewDecoder(bytes.NewReader(b)).Decode(&probe); err != nil {
+	schema, err := jsondoc.Schema(b)
+	if err != nil {
 		fail(fmt.Errorf("%s: not a recognized observability document: %w", fs.Arg(0), err))
 	}
-	switch probe.Schema {
+	switch schema {
 	case obs.WindowSchema:
 		doc, err := obs.ParseWindowStream(bytes.NewReader(b))
 		if err != nil {
@@ -233,7 +231,7 @@ func viz(args []string) {
 		}
 	default:
 		fail(fmt.Errorf("%s: unrecognized schema %q (want %q, %q, %q or %q)",
-			fs.Arg(0), probe.Schema, obs.ReportSchema, experiments.BenchSchema,
+			fs.Arg(0), schema, obs.ReportSchema, experiments.BenchSchema,
 			experiments.ScenarioSchema, obs.WindowSchema))
 	}
 }

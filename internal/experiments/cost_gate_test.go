@@ -19,6 +19,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/jsondoc"
 	"repro/internal/lint"
 	"repro/internal/obs"
 	"repro/internal/reorg"
@@ -77,7 +78,7 @@ func TestStaticCostMatchesLedgerEveryBenchmarkEveryScheme(t *testing.T) {
 				// Round trip: the profile survives serialization and the
 				// prediction made from the parsed copy is identical (the
 				// offline -cost -profile path).
-				buf, err := prof.Doc().Marshal()
+				buf, err := jsondoc.Marshal(prof.Doc())
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -69,8 +69,8 @@ type CellTiming struct {
 	// result another cell produced in this engine, or one replayed from the
 	// store.
 	Memo bool `json:"memo,omitempty"`
-	// Skipped marks a cell claimed after a cancellation (another cell's
-	// failure, a timeout, or the caller's ctx); it never ran.
+	// Skipped marks a cell that never ran: it was claimed after the
+	// caller's ctx was done, or after a cell before it failed.
 	Skipped bool `json:"skipped,omitempty"`
 	// Attribution decomposes the cell's simulated cycles by cause (the
 	// obs ledger's cause names). Replayed cells carry the attribution their
@@ -205,10 +205,14 @@ func (e *Engine) reportProgress(final bool) {
 		done, total, hits, hits+e.MemoMisses(), rate)
 }
 
-// Run executes the cells and returns the first error in cell order (cells
-// after a failure may be skipped). Results must be communicated through the
-// cells' own slots; Run itself only schedules. Cells do not nest: a ctx
-// that belongs to a running cell is an error.
+// Run executes the cells and returns the first error in submission order.
+// A failure cancels no other cell: every cell before the lowest failed one
+// runs to completion, so that failure is the first error at any
+// parallelism. A cell claimed once the caller's ctx is done, or after a
+// cell before it has failed, is skipped; cells already running finish.
+// Results must be communicated through the cells' own slots; Run itself
+// only schedules. Cells do not nest: a ctx that belongs to a running cell
+// is an error.
 func (e *Engine) Run(ctx context.Context, cells []Cell) error {
 	if meterFrom(ctx) != nil {
 		return errors.New("experiments: Run called from inside a cell (cells do not nest)")
@@ -226,12 +230,12 @@ func (e *Engine) Run(ctx context.Context, cells []Cell) error {
 	e.submitted.Add(uint64(len(cells)))
 	e.started.CompareAndSwap(0, time.Now().UnixNano())
 
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
 	errs := make([]error, len(cells))
 	timings := make([]CellTiming, len(cells))
 	var next atomic.Int64
+	// failed is the lowest index of a failed cell, len(cells) while none has.
+	var failed atomic.Int64
+	failed.Store(int64(len(cells)))
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -242,11 +246,14 @@ func (e *Engine) Run(ctx context.Context, cells []Cell) error {
 				if i >= len(cells) {
 					return
 				}
-				if err := ctx.Err(); err != nil {
-					// Claimed after a cancellation: the cell never ran.
-					// Stamp the timing row with the cell's identity and a
-					// skipped marker so the report carries no anonymous
-					// zero-value entries.
+				err := ctx.Err()
+				if f := failed.Load(); err == nil && int64(i) > f {
+					err = fmt.Errorf("cell %s failed", cells[f].ID)
+				}
+				if err != nil {
+					// The cell never runs. Stamp the timing row with its
+					// identity and a skipped marker so the report carries
+					// no anonymous zero-value entries.
 					errs[i] = err
 					timings[i] = CellTiming{ID: cells[i].ID, Err: "skipped: " + err.Error(), Skipped: true}
 					continue
@@ -259,7 +266,11 @@ func (e *Engine) Run(ctx context.Context, cells []Cell) error {
 				if err != nil {
 					timings[i].Err = err.Error()
 					errs[i] = err
-					cancel()
+					for f := failed.Load(); int64(i) < f; f = failed.Load() {
+						if failed.CompareAndSwap(f, int64(i)) {
+							break
+						}
+					}
 				}
 				e.reportProgress(false)
 			}
@@ -272,28 +283,12 @@ func (e *Engine) Run(ctx context.Context, cells []Cell) error {
 		e.timings = append(e.timings, timings...)
 		e.mu.Unlock()
 	}
-	// First error in submission order that is not a cancellation, so the
-	// root cause is reported deterministically at any parallelism: when a
-	// cell fails, cancel() aborts still-running lower-index cells, and
-	// their context.Canceled must not mask the error that triggered it
-	// (cell errors arrive wrapped with the cell ID, so this must be
-	// errors.Is, not sentinel equality). A cell's own deadline expiry is a
-	// real failure; only cancellation marks a victim. Fall back to the
-	// first cancellation when no cell failed for its own reason (the
-	// caller cancelled the whole run).
-	var first error
 	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if first == nil {
-			first = err
-		}
-		if !errors.Is(err, context.Canceled) {
+		if err != nil {
 			return err
 		}
 	}
-	return first
+	return nil
 }
 
 // runOne executes one cell: a memoizable cell reads its result through the

@@ -13,9 +13,9 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 
+	"repro/internal/jsondoc"
 	"repro/internal/reorg"
 	"repro/internal/scenario"
 	"repro/internal/spec"
@@ -68,26 +68,10 @@ type ExploreDoc struct {
 	FrontierSize int `json:"frontier_size"`
 }
 
-// Marshal renders the document as indented JSON with a trailing newline.
-func (d *ExploreDoc) Marshal() ([]byte, error) {
-	b, err := json.MarshalIndent(d, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
-
-// ParseExploreDoc reads a document written by Marshal, rejecting other
-// schemas.
+// ParseExploreDoc reads a document strictly (jsondoc.Parse), rejecting
+// other schemas.
 func ParseExploreDoc(b []byte) (*ExploreDoc, error) {
-	var d ExploreDoc
-	if err := json.Unmarshal(b, &d); err != nil {
-		return nil, err
-	}
-	if d.Schema != ExploreSchema {
-		return nil, fmt.Errorf("not an explorer document (schema %q, want %q)", d.Schema, ExploreSchema)
-	}
-	return &d, nil
+	return jsondoc.Parse[ExploreDoc](b, ExploreSchema, "an explorer document")
 }
 
 // Explore evaluates every point of the sweep on the benchmarks (nil means

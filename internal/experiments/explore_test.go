@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/jsondoc"
 	"repro/internal/spec"
 	"repro/internal/tinyc"
 )
@@ -67,7 +68,7 @@ func TestExploreSchemeSweep(t *testing.T) {
 	}
 
 	// The document round-trips through its own schema check.
-	b, err := doc.Marshal()
+	b, err := jsondoc.Marshal(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func TestExploreDeterminismAt108Points(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s pass: %v", label, err)
 		}
-		b, err := doc.Marshal()
+		b, err := jsondoc.Marshal(doc)
 		if err != nil {
 			t.Fatal(err)
 		}

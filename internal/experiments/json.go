@@ -9,10 +9,10 @@ package experiments
 // differ only in the timing and memo-counter fields.
 
 import (
-	"encoding/json"
-	"fmt"
 	"runtime"
 	"time"
+
+	"repro/internal/jsondoc"
 )
 
 // BenchSchema identifies the document format.
@@ -36,7 +36,11 @@ type BenchDoc struct {
 	Schema     string `json:"schema"`
 	Parallel   int    `json:"parallel"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
-	GoVersion  string `json:"go_version"`
+	// Predecode is retired with the predecode fast path: nothing sets it, so
+	// it is never written, but BENCH_baseline.json still carries
+	// "predecode": false and must parse strictly.
+	Predecode bool   `json:"predecode,omitempty"`
+	GoVersion string `json:"go_version"`
 
 	Experiments []ExpResult `json:"experiments"`
 
@@ -131,24 +135,9 @@ func NewBenchDoc(tables []*Table, perExp []time.Duration, wall time.Duration, pa
 	return doc
 }
 
-// Marshal renders the document as indented JSON with a trailing newline.
-func (d *BenchDoc) Marshal() ([]byte, error) {
-	b, err := json.MarshalIndent(d, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
-
-// ParseBenchDoc reads a report written by Marshal, rejecting other schemas
-// so a mis-pointed file fails loudly instead of producing a zeroed report.
+// ParseBenchDoc reads a report strictly (jsondoc.Parse), rejecting other
+// schemas so a mis-pointed file fails loudly instead of producing a zeroed
+// report.
 func ParseBenchDoc(b []byte) (*BenchDoc, error) {
-	var d BenchDoc
-	if err := json.Unmarshal(b, &d); err != nil {
-		return nil, err
-	}
-	if d.Schema != BenchSchema {
-		return nil, fmt.Errorf("not a bench document (schema %q, want %q)", d.Schema, BenchSchema)
-	}
-	return &d, nil
+	return jsondoc.Parse[BenchDoc](b, BenchSchema, "a bench document")
 }

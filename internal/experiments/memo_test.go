@@ -6,30 +6,40 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/jsondoc"
 	"repro/internal/reorg"
 	"repro/internal/spec"
 	"repro/internal/tinyc"
 )
 
-// TestEngineRootCauseNotMaskedByCancellation is the regression test for the
-// error-attribution bug: when a cell fails, the engine cancels the rest; a
-// lower-index cell that was still running then returns context.Canceled. The
-// reported error must be the failing cell's (the root cause), not the
-// victim's cancellation — which used to win because victim errors arrive
-// wrapped with the cell ID and the old sentinel-equality check did not see
-// through the wrapping.
+// TestEngineRootCauseNotMaskedByCancellation: a failing cell cancels no
+// other cell. A lower-index cell still running when a higher-index cell
+// fails is not cancelled and completes, and the reported error is the
+// failing cell's, the first in submission order.
 func TestEngineRootCauseNotMaskedByCancellation(t *testing.T) {
-	e := &Engine{Workers: 2}
+	// The engine writes its first progress line once it has recorded the
+	// culprit's failure (the victim is still running, so nothing else has
+	// completed).
+	settled := &closeOnWrite{ch: make(chan struct{})}
+	e := &Engine{Workers: 2, Progress: settled}
+	var completed atomic.Bool
 	cells := []Cell{
-		// Slow low-index cell: blocks until the engine cancels it, then
-		// reports that cancellation (wrapped with its ID by runCell).
+		// Slow low-index cell: runs until the engine has seen the failure.
 		{ID: "victim", Fn: func(ctx context.Context) error {
-			<-ctx.Done()
-			return ctx.Err()
+			select {
+			case <-ctx.Done():
+			case <-settled.ch:
+			}
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			completed.Store(true)
+			return nil
 		}},
 		// Fast high-index cell: the real failure.
 		{ID: "culprit", Fn: func(ctx context.Context) error {
@@ -37,12 +47,23 @@ func TestEngineRootCauseNotMaskedByCancellation(t *testing.T) {
 		}},
 	}
 	err := e.Run(context.Background(), cells)
-	if err == nil || !strings.Contains(err.Error(), "boom") {
+	if err == nil || !strings.Contains(err.Error(), "boom") || errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want the culprit's boom", err)
 	}
-	if errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v: victim's cancellation masked the root cause", err)
+	if !completed.Load() || e.Cells() != 2 {
+		t.Fatalf("victim completed = %v, cells run = %d; want true, 2 (a failure cancels no other cell)", completed.Load(), e.Cells())
 	}
+}
+
+// closeOnWrite closes ch on its first write.
+type closeOnWrite struct {
+	once sync.Once
+	ch   chan struct{}
+}
+
+func (w *closeOnWrite) Write(p []byte) (int, error) {
+	w.once.Do(func() { close(w.ch) })
+	return len(p), nil
 }
 
 // TestRunMachineFaultIsNotATimeout is the regression test for the fault
@@ -340,7 +361,7 @@ func TestMemoStoreCorruptEntryIsReportedMiss(t *testing.T) {
 			t.Fatalf("pass %d: corrupt %d, write errors %d; want %d, 0", pass, e.MemoCorrupt(), e.MemoWriteErrors(), wantCorrupt)
 		}
 		doc := NewBenchDoc(nil, nil, 0, 1, false, false, e)
-		b, err := doc.Marshal()
+		b, err := jsondoc.Marshal(doc)
 		if err != nil {
 			t.Fatal(err)
 		}

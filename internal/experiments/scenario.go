@@ -12,9 +12,9 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 
+	"repro/internal/jsondoc"
 	"repro/internal/reorg"
 	"repro/internal/scenario"
 	"repro/internal/spec"
@@ -47,26 +47,10 @@ type ScenarioDoc struct {
 	Cells      []ScenarioCellResult `json:"cells"`
 }
 
-// Marshal renders the document as indented JSON with a trailing newline.
-func (d *ScenarioDoc) Marshal() ([]byte, error) {
-	b, err := json.MarshalIndent(d, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
-
-// ParseScenarioDoc reads a document written by Marshal, rejecting other
-// schemas.
+// ParseScenarioDoc reads a document strictly (jsondoc.Parse), rejecting
+// other schemas.
 func ParseScenarioDoc(b []byte) (*ScenarioDoc, error) {
-	var d ScenarioDoc
-	if err := json.Unmarshal(b, &d); err != nil {
-		return nil, err
-	}
-	if d.Schema != ScenarioSchema {
-		return nil, fmt.Errorf("not a scenario document (schema %q, want %q)", d.Schema, ScenarioSchema)
-	}
-	return &d, nil
+	return jsondoc.Parse[ScenarioDoc](b, ScenarioSchema, "a scenario document")
 }
 
 // scenarioPrograms converts benchmarks to scenario members (with their

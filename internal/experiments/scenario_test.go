@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/jsondoc"
 	"repro/internal/spec"
 	"repro/internal/tinyc"
 )
@@ -47,7 +48,7 @@ func TestScenarioSweepDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s pass: %v", label, err)
 		}
-		b, err := doc.Marshal()
+		b, err := jsondoc.Marshal(doc)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,12 +1,12 @@
 package lint
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 
 	"repro/internal/asm"
 	"repro/internal/isa"
+	"repro/internal/jsondoc"
 	"repro/internal/obs"
 )
 
@@ -94,9 +94,10 @@ type CostReport struct {
 // scope, i.e. Predict with measured counts must equal the ledger.
 func (r *CostReport) Exact() bool { return len(r.Unmodeled) == 0 }
 
-// JSON renders the report with its schema tag.
+// JSON renders the report with its schema tag (jsondoc.Marshal: indented,
+// newline-terminated).
 func (r *CostReport) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
+	return jsondoc.Marshal(r)
 }
 
 // Prediction is a whole-program base-cycle prediction: the ledger's

@@ -57,13 +57,13 @@
 package lint
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
 
 	"repro/internal/asm"
 	"repro/internal/isa"
+	"repro/internal/jsondoc"
 )
 
 // Severity grades a diagnostic.
@@ -212,16 +212,17 @@ func (r *Report) String() string {
 // parsers can gate on it before trusting field shapes.
 const ReportSchema = "mipsx-lint/v1"
 
-// JSON renders the findings inside a schema-tagged envelope.
+// JSON renders the findings inside a schema-tagged envelope
+// (jsondoc.Marshal: indented, newline-terminated).
 func (r *Report) JSON() ([]byte, error) {
 	ds := r.Diags
 	if ds == nil {
 		ds = []Diagnostic{}
 	}
-	return json.MarshalIndent(struct {
+	return jsondoc.Marshal(struct {
 		Schema      string       `json:"schema"`
 		Diagnostics []Diagnostic `json:"diagnostics"`
-	}{ReportSchema, ds}, "", "  ")
+	}{ReportSchema, ds})
 }
 
 // CheckImage verifies an assembled image.

@@ -379,7 +379,8 @@ v:	.word 1
       "detail": "reads r1 loaded 1 slot(s) earlier (load delay slot unfilled; needs 2)"
     }
   ]
-}`
+}
+`
 	if string(b) != want {
 		t.Fatalf("JSON envelope drifted from golden output:\ngot:\n%s\nwant:\n%s", b, want)
 	}
@@ -405,7 +406,7 @@ v:	.word 1
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(empty) != "{\n  \"schema\": \"mipsx-lint/v1\",\n  \"diagnostics\": []\n}" {
+	if string(empty) != "{\n  \"schema\": \"mipsx-lint/v1\",\n  \"diagnostics\": []\n}\n" {
 		t.Fatalf("empty-report envelope drifted:\n%s", empty)
 	}
 }

@@ -6,8 +6,9 @@
 //
 //  1. Near-zero overhead when off. Every instrumented unit holds a single
 //     `Obs *obs.Sink` pointer; the disabled path is one nil check per charge
-//     site. obs imports nothing from the rest of the repo so every simulator
-//     package can import it without cycles.
+//     site. obs imports nothing from the rest of the repo but the leaf
+//     document codec (internal/jsondoc), so every simulator package can
+//     import it without cycles.
 //  2. Conservation. The ledger attributes every simulated cycle to exactly
 //     one cause; `sum(causes) == total cycles` is an invariant the test
 //     suite (and the bench gate) verifies on every benchmark × Table 1
@@ -21,10 +22,11 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
+
+	"repro/internal/jsondoc"
 )
 
 // Cause indexes a ledger slot. The machine schema below covers the MIPS-X
@@ -330,26 +332,11 @@ type Report struct {
 	Counters     []Counter     `json:"counters,omitempty"`
 }
 
-// Marshal renders the report as indented JSON with a trailing newline
-// (what `mipsx-run -breakdown-out` writes and `mipsx-trace viz` reads).
-func (r *Report) Marshal() ([]byte, error) {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
-
-// ParseReport reads a report written by Marshal, rejecting other schemas.
+// ParseReport reads a report strictly (jsondoc.Parse), rejecting other
+// schemas: what `mipsx-run -breakdown-out` writes and `mipsx-trace viz`
+// reads.
 func ParseReport(b []byte) (*Report, error) {
-	var r Report
-	if err := json.Unmarshal(b, &r); err != nil {
-		return nil, err
-	}
-	if r.Schema != ReportSchema {
-		return nil, fmt.Errorf("obs: not an attribution report (schema %q, want %q)", r.Schema, ReportSchema)
-	}
-	return &r, nil
+	return jsondoc.Parse[Report](b, ReportSchema, "an attribution report")
 }
 
 // Attributed sums the report's per-cause cycles.

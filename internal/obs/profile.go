@@ -1,9 +1,10 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
+
+	"repro/internal/jsondoc"
 )
 
 // PCProfile accumulates a per-PC execution profile at instruction
@@ -151,27 +152,23 @@ func (p *PCProfile) Doc() *PCProfileDoc {
 	return d
 }
 
-// Marshal renders the doc as indented JSON with a trailing newline.
-func (d *PCProfileDoc) Marshal() ([]byte, error) {
-	b, err := json.MarshalIndent(d, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
-
-// ParsePCProfile reads a profile written by Marshal back into a usable
-// PCProfile (map-backed; intended for offline analysis, not simulation).
+// ParsePCProfile reads a profile strictly (jsondoc.Parse) back into a
+// usable PCProfile (map-backed; intended for offline analysis, not
+// simulation). The entries must be what Doc writes: strictly increasing by
+// PC, none all-zero, so every row given is a row kept.
 func ParsePCProfile(b []byte) (*PCProfile, error) {
-	var d PCProfileDoc
-	if err := json.Unmarshal(b, &d); err != nil {
-		return nil, err
-	}
-	if d.Schema != PCProfileSchema {
-		return nil, fmt.Errorf("obs: not a pc profile (schema %q, want %q)", d.Schema, PCProfileSchema)
+	d, err := jsondoc.Parse[PCProfileDoc](b, PCProfileSchema, "a pc profile")
+	if err != nil {
+		return nil, fmt.Errorf("obs: %w", err)
 	}
 	p := NewPCProfile(0, 0)
-	for _, e := range d.Entries {
+	for i, e := range d.Entries {
+		if i > 0 && e.PC <= d.Entries[i-1].PC {
+			return nil, fmt.Errorf("obs: pc profile entry %d: pc %d after pc %d, want strictly increasing", i, e.PC, d.Entries[i-1].PC)
+		}
+		if e.WB == 0 && e.Taken == 0 && e.NotTaken == 0 {
+			return nil, fmt.Errorf("obs: pc profile entry %d: pc %d has all-zero counts", i, e.PC)
+		}
 		c := p.at(e.PC)
 		c.wb, c.taken, c.notTaken = e.WB, e.Taken, e.NotTaken
 	}

@@ -3,6 +3,8 @@ package obs
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/jsondoc"
 )
 
 func TestPCProfileNilSafe(t *testing.T) {
@@ -55,7 +57,7 @@ func TestPCProfileDenseAndOverflow(t *testing.T) {
 		}
 	}
 
-	buf, err := doc.Marshal()
+	buf, err := jsondoc.Marshal(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,5 +79,21 @@ func TestParsePCProfileRejectsWrongSchema(t *testing.T) {
 	_, err := ParsePCProfile([]byte(`{"schema":"mipsx-obs/v1","entries":[]}`))
 	if err == nil || !strings.Contains(err.Error(), "schema") {
 		t.Fatalf("want schema error, got %v", err)
+	}
+}
+
+// TestParsePCProfileRejectsRowsDocNeverWrites: Doc writes each nonzero pc
+// once, in increasing order, so a repeated pc (which used to keep only its
+// last row), a pc out of order and an all-zero row are errors.
+func TestParsePCProfileRejectsRowsDocNeverWrites(t *testing.T) {
+	for name, entries := range map[string]string{
+		"repeated pc": `{"pc":4,"wb":5},{"pc":4,"wb":7}`,
+		"unsorted":    `{"pc":4,"wb":5},{"pc":2,"wb":1}`,
+		"all zero":    `{"pc":2,"wb":1},{"pc":4,"wb":0}`,
+	} {
+		_, err := ParsePCProfile([]byte(`{"schema":"mipsx-pcprofile/v1","entries":[` + entries + `]}`))
+		if err == nil {
+			t.Errorf("%s: parsed without error", name)
+		}
 	}
 }

@@ -28,6 +28,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"repro/internal/jsondoc"
 )
 
 // WindowSchema identifies the windowed-ledger time-series format.
@@ -195,7 +197,7 @@ func (d *WindowDecoder) Line(line []byte) (*Window, error) {
 	}
 	if d.Size == 0 {
 		var h windowHeader
-		if err := json.Unmarshal(line, &h); err != nil {
+		if err := jsondoc.Decode(line, &h); err != nil {
 			return nil, fmt.Errorf("obs: bad window-stream header: %w", err)
 		}
 		if h.Schema != WindowSchema {
@@ -208,7 +210,7 @@ func (d *WindowDecoder) Line(line []byte) (*Window, error) {
 		return nil, nil
 	}
 	w := new(Window)
-	if err := json.Unmarshal(line, w); err != nil {
+	if err := jsondoc.Decode(line, w); err != nil {
 		return nil, fmt.Errorf("obs: bad window at line %d: %w", d.line, err)
 	}
 	if err := d.t.next(w, d.Size); err != nil {

@@ -21,19 +21,17 @@
 package spec
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"strings"
 
 	"repro/internal/core"
 	"repro/internal/ecache"
 	"repro/internal/icache"
+	"repro/internal/jsondoc"
 	"repro/internal/mem"
 	"repro/internal/pipeline"
 	"repro/internal/reorg"
@@ -601,25 +599,11 @@ func framedDigest(label string, body []byte) string {
 // trailing data, and validating the result.
 func Parse(b []byte) (MachineSpec, error) {
 	var ms MachineSpec
-	if err := decodeStrict(b, &ms); err != nil {
+	if err := jsondoc.Decode(b, &ms); err != nil {
 		return MachineSpec{}, fmt.Errorf("spec: %w", err)
 	}
 	if err := ms.Validate(); err != nil {
 		return MachineSpec{}, err
 	}
 	return ms, nil
-}
-
-// decodeStrict decodes b as exactly one JSON value into v, rejecting
-// unknown fields and anything but whitespace after the value.
-func decodeStrict(b []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(b))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return errors.New("trailing data after the JSON value")
-	}
-	return nil
 }

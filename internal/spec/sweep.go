@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/jsondoc"
 	"repro/internal/reorg"
 )
 
@@ -115,8 +116,9 @@ func (ms MachineSpec) Patch(path string, value any) (MachineSpec, error) {
 		}
 		cur = child
 	}
-	// Setting an unknown leaf adds a field Parse rejects (DisallowUnknownFields),
-	// so a typo'd path errors instead of silently sweeping nothing.
+	// Setting an unknown leaf adds a field Parse rejects (it decodes
+	// strictly), so a typo'd path errors instead of silently sweeping
+	// nothing.
 	cur[segs[len(segs)-1]] = value
 	b, err := json.Marshal(m)
 	if err != nil {
@@ -192,7 +194,7 @@ func (s Sweep) Points() ([]Point, error) {
 // and trailing data.
 func ParseSweep(b []byte) (Sweep, error) {
 	var s Sweep
-	if err := decodeStrict(b, &s); err != nil {
+	if err := jsondoc.Decode(b, &s); err != nil {
 		return Sweep{}, fmt.Errorf("spec: sweep: %w", err)
 	}
 	return s, nil
