@@ -63,15 +63,16 @@ lint-suite:
 cost-gate:
 	$(GO) test ./internal/experiments -run TestStaticCostMatchesLedgerEveryBenchmarkEveryScheme -count=1
 
-# Longer exploration of the compile → reorganize → lint invariant, the
-# pipeline-vs-golden-model differential, the spec JSON and sweep boundaries,
-# the trace encoder against its json.Marshal reference, the window-stream
-# decoder, the assembler's layout bounds and the document parsers (CI smokes
-# all eight on every merge). FuzzDocuments' seeds are 2-40 KB documents, so
-# each new input is minimized for 1 s, not the default 60 s that would take
-# the whole budget.
+# Longer exploration of the pipeline-vs-golden-model differential over
+# lint-clean raw programs and over compiled tinyc (whose build lints its
+# output), the spec JSON and sweep boundaries, the trace encoder against its
+# json.Marshal reference, the window-stream decoder, the assembler's layout
+# bounds and the document parsers (CI smokes all eight on every merge).
+# FuzzDocuments' seeds are 2-40 KB documents and FuzzRawVsRefmodel finds a
+# new input every few hundred runs, so each new input is minimized for 1 s,
+# not the default 60 s that would take most of the budget.
 fuzz:
-	$(GO) test ./internal/lint -fuzz=FuzzCompileReorgLint -fuzztime=60s
+	$(GO) test ./internal/refmodel -fuzz=FuzzRawVsRefmodel -fuzztime=60s -fuzzminimizetime=1s -run '^$$'
 	$(GO) test ./internal/refmodel -fuzz=FuzzPipelineVsRefmodel -fuzztime=60s -run '^$$'
 	$(GO) test ./internal/spec -fuzz=FuzzSpecParse -fuzztime=60s -run '^$$'
 	$(GO) test ./internal/spec -fuzz=FuzzSweep -fuzztime=60s -run '^$$'

@@ -221,8 +221,8 @@ func runScenario(eng *experiments.Engine, jsonOut bool, check string) int {
 // baseline cover the same experiments, the simulated-cycle total must match
 // too, and so must every cause of the attribution when the baseline carries
 // one — a refactor must leave every simulated cycle on the same cause, where
-// identical tables are not enough. It also reports the wall-clock ratio,
-// the bench-regression signal CI tracks.
+// identical tables are not enough. Over the same experiments it also
+// reports the wall-clock ratio, the bench-regression signal CI tracks.
 func compare(path string, doc *experiments.BenchDoc) int {
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -290,7 +290,7 @@ func compare(path string, doc *experiments.BenchDoc) int {
 		fmt.Fprintf(os.Stderr, "mipsx-bench: memo hits %d of %d lookups (%.0f%%)\n",
 			doc.MemoHits, lookups, 100*doc.MemoHitRate)
 	}
-	if base.TotalWallMS > 0 && doc.TotalWallMS > 0 {
+	if sameExps && base.TotalWallMS > 0 && doc.TotalWallMS > 0 {
 		fmt.Fprintf(os.Stderr, "mipsx-bench: wall %.0f ms vs baseline %.0f ms (%.2fx; baseline parallel=%d, now parallel=%d, GOMAXPROCS=%d)\n",
 			doc.TotalWallMS, base.TotalWallMS, base.TotalWallMS/doc.TotalWallMS,
 			base.Parallel, doc.Parallel, doc.GOMAXPROCS)

@@ -121,19 +121,21 @@ func TestCheckComparesTotalsOverTheSameExperiments(t *testing.T) {
 		}
 		return path
 	}
+	// The wall-clock ratio, like the totals, compares only the same
+	// experiments: an -only E1 run against the full report prints none.
 	for _, tc := range []struct {
-		args []string
-		code int
-		want string
+		args       []string
+		code       int
+		want, none string
 	}{
-		{[]string{"-only", "E5", "-check", write("same.json", func(*experiments.BenchDoc) {})}, 0, "attribution matches: 10031 cycles"},
-		{[]string{"-only", "E5", "-check", write("attr.json", func(d *experiments.BenchDoc) { d.Attribution["execute"]++ })}, 1, "attribution[execute] drifted"},
-		{[]string{"-only", "E5", "-check", write("total.json", func(d *experiments.BenchDoc) { d.TotalCyclesSimulated++ })}, 1, "total_cycles_simulated drifted"},
-		{[]string{"-only", "E1", "-check", "../../BENCH_pr.json"}, 0, "all 1 experiment tables match"},
+		{[]string{"-only", "E5", "-check", write("same.json", func(*experiments.BenchDoc) {})}, 0, "attribution matches: 10031 cycles", ""},
+		{[]string{"-only", "E5", "-check", write("attr.json", func(d *experiments.BenchDoc) { d.Attribution["execute"]++ })}, 1, "attribution[execute] drifted", ""},
+		{[]string{"-only", "E5", "-check", write("total.json", func(d *experiments.BenchDoc) { d.TotalCyclesSimulated++ })}, 1, "total_cycles_simulated drifted", ""},
+		{[]string{"-only", "E1", "-check", "../../BENCH_pr.json"}, 0, "all 1 experiment tables match", "vs baseline"},
 	} {
 		code, _, stderr := mipsxBench(t, tc.args...)
-		if code != tc.code || !strings.Contains(stderr, tc.want) {
-			t.Errorf("%v: exit %d, stderr %q; want exit %d and %q", tc.args, code, stderr, tc.code, tc.want)
+		if code != tc.code || !strings.Contains(stderr, tc.want) || tc.none != "" && strings.Contains(stderr, tc.none) {
+			t.Errorf("%v: exit %d, stderr %q; want exit %d and %q without %q", tc.args, code, stderr, tc.code, tc.want, tc.none)
 		}
 	}
 }

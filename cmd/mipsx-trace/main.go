@@ -166,31 +166,33 @@ func viz(args []string) {
 	if err != nil {
 		fail(err)
 	}
+	// Every failure below names the file.
+	failIn := func(err error) { fail(fmt.Errorf("%s: %w", fs.Arg(0), err)) }
 	// The schema comes from the file's first JSON value: the whole document,
 	// or the header line of a line-framed window stream.
 	schema, err := jsondoc.Schema(b)
 	if err != nil {
-		fail(fmt.Errorf("%s: not a recognized observability document: %w", fs.Arg(0), err))
+		failIn(fmt.Errorf("not a recognized observability document: %w", err))
 	}
 	switch schema {
 	case obs.WindowSchema:
 		doc, err := obs.ParseWindowStream(bytes.NewReader(b))
 		if err != nil {
-			fail(fmt.Errorf("%s: %w", fs.Arg(0), err))
+			failIn(err)
 		}
 		if err := renderWindowDoc(doc, os.Stdout); err != nil {
-			fail(fmt.Errorf("%s: %w", fs.Arg(0), err))
+			failIn(err)
 		}
 	case obs.ReportSchema:
 		rep, err := obs.ParseReport(b)
 		if err != nil {
-			fail(err)
+			failIn(err)
 		}
 		fmt.Print(rep.DecompositionTable())
 	case experiments.BenchSchema:
 		doc, err := experiments.ParseBenchDoc(b)
 		if err != nil {
-			fail(err)
+			failIn(err)
 		}
 		fmt.Printf("bench document: %d cells, %d cycles simulated\n\n", doc.Cells, doc.TotalCyclesSimulated)
 		fmt.Print(attrTable(doc.Attribution, doc.TotalCyclesSimulated).DecompositionTable())
@@ -213,7 +215,7 @@ func viz(args []string) {
 	case experiments.ScenarioSchema:
 		doc, err := experiments.ParseScenarioDoc(b)
 		if err != nil {
-			fail(err)
+			failIn(err)
 		}
 		fmt.Printf("scenario document: %d cells (%s, switch cost %d)\n", len(doc.Cells), doc.Scheme, doc.SwitchCost)
 		for i := range doc.Cells {
@@ -230,8 +232,8 @@ func viz(args []string) {
 			}
 		}
 	default:
-		fail(fmt.Errorf("%s: unrecognized schema %q (want %q, %q, %q or %q)",
-			fs.Arg(0), schema, obs.ReportSchema, experiments.BenchSchema,
+		failIn(fmt.Errorf("unrecognized schema %q (want %q, %q, %q or %q)",
+			schema, obs.ReportSchema, experiments.BenchSchema,
 			experiments.ScenarioSchema, obs.WindowSchema))
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -155,5 +156,24 @@ func TestRenderWindowDocFailsOnViolation(t *testing.T) {
 	}
 	if out.Len() != 0 {
 		t.Fatalf("no partial table may be printed on failure:\n%s", out.String())
+	}
+}
+
+// TestVizNamesFileOfBadDocument: a bench document that fails strict
+// parsing (here a mistyped top-level key) exits 1 with an error naming the
+// file and the field.
+func TestVizNamesFileOfBadDocument(t *testing.T) {
+	b, err := os.ReadFile("../../BENCH_pr.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "BENCH_typo.json")
+	bad := strings.Replace(string(b), "{", `{"experimentz": [],`, 1)
+	if err := os.WriteFile(path, []byte(bad), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, _, stderr := mipsxTrace(t, "viz", path)
+	if code != 1 || !strings.Contains(stderr, path) || !strings.Contains(stderr, "experimentz") {
+		t.Fatalf("exit %d, stderr %q; want exit 1 naming %s and experimentz", code, stderr, path)
 	}
 }

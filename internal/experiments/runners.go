@@ -191,36 +191,13 @@ func simulate(ctx context.Context, b tinyc.Benchmark, scheme reorg.Scheme, prof 
 	if want := b.Expect(); m.Output() != want {
 		return nil, RunResult{}, fmt.Errorf("%s: wrong output %q (want %q)", b.Name, m.Output(), want)
 	}
-	if err := crossCheckCost(im, scheme.Slots, m, pcProf); err != nil {
+	// Every live cell doubles as a standing cross-check of the static cost
+	// model (memo replays skip it, like the conservation check: the result
+	// being replayed already passed).
+	if err := lint.CrossCheck(im, scheme.Slots, pcProf, m.Obs.Ledger, m.CPU.Stats.Exceptions); err != nil {
 		return nil, RunResult{}, fmt.Errorf("%s: %w", b.Name, err)
 	}
 	return im, machineResult(m), nil
-}
-
-// crossCheckCost validates the static cycle-cost model against the run's
-// attribution ledger: fed with the measured block profile, the per-block
-// roll-up must equal the ledger's execute, nop and squash-annul counters
-// exactly. Any drift means either the static model or the pipeline is
-// wrong, so every live cell doubles as a standing cross-check (memo
-// replays skip it, like the conservation check — the result being replayed
-// already passed). Runs that took exceptions or images using constructs
-// the model flags as unmodeled are outside the exact scope and skipped.
-func crossCheckCost(im *asm.Image, slots int, m *core.Machine, pcProf *obs.PCProfile) error {
-	if m.CPU.Stats.Exceptions > 0 {
-		return nil
-	}
-	rep := lint.AnalyzeCost(im, lint.Config{Slots: slots})
-	if !rep.Exact() {
-		return nil
-	}
-	p := rep.Predict(pcProf)
-	led := m.Obs.Ledger
-	exec, nop, sq := led.Count(obs.CauseExecute), led.Count(obs.CauseNop), led.Count(obs.CauseSquashAnnul)
-	if p.Execute != int64(exec) || p.Nops != int64(nop) || p.SquashAnnul != int64(sq) {
-		return fmt.Errorf("static cost model disagrees with ledger: predicted execute/nop/squash-annul %d/%d/%d, measured %d/%d/%d",
-			p.Execute, p.Nops, p.SquashAnnul, exec, nop, sq)
-	}
-	return nil
 }
 
 // runProfiled rebuilds b with the branch profile of its unprofiled run's
@@ -496,7 +473,7 @@ func runAsm(ctx context.Context, src string, ms spec.MachineSpec) (*core.Machine
 	if err := runMachine(ctx, m); err != nil {
 		return nil, err
 	}
-	if err := crossCheckCost(im, ms.Branch.Slots, m, pcProf); err != nil {
+	if err := lint.CrossCheck(im, ms.Branch.Slots, pcProf, m.Obs.Ledger, m.CPU.Stats.Exceptions); err != nil {
 		return nil, err
 	}
 	return m, nil

@@ -52,6 +52,16 @@ func DefaultConfig() Config {
 // SizeWords returns the data capacity.
 func (c Config) SizeWords() int { return c.Sets * c.Ways * c.BlockWords }
 
+// StateBits returns the number of architected storage bits the
+// organization costs on chip: data, per-word valid bits (sub-block
+// placement) and one tag per block. Sets and BlockWords must be powers of
+// two.
+func (c Config) StateBits() int {
+	words := c.SizeWords()
+	tagBits := 32 - int(log2(c.BlockWords)) - int(log2(c.Sets))
+	return words*32 + words + c.Sets*c.Ways*tagBits
+}
+
 // Stats accumulates Icache behaviour.
 type Stats struct {
 	Fetches uint64
@@ -375,9 +385,5 @@ func (c *Cache) SetPID(pid int) {
 }
 
 // StateBits returns the number of architected storage bits in the cache
-// (data + valid bits + tags), used by the Figure 2 state-accounting test.
-func (c *Cache) StateBits() int {
-	words := c.cfg.SizeWords()
-	tagBits := 32 - int(c.blkShift) - int(c.setBits) // tag width per block
-	return words*32 + words + c.cfg.Sets*c.cfg.Ways*tagBits
-}
+// (Config.StateBits), used by the Figure 2 state-accounting test.
+func (c *Cache) StateBits() int { return c.cfg.StateBits() }

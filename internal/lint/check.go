@@ -123,6 +123,17 @@ func (c *checker) buildGraph() {
 			c.succ[i] = append(c.succ[i], j)
 		}
 	}
+	// join marks the instructions issue can enter other than linearly: the
+	// entry and every static target.
+	join := make([]bool, n)
+	if c.entry < n {
+		join[c.entry] = true
+	}
+	for t := range c.ins {
+		if tgt, ok := c.takenTarget(t); ok && c.isIn[t] && tgt >= 0 && tgt < n {
+			join[tgt] = true
+		}
+	}
 	for i := 0; i < n; i++ {
 		if !c.isIn[i] {
 			continue
@@ -137,12 +148,18 @@ func (c *checker) buildGraph() {
 		// Last slot of t's window: issue continues at the target when the
 		// transfer goes, at i+1 when a conditional branch falls through.
 		// Squashed slots still occupy issue positions, so the fall-through
-		// edge exists for squashing branches too.
+		// edge exists for squashing branches too. A slot that is also a
+		// join point is issued outside the window as well, and from there
+		// issue runs on past the window end.
 		tin := c.ins[t]
 		if tgt, ok := c.takenTarget(t); ok {
 			add(i, tgt)
 		}
-		if tin.IsBranch() && !isUncondBranch(tin) {
+		entered := false
+		for j := t + 1; j <= i; j++ {
+			entered = entered || join[j]
+		}
+		if tin.IsBranch() && !isUncondBranch(tin) || entered {
 			add(i, i+1)
 		}
 	}

@@ -34,10 +34,12 @@ import (
 // CostReport.Unmodeled instead of producing silently-wrong numbers. They
 // are: a squashing branch whose delay window is split by a label,
 // re-anchored by another transfer, or truncated by data/image end (the
-// annul correction then spans two blocks), and a halt inside any delay
+// annul correction then spans two blocks), a halt inside any delay
 // window (the window's tail is still in flight when the machine stops, so
-// its final passes never reach WB). Exception entry is dynamic, not
-// static: callers skip the exact comparison when a run took exceptions.
+// its final passes never reach WB), and a console operation whose command
+// comes from a register (it may halt mid-block). Exception entry is
+// dynamic, not static: callers skip the exact comparison when a run took
+// exceptions.
 
 // CostSchema versions CostReport JSON output.
 const CostSchema = "mipsx-lint-cost/v1"
@@ -60,7 +62,7 @@ type BlockCost struct {
 	Label string   `json:"label,omitempty"`
 	// Len is the issue cost: base cycles consumed per entry with a perfect
 	// Icache (Len == Exec + Nops). A halt block counts only the
-	// instructions ahead of the halt cpw — the cpw and everything behind it
+	// instructions ahead of the halt — the halt and everything behind it
 	// are still in flight when the machine stops and never retire.
 	Len  int `json:"len"`
 	Exec int `json:"exec"`
@@ -139,6 +141,29 @@ func (r *CostReport) Predict(prof *obs.PCProfile) Prediction {
 	return p
 }
 
+// CrossCheck validates the static cost model against a run of im on a
+// slots-slot machine: fed with the run's PC profile, Predict must equal the
+// ledger's execute, nop and squash-annul counts exactly. Any drift means
+// either the static model or the pipeline is wrong. A run that took
+// exceptions, or an image using constructs the model flags as unmodeled,
+// is outside the exact scope and passes.
+func CrossCheck(im *asm.Image, slots int, prof *obs.PCProfile, led *obs.Ledger, exceptions uint64) error {
+	if exceptions > 0 {
+		return nil
+	}
+	rep := AnalyzeCost(im, Config{Slots: slots})
+	if !rep.Exact() {
+		return nil
+	}
+	p := rep.Predict(prof)
+	exec, nop, sq := led.Count(obs.CauseExecute), led.Count(obs.CauseNop), led.Count(obs.CauseSquashAnnul)
+	if p.Execute != int64(exec) || p.Nops != int64(nop) || p.SquashAnnul != int64(sq) {
+		return fmt.Errorf("static cost model disagrees with ledger: predicted execute/nop/squash-annul %d/%d/%d, measured %d/%d/%d",
+			p.Execute, p.Nops, p.SquashAnnul, exec, nop, sq)
+	}
+	return nil
+}
+
 // Render formats the report as a table; with a profile it adds measured
 // entry counts and the rolled-up prediction. String() is Render(nil).
 func (r *CostReport) Render(prof *obs.PCProfile) string {
@@ -201,7 +226,7 @@ func AnalyzeCost(im *asm.Image, cfg Config) *CostReport {
 type blockInfo struct {
 	lo, hi int
 	xfer   int // transfer whose window closes at hi, or -1
-	halt   int // index of a halt cpw in [lo, hi], or -1
+	halt   int // index of a halt in [lo, hi], or -1
 	succs  []int
 }
 
@@ -212,11 +237,12 @@ func (c *checker) windowEnd(i int) bool {
 	return t >= 0 && i == t+c.cfg.Slots
 }
 
-// isHaltInstr statically recognizes the assembler's halt idiom: a cpw to
-// the system coprocessor carrying the halt command with no register base,
-// so the address pins are known at assembly time.
+// isHaltInstr statically recognizes a halt: a coprocessor operation (the
+// assembler's cpw idiom, or an ldc or stc) to the system coprocessor
+// carrying the halt command with no register base, so the address pins are
+// known at assembly time.
 func isHaltInstr(in isa.Instruction) bool {
-	return in.Class == isa.ClassMem && in.Mem == isa.MemCpw && in.Rs1 == 0 &&
+	return in.IsCoproc() && in.Rs1 == 0 &&
 		in.CoprocNum() == asm.SysCoproc && uint16(in.Off)&0x3FFF == asm.CmdHalt
 }
 
@@ -299,6 +325,10 @@ func (c *checker) findUnmodeled() {
 			c.unmod = append(c.unmod, fmt.Sprintf(
 				"halt at pc %#06x sits in a delay window: the window's tail never retires", uint32(c.pcOf(t))))
 		}
+		if in.IsCoproc() && in.CoprocNum() == asm.SysCoproc && in.Rs1 != 0 {
+			c.unmod = append(c.unmod, fmt.Sprintf(
+				"console operation at pc %#06x takes its command from a register: it may halt", uint32(c.pcOf(t))))
+		}
 		if !in.IsBranch() || !in.Squash || isUncondBranch(in) {
 			continue
 		}
@@ -331,7 +361,7 @@ func (c *checker) costBlock(b blockInfo) BlockCost {
 	}
 	stop := b.hi
 	if b.halt >= 0 {
-		stop = b.halt - 1 // the halt cpw never reaches WB
+		stop = b.halt - 1 // the halt never reaches WB
 	}
 	for j := b.lo; j <= stop; j++ {
 		bc.Len++

@@ -28,28 +28,26 @@ func mustAnalyze(t *testing.T, src string, cfg lint.Config) *lint.CostReport {
 
 func TestCostBlocksAndHaltTruncation(t *testing.T) {
 	// One straight line into a halt: a single block whose cost excludes the
-	// halt cpw itself (it is still in flight when the machine stops).
-	rep := mustAnalyze(t, `
-main:	add r1, r0, r0
-	addi r2, r1, 3
-	nop
-	halt
-`, lint.Config{Slots: 2})
-	if !rep.Exact() {
-		t.Fatalf("straight-line program flagged unmodeled: %v", rep.Unmodeled)
-	}
-	if len(rep.Blocks) != 1 {
-		t.Fatalf("blocks = %d, want 1\n%s", len(rep.Blocks), rep)
-	}
-	b := rep.Blocks[0]
-	if !b.Halt || b.Len != 3 || b.Exec != 2 || b.Nops != 1 {
-		t.Fatalf("halt block = %+v, want len 3 exec 2 nops 1 halt", b)
-	}
-	if len(b.Succs) != 0 {
-		t.Fatalf("halt block has successors: %v", b.Succs)
-	}
-	if rep.Entry != 0 {
-		t.Fatalf("entry = %#x, want 0 (main)", rep.Entry)
+	// halt itself (it is still in flight when the machine stops), whether
+	// the halt command goes out by cpw, stc or ldc.
+	for _, halt := range []string{"halt", "stc r1, c7, 16383(r0)", "ldc r1, c7, 16383(r0)"} {
+		rep := mustAnalyze(t, "main:\tadd r1, r0, r0\n\taddi r2, r1, 3\n\tnop\n\t"+halt+"\n", lint.Config{Slots: 2})
+		if !rep.Exact() {
+			t.Fatalf("%s: straight-line program flagged unmodeled: %v", halt, rep.Unmodeled)
+		}
+		if len(rep.Blocks) != 1 {
+			t.Fatalf("%s: blocks = %d, want 1\n%s", halt, len(rep.Blocks), rep)
+		}
+		b := rep.Blocks[0]
+		if !b.Halt || b.Len != 3 || b.Exec != 2 || b.Nops != 1 {
+			t.Fatalf("%s: halt block = %+v, want len 3 exec 2 nops 1 halt", halt, b)
+		}
+		if len(b.Succs) != 0 {
+			t.Fatalf("%s: halt block has successors: %v", halt, b.Succs)
+		}
+		if rep.Entry != 0 {
+			t.Fatalf("%s: entry = %#x, want 0 (main)", halt, rep.Entry)
+		}
 	}
 }
 
@@ -136,6 +134,14 @@ main:	b mid
 top:	beq.sq r1, r2, top
 	nop
 mid:	add r3, r0, r0
+	halt
+`,
+		},
+		{
+			name: "console command from a register",
+			flag: "takes its command from a register",
+			src: `
+main:	stc r1, c7, 0(r2)
 	halt
 `,
 		},

@@ -259,17 +259,6 @@ func normalize(ds []Diagnostic) []Diagnostic {
 	return out
 }
 
-// CheckStmts assembles symbolic statements at address 0 and verifies the
-// result. This is the entry point for reorganizer output that has not been
-// laid out yet.
-func CheckStmts(stmts []asm.Stmt, cfg Config) (*Report, error) {
-	im, err := asm.Assemble(stmts, 0)
-	if err != nil {
-		return nil, err
-	}
-	return CheckImage(im, cfg), nil
-}
-
 // CheckSource parses, assembles and verifies assembler source.
 func CheckSource(src string, cfg Config) (*Report, error) {
 	im, err := asm.AssembleSource(src, 0)

@@ -184,6 +184,20 @@ main:	li r1, 42
 `,
 		},
 		{
+			// The jump's one delay slot is also its target, so the slot is
+			// issued a second time outside the window and runs on into movs.
+			name: "special-timing positive (delay slot entered as jump target)",
+			cfg:  cfg1,
+			rule: lint.RuleSpecialTiming,
+			hits: 1,
+			src: `
+main:	jspci r0, s(r0)
+s:	mots md, r2
+	movs r3, md
+	halt
+`,
+		},
+		{
 			name: "pc-chain positive",
 			cfg:  cfg2,
 			rule: lint.RulePCChain,

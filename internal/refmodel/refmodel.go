@@ -74,7 +74,9 @@ func (m *Machine) setReg(r isa.Reg, v isa.Word) {
 }
 
 // step executes the instruction at PC. Control transfers execute their
-// delay slots inline (recursively via exec), applying squash semantics.
+// delay slots inline (recursively via exec), applying squash semantics; a
+// halt in a slot ends the window there, as nothing behind the halt retires
+// on the pipeline.
 func (m *Machine) step() error {
 	in := isa.Decode(m.Mem[m.PC])
 	pc := m.PC
@@ -87,7 +89,7 @@ func (m *Machine) step() error {
 		taken := isa.EvalCond(in.Cond, a, b)
 		squash := in.Squash && !taken
 		// Execute (or squash) the delay slots.
-		for s := 0; s < m.Slots; s++ {
+		for s := 0; s < m.Slots && !m.Console.Halted; s++ {
 			if squash {
 				m.PC++
 				m.Instructions++ // a squashed slot still occupies an issue
@@ -108,7 +110,7 @@ func (m *Machine) step() error {
 		// pipeline bypasses it), so it is written before they execute; a
 		// slot that overwrites it wins, as its writeback is younger.
 		m.setReg(in.Rd, pc+1+isa.Word(m.Slots))
-		for s := 0; s < m.Slots; s++ {
+		for s := 0; s < m.Slots && !m.Console.Halted; s++ {
 			if err := m.execNonControl(); err != nil {
 				return err
 			}
@@ -148,7 +150,7 @@ func (m *Machine) execOne(in isa.Instruction, pc isa.Word) error {
 			m.Mem[addr] = m.FPU.StoreReg(in.Rd)
 		case isa.MemLdc, isa.MemStc, isa.MemCpw:
 			res := m.coprocExec(in, addr)
-			if in.Mem == isa.MemLdc {
+			if in.Mem == isa.MemLdc && !m.Console.Halted { // a halting ldc never retires
 				m.setReg(in.Rd, res)
 			}
 		}

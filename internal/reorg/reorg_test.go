@@ -7,6 +7,7 @@ import (
 	"repro/internal/asm"
 	"repro/internal/coproc"
 	"repro/internal/isa"
+	"repro/internal/lint"
 	"repro/internal/pipeline"
 )
 
@@ -29,20 +30,32 @@ func (f *flat) Write(a, w isa.Word) int {
 	return 0
 }
 
-// runReorganized parses naive source, reorganizes it for the scheme, runs it
-// on a machine with matching slot count and hazard checking, and returns
-// (cpu, output).
-func runReorganized(t *testing.T, src string, scheme Scheme, prof Profile) (*pipeline.CPU, string) {
+// reorganizeAndLint parses naive source and reorganizes it for the scheme.
+// The output must give every transfer exactly its delay slots and lint with
+// no error; reorganizeAndLint returns its assembled image.
+func reorganizeAndLint(t *testing.T, src string, scheme Scheme, prof Profile) *asm.Image {
 	t.Helper()
 	stmts, err := asm.Parse(src)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
 	out := Reorganize(stmts, scheme, prof)
+	requireExactSlots(t, out, scheme.Slots)
 	im, err := asm.Assemble(out, 0)
 	if err != nil {
 		t.Fatalf("assemble reorganized: %v", err)
 	}
+	if rep := lint.CheckImage(im, lint.Config{Slots: scheme.Slots}); rep.HasErrors() {
+		t.Fatalf("%s output failed hazard lint:\n%s", scheme, rep)
+	}
+	return im
+}
+
+// runReorganized runs reorganizeAndLint's image on a machine with matching
+// slot count and hazard checking, and returns (cpu, output).
+func runReorganized(t *testing.T, src string, scheme Scheme, prof Profile) (*pipeline.CPU, string) {
+	t.Helper()
+	im := reorganizeAndLint(t, src, scheme, prof)
 	mem := &flat{words: append([]isa.Word(nil), im.Words...)}
 	var sb strings.Builder
 	con := &coproc.Console{Out: &sb}
@@ -141,29 +154,122 @@ data:	.word 5
 	}
 }
 
-func TestEveryTransferGetsExactSlots(t *testing.T) {
-	src := `
-main:	addi r1, r0, 1
-	beq r1, r1, next
-	addi r9, r0, 9
-next:	call fn
-	halt
-fn:	ret
-`
-	for _, scheme := range []Scheme{{2, NoSquash}, {1, NoSquash}, {2, SquashOptional}} {
-		stmts, _ := asm.Parse(src)
-		out := Reorganize(stmts, scheme, nil)
-		for i, s := range out {
-			if !s.IsInstr || !isCtrl(s) {
-				continue
-			}
-			for k := 1; k <= scheme.Slots; k++ {
-				if i+k >= len(out) || !out[i+k].IsInstr || isCtrl(out[i+k]) {
-					t.Fatalf("scheme %v: transfer at %d lacks slot %d", scheme, i, k)
-				}
+// requireExactSlots fails t unless every control transfer in the flattened
+// output is followed by slots instruction statements, none a transfer: the
+// filler left no slot unfilled when stealing failed.
+func requireExactSlots(t *testing.T, out []asm.Stmt, slots int) {
+	t.Helper()
+	for i, s := range out {
+		if !isCtrl(s) {
+			continue
+		}
+		for k := 1; k <= slots; k++ {
+			if i+k >= len(out) || !out[i+k].IsInstr || isCtrl(out[i+k]) {
+				t.Fatalf("transfer at stmt %d (line %d) lacks delay slot %d of %d", i, s.Line, k, slots)
 			}
 		}
 	}
+}
+
+// seamSrc is the shape that defeats a purely block-local hazard check: the
+// candidate the from-above filler wants to move into the jump's delay slot
+// (addi r2) produces the operand of a quick-compare branch sitting at the
+// jump target. On the 1-slot machine that branch reads its sources in RF —
+// the value must be two issue slots back, and the slot is only one.
+const seamSrc = `
+main:	addi r1, r0, 5
+	addi r2, r0, 9
+	b tgt
+tgt:	bne r2, r1, out
+	putw r1
+	halt
+out:	putw r2
+	halt
+`
+
+func TestSeamHazardNotStolenOnQuickMachine(t *testing.T) {
+	// Regression for the from-above filler's seam blindness: it must refuse
+	// to park a quick-branch operand producer in the delay slot directly
+	// before the branch. Lint (in runReorganized) proves the schedule, the
+	// output proves the branch still decides on the fresh value (r2 = 9 ≠
+	// r1 = 5 → taken → prints 9), and the hazard checker proves no stale
+	// read happened on the way. The 2-slot schemes run the same program.
+	for _, scheme := range Table1Schemes() {
+		t.Run(scheme.String(), func(t *testing.T) {
+			_, out := runReorganized(t, seamSrc, scheme, nil)
+			if out != "9\n" {
+				t.Fatalf("output %q, want 9 (branch read a stale operand)", out)
+			}
+		})
+	}
+}
+
+// nestedLoops nests two counted loops, forward and backward branches:
+// r4 = 4 inner iterations, r5 = 3 outer → total = 3 * (0+1+2+3) = 18.
+const nestedLoops = `
+main:	addi r4, r0, 4
+	addi r5, r0, 3
+	addi r1, r0, 0      ; total
+	addi r2, r0, 0      ; i
+outer:	addi r3, r0, 0      ; j
+inner:	add  r1, r1, r3
+	addi r3, r3, 1
+	blt  r3, r4, inner
+	addi r2, r2, 1
+	blt  r2, r5, outer
+	putw r1
+	halt
+`
+
+// TestReorganizeCheckedStress: the reorganized naive sum, seam and nested
+// loops give every transfer its exact delay slots and lint clean under
+// every Table 1 scheme.
+func TestReorganizeCheckedStress(t *testing.T) {
+	srcs := map[string]string{"naiveSum": naiveSum, "seam": seamSrc, "nestedLoops": nestedLoops}
+	for name, src := range srcs {
+		for _, scheme := range Table1Schemes() {
+			t.Run(name+"/"+scheme.String(), func(t *testing.T) {
+				reorganizeAndLint(t, src, scheme, nil)
+			})
+		}
+	}
+}
+
+// TestReorganizeCheckedReportsPlantedHazard: a scheduler that drops the
+// no-op between a load and its consumer must not get past lint. Strip every
+// no-op from a legal schedule and lint must report the load-use hazard.
+func TestReorganizeCheckedReportsPlantedHazard(t *testing.T) {
+	src := `
+main:	la r1, data
+	ld r2, 0(r1)
+	putw r2
+	halt
+data:	.word 7
+`
+	if _, out := runReorganized(t, src, Default(), nil); out != "7\n" {
+		t.Fatalf("output %q, want 7", out)
+	}
+	stmts, err := asm.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var broken []asm.Stmt
+	for _, s := range Reorganize(stmts, Default(), nil) {
+		if !s.IsInstr || !s.In.IsNop() || len(s.Labels) > 0 {
+			broken = append(broken, s)
+		}
+	}
+	im, err := asm.Assemble(broken, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := lint.CheckImage(im, lint.Config{Slots: 2})
+	for _, d := range rep.Errors() {
+		if d.Rule == lint.RuleLoadUse {
+			return
+		}
+	}
+	t.Fatalf("hazard survived the lint check:\n%s", rep)
 }
 
 func TestSquashFillCopiesFromTargetAndRetargets(t *testing.T) {
@@ -368,50 +474,10 @@ buf:	.space 2
 
 func TestStressManyBranchShapes(t *testing.T) {
 	// Nested loops with forward and backward branches, through every scheme.
-	src := `
-main:	addi r1, r0, 0      ; total
-	addi r2, r0, 0      ; i
-outer:	addi r3, r0, 0      ; j
-inner:	add  r1, r1, r3
-	addi r3, r3, 1
-	blt  r3, r4, inner
-	addi r2, r2, 1
-	blt  r2, r5, outer
-	putw r1
-	halt
-`
-	// r4 = 4 inner iterations, r5 = 3 outer → total = 3 * (0+1+2+3) = 18.
 	for _, scheme := range Table1Schemes() {
 		t.Run(scheme.String(), func(t *testing.T) {
-			stmts, err := asm.Parse(src)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out := Reorganize(stmts, scheme, nil)
-			im, err := asm.Assemble(out, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mem := &flat{words: append([]isa.Word(nil), im.Words...)}
-			var sb strings.Builder
-			con := &coproc.Console{Out: &sb}
-			var set coproc.Set
-			set.Attach(7, con)
-			cpu := pipeline.New(pipeline.Config{BranchSlots: scheme.Slots, CheckHazards: true}, mem, mem, &set)
-			cpu.Reset(im.Symbols["main"])
-			cpu.SetReg(4, 4)
-			cpu.SetReg(5, 3)
-			for cycles := 0; !con.Halted; {
-				cycles += cpu.Step()
-				if cycles > 100000 {
-					t.Fatal("no halt")
-				}
-			}
-			if got := sb.String(); got != "18\n" {
-				t.Fatalf("output %q, want 18", got)
-			}
-			for _, v := range cpu.Violations {
-				t.Errorf("violation: %v", v)
+			if _, out := runReorganized(t, nestedLoops, scheme, nil); out != "18\n" {
+				t.Fatalf("output %q, want 18", out)
 			}
 		})
 	}

@@ -445,26 +445,14 @@ func (ic ICacheSpec) BuildICache() icache.Config {
 	}
 }
 
-// StateBits is the architected storage the organization costs on chip —
-// data bits, per-word valid bits (sub-block placement) and tags — the
-// explorer's area axis. It mirrors icache.Cache.StateBits exactly but needs
-// no constructed cache, so invalid geometries simply report 0.
+// StateBits is the architected storage the organization costs on chip
+// (icache.Config.StateBits), the explorer's area axis. An invalid geometry
+// reports 0.
 func (ic ICacheSpec) StateBits() int {
 	if !powerOfTwo(ic.Sets) || !powerOfTwo(ic.BlockWords) || ic.Ways <= 0 {
 		return 0
 	}
-	words := ic.Sets * ic.Ways * ic.BlockWords
-	tagBits := 32 - log2(ic.BlockWords) - log2(ic.Sets)
-	return words*32 + words + ic.Sets*ic.Ways*tagBits
-}
-
-func log2(v int) int {
-	n := 0
-	for v > 1 {
-		v >>= 1
-		n++
-	}
-	return n
+	return ic.BuildICache().StateBits()
 }
 
 // BuildECache realizes the Ecache sub-spec alone. The enum fields must be
