@@ -67,7 +67,9 @@ cost-gate:
 # lint-clean raw programs and over compiled tinyc (whose build lints its
 # output), the spec JSON and sweep boundaries, the trace encoder against its
 # json.Marshal reference, the window-stream decoder, the assembler's layout
-# bounds and the document parsers (CI smokes all eight on every merge).
+# bounds, the document parsers and tinyc source text built under every
+# Table 1 scheme (CI smokes all nine on every merge, 30 s each; the ninth,
+# FuzzCompileReorgLint, raised CI's fuzz budget by 30 s).
 # FuzzDocuments' seeds are 2-40 KB documents and FuzzRawVsRefmodel finds a
 # new input every few hundred runs, so each new input is minimized for 1 s,
 # not the default 60 s that would take most of the budget.
@@ -80,6 +82,7 @@ fuzz:
 	$(GO) test ./internal/obs -fuzz=FuzzParseWindowStream -fuzztime=60s -run '^$$'
 	$(GO) test ./internal/asm -fuzz=FuzzAssemble -fuzztime=60s -run '^$$'
 	$(GO) test ./internal/experiments -fuzz=FuzzDocuments -fuzztime=60s -fuzzminimizetime=1s -run '^$$'
+	$(GO) test ./internal/lint -fuzz=FuzzCompileReorgLint -fuzztime=60s -run '^$$'
 
 # Bench-regression tracking, three passes. The serial pass (every cell
 # live at -parallel 1, no cache) must match the recorded golden tables and

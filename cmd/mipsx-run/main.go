@@ -37,7 +37,7 @@ import (
 
 func main() {
 	tiny := flag.Bool("tiny", false, "input is tinyc source (compile + reorganize)")
-	profile := flag.Bool("profile", false, "with -tiny: rebuild with branch profile feedback")
+	profile := flag.Bool("profile", false, "with -tiny or -bench: rebuild with branch profile feedback")
 	stats := flag.Bool("stats", false, "print run statistics")
 	check := flag.Bool("check", false, "enable the software-interlock hazard checker")
 	doLint := flag.Bool("lint", false, "statically verify the program before running; refuse on errors")
@@ -86,6 +86,13 @@ func main() {
 		runScenario(*scenarioList, *specPath, *scenarioQuantum, *scenarioPolicy,
 			*traceOut, *obsWindow, *obsWindowOut, *breakdown, *breakdownOut)
 		return
+	}
+
+	if *profile && !*tiny && *benchName == "" {
+		// Only tinyc source can be rebuilt with the measured profile;
+		// assembly is already scheduled.
+		fmt.Fprintln(os.Stderr, "mipsx-run: -profile needs -tiny or -bench")
+		os.Exit(2)
 	}
 
 	var src []byte
@@ -163,7 +170,7 @@ func main() {
 	}
 	cfg.Pipeline.CheckHazards = *check
 
-	if *tiny && *profile {
+	if *profile {
 		// First pass: collect branch outcomes; second pass: rebuild.
 		m := core.New(cfg, os.Stdout)
 		m.Load(im)

@@ -72,6 +72,59 @@ func TestPipeCyclesCount(t *testing.T) {
 	}
 }
 
+// TestStatsValues pins every -stats line of a plain run and of a -profile
+// rebuild, which runs the program once, rebuilds it with the measured
+// branch profile and runs the rebuild (bubblesort without -profile takes
+// 53,633 cycles).
+func TestStatsValues(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-bench", "fib", "-stats"}, `610
+cycles            50669
+instructions      50327 (nops 3947, squashed 0)
+CPI               1.007
+no-op fraction    7.8%
+branches          1973 (taken 986, cycles/branch 2.00)
+loads/stores      6907/6908
+icache            0.1% miss, 221 stall cycles
+ecache            0.2% miss, 270 stall cycles
+ifetch cost       1.004 cycles
+sustained MIPS    19.87 @ 20 MHz
+`},
+		{[]string{"-bench", "bubblesort", "-profile", "-stats"}, `1344699
+-- profiled rebuild --
+1344699
+cycles            53566
+instructions      52556 (nops 5270, squashed 132)
+CPI               1.019
+no-op fraction    10.3%
+branches          4289 (taken 3178, cycles/branch 1.53)
+loads/stores      6380/2286
+icache            0.2% miss, 826 stall cycles
+ecache            0.9% miss, 756 stall cycles
+ifetch cost       1.016 cycles
+sustained MIPS    19.62 @ 20 MHz
+`},
+	} {
+		code, stdout, stderr := mipsxRun(t, c.args...)
+		if code != 0 || stdout != c.want {
+			t.Errorf("%v: exit %d, stderr %q, stdout:\n%s\nwant:\n%s", c.args, code, stderr, stdout, c.want)
+		}
+	}
+}
+
+// TestProfileNeedsTinyc: an assembly input has nothing for -profile to
+// rebuild, so the flag exits 2 and says what it needs.
+func TestProfileNeedsTinyc(t *testing.T) {
+	prog := filepath.Join("..", "..", "internal", "core", "testdata", "trace_program.s")
+	code, stdout, stderr := mipsxRun(t, "-profile", "-stats", prog)
+	if code != 2 || stdout != "" || !strings.Contains(stderr, "-profile needs -tiny or -bench") {
+		t.Fatalf("exit %d, stdout %q, stderr %q; want exit 2 naming -profile", code, stdout, stderr)
+	}
+}
+
 // TestScenarioTraceOut: -trace-out under -scenario streams the scenario's
 // trace, byte for byte the one the scenario tracer has always written.
 func TestScenarioTraceOut(t *testing.T) {

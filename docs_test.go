@@ -179,18 +179,7 @@ func TestExperimentsDocMatchesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := os.ReadFile("BENCH_baseline.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	golden, err := experiments.ParseBenchDoc(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tables := map[string]experiments.ExpResult{}
-	for _, e := range golden.Experiments {
-		tables[e.ID] = e
-	}
+	tables := goldenTables(t)
 
 	seen := map[[2]string]bool{}
 	sec := ""
@@ -239,6 +228,138 @@ func TestExperimentsDocMatchesGolden(t *testing.T) {
 			t.Errorf("mapping for %s bold %q names no span in EXPERIMENTS.md", key[0], key[1])
 		}
 	}
+}
+
+// readmeNumbers maps each "measured here" cell of README.md's "Headline
+// reproductions" table that holds a number to the source of each number in
+// it, in order. E12 is e12Table's fold of SCENARIO_baseline.json.
+var readmeNumbers = map[string][]docRef{
+	"1.54 vs 1.74 (ordering and shipped-scheme band reproduced)": {
+		cell("E1", "2-slot squash optional", "cycles/branch"),
+		cell("E1", "2-slot no squash", "cycles/branch"),
+	},
+	"24% → 12%, 1.24 cycles/fetch": {
+		pct("E2", "single fetch, 2-cycle miss", "miss ratio"),
+		pct("E2", "double fetch, 2-cycle miss (chosen)", "miss ratio"),
+		cell("E2", "double fetch, 2-cycle miss (chosen)", "fetch cycles"),
+	},
+	"1.49× slower": {cell("E5", "non-cached coprocessor instructions", "vs chosen")},
+	"1.73× path, 12.0× speedup (geomean)": {
+		cell("E7", "geometric mean", "path ratio"),
+		cell("E7", "geometric mean", "speedup"),
+	},
+	"10 nodes = 158× (extension experiment E11)": {
+		named("E11", "10"),
+		cell("E11", "10", "vs VAX 11/780"),
+	},
+	"flush costs up to 63% more CPI at a 2,000-cycle quantum; PID-tagged rows charge provably zero switch cycles (E12)": {
+		pct("E12", "2000", "largest flush CPI excess"),
+		named("E12", "2000"),
+	},
+}
+
+// readmeNumber is docNumber for README's table, whose cells also name
+// experiments: a digit right after a letter (E11) is part of a name.
+var readmeNumber = regexp.MustCompile(`\b\d[\d,]*(?:\.\d+)?`)
+
+// TestReadmeHeadlinesMatchGolden: every number README.md's headline table
+// reports as measured is the golden value at the README's rounding, and
+// every mapping names a cell the table still has.
+func TestReadmeHeadlinesMatchGolden(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile("SCENARIO_baseline.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	scn, err := experiments.ParseScenarioDoc(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables := goldenTables(t)
+	tables["E12"] = e12Table(scn)
+
+	_, table, _ := strings.Cut(string(readme), "\n## Headline reproductions\n")
+	table, _, _ = strings.Cut(table, "\n## ")
+	seen := map[string]bool{}
+	for _, line := range strings.Split(table, "\n") {
+		cols := strings.Split(line, "|")
+		if len(cols) != 4 {
+			continue
+		}
+		measured := strings.TrimSpace(cols[2])
+		nums := readmeNumber.FindAllString(measured, -1)
+		if len(nums) == 0 {
+			continue
+		}
+		refs, ok := readmeNumbers[measured]
+		if !ok {
+			t.Errorf("README headline %q has no mapping to the golden", measured)
+			continue
+		}
+		seen[measured] = true
+		if len(refs) != len(nums) {
+			t.Errorf("README headline %q holds numbers %v, mapped to %d sources", measured, nums, len(refs))
+			continue
+		}
+		for i, num := range nums {
+			if err := checkDocNumber(tables, refs[i], strings.ReplaceAll(num, ",", "")); err != nil {
+				t.Errorf("README headline %q: %s: %v", measured, num, err)
+			}
+		}
+	}
+	for key := range readmeNumbers {
+		if !seen[key] {
+			t.Errorf("mapping for README headline %q names no cell in the table", key)
+		}
+	}
+}
+
+// goldenTables reads BENCH_baseline.json's tables by experiment ID.
+func goldenTables(t *testing.T) map[string]experiments.ExpResult {
+	t.Helper()
+	b, err := os.ReadFile("BENCH_baseline.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := experiments.ParseBenchDoc(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables := map[string]experiments.ExpResult{}
+	for _, e := range golden.Experiments {
+		tables[e.ID] = e
+	}
+	return tables
+}
+
+// e12Table folds the quantum sweep's golden document into one row per
+// quantum: the largest fraction by which the flush policy's CPI exceeds the
+// pid policy's on the same workload.
+func e12Table(doc *experiments.ScenarioDoc) experiments.ExpResult {
+	type run struct {
+		workload string
+		quantum  int
+	}
+	pid := map[run]float64{}
+	for _, c := range doc.Cells {
+		if c.Policy == "pid" {
+			pid[run{c.Workload, c.Quantum}] = c.Result.CPI()
+		}
+	}
+	excess := map[int]float64{}
+	for _, c := range doc.Cells {
+		if c.Policy == "flush" {
+			excess[c.Quantum] = max(excess[c.Quantum], c.Result.CPI()/pid[run{c.Workload, c.Quantum}]-1)
+		}
+	}
+	tb := experiments.ExpResult{ID: "E12", Header: []string{"quantum", "largest flush CPI excess"}}
+	for q, x := range excess {
+		tb.Rows = append(tb.Rows, []string{strconv.Itoa(q), strconv.FormatFloat(x, 'g', -1, 64)})
+	}
+	return tb
 }
 
 // checkDocNumber checks one doc number against its source.

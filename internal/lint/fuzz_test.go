@@ -7,8 +7,8 @@ package lint_test
 // fails on any error). On a machine with no hardware interlocks such an
 // error would be silent data corruption at runtime. The grammar-driven
 // tinyc generator, whose programs also run against the golden model, is
-// internal/refmodel's FuzzPipelineVsRefmodel, which `make fuzz` and CI
-// run; this target is not in either. `go test` runs the seeds below;
+// internal/refmodel's FuzzPipelineVsRefmodel. `make fuzz` and CI's fuzz
+// smoke run both targets; `go test` runs the seeds below, and
 // `go test -fuzz=FuzzCompileReorgLint` explores.
 
 import (

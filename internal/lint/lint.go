@@ -122,15 +122,6 @@ func RuleSeverity(rule string) Severity {
 	return SevInfo
 }
 
-// Rules lists every rule identifier, in documentation order.
-func Rules() []string {
-	return []string{
-		RuleLoadUse, RuleCoprocTransfer, RuleCtrlInSlot, RuleSpecialTiming,
-		RulePCChain, RuleQuickBranch, RulePSWWindow, RuleSquashSlotWrite,
-		RuleSlotUnfilled, RuleSquashSlotNop, RuleUnreachable,
-	}
-}
-
 // Diagnostic is one typed finding.
 type Diagnostic struct {
 	Rule     string   `json:"rule"`

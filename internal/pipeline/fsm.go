@@ -41,10 +41,11 @@ const (
 	CauseBranch
 )
 
-// SquashFSM tracks squash activity. Busy() spans the cycles during which
-// squashed instructions are still upstream of the ALU, which is exactly the
-// window in which attaching an interrupt would capture a squashed
-// instruction in the PC chain without the branch that squashed it.
+// SquashFSM tracks squash activity. A walk (State not SqIdle) spans the
+// cycles during which squashed instructions are still upstream of the ALU,
+// which is exactly the window in which attaching an interrupt would capture
+// a squashed instruction in the PC chain without the branch that squashed
+// it.
 type SquashFSM struct {
 	State       SqState
 	Events      [2]uint64 // indexed by SquashCause
@@ -77,6 +78,3 @@ func (f *SquashFSM) Tick() {
 		f.CyclesBusy++
 	}
 }
-
-// Busy reports whether a squash walk is in progress.
-func (f *SquashFSM) Busy() bool { return f.State != SqIdle }

@@ -337,9 +337,6 @@ func (c *CPU) PSW() isa.PSW { return c.psw }
 // MD returns the multiply/divide register.
 func (c *CPU) MD() isa.Word { return c.md }
 
-// Chain returns the PC chain (pc0 oldest).
-func (c *CPU) Chain() [3]isa.Word { return c.chain }
-
 func (c *CPU) violate(pc isa.Word, format string, args ...any) {
 	if c.Cfg.CheckHazards {
 		c.Violations = append(c.Violations, Violation{PC: pc, Reason: fmt.Sprintf(format, args...)})

@@ -16,6 +16,9 @@ import (
 //   - quick-compare branches (one-slot machine) read at RF: any producer
 //     needs distance 2, a load distance 3.
 
+// maxDist is the largest distance any rule demands.
+const maxDist = 3
+
 // specOf returns the special register a mots writes, or -1.
 func specWritten(in isa.Instruction) int {
 	if in.Class == isa.ClassCompute && in.Comp == isa.CompMots {
@@ -173,10 +176,7 @@ func windowOK(stmts []asm.Stmt, scheme Scheme) bool {
 		if !stmts[j].IsInstr {
 			continue
 		}
-		lo := j - 3
-		if lo < 0 {
-			lo = 0
-		}
+		lo := max(j-maxDist, 0)
 		for i := lo; i < j; i++ {
 			if !stmts[i].IsInstr {
 				continue

@@ -646,6 +646,9 @@ func movable(s asm.Stmt) bool {
 // fixFallthrough inserts no-ops at fall-through boundaries where the tail
 // of one block and the head of the next violate a distance constraint
 // (e.g. a block ending in a load whose value the next block uses at once).
+// No rule asks for more than maxDist, so it stops after maxDist no-ops: a
+// hazard still left sits inside a block, a scheduler bug that more no-ops
+// cannot fix and that the lint tinyc.Build runs reports by pc.
 func (r *reorganizer) fixFallthrough() {
 	for i := 0; i+1 < len(r.chunks); i++ {
 		c := r.chunks[i]
@@ -656,7 +659,7 @@ func (r *reorganizer) fixFallthrough() {
 		if next.kind != codeChunk {
 			continue
 		}
-		for {
+		for pad := 0; pad < maxDist; pad++ {
 			window := append(append([]asm.Stmt{}, c.body...), headWindow(next, r.scheme.Slots+2)...)
 			if windowOK(window, r.scheme) {
 				break

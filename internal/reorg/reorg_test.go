@@ -3,6 +3,7 @@ package reorg
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/asm"
 	"repro/internal/coproc"
@@ -444,6 +445,41 @@ data:	.word 50
 	_, out := runReorganized(t, src, Default(), nil)
 	if out != "100\n" {
 		t.Fatalf("output %q", out)
+	}
+}
+
+// TestFixFallthroughStopsOnBodyHazard: no-ops at a block's end cannot fix
+// a hazard inside its body (the list scheduler would never leave one, so
+// this drives fixFallthrough directly). It stops after the largest distance
+// any rule demands, and lint reports the hazard by pc. The run gets a
+// deadline so that an unbounded loop fails the test instead of hanging it.
+func TestFixFallthroughStopsOnBodyHazard(t *testing.T) {
+	stmts, err := asm.Parse("ld r1, 0(r0)\nadd r2, r1, r1\nnext: putw r2\nhalt\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &reorganizer{scheme: Default(), chunks: split(stmts)}
+	done := make(chan []asm.Stmt, 1)
+	go func() {
+		r.fixFallthrough()
+		done <- r.flatten()
+	}()
+	var out []asm.Stmt
+	select {
+	case out = <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("fixFallthrough still padding a block with a body hazard after 2 s")
+	}
+	if len(out) != 4+3 {
+		t.Errorf("%d statements out; want the 4 in and 3 no-ops", len(out))
+	}
+	im, err := asm.Assemble(out, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := lint.CheckImage(im, lint.DefaultConfig()).Errors()
+	if len(errs) != 1 || errs[0].Rule != lint.RuleLoadUse || errs[0].PC != 1 {
+		t.Fatalf("lint errors %v; want one load-use error at pc 1", errs)
 	}
 }
 

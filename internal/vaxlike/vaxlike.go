@@ -184,14 +184,6 @@ type Stats struct {
 	Calls     uint64
 }
 
-// MIPSRate returns native (CISC) MIPS at the 11/780 clock.
-func (s Stats) MIPSRate() float64 {
-	if s.Cycles == 0 {
-		return 0
-	}
-	return ClockMHz * float64(s.Instructions) / float64(s.Cycles)
-}
-
 // CPI returns cycles per instruction.
 func (s Stats) CPI() float64 {
 	if s.Instructions == 0 {
