@@ -152,11 +152,14 @@ scenario-baseline:
 
 # Streaming observability gate, four layers. (1) The tracer, encoder,
 # disassembler and window unit and seam tests: every streamed line equal to
-# the json.Marshal reference encoder (per event kind, on the fuzz seeds, and
+# the json.Marshal reference encoder (per event kind, across pipe-span
+# start carries such as 999,999→1,000,000, on the fuzz seeds, and
 # on a machine run that traps and uses the coprocessor), the fmt-based
 # disassembler reference on 1M random words, the whole suite's trace pinned
 # by digest, span labels re-encoded when code is rewritten or two pcs share
-# a memo line, zero allocations per event and per traced cycle, windowed
+# a memo line, zero allocations per event (pipe-span starts stepped in
+# place, backwards and across digit counts) and per traced cycle, a
+# scenario's refusal of instruction spans, windowed
 # conservation across squash and context-switch boundaries, E12's window
 # table and three window streams pinned by digest, an idempotent Flush,
 # observation purity with streaming tracers + windowed ledgers attached,
@@ -173,7 +176,7 @@ stream-gate:
 	$(GO) test ./internal/obs -run 'TestStream|TestStart|TestWindow|TestParseWindowStream|TestEncoderMatchesReference|TestTraceAllocs|FuzzTraceEncode|FuzzParseWindowStream' -count=1
 	$(GO) test ./internal/isa -run 'TestAppend' -count=1
 	$(GO) test ./internal/core -run 'TestTraceGolden|TestTraceSuiteDigest|TestTraceLabelsNameRetiredInstruction|TestStreamedTraceByteIdenticalMachine|TestStreamNeverDropsOnMachineRun|TestObservationPurityStreamingAndWindows|TestWindowSeam' -count=1
-	$(GO) test ./internal/scenario -run 'TestWindow' -count=1
+	$(GO) test ./internal/scenario -run 'TestWindow|TestRunRejectsInstructionTracer' -count=1
 	$(GO) test ./internal/experiments -run 'TestCycleLoopAllocatesNothing' -count=1
 	$(GO) test ./cmd/mipsx-trace ./cmd/mipsx-run -count=1
 	$(GO) run ./cmd/mipsx-run -trace-out .streamgate_trace.json $(TRACE_TESTDATA)/trace_program.s > /dev/null

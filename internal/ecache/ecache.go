@@ -148,7 +148,12 @@ type Cache struct {
 	// A [][]line set table would add numSets slice headers — 384KB of
 	// GC-scanned pointers per machine at the default geometry, allocated on
 	// the experiment engine's one-machine-per-cell hot path.
-	lines    []line
+	lines []line
+	// filled holds the index in lines of every line that became valid
+	// since the last Flush, so a flush visits those and not the whole
+	// array: a context switch drains a cache that one quantum filled only
+	// in part.
+	filled   []int32
 	ways     int
 	setShift uint // log2(LineWords)
 	setBits  uint // log2(number of sets)
@@ -266,6 +271,9 @@ func (c *Cache) fill(s, tag isa.Word) (int, int, int) {
 	way := c.victim(s)
 	stall, wait := 0, 0
 	l := &c.set(s)[way]
+	if !l.valid {
+		c.filled = append(c.filled, int32(int(s)*c.ways+way))
+	}
 	if l.valid && l.dirty {
 		// Copy-back of the evicted line.
 		c.Stats.WriteBacks++
@@ -413,10 +421,12 @@ func (c *Cache) Write(a, w isa.Word) int {
 // its own stall source — the scenario layer's context switches drain the
 // cache while the processor waits — so Flush charges Stats.StallCycles and
 // the ledger's flush-refill cause itself, with arbitration waits carved out
-// to bus-wait as everywhere else.
+// to bus-wait as everywhere else. Only the lines filled since the last
+// flush can be valid, so only those are visited; every write-back costs
+// the same, so their order changes no total.
 func (c *Cache) Flush() int {
 	stall, wait := 0, 0
-	for i := range c.lines {
+	for _, i := range c.filled {
 		l := &c.lines[i]
 		if l.valid && l.dirty {
 			c.Stats.WriteBacks++
@@ -426,6 +436,7 @@ func (c *Cache) Flush() int {
 		}
 		*l = line{}
 	}
+	c.filled = c.filled[:0]
 	if stall > 0 {
 		c.Stats.StallCycles += uint64(stall)
 		if o := c.Obs; o != nil {

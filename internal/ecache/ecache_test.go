@@ -155,6 +155,62 @@ func TestFlush(t *testing.T) {
 	}
 }
 
+// TestFlushDrainsEveryFilledLine: a flush visits only the lines filled
+// since the last one, so it must find every line however it was filled —
+// across sets and ways, by prefetch, and into a way whose dirty line was
+// evicted — and write back exactly the dirty ones.
+func TestFlushDrainsEveryFilledLine(t *testing.T) {
+	// 8 sets of 2 ways of 4-word lines: address a is in set (a/4)%8.
+	cfg := Config{SizeWords: 64, LineWords: 4, Ways: 2, Repl: LRU, Write: CopyBack, Fetch: PrefetchOnMiss, LateMissExtra: 1}
+	c := newCache(cfg)
+	c.Write(0, 1)  // set 0 way 0, dirty
+	c.Write(32, 2) // set 0 way 1, dirty
+	c.Read(100)    // set 1 way 0; prefetches 104 into set 2 way 0
+	c.Write(64, 3) // evicts dirty 0 from set 0 way 0, refills it dirty
+	c.Read(0)      // evicts dirty 32 from set 0 way 1, refills 0 clean; prefetches 4 into set 1 way 1
+	c.Write(40, 4) // set 2 way 1, dirty
+	if c.Stats.WriteBacks != 2 || c.Stats.Prefetches != 2 {
+		t.Fatalf("before the flush: %d write-backs, %d prefetches; want 2 and 2", c.Stats.WriteBacks, c.Stats.Prefetches)
+	}
+	valid, dirty := 0, 0
+	for _, l := range c.lines {
+		if l.valid {
+			valid++
+			if l.dirty {
+				dirty++
+			}
+		}
+	}
+	if valid != 6 || dirty != 2 {
+		t.Fatalf("%d valid lines, %d dirty; want 6 and 2 (64 and 40)", valid, dirty)
+	}
+	perLine := c.Bus.Latency + cfg.LineWords*c.Bus.PerWord
+	stalls := c.Stats.StallCycles
+	if got := c.Flush(); got != dirty*perLine {
+		t.Fatalf("Flush stalled %d cycles, want %d (%d dirty lines at %d)", got, dirty*perLine, dirty, perLine)
+	}
+	if c.Stats.WriteBacks != 4 || c.Stats.StallCycles != stalls+uint64(dirty*perLine) {
+		t.Fatalf("after the flush: %d write-backs, %d stall cycles; want 4 and %d", c.Stats.WriteBacks, c.Stats.StallCycles, stalls+uint64(dirty*perLine))
+	}
+	for _, a := range []isa.Word{0, 4, 32, 40, 64, 100, 104} {
+		if c.Contains(a) {
+			t.Errorf("address %d still resident after the flush", a)
+		}
+	}
+	for i, l := range c.lines {
+		if l != (line{}) {
+			t.Errorf("line %d not cleared by the flush: %+v", i, l)
+		}
+	}
+	if got := c.Flush(); got != 0 || c.Stats.WriteBacks != 4 {
+		t.Fatalf("second Flush stalled %d cycles with %d write-backs; want 0 and 4", got, c.Stats.WriteBacks)
+	}
+	c.Write(32, 5)
+	if got := c.Flush(); got != perLine {
+		t.Fatalf("Flush after one dirty refill stalled %d cycles, want %d", got, perLine)
+	}
+}
+
 func TestMissRatioShrinksWithCacheSize(t *testing.T) {
 	// A classic trace-driven shape check: a random-walk-with-locality trace
 	// must miss less in bigger caches (Smith, Figure 5 shape).

@@ -67,12 +67,75 @@ func appendHead(b []byte, name, cat, ph string, ts, dur uint64, tid int) []byte 
 // nonzero, pid and tid.
 func appendClock(b []byte, ts, dur uint64, tid int) []byte {
 	b = strconv.AppendUint(b, ts, 10)
-	if dur != 0 {
-		b = append(b, `,"dur":`...)
-		b = strconv.AppendUint(b, dur, 10)
-	}
+	b = appendDur(b, dur)
 	b = append(b, `,"pid":1,"tid":`...)
 	return strconv.AppendInt(b, int64(tid), 10)
+}
+
+// appendDur appends an event's duration field, omitted when zero. A pipe
+// span's duration is usually one digit, written as one byte.
+func appendDur(b []byte, dur uint64) []byte {
+	if dur == 0 {
+		return b
+	}
+	b = append(b, `,"dur":`...)
+	if dur < 10 {
+		return append(b, byte('0'+dur))
+	}
+	return strconv.AppendUint(b, dur, 10)
+}
+
+// pipeTails holds, for each pipe lane, a pipe span's bytes from pid to the
+// opening of its args object: `,"pid":1,"tid":N,"args":{`.
+var pipeTails = func() (t [PipeLanes]string) {
+	for lane := range t {
+		t[lane] = `,"pid":1,"tid":` + strconv.Itoa(TrackPipeBase+lane) + `,"args":{`
+	}
+	return t
+}()
+
+// tsStep is the largest forward step tsMemo advances in place: a single
+// digit, so the step is one add at the last digit and a carry of one.
+const tsStep = 9
+
+// tsMemo is the decimal text of the last pipe span's start. Pipe spans are
+// recorded in retirement order, which is fetch order, so consecutive starts
+// are mostly one cycle apart, or a miss's stall apart. A start up to tsStep
+// past the previous one is its text plus the step, added at the last digit
+// with carry. A backward step, a larger jump, or a carry into a new leading
+// digit formats the number afresh into the same array. Either way the text
+// is exactly strconv's, so trace bytes do not depend on the memo.
+type tsMemo struct {
+	v    uint64
+	n    int      // digits in text; 0 before the first start
+	text [20]byte // v in decimal; 20 digits hold any uint64
+}
+
+// at returns v in decimal and makes it the memo's value. The slice is
+// valid until the next call.
+func (m *tsMemo) at(v uint64) []byte {
+	if v < m.v || v-m.v > tsStep || m.n == 0 {
+		return m.format(v)
+	}
+	i := m.n - 1
+	x := m.text[i] + byte(v-m.v)
+	for x > '9' {
+		m.text[i] = x - 10
+		if i--; i < 0 {
+			return m.format(v)
+		}
+		x = m.text[i] + 1
+	}
+	m.text[i] = x
+	m.v = v
+	return m.text[:m.n]
+}
+
+// format writes v's text without the memo; the array's capacity holds it,
+// so nothing is allocated.
+func (m *tsMemo) format(v uint64) []byte {
+	m.v, m.n = v, len(strconv.AppendUint(m.text[:0], v, 10))
+	return m.text[:m.n]
 }
 
 // AppendPipeLabel appends the label of the pipe spans of the instruction

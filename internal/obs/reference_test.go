@@ -144,6 +144,25 @@ func kindCalls() []call {
 	}
 }
 
+// carryCalls is 4-cycle pipe spans on consecutive lanes from lane whose
+// starts cross the digit-count changes 9→10, 99→100 and
+// 999,999→1,000,000, go up to 2^64−1 and round to 0, with zero, small,
+// backward and larger-than-memo steps between them.
+func carryCalls(lane uint64) []call {
+	starts := []uint64{
+		7, 8, 9, 10, 10, 19, 18, // 9→10 by one, a step of 9, one back
+		95, 99, 100, 101, 111, 100, // 99→100 by one, a jump of 10, back across it
+		999_990, 999_999, 1_000_000, 1_000_009, 999_999, 1_000_008, // 999,999→1,000,000 by one and by 9
+		1<<64 - 12, 1<<64 - 11, 1<<64 - 2, 1<<64 - 1, // up to 2^64−1
+		3, 0, 9, // past it: round to 3, back to 0, then a step of 9
+	}
+	calls := make([]call, len(starts))
+	for i, s := range starts {
+		calls[i] = pipe(lane+uint64(i), "add r1, r2, r3", s, s+4, uint32(i), "")
+	}
+	return calls
+}
+
 // stream records calls into a fresh streaming tracer and returns the bytes.
 func stream(t *testing.T, calls []call, chunk int) []byte {
 	t.Helper()
@@ -172,10 +191,11 @@ func refs(calls []call) []refEvent {
 	return evs
 }
 
-// TestEncoderMatchesReference pins each event kind, and the metadata
-// preamble, line by line against the reference encoder.
+// TestEncoderMatchesReference pins each event kind, the metadata preamble
+// and pipe-span starts across digit-count changes line by line against the
+// reference encoder.
 func TestEncoderMatchesReference(t *testing.T) {
-	calls := kindCalls()
+	calls := append(kindCalls(), carryCalls(PipeLanes)...)
 	got := strings.Split(string(stream(t, calls, 0)), "\n")
 	want := strings.Split(string(refDocument(t, refs(calls))), "\n")
 	if len(got) != len(want) {
@@ -199,21 +219,38 @@ func TestEncoderMatchesReference(t *testing.T) {
 // FuzzTraceEncode: for any event names, categories, annulled reasons, arg
 // keys and numbers, the streamed document equals the reference encoder's.
 // Its pipe spans are written from labels built from the fuzzed name and pc.
+// Then comes a run of pipe spans whose starts begin at base and step by
+// each byte of steps read as a signed number: by zero, by a few cycles,
+// backwards, and past the timestamp memo's step.
 func FuzzTraceEncode(f *testing.F) {
-	f.Add("imiss", "cache", "squash", "addr", uint64(17), uint64(9), uint32(0x2bffa))
-	f.Add(`say "hi"`, `back\slash`, "exception", "cause", uint64(0), uint64(0), uint32(0))
-	f.Add("tab\there\nnl\r\b\f\x00\x1f", "\x7f", "a b c", "k\"ey", uint64(1<<63), uint64(1), uint32(0xffffffff))
-	f.Add("<script>&amp;</script>", "a>b", "x&y", "<k>", uint64(5), uint64(5), uint32(16))
-	f.Add("\xff\xfe bad utf8 \xc3", "\xe2\x80", "ok \u2713 \u00fcn\u00efcode", "", uint64(3), uint64(2), uint32(1))
-	f.Add("line\u2028sep\u2029para", "\u2028", "\u2029", "\u2028", uint64(9), uint64(4), uint32(0x2028))
-	f.Add("", "", "", "", uint64(0), uint64(0), uint32(0))
-	f.Fuzz(func(t *testing.T, name, cat, annulled, key string, ts, dur uint64, val uint32) {
+	f.Add("imiss", "cache", "squash", "addr", uint64(17), uint64(9), uint32(0x2bffa), uint64(17), []byte{1, 1, 0, 3})
+	f.Add(`say "hi"`, `back\slash`, "exception", "cause", uint64(0), uint64(0), uint32(0), uint64(0), []byte{})
+	f.Add("tab\there\nnl\r\b\f\x00\x1f", "\x7f", "a b c", "k\"ey", uint64(1<<63), uint64(1), uint32(0xffffffff), uint64(1<<63), []byte{0x80, 0x7f})
+	f.Add("<script>&amp;</script>", "a>b", "x&y", "<k>", uint64(5), uint64(5), uint32(16), uint64(5), []byte{9, 10, 0xf6})
+	f.Add("\xff\xfe bad utf8 \xc3", "\xe2\x80", "ok \u2713 \u00fcn\u00efcode", "", uint64(3), uint64(2), uint32(1), uint64(3), []byte{2})
+	f.Add("line\u2028sep\u2029para", "\u2028", "\u2029", "\u2028", uint64(9), uint64(4), uint32(0x2028), uint64(9), []byte{1, 0xff})
+	f.Add("", "", "", "", uint64(0), uint64(0), uint32(0), uint64(0), []byte(nil))
+	// Runs across digit-count changes: 9→10, 99→100, 999,999→1,000,000,
+	// up to 2^64−1, and from 2^64−1 round to 3.
+	f.Add("add r1, r2, r3", "pipe", "", "", uint64(0), uint64(4), uint32(0), uint64(7), []byte{1, 1, 1, 9, 0xff})
+	f.Add("add r1, r2, r3", "pipe", "", "", uint64(0), uint64(4), uint32(0), uint64(95), []byte{4, 0, 1, 1, 10, 0xf5})
+	f.Add("add r1, r2, r3", "pipe", "", "", uint64(0), uint64(4), uint32(0), uint64(999_990), []byte{9, 1, 1, 0x80, 9})
+	f.Add("add r1, r2, r3", "pipe", "squash", "", uint64(0), uint64(4), uint32(0), uint64(1<<64-12), []byte{1, 9, 1})
+	f.Add("add r1, r2, r3", "pipe", "", "", uint64(1<<64-1), uint64(0), uint32(0), uint64(1<<64-1), []byte{4, 0xfc, 0xff, 1})
+	f.Fuzz(func(t *testing.T, name, cat, annulled, key string, ts, dur uint64, val uint32, base uint64, steps []byte) {
 		a := Arg{key, val}
 		calls := []call{
 			span(TrackIcache, cat, name, ts, dur, a),
 			instant(TrackMarks, cat, name, ts, a),
 			pipe(0, name, ts, ts+dur, val, annulled),
 			pipe(1, name, ts+dur, ts, val, annulled),
+		}
+		start := base
+		for i := 0; i <= min(len(steps), 64); i++ {
+			if i > 0 {
+				start += uint64(int8(steps[i-1]))
+			}
+			calls = append(calls, pipe(uint64(2+i), name, start, start+dur, val, annulled))
 		}
 		got := stream(t, calls, 1)
 		want := refDocument(t, refs(calls))
@@ -237,11 +274,24 @@ func TestTraceAllocs(t *testing.T) {
 	for i := 0; i < 4*DefaultStreamChunk; i++ {
 		tr.PipeSpan(label, head, uint64(i), uint64(i+5), "squash")
 	}
+	// starts records pipe spans whose starts cycle through from, so each
+	// span after the first steps from the one before it as listed.
+	starts := func(from ...uint64) func() {
+		i := 0
+		return func() {
+			tr.PipeSpan(label, head, from[i], from[i]+17, "")
+			i = (i + 1) % len(from)
+		}
+	}
 	for _, c := range []struct {
 		kind string
 		f    func()
 	}{
 		{"pipe span", func() { tr.PipeSpan(label, head, 100, 117, "") }},
+		{"pipe span, start a few cycles on", starts(100, 101, 104, 113)},
+		{"pipe span, backward start", starts(100, 99, 98, 97)},
+		{"pipe span, jump", starts(100, 1000, 100_000, 1<<40)},
+		{"pipe span, digit-count change", starts(9, 10, 99, 100, 999_999, 1_000_000, 1<<64-1)},
 		{"span", func() { tr.Span(TrackEcache, "cache", "dmiss-read", 100, 9, AddrArg(0x40)) }},
 		{"instant", func() { tr.Instant(TrackMarks, "ctl", "exception", 100, CauseArg(0x20)) }},
 	} {

@@ -79,7 +79,8 @@ type Tracer struct {
 	// event class whose volume scales with instructions rather than misses.
 	Instrs bool
 
-	lane uint64
+	lane  int    // the next pipe span's lane, 0 .. PipeLanes-1
+	start tsMemo // the last pipe span's start and its text
 
 	w     io.Writer // the open stream; nil before StartStream and after CloseStream
 	err   error     // the first write error; recording stops after it
@@ -156,23 +157,23 @@ func (t *Tracer) Dropped() uint64 {
 
 // Span records a complete event (ph "X") of dur cycles starting at ts.
 func (t *Tracer) Span(tid int, cat, name string, ts, dur uint64, arg Arg) {
-	if t == nil || !t.begin() {
+	if t == nil {
 		return
 	}
-	b := appendHead(t.buf, name, cat, "X", ts, dur, tid)
-	t.buf = appendArg(b, arg)
-	t.end()
+	if b, ok := t.begin(); ok {
+		t.end(appendArg(appendHead(b, name, cat, "X", ts, dur, tid), arg))
+	}
 }
 
 // Instant records a thread-scoped instant event (ph "i") at ts.
 func (t *Tracer) Instant(tid int, cat, name string, ts uint64, arg Arg) {
-	if t == nil || !t.begin() {
+	if t == nil {
 		return
 	}
-	b := appendHead(t.buf, name, cat, "i", ts, 0, tid)
-	b = append(b, `,"s":"t"`...)
-	t.buf = appendArg(b, arg)
-	t.end()
+	if b, ok := t.begin(); ok {
+		b = append(appendHead(b, name, cat, "i", ts, 0, tid), `,"s":"t"`...)
+		t.end(appendArg(b, arg))
+	}
 }
 
 // PipeSpan records one instruction's pipeline occupancy from fetch (start)
@@ -180,47 +181,61 @@ func (t *Tracer) Instant(tid int, cat, name string, ts uint64, arg Arg) {
 // in-flight instructions do not nest. label, whose head is its first head
 // bytes, is the instruction's label from AppendPipeLabel: it carries the
 // name and the pc. annulled is the reason a squash or exception cancelled
-// the instruction, or empty.
+// the instruction, or empty. Only the start, the duration and the annulled
+// reason are encoded per span: the start from the previous span's text
+// (tsMemo), the lane's fields from a constant.
 func (t *Tracer) PipeSpan(label []byte, head int, start, end uint64, annulled string) {
 	if t == nil {
 		return
 	}
-	tid := TrackPipeBase + int(t.lane%PipeLanes)
-	t.lane++
-	if !t.begin() {
+	lane := t.lane
+	if t.lane++; t.lane == PipeLanes {
+		t.lane = 0
+	}
+	b, ok := t.begin()
+	if !ok {
 		return
 	}
 	dur := uint64(0)
 	if end > start {
 		dur = end - start
 	}
-	b := appendClock(append(t.buf, label[:head]...), start, dur, tid)
-	b = append(b, `,"args":{`...)
+	b = append(append(b, label[:head]...), t.start.at(start)...)
+	b = append(appendDur(b, dur), pipeTails[lane]...)
 	if annulled != "" {
 		b = append(b, `"annulled":`...)
 		b = appendString(b, annulled)
 		b = append(b, ',')
 	}
-	t.buf = append(b, label[head:]...)
-	t.end()
+	t.end(append(b, label[head:]...))
 }
 
-// begin completes the held line with its comma and marks where the next
-// event starts. It reports false, counting the event dropped, when no
-// stream is open or the writer has failed.
-func (t *Tracer) begin() bool {
+// begin returns the buffer with the held line completed by its comma, for
+// the next event to be appended to, and marks where that event starts. It
+// reports false, counting the event dropped, when no stream is open or the
+// writer has failed.
+func (t *Tracer) begin() ([]byte, bool) {
 	if t.w == nil || t.err != nil {
 		t.dropped++
-		return false
+		return nil, false
 	}
-	t.buf = append(t.buf, ",\n"...)
-	t.held = len(t.buf)
-	return true
+	b := append(t.buf, ",\n"...)
+	t.held = len(b)
+	return b, true
 }
 
-// end accounts the event just encoded and, once a chunk of complete lines
-// has accumulated, writes them and moves the held event to the front.
-func (t *Tracer) end() {
+// end makes b, the buffer begin returned with one event appended, the
+// buffer and accounts the event; once a chunk of complete lines has
+// accumulated, it writes them and moves the held event to the front. While
+// b shares the buffer's array only the length is stored: storing the
+// pointer too costs a GC write barrier per event whenever the collector is
+// marking (the reason the pipeline indexes its latches, DESIGN §9).
+func (t *Tracer) end(b []byte) {
+	if cap(b) == cap(t.buf) {
+		t.buf = t.buf[:len(b)]
+	} else {
+		t.buf = b
+	}
 	if t.pending++; t.pending <= uint64(t.chunk) {
 		return
 	}

@@ -212,9 +212,12 @@ type RunOpts struct {
 	// carry a per-context breakdown; the run flushes it at the end. Its
 	// size and its OnWindow emitter are the caller's.
 	Windows *obs.WindowedLedger
-	// Tracer, when set, records the scenario's pipeline/cache events on the
-	// CPU's clock (cycles across all contexts and switch-time work). Start
-	// it streaming first for bounded memory.
+	// Tracer, when set, records the scenario's cache, coprocessor and
+	// control events on the CPU's clock (cycles across all contexts and
+	// switch-time work). Start it streaming first for bounded memory. It
+	// must not record instruction spans (Instrs): a pipe span is stamped
+	// with its context's own cycle count, which is not the CPU's clock and
+	// runs backwards at a switch, so RunWith refuses such a tracer.
 	Tracer *obs.Tracer
 }
 
@@ -322,6 +325,9 @@ func RunWith(ctx context.Context, programs []Program, scheme reorg.Scheme, ms sp
 	}
 	if opts.Multiprocessor && (opts.Windows != nil || opts.Tracer != nil) {
 		return nil, fmt.Errorf("scenario: windows and tracing observe one CPU, not a multiprocessor")
+	}
+	if opts.Tracer != nil && opts.Tracer.Instrs {
+		return nil, fmt.Errorf("scenario: instruction spans (Tracer.Instrs) carry each context's own clock, not the CPU's; trace a scenario without them")
 	}
 	cfg, err := ms.WithScheme(scheme).Build()
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"strings"
 	"testing"
 
@@ -143,6 +144,37 @@ func TestRunRejectsBadInputs(t *testing.T) {
 	bad.Scenario = &badScn
 	if _, err := Run(testPrograms(t), reorg.Default(), bad); err == nil {
 		t.Fatal("invalid quantum accepted")
+	}
+}
+
+// TestRunRejectsInstructionTracer: pipe spans are stamped with the retiring
+// context's own cycle count, while cache spans, instants and the bus read
+// the CPU's clock, so under time slicing pipe spans would start before the
+// spans recorded ahead of them. RunWith refuses an instruction-level tracer
+// before recording anything; a tracer without Instrs traces the run.
+func TestRunRejectsInstructionTracer(t *testing.T) {
+	ms := spec.Default()
+	scn := spec.DefaultScenario()
+	ms.Scenario = &scn
+	for _, instrs := range []bool{true, false} {
+		tr := &obs.Tracer{Instrs: instrs}
+		if err := tr.StartStream(io.Discard, 0); err != nil {
+			t.Fatal(err)
+		}
+		_, err := RunWith(context.Background(), testPrograms(t), reorg.Default(), ms, RunOpts{Tracer: tr})
+		if cerr := tr.CloseStream(); cerr != nil {
+			t.Fatal(cerr)
+		}
+		switch {
+		case instrs && (err == nil || !strings.Contains(err.Error(), "Tracer.Instrs")):
+			t.Fatalf("Instrs tracer: err %v, want a rejection naming Tracer.Instrs", err)
+		case instrs && tr.Len() != 0:
+			t.Fatalf("rejected run recorded %d events", tr.Len())
+		case !instrs && err != nil:
+			t.Fatalf("tracer without Instrs: %v", err)
+		case !instrs && tr.Len() == 0:
+			t.Fatal("tracer without Instrs recorded no events")
+		}
 	}
 }
 

@@ -21,7 +21,11 @@ the base's spread as the benchmark does. For the end-to-end
 metrics (--trace 0) it also flags a working-tree median worse than the
 base's by more than the metric's BENCHMARK.json bound, and says whether the
 gain clears the claim rule: better in at least nine of ten pairs, and a
-median gap wider than the base's q3 - q1. Exit status: 0 when every run
+median gap wider than the base's q3 - q1. Those metrics' host times are
+scaled by perfbench's yardstick, whose reading moves with the address the
+linker gives it, so the unscaled medians run.py also prints follow as
+"(raw)" rows, for information only: they get no verdict and do not change
+the exit status. Exit status: 0 when every run
 passed its checks and no metric is past its bound, 1 otherwise, 2 on a
 usage or set-up error.
 """
@@ -64,7 +68,9 @@ def export(rev):
 
 
 def run_once(tree, args):
-    """Run perfbench once in tree; return its result object."""
+    """Run perfbench once in tree; return its result object, with the
+    unscaled end-to-end medians (an empty dict with --trace 1) under
+    "unscaled"."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
            "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", str(args.trace)]
     p = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
@@ -72,7 +78,12 @@ def run_once(tree, args):
     if p.returncode != 0 or not lines:
         sys.stderr.write(p.stderr)
         raise SystemExit("perfpairs: perfbench failed in %s (exit %d)" % (tree, p.returncode))
-    return json.loads(lines[-1])
+    r = json.loads(lines[-1])
+    r["unscaled"] = {}
+    for line in lines[:-1]:
+        if line.startswith('{"unscaled"'):
+            r["unscaled"] = {k: {"value": v} for k, v in json.loads(line)["unscaled"].items()}
+    return r
 
 
 def spread(values):
@@ -126,25 +137,26 @@ def main():
         ok = ok and correct and failed == 0
     print("%-34s %28s %28s %6s %8s  %s" % ("metric", "base median [q1, q3]",
                                          "change median [q1, q3]", "won", "change", "verdict"))
-    names = [n for n in runs["base"][0]["metrics"] if all(n in r["metrics"] for r in
-                                                            runs["base"] + runs["change"])]
-    for name in names:
-        spec = specs.get(name, {})
-        lower = spec.get("better", "lower") == "lower"
-        b = [r["metrics"][name]["value"] for r in runs["base"]]
-        c = [r["metrics"][name]["value"] for r in runs["change"]]
-        won = sum(1 for x, y in zip(b, c) if (y < x if lower else y > x))
-        (bm, bq1, bq3), (cm, cq1, cq3) = spread(b), spread(c)
-        delta = (cm - bm) / bm if bm else 0.0
-        worse = delta if lower else -delta
-        verdict = ""
-        if "bound" in spec:
-            verdict = "PAST BOUND %.0f%%" % (100 * spec["bound"]) if worse > spec["bound"] else "within bound"
-            ok = ok and worse <= spec["bound"]
-            claim = won >= -(-9 * args.pairs // 10) and abs(cm - bm) > bq3 - bq1 and worse < 0
-            verdict += "; gain clears the claim rule" if claim else ""
-        print("%-34s %10.4g [%7.4g, %7.4g] %10.4g [%7.4g, %7.4g] %3d/%-2d %+7.1f%%  %s"
-              % (name, bm, bq1, bq3, cm, cq1, cq3, won, args.pairs, 100 * delta, verdict))
+    everyone = runs["base"] + runs["change"]
+    for key, label in (("metrics", "%s"), ("unscaled", "%s (raw)")):
+        names = [n for n in runs["base"][0][key] if all(n in r[key] for r in everyone)]
+        for name in names:
+            spec = specs.get(name, {})
+            lower = spec.get("better", "lower") == "lower"
+            b = [r[key][name]["value"] for r in runs["base"]]
+            c = [r[key][name]["value"] for r in runs["change"]]
+            won = sum(1 for x, y in zip(b, c) if (y < x if lower else y > x))
+            (bm, bq1, bq3), (cm, cq1, cq3) = spread(b), spread(c)
+            delta = (cm - bm) / bm if bm else 0.0
+            worse = delta if lower else -delta
+            verdict = ""
+            if "bound" in spec and key == "metrics":
+                verdict = "PAST BOUND %.0f%%" % (100 * spec["bound"]) if worse > spec["bound"] else "within bound"
+                ok = ok and worse <= spec["bound"]
+                claim = won >= -(-9 * args.pairs // 10) and abs(cm - bm) > bq3 - bq1 and worse < 0
+                verdict += "; gain clears the claim rule" if claim else ""
+            print("%-34s %10.4g [%7.4g, %7.4g] %10.4g [%7.4g, %7.4g] %3d/%-2d %+7.1f%%  %s"
+                  % (label % name, bm, bq1, bq3, cm, cq1, cq3, won, args.pairs, 100 * delta, verdict))
     return 0 if ok else 1
 
 
