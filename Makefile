@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check build test vet vet-extra vulncheck race flake lint-suite cost-gate fuzz bench bench-hot trace-sample explore-smoke explore-baseline scenario-gate scenario-baseline stream-gate perf-pairs
+.PHONY: check build test vet vet-extra vulncheck race flake lint-suite cost-gate fuzz bench bench-hot trace-sample explore-smoke explore-baseline scenario-gate scenario-baseline stream-gate perf-pairs loc
 
 check: vet vet-extra vulncheck build test race flake lint-suite cost-gate explore-smoke scenario-gate stream-gate
 
@@ -185,6 +185,12 @@ stream-gate:
 	$(GO) run ./cmd/mipsx-trace -follow .streamgate_win.jsonl -once > /dev/null
 	OBS_BUDGET=1 $(GO) test ./internal/experiments -run TestObsOverheadBudget -count=1 -v
 	rm -f .streamgate_trace.json .streamgate_win.jsonl
+
+# The size metric ROADMAP's aim 2 tracks: lines of non-test Go code that
+# git tracks, outside perfbench/ and testdata/, blank and comment-only lines
+# excluded. It is information only; nothing gates on it.
+loc:
+	@git ls-files -- '*.go' ':!:*_test.go' ':!:perfbench/*' ':!:**/testdata/**' | xargs grep -hvE '^[[:space:]]*(//.*)?$$' | wc -l
 
 # Paired perf runs: the working tree against BASE (a git revision, exported
 # with git archive into .bench_pairs/), PAIRS alternating perfbench runs of

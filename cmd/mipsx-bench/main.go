@@ -15,7 +15,6 @@
 //	                                     # the cycle total or the attribution
 //	mipsx-bench -cache .benchcache       # persist the content-addressed
 //	                                     # result cache across runs
-//	mipsx-bench -progress                # live cells/hit-rate/rate lines
 //	mipsx-bench -json -obs-overhead      # also measure observation overhead
 //	mipsx-bench -scenario                # multiprogramming sweep: workload ×
 //	                                     # quantum × Icache switch policy
@@ -53,32 +52,26 @@ func main() {
 	only := flag.String("only", "", "run only the experiment with this id (E1..E11)")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),
 		"worker goroutines for experiment cells (1 = serial)")
-	timeout := flag.Duration("timeout", 0, "per-cell wall-clock budget (0 = none)")
 	jsonOut := flag.Bool("json", false, "emit a machine-readable report on stdout instead of tables")
 	check := flag.String("check", "", "baseline JSON report; exit 1 if any table differs (and, over the same experiments, the cycle total or attribution)")
 	cacheDir := flag.String("cache", "",
 		"directory backing the content-addressed result cache (empty = in-memory only)")
-	progress := flag.Bool("progress", false,
-		"print live progress to stderr (cells done/total, memo hits of lookups, cells/sec)")
 	obsOverhead := flag.Bool("obs-overhead", false,
 		"measure the observation substrate's wall-clock overhead and record it in the report")
 	scenarioMode := flag.Bool("scenario", false,
 		"run the multiprogramming scenario sweep (workload × quantum × Icache switch policy) instead of the experiment tables")
 	flag.Parse()
 
-	eng := experiments.Configure(*parallel, *timeout, *jsonOut || *check != "")
+	eng := experiments.Configure(*parallel, 0, *jsonOut || *check != "")
 	store, err := experiments.NewMemoStore(*cacheDir)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mipsx-bench: %v\n", err)
 		os.Exit(1)
 	}
 	eng.Store = store
-	if *progress {
-		eng.Progress = os.Stderr
-	}
 
 	if *scenarioMode {
-		os.Exit(runScenario(eng, *jsonOut, *check))
+		os.Exit(runScenario(*jsonOut, *check))
 	}
 
 	selected := experiments.Experiments
@@ -109,7 +102,6 @@ func main() {
 		perExp[i] = time.Since(t0)
 	}
 	wall := time.Since(start)
-	eng.FlushProgress()
 
 	doc := experiments.NewBenchDoc(tables, perExp, wall, *parallel, false, false, eng)
 	if doc.MemoWriteErrors > 0 || doc.MemoCorrupt > 0 {
@@ -167,13 +159,12 @@ func main() {
 // is conservation-verified inside scenario.Run before it reaches the
 // document, and the pid-policy cells' zero-overhead invariant is re-checked
 // here so the gate fails loudly even on a reseeded baseline.
-func runScenario(eng *experiments.Engine, jsonOut bool, check string) int {
+func runScenario(jsonOut bool, check string) int {
 	doc, err := experiments.ScenarioSweep(context.Background(), nil, nil, nil)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mipsx-bench: -scenario: %v\n", err)
 		return 1
 	}
-	eng.FlushProgress()
 	for i := range doc.Cells {
 		c := &doc.Cells[i]
 		attr := c.Result.Obs.Map()

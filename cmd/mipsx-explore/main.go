@@ -48,9 +48,7 @@ func main() {
 		})
 	benchList := flag.String("benches", "", "comma-separated tinyc benchmark names (default: the Table 1 integer suite)")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "worker goroutines for sweep cells (1 = serial)")
-	timeout := flag.Duration("timeout", 0, "per-cell wall-clock budget (0 = none)")
 	cacheDir := flag.String("cache", "", "directory backing the content-addressed result cache (empty = in-memory only)")
-	progress := flag.Bool("progress", false, "print live progress to stderr")
 	jsonOut := flag.Bool("json", false, "emit the mipsx-explore/v1 JSON document on stdout instead of tables")
 	check := flag.String("check", "", "baseline JSON document; exit 1 if the sweep's document differs")
 	flag.Parse()
@@ -79,21 +77,17 @@ func main() {
 		}
 	}
 
-	eng := experiments.Configure(*parallel, *timeout, false)
+	eng := experiments.Configure(*parallel, 0, false)
 	store, err := experiments.NewMemoStore(*cacheDir)
 	if err != nil {
 		fail(err)
 	}
 	eng.Store = store
-	if *progress {
-		eng.Progress = os.Stderr
-	}
 
 	doc, err := experiments.Explore(context.Background(), sw, benches)
 	if err != nil {
 		fail(err)
 	}
-	eng.FlushProgress()
 	fmt.Fprintf(os.Stderr, "mipsx-explore: %d points (%d on the frontier), memo hits %d of %d lookups\n",
 		len(doc.Points), doc.FrontierSize, eng.MemoHits(), eng.MemoHits()+eng.MemoMisses())
 

@@ -15,7 +15,7 @@
 //	mipsx-lint -json prog.s                # machine-readable findings
 //	mipsx-lint -cost prog.s                # static per-block cycle costs
 //	mipsx-lint -cost -profile p.json prog.s # costs + measured roll-up
-//	mipsx-lint -cost-json prog.s           # cost model as JSON
+//	mipsx-lint -cost -json prog.s          # cost model as JSON
 //	mipsx-lint -suite                      # lint every benchmark × scheme
 //
 // Exit status is 1 when any error-severity finding exists, 2 on usage or
@@ -43,11 +43,10 @@ func main() {
 	slots := flag.Int("slots", 2, "branch delay slots to verify for (1 or 2)")
 	squash := flag.String("squash", "optional", "squash mode for -reorg/-tiny: none, always, optional")
 	base := flag.Uint("base", 0, "load address (words)")
-	jsonOut := flag.Bool("json", false, "print findings as JSON")
+	jsonOut := flag.Bool("json", false, "print findings (with -cost, the cost model) as JSON")
 	quiet := flag.Bool("quiet", false, "suppress findings, report only the summary line")
 	suite := flag.Bool("suite", false, "lint every tinyc benchmark under every Table 1 scheme")
 	cost := flag.Bool("cost", false, "print the static per-block cycle-cost model instead of findings")
-	costJSON := flag.Bool("cost-json", false, "print the cost model as JSON")
 	profPath := flag.String("profile", "", "pc profile (from mipsx-run -profile-out) to roll the cost model up with")
 	flag.Parse()
 
@@ -99,8 +98,8 @@ func main() {
 		}
 	}
 
-	if *cost || *costJSON {
-		runCost(im, lint.Config{Slots: *slots}, *costJSON, *profPath)
+	if *cost {
+		runCost(im, lint.Config{Slots: *slots}, *jsonOut, *profPath)
 		return
 	}
 

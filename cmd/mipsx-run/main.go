@@ -18,7 +18,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -395,7 +394,7 @@ func runScenario(list, specPath string, quantum int, policy, traceOut string, wi
 		opts.Windows, closeWindows = openWindows(windowOut, window)
 	}
 
-	res, err := scenario.RunWith(context.Background(), programs, scheme, ms, opts)
+	res, err := scenario.RunWith(programs, scheme, ms, opts)
 	if err != nil {
 		fail(err)
 	}

@@ -42,7 +42,7 @@
 //	sll/srl/sra rd, rs, n        ; funnel-shift idioms
 //	call label                   ; jspci ra, label(r0)
 //	ret                          ; jspci r0, 0(ra)
-//	halt                         ; cpw c7, HaltCmd(r0)   (system coprocessor)
+//	halt                         ; cpw c7, coproc.CmdHalt(r0) (system coprocessor)
 //	putw rs                      ; stc rs, c7, 0(r0)     (print word)
 //	putc rs                      ; stc rs, c7, 1(r0)     (print character)
 package asm

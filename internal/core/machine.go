@@ -145,9 +145,9 @@ func (m *Machine) LoadSource(src string) error {
 // ErrNotHalted marks the resumable cycle-limit condition: the program did
 // not halt within the budget Run was given, but the machine is in a sound
 // state and a further Run call continues exactly where this one stopped.
-// Callers that slice long simulations into chunks (the experiment runners)
-// must test for it with errors.Is and treat every other error as a genuine,
-// non-resumable machine fault.
+// Callers test for it with errors.Is (the experiment runners report it as
+// their run bound) and treat every other error as a genuine, non-resumable
+// machine fault.
 var ErrNotHalted = errors.New("cycle limit reached before halt")
 
 // runawaySlack is how far past the end of the loaded image the PC may

@@ -109,14 +109,10 @@ func (t *resultTable) read(ctx context.Context, key string, produce func(context
 			val, err := t.fill(ctx, key, en, n, produce)
 			return val, true, err
 		}
-		select {
-		case <-en.done:
-			if en.val != nil {
-				account(ctx, en.cycles, en.attr)
-				return en.val, false, nil
-			}
-		case <-ctx.Done():
-			return nil, false, ctx.Err()
+		<-en.done
+		if en.val != nil {
+			account(ctx, en.cycles, en.attr)
+			return en.val, false, nil
 		}
 	}
 }
@@ -124,8 +120,7 @@ func (t *resultTable) read(ctx context.Context, key string, produce func(context
 // fill produces en for the reader that entered it, through a private meter
 // that it then accounts to that reader's cell (partial cycles included, as
 // runMachine does on every exit path), and settles en. An entry whose
-// producer errors, is cancelled or panics leaves the table before its
-// waiters wake.
+// producer errors or panics leaves the table before its waiters wake.
 func (t *resultTable) fill(ctx context.Context, key string, en *entry, n *tableCounts, produce func(context.Context) (any, error)) (any, error) {
 	defer func() {
 		if en.val == nil {

@@ -9,7 +9,6 @@ import (
 	"reflect"
 	"slices"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -83,27 +82,10 @@ func awaitJoins(t *testing.T, table *resultTable, captures bool, n int) {
 	}
 }
 
-// gateCtx holds its capture in flight: the first Err call, which
-// runMachine makes before simulating, signals entered, blocks until
-// release closes and then reports the cell cancelled.
-type gateCtx struct {
-	context.Context
-	once             sync.Once
-	entered, release chan struct{}
-}
-
-func (g *gateCtx) Err() error {
-	g.once.Do(func() {
-		close(g.entered)
-		<-g.release
-	})
-	return context.Canceled
-}
-
 // TestEngineSharesCaptures: several cells reading one identity simulate it
 // once, each accounts the same cycles and attribution, and the rows
-// partition the engine's totals. A capture whose run panics, or whose cell
-// is cancelled, releases the readers waiting on it and leaves no entry; the
+// partition the engine's totals. A capture whose run panics or fails its
+// output check releases the readers waiting on it and leaves no entry; the
 // next reader simulates it under its own context.
 func TestEngineSharesCaptures(t *testing.T) {
 	ctx := context.Background()
@@ -151,61 +133,49 @@ func TestEngineSharesCaptures(t *testing.T) {
 		}
 	})
 
-	// failed holds a capture in flight with hold, lets 4 readers of another
-	// Run join it, fails it with fail, and checks that the readers were
-	// released, one of them simulated the run again, and the table keeps
+	// The owner's run is held in flight at its output check (fib's first
+	// Expect call) until 4 readers of another Run have joined it, then
+	// fails: Expect panics, or returns a wrong output. The readers are
+	// released, one of them simulates the run again, and the table keeps
 	// only that second capture.
-	failed := func(t *testing.T, e *Engine, fib tinyc.Benchmark, hold, fail func(), ownerErr <-chan error, wantErr string) {
-		hold()
-		readers := make(chan error, 1)
-		go func() { readers <- e.Run(ctx, captureCells("reader", 4, fib)) }()
-		awaitJoins(t, &e.table, true, 4)
-		fail()
-		if err := <-ownerErr; err == nil || !strings.Contains(err.Error(), wantErr) {
-			t.Fatalf("owner returned %v, want %q", err, wantErr)
-		}
-		if err := <-readers; err != nil {
-			t.Fatalf("readers of a failed capture: %v", err)
-		}
-		if c := e.table.counts(true); c != (tableCounts{entries: 1, sims: 2, joins: 7}) {
-			t.Fatalf("table %+v; want the failed capture gone and one reader's capture joined by the other 3", c)
-		}
-		sameRows(t, cellRows(t, e), ids("reader", 4)...)
-	}
-
-	t.Run("panic", func(t *testing.T) {
-		inFlight, release := make(chan struct{}), make(chan struct{})
-		var calls atomic.Int32
-		fib := fibWith(t, func(orig func() string) func() string {
-			return func() string {
-				if calls.Add(1) == 1 {
+	for _, mode := range []string{"panic", "error"} {
+		t.Run(mode, func(t *testing.T) {
+			inFlight, release := make(chan struct{}), make(chan struct{})
+			var calls atomic.Int32
+			fib := fibWith(t, func(orig func() string) func() string {
+				return func() string {
+					if calls.Add(1) > 1 {
+						return orig()
+					}
 					close(inFlight)
 					<-release
-					panic("expect panicked")
+					if mode == "panic" {
+						panic("expect panicked")
+					}
+					return "not fib's output"
 				}
-				return orig()
+			})
+			e := &Engine{Workers: 4, Record: true}
+			ownerErr := make(chan error, 1)
+			go func() { ownerErr <- e.Run(ctx, captureCells("owner", 1, fib)) }()
+			<-inFlight
+			readers := make(chan error, 1)
+			go func() { readers <- e.Run(ctx, captureCells("reader", 4, fib)) }()
+			awaitJoins(t, &e.table, true, 4)
+			close(release)
+			want := map[string]string{"panic": "expect panicked", "error": "wrong output"}[mode]
+			if err := <-ownerErr; err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("owner returned %v, want %q", err, want)
 			}
+			if err := <-readers; err != nil {
+				t.Fatalf("readers of a failed capture: %v", err)
+			}
+			if c := e.table.counts(true); c != (tableCounts{entries: 1, sims: 2, joins: 7}) {
+				t.Fatalf("table %+v; want the failed capture gone and one reader's capture joined by the other 3", c)
+			}
+			sameRows(t, cellRows(t, e), ids("reader", 4)...)
 		})
-		e := &Engine{Workers: 4, Record: true}
-		ownerErr := make(chan error, 1)
-		go func() { ownerErr <- e.Run(ctx, captureCells("owner", 1, fib)) }()
-		failed(t, e, fib, func() { <-inFlight }, func() { close(release) }, ownerErr, "expect panicked")
-	})
-
-	t.Run("cancel", func(t *testing.T) {
-		fib := fibWith(t, nil)
-		e := &Engine{Workers: 4, Record: true}
-		gate := &gateCtx{Context: ctx, entered: make(chan struct{}), release: make(chan struct{})}
-		ownerErr := make(chan error, 1)
-		go func() {
-			_, err := captured(context.WithValue(gate, meterKeyType{}, &cellMeter{table: &e.table}), fib, reorg.Default(), spec.Default(), true)
-			if errors.Is(err, context.Canceled) {
-				err = errors.New("owner cancelled")
-			}
-			ownerErr <- err
-		}()
-		failed(t, e, fib, func() { <-gate.entered }, func() { close(gate.release) }, ownerErr, "owner cancelled")
-	})
+	}
 }
 
 // TestShippedRunsSimulatedOnce: on a fresh engine at -parallel 1, E1
@@ -354,11 +324,11 @@ func TestEngineSharesMemoizedCells(t *testing.T) {
 }
 
 // TestEngineMemoProducerFailureReleasesWaiters: a memoized producer that
-// errors, panics or is cancelled releases the cells waiting on it and
-// leaves no entry; one waiter then produces the result under its own
-// context and the others read it.
+// errors or panics releases the cells waiting on it and leaves no entry;
+// one waiter then produces the result under its own context and the
+// others read it.
 func TestEngineMemoProducerFailureReleasesWaiters(t *testing.T) {
-	for _, mode := range []string{"error", "panic", "cancel"} {
+	for _, mode := range []string{"error", "panic"} {
 		t.Run(mode, func(t *testing.T) {
 			e := &Engine{Workers: 4, Record: true}
 			inFlight, release := make(chan struct{}), make(chan struct{})
@@ -369,29 +339,20 @@ func TestEngineMemoProducerFailureReleasesWaiters(t *testing.T) {
 				}
 				close(inFlight)
 				<-release
-				switch mode {
-				case "error":
-					return errors.New("producer failed")
-				case "panic":
+				if mode == "panic" {
 					panic("producer panicked")
 				}
-				<-ctx.Done()
-				return ctx.Err()
+				return errors.New("producer failed")
 			}
-			ownerCtx, cancelOwner := context.WithCancel(context.Background())
-			defer cancelOwner()
 			ownerErr := make(chan error, 1)
-			go func() { ownerErr <- e.Run(ownerCtx, sharedCells("owner", make([]noJSON, 1), body)) }()
+			go func() { ownerErr <- e.Run(context.Background(), sharedCells("owner", make([]noJSON, 1), body)) }()
 			<-inFlight
 			outs := make([]noJSON, 4)
 			readers := make(chan error, 1)
 			go func() { readers <- e.Run(context.Background(), sharedCells("reader", outs, body)) }()
 			awaitJoins(t, &e.table, false, 4)
-			if mode == "cancel" {
-				cancelOwner()
-			}
 			close(release)
-			want := map[string]string{"error": "producer failed", "panic": "producer panicked", "cancel": "context canceled"}[mode]
+			want := map[string]string{"error": "producer failed", "panic": "producer panicked"}[mode]
 			if err := <-ownerErr; err == nil || !strings.Contains(err.Error(), want) {
 				t.Fatalf("owner returned %v, want %q", err, want)
 			}

@@ -22,7 +22,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"reflect"
 	"runtime"
 	"sync"
@@ -69,8 +68,8 @@ type CellTiming struct {
 	// result another cell produced in this engine, or one replayed from the
 	// store.
 	Memo bool `json:"memo,omitempty"`
-	// Skipped marks a cell that never ran: it was claimed after the
-	// caller's ctx was done, or after a cell before it failed.
+	// Skipped marks a cell that never ran: it was claimed after a cell
+	// before it failed.
 	Skipped bool `json:"skipped,omitempty"`
 	// Attribution decomposes the cell's simulated cycles by cause (the
 	// obs ledger's cause names). Replayed cells carry the attribution their
@@ -118,10 +117,6 @@ type Engine struct {
 	// Workers bounds concurrently running cells per Run call; ≤0 means
 	// GOMAXPROCS.
 	Workers int
-	// Timeout is the per-cell wall-clock budget (0 = none). Cell bodies
-	// built from the runners in this package observe it between simulation
-	// chunks.
-	Timeout time.Duration
 	// Record keeps per-cell timings for the bench report. Off by default so
 	// long-lived default engines (tests, benchmarks) don't grow without
 	// bound.
@@ -131,16 +126,9 @@ type Engine struct {
 	// when present and records it there after a live run. Sharing within
 	// the engine needs no store.
 	Store *MemoStore
-	// Progress, when non-nil, receives one-line progress updates (cells
-	// done/submitted, memo hits of lookups, cells/sec) as cells complete, at
-	// most one every progressEvery.
-	Progress io.Writer
 
-	cells     atomic.Uint64 // cells executed or replayed
-	cycles    atomic.Uint64 // simulated machine cycles, folded in from the cells
-	submitted atomic.Uint64 // cells handed to Run since construction
-	started   atomic.Int64  // first-submission wall clock (UnixNano), for cells/sec
-	lastProg  atomic.Int64  // last progress line's wall clock (UnixNano)
+	cells  atomic.Uint64 // cells executed or replayed
+	cycles atomic.Uint64 // simulated machine cycles, folded in from the cells
 
 	// Memo lookup outcomes: a hit is a memoizable cell whose body did not
 	// run (it read a result from the table or the store), a miss one that
@@ -161,9 +149,6 @@ type Engine struct {
 	table resultTable
 }
 
-// progressEvery throttles progress lines.
-const progressEvery = 250 * time.Millisecond
-
 // MemoHits and MemoMisses report memoizable-cell outcomes: results read
 // from the table or replayed from the store vs live runs. A store-less
 // engine shares the same results, so it counts the same hits as one over
@@ -177,42 +162,14 @@ func (e *Engine) MemoMisses() uint64 { return e.memoMisses.Load() }
 func (e *Engine) MemoWriteErrors() uint64 { return e.memoWriteErrors.Load() }
 func (e *Engine) MemoCorrupt() uint64     { return e.memoCorrupt.Load() }
 
-// FlushProgress forces out a final progress line (end-of-run summary),
-// bypassing the throttle. No-op without a Progress writer.
-func (e *Engine) FlushProgress() { e.reportProgress(true) }
-
-// reportProgress emits a throttled one-line update after a cell completes
-// (final forces the line out, for the end-of-run summary).
-func (e *Engine) reportProgress(final bool) {
-	if e.Progress == nil {
-		return
-	}
-	now := time.Now().UnixNano()
-	last := e.lastProg.Load()
-	if !final && now-last < int64(progressEvery) {
-		return
-	}
-	if !e.lastProg.CompareAndSwap(last, now) {
-		return // another worker is printing this tick
-	}
-	done, total := e.cells.Load(), e.submitted.Load()
-	var rate float64
-	if start := e.started.Load(); start > 0 && now > start {
-		rate = float64(done) / (float64(now-start) / 1e9)
-	}
-	hits := e.MemoHits()
-	fmt.Fprintf(e.Progress, "cells %d/%d  memo hits %d of %d  %.0f cells/s\n",
-		done, total, hits, hits+e.MemoMisses(), rate)
-}
-
 // Run executes the cells and returns the first error in submission order.
-// A failure cancels no other cell: every cell before the lowest failed one
-// runs to completion, so that failure is the first error at any
-// parallelism. A cell claimed once the caller's ctx is done, or after a
-// cell before it has failed, is skipped; cells already running finish.
-// Results must be communicated through the cells' own slots; Run itself
-// only schedules. Cells do not nest: a ctx that belongs to a running cell
-// is an error.
+// A cell runs to completion: nothing stops it from outside, and only its
+// own failure or a simulated-cycle bound in its runners ends it early. A
+// failure cancels no other cell: every cell before the lowest failed one
+// runs, so that failure is the first error at any parallelism, and a cell
+// claimed after a cell before it has failed is skipped. Results must be
+// communicated through the cells' own slots; Run itself only schedules.
+// Cells do not nest: a ctx that belongs to a running cell is an error.
 func (e *Engine) Run(ctx context.Context, cells []Cell) error {
 	if meterFrom(ctx) != nil {
 		return errors.New("experiments: Run called from inside a cell (cells do not nest)")
@@ -227,8 +184,6 @@ func (e *Engine) Run(ctx context.Context, cells []Cell) error {
 	if len(cells) == 0 {
 		return nil
 	}
-	e.submitted.Add(uint64(len(cells)))
-	e.started.CompareAndSwap(0, time.Now().UnixNano())
 
 	errs := make([]error, len(cells))
 	timings := make([]CellTiming, len(cells))
@@ -246,16 +201,12 @@ func (e *Engine) Run(ctx context.Context, cells []Cell) error {
 				if i >= len(cells) {
 					return
 				}
-				err := ctx.Err()
-				if f := failed.Load(); err == nil && int64(i) > f {
-					err = fmt.Errorf("cell %s failed", cells[f].ID)
-				}
-				if err != nil {
+				if f := failed.Load(); int64(i) > f {
 					// The cell never runs. Stamp the timing row with its
 					// identity and a skipped marker so the report carries
 					// no anonymous zero-value entries.
-					errs[i] = err
-					timings[i] = CellTiming{ID: cells[i].ID, Err: "skipped: " + err.Error(), Skipped: true}
+					errs[i] = fmt.Errorf("cell %s failed", cells[f].ID)
+					timings[i] = CellTiming{ID: cells[i].ID, Err: "skipped: " + errs[i].Error(), Skipped: true}
 					continue
 				}
 				start := time.Now()
@@ -272,7 +223,6 @@ func (e *Engine) Run(ctx context.Context, cells []Cell) error {
 						}
 					}
 				}
-				e.reportProgress(false)
 			}
 		}()
 	}
@@ -296,11 +246,6 @@ func (e *Engine) Run(ctx context.Context, cells []Cell) error {
 // simulated cycles and their attribution fold into the engine, and attr
 // returns the breakdown for the bench report's per-cell row.
 func (e *Engine) runOne(ctx context.Context, c Cell) (replayed bool, attr map[string]uint64, err error) {
-	if e.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, e.Timeout)
-		defer cancel()
-	}
 	meter := &cellMeter{table: &e.table}
 	ctx = context.WithValue(ctx, meterKeyType{}, meter)
 	if c.Memo == nil {
@@ -443,8 +388,10 @@ func init() { defaultEngine.Store(&Engine{}) }
 
 // Configure installs a fresh default engine with the given settings and
 // returns it. workers ≤ 0 means GOMAXPROCS; Record controls timing capture.
-func Configure(workers int, timeout time.Duration, record bool) *Engine {
-	e := &Engine{Workers: workers, Timeout: timeout, Record: record}
+// The unnamed duration is the retired per-cell timeout, kept so perfbench/
+// compiles unmodified; cells run to completion.
+func Configure(workers int, _ time.Duration, record bool) *Engine {
+	e := &Engine{Workers: workers, Record: record}
 	defaultEngine.Store(e)
 	return e
 }

@@ -2,13 +2,11 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // indexedCells builds n cells named prefix[i] whose bodies call f(ctx, i).
@@ -57,45 +55,6 @@ func TestEngineErrorIsFirstInSubmissionOrder(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "boom 7") {
 			t.Fatalf("workers=%d: err = %v, want boom 7", workers, err)
 		}
-	}
-}
-
-func TestEngineCancellation(t *testing.T) {
-	// Every cell but 0 waits until cell 0 has cancelled, so no worker can
-	// drain the whole batch before the cancellation lands.
-	ctx, cancel := context.WithCancel(context.Background())
-	e := &Engine{Workers: 2}
-	release := make(chan struct{})
-	var ran, observed atomic.Int32
-	err := e.Run(ctx, indexedCells("c", 50, func(ctx context.Context, i int) error {
-		ran.Add(1)
-		if i == 0 {
-			cancel()
-			close(release)
-			return ctx.Err()
-		}
-		<-release
-		if ctx.Err() != nil {
-			observed.Add(1)
-		}
-		return ctx.Err()
-	}))
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if observed.Load() == 0 && ran.Load() == 50 {
-		t.Fatal("no cell observed the cancellation or was skipped")
-	}
-}
-
-func TestEngineTimeoutReachesCell(t *testing.T) {
-	e := &Engine{Workers: 1, Timeout: time.Millisecond}
-	err := e.Run(context.Background(), []Cell{{ID: "slow", Fn: func(ctx context.Context) error {
-		<-ctx.Done()
-		return ctx.Err()
-	}}})
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want deadline exceeded", err)
 	}
 }
 

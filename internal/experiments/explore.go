@@ -78,7 +78,7 @@ func ParseExploreDoc(b []byte) (*ExploreDoc, error) {
 // the Table 1 integer suite; a repeated one is an error, since it would
 // count twice in every point) and folds the results into a document. Points
 // keep sweep enumeration order; the cells fan out through the default
-// engine, so -parallel, -cache and -timeout apply as everywhere else.
+// engine, so -parallel and -cache apply as everywhere else.
 func Explore(ctx context.Context, sw spec.Sweep, benches []tinyc.Benchmark) (*ExploreDoc, error) {
 	if benches == nil {
 		benches = table1Benchmarks()

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -22,18 +21,16 @@ import (
 // fails is not cancelled and completes, and the reported error is the
 // failing cell's, the first in submission order.
 func TestEngineRootCauseNotMaskedByCancellation(t *testing.T) {
-	// The engine writes its first progress line once it has recorded the
-	// culprit's failure (the victim is still running, so nothing else has
-	// completed).
-	settled := &closeOnWrite{ch: make(chan struct{})}
-	e := &Engine{Workers: 2, Progress: settled}
+	e := &Engine{Workers: 2}
 	var completed atomic.Bool
 	cells := []Cell{
-		// Slow low-index cell: runs until the engine has seen the failure.
+		// Slow low-index cell: runs until the culprit has run and failed
+		// (the engine counts a cell once it returns).
 		{ID: "victim", Fn: func(ctx context.Context) error {
-			select {
-			case <-ctx.Done():
-			case <-settled.ch:
+			for deadline := time.Now().Add(30 * time.Second); e.Cells() == 0; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					return errors.New("the culprit never ran")
+				}
 			}
 			if err := ctx.Err(); err != nil {
 				return err
@@ -53,17 +50,6 @@ func TestEngineRootCauseNotMaskedByCancellation(t *testing.T) {
 	if !completed.Load() || e.Cells() != 2 {
 		t.Fatalf("victim completed = %v, cells run = %d; want true, 2 (a failure cancels no other cell)", completed.Load(), e.Cells())
 	}
-}
-
-// closeOnWrite closes ch on its first write.
-type closeOnWrite struct {
-	once sync.Once
-	ch   chan struct{}
-}
-
-func (w *closeOnWrite) Write(p []byte) (int, error) {
-	w.once.Do(func() { close(w.ch) })
-	return len(p), nil
 }
 
 // TestRunMachineFaultIsNotATimeout is the regression test for the fault
@@ -87,15 +73,48 @@ main:	add r1, r0, r0
 	if strings.Contains(err.Error(), "no halt within") {
 		t.Fatalf("err = %v: fault surfaced as the cycle-budget timeout", err)
 	}
-	// The fault fires within one chunk of the image end, not after the full
+	// The fault fires a few cycles past the image end, not after the full
 	// 50M-cycle budget (generous wall-clock bound; the real signal is above).
 	if d := time.Since(start); d > 30*time.Second {
 		t.Fatalf("fault took %v, looks like the full budget was burned", d)
 	}
 }
 
+// TestNonHaltingCellStopsAtRunLimit: runLimit is what stops a cell whose
+// program never halts. An in-image loop fails with the bound's error after
+// 50,000,000 cycles, and the failed cell still accounts them: the engine's
+// total and the cell's timing row carry the same count, and the row's
+// attribution sums to it.
+func TestNonHaltingCellStopsAtRunLimit(t *testing.T) {
+	t.Parallel()
+	const loop = `
+main:	addi r1, r0, 1
+loop:	bne r1, r0, loop
+	nop
+	nop
+	halt
+`
+	e := &Engine{Workers: 1, Record: true}
+	var out RunResult
+	err := e.Run(context.Background(), []Cell{asmCell("loop", loop, spec.Default(), &out)})
+	if err == nil || !strings.Contains(err.Error(), "no halt within 50000000 cycles") {
+		t.Fatalf("err = %v, want the 50M-cycle bound", err)
+	}
+	timings := e.Timings()
+	if len(timings) != 1 || timings[0].Err == "" {
+		t.Fatalf("timing rows %+v, want the one failed cell", timings)
+	}
+	var attributed uint64
+	for _, v := range timings[0].Attribution {
+		attributed += v
+	}
+	if e.Cycles() != 50_000_000 || attributed != e.Cycles() {
+		t.Fatalf("engine accounted %d cycles, the cell's row attributes %d; want 50000000 each", e.Cycles(), attributed)
+	}
+}
+
 // TestEngineSkippedCellsAreStamped is the regression test for the timing
-// report bug: cells claimed after a cancellation never run, but their timing
+// report bug: cells claimed after a failure never run, but their timing
 // rows must still carry the cell's identity and a skipped marker instead of
 // anonymous zero values.
 func TestEngineSkippedCellsAreStamped(t *testing.T) {
@@ -126,7 +145,7 @@ func TestEngineSkippedCellsAreStamped(t *testing.T) {
 		}
 	}
 	// Workers=1 guarantees the two cells after the failure are claimed only
-	// once the run is cancelled.
+	// once it has failed.
 	if skipped != 2 {
 		t.Fatalf("skipped = %d timing rows, want 2", skipped)
 	}

@@ -27,11 +27,6 @@ const runLimit = 50_000_000
 // memo key.
 const vaxInstrLimit = 200_000_000
 
-// runChunk is the cycle budget a machine simulates between cancellation
-// checks; cells observe Engine.Timeout and ctx cancellation at this
-// granularity (Machine.Run is resumable across calls).
-const runChunk = 2_000_000
-
 // buildConfig realizes a machine spec into the core.Config the simulator
 // runs. Every experiment builds machines through here, so a spec is the
 // whole architectural closure. Presets are valid by construction; a
@@ -52,13 +47,11 @@ func defaultConfig() core.Config {
 	return buildConfig(spec.Default())
 }
 
-// runMachine runs m until it halts or runLimit cycles pass, in runChunk
-// slices so cancellation is observed, accounting the simulated cycles to
-// the running cell. Only the resumable core.ErrNotHalted sentinel continues
-// the loop; a genuine machine fault (runaway PC, and whatever fault classes
-// the core grows) returns immediately with its own message instead of
-// burning the rest of the 50M-cycle budget and surfacing as a bogus
-// timeout.
+// runMachine runs m until it halts or runLimit cycles pass, accounting the
+// simulated cycles to the running cell. A genuine machine fault (runaway
+// PC, and whatever fault classes the core grows) returns as soon as it
+// happens with its own message, instead of burning the rest of the
+// 50M-cycle budget and surfacing as a bogus "no halt".
 //
 // Every machine gets a ledger-only observability sink (unless the caller
 // attached its own, e.g. with a tracer): the per-cause breakdown is
@@ -69,53 +62,31 @@ func runMachine(ctx context.Context, m *core.Machine) error {
 	if m.Obs == nil {
 		m.Observe(obs.NewMachineSink())
 	}
-	var total uint64
-	defer func() { account(ctx, total, m.Obs.Ledger.Map()) }()
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		n, err := m.Run(runChunk)
-		total += n
-		if err == nil {
-			return m.VerifyAttribution()
-		}
-		if !errors.Is(err, core.ErrNotHalted) {
-			return fmt.Errorf("%w (%d cycles simulated)", err, total)
-		}
-		if total >= runLimit {
-			return fmt.Errorf("no halt within %d cycles (pc %#x)", runLimit, m.CPU.PC())
-		}
+	n, err := m.Run(runLimit)
+	account(ctx, n, m.Obs.Ledger.Map())
+	switch {
+	case err == nil:
+		return m.VerifyAttribution()
+	case errors.Is(err, core.ErrNotHalted):
+		return fmt.Errorf("no halt within %d cycles (pc %#x)", runLimit, m.CPU.PC())
+	default:
+		return fmt.Errorf("%w (%d cycles simulated)", err, n)
 	}
 }
 
 // runVAX runs the CISC reference machine until it halts or vaxInstrLimit
-// instructions retire, in runChunk slices so cancellation is observed
-// (vaxlike.Run counts instructions against an absolute limit, so it is
-// resumable the same way Machine.Run is), accounting a finished run's
-// cycles to the running cell.
+// instructions retire, accounting its cycles and their attribution to the
+// running cell on every exit path.
 func runVAX(ctx context.Context, vm *vaxlike.Machine) error {
 	if vm.Led == nil {
 		vm.Observe(vaxlike.NewVAXLedger())
 	}
-	for limit := uint64(runChunk); ; limit += runChunk {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if limit > vaxInstrLimit {
-			limit = vaxInstrLimit
-		}
-		err := vm.Run(limit)
-		if err == nil {
-			account(ctx, vm.Stats.Cycles, vm.Led.Map())
-			return vm.VerifyAttribution()
-		}
-		// A real step error leaves the machine short of the limit; only a
-		// limit hit below the cap means "keep going".
-		if vm.Stats.Instructions < limit || limit >= vaxInstrLimit {
-			return err
-		}
+	err := vm.Run(vaxInstrLimit)
+	account(ctx, vm.Stats.Cycles, vm.Led.Map())
+	if err != nil {
+		return err
 	}
+	return vm.VerifyAttribution()
 }
 
 // buildCache memoizes unprofiled tinyc builds keyed by (benchmark, scheme):

@@ -86,12 +86,11 @@ func scenarioKey(benches []tinyc.Benchmark, scheme reorg.Scheme, ms spec.Machine
 	return k.sum(), nil
 }
 
-// runScenario runs a scenario under the cell's context and accounts its
-// cycles and attribution to the running cell, like runMachine does for a
-// single machine. Every CPU's ledger is conservation-verified inside
+// runScenario runs a scenario and accounts its cycles and attribution to
+// the cell running under ctx, like runMachine does for a single machine. Every CPU's ledger is conservation-verified inside
 // scenario.RunWith before the result is built.
 func runScenario(ctx context.Context, progs []scenario.Program, scheme reorg.Scheme, ms spec.MachineSpec, opts scenario.RunOpts, out *scenario.Result) error {
-	r, err := scenario.RunWith(ctx, progs, scheme, ms, opts)
+	r, err := scenario.RunWith(progs, scheme, ms, opts)
 	if err != nil {
 		return err
 	}
@@ -151,9 +150,9 @@ var DefaultScenarioQuanta = []int{2_000, 20_000}
 
 // ScenarioSweep evaluates the (workload × quantum × policy) grid under the
 // default branch scheme and folds it into a document. Cells fan out through
-// the default engine (sharing -parallel, -timeout and the memo store with
-// everything else); the grid keeps workload-major, quantum-then-policy order
-// so the document is deterministic.
+// the default engine (sharing -parallel and the memo store with everything
+// else); the grid keeps workload-major, quantum-then-policy order so the
+// document is deterministic.
 func ScenarioSweep(ctx context.Context, workloads []ScenarioWorkload, quanta []int, policies []string) (*ScenarioDoc, error) {
 	if workloads == nil {
 		workloads = DefaultScenarioWorkloads()

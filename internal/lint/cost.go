@@ -87,7 +87,7 @@ type CostReport struct {
 	// the exact model's scope; when non-empty, Predict is an estimate.
 	Unmodeled []string `json:"unmodeled,omitempty"`
 	// Prediction is filled by callers that rolled the report up with a
-	// measured profile (mipsx-lint -cost-json -profile), so the JSON output
+	// measured profile (mipsx-lint -cost -json -profile), so the JSON output
 	// carries the whole-program numbers next to the per-block model.
 	Prediction *Prediction `json:"prediction,omitempty"`
 }

@@ -972,7 +972,7 @@ func (c *CPU) accountBranch(pc isa.Word, in isa.Instruction, taken, squash bool)
 	} else {
 		// Count explicit no-ops sitting in the delay slots. For the
 		// two-slot machine the slots are in RF and about to be fetched;
-		// Step fills in the just-fetched one via pendingSlotCheck.
+		// Step fills in the just-fetched one via pendingSlotBranch.
 		c.pendingSlotBranch = true
 	}
 	switch {

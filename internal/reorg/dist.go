@@ -19,7 +19,7 @@ import (
 // maxDist is the largest distance any rule demands.
 const maxDist = 3
 
-// specOf returns the special register a mots writes, or -1.
+// specWritten returns the special register a mots writes, or -1.
 func specWritten(in isa.Instruction) int {
 	if in.Class == isa.ClassCompute && in.Comp == isa.CompMots {
 		return int(in.Func)

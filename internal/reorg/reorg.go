@@ -8,8 +8,9 @@
 //
 //  1. Scheduling: reorder instructions within basic blocks and insert no-ops
 //     so that every value is produced far enough ahead of its use — one
-//     delay slot after loads, three after special-register writes (which
-//     commit at WB), stricter distances for quick-compare branches.
+//     delay slot (distance 2) after loads and after special-register writes
+//     (which commit at WB, ahead of ALU in the same cycle), stricter
+//     distances for quick-compare branches.
 //  2. Branch-delay filling: give every control transfer its delay slots and
 //     fill them usefully. The strategies are the paper's: move instructions
 //     from above the branch (safe, always executed), or — with squashing

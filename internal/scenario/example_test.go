@@ -1,7 +1,6 @@
 package scenario_test
 
 import (
-	"context"
 	"fmt"
 	"log"
 
@@ -30,8 +29,7 @@ func ExampleRunWith_multiprocessor() {
 		for i := range progs {
 			progs[i] = scenario.Program{Name: fmt.Sprintf("node%d", i), Source: sieve.Source, Expect: sieve.Expect()}
 		}
-		r, err := scenario.RunWith(context.Background(), progs, reorg.Default(), ms,
-			scenario.RunOpts{Multiprocessor: true})
+		r, err := scenario.RunWith(progs, reorg.Default(), ms, scenario.RunOpts{Multiprocessor: true})
 		if err != nil {
 			log.Fatal(err)
 		}

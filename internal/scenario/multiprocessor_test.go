@@ -4,7 +4,6 @@ package scenario
 // Icache and Ecache, all on one arbitrated bus over one main memory (E11).
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -47,7 +46,7 @@ func sieves(n int) []Program {
 // ledger, so each call is itself a check.
 func runCluster(t *testing.T, progs []Program, ms spec.MachineSpec) *Result {
 	t.Helper()
-	r, err := RunWith(context.Background(), progs, reorg.Default(), ms, RunOpts{Multiprocessor: true})
+	r, err := RunWith(progs, reorg.Default(), ms, RunOpts{Multiprocessor: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +124,7 @@ func TestSharedBusCausality(t *testing.T) {
 
 func TestLoadErrors(t *testing.T) {
 	progs := []Program{{Name: "a", Source: "bogus"}, {Name: "b", Source: "bogus"}}
-	if _, err := RunWith(context.Background(), progs, reorg.Default(), spec.Default(),
+	if _, err := RunWith(progs, reorg.Default(), spec.Default(),
 		RunOpts{Multiprocessor: true}); err == nil {
 		t.Fatal("compile error not propagated")
 	}
@@ -167,7 +166,7 @@ func TestRunawayPCFaultsPromptly(t *testing.T) {
 		{Name: "sieve", Source: tinyc.Benchmarks()[3].Source},
 		{Name: "smasher", Source: fmt.Sprintf("func main() { setcar(%d, 200000); }", retSlot)},
 	}
-	_, err := RunWith(context.Background(), progs, reorg.Default(), spec.Default(), RunOpts{Multiprocessor: true})
+	_, err := RunWith(progs, reorg.Default(), spec.Default(), RunOpts{Multiprocessor: true})
 	var fe *core.FaultError
 	if !errors.As(err, &fe) {
 		t.Fatalf("err %v is not a *core.FaultError", err)

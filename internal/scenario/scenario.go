@@ -47,7 +47,6 @@
 package scenario
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -161,10 +160,6 @@ func (r *Result) Cluster() ClusterStats {
 // its programs halting fails.
 const CycleLimit = 1_000_000_000
 
-// checkEvery is how many cycles the scheduler simulates between checks of
-// the run's context — the experiment runners' cancellation granularity.
-const checkEvery = 2_000_000
-
 // Images compiles each program at its packed base: code and static data
 // sequentially in low memory (inside the 17-bit absolute addressing window,
 // rounded to distinct Icache blocks), heaps and stacks striped above, so
@@ -227,7 +222,7 @@ type RunOpts struct {
 // conservation-verified result; determinism is total — the same programs and
 // spec produce a byte-identical Result.
 func Run(programs []Program, scheme reorg.Scheme, ms spec.MachineSpec) (*Result, error) {
-	return RunWith(context.Background(), programs, scheme, ms, RunOpts{})
+	return RunWith(programs, scheme, ms, RunOpts{})
 }
 
 // cpu is one processor of the system: a memory hierarchy over the shared
@@ -309,9 +304,8 @@ func (c *cpu) rotate(scn spec.ScenarioSpec) {
 	c.base = c.clock - c.ctxs[next].CPU.Stats.Cycles
 }
 
-// RunWith is Run with a CPU mapping, streaming observability and a context
-// whose cancellation stops the run within checkEvery cycles.
-func RunWith(ctx context.Context, programs []Program, scheme reorg.Scheme, ms spec.MachineSpec, opts RunOpts) (*Result, error) {
+// RunWith is Run with a CPU mapping and streaming observability.
+func RunWith(programs []Program, scheme reorg.Scheme, ms spec.MachineSpec, opts RunOpts) (*Result, error) {
 	var scn spec.ScenarioSpec
 	quantum := uint64(math.MaxUint64)
 	if ms.Scenario != nil {
@@ -370,19 +364,7 @@ func RunWith(ctx context.Context, programs []Program, scheme reorg.Scheme, ms sp
 	}
 	c0.sink.Tracer = opts.Tracer
 
-	sinceCheck := uint64(checkEvery) // check before the first burst
 	for {
-		if sinceCheck >= checkEvery {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			for _, c := range cpus {
-				if c.live > 0 && c.clock > CycleLimit {
-					return nil, fmt.Errorf("scenario: no convergence within %d cycles", CycleLimit)
-				}
-			}
-			sinceCheck = 0
-		}
 		// One pass picks the lowest-clock CPU with live contexts (ties to
 		// the lowest index) and the clock at which another CPU would be
 		// picked instead: an earlier CPU's clock, or a later one's plus one.
@@ -402,14 +384,18 @@ func RunWith(ctx context.Context, programs []Program, scheme reorg.Scheme, ms sp
 		if c == nil {
 			break
 		}
-		budget := min(quantum-c.used, bound-c.clock, checkEvery-sinceCheck)
+		// c has the lowest clock of the live CPUs, so once it is past the
+		// limit every live CPU is; a burst stops one cycle past the limit.
+		if c.clock > CycleLimit {
+			return nil, fmt.Errorf("scenario: no convergence within %d cycles", CycleLimit)
+		}
+		budget := min(quantum-c.used, bound-c.clock, CycleLimit+1-c.clock)
 		if c.win != nil {
 			c.win.SetContext(c.names[c.cur])
 		}
 		n, done, err := c.ctxs[c.cur].RunQuantum(budget)
 		c.clock += n
 		c.used += n
-		sinceCheck += n
 		if err != nil {
 			return nil, fmt.Errorf("scenario: %s: %w", c.names[c.cur], err)
 		}

@@ -1,9 +1,7 @@
 package scenario
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"io"
 	"strings"
 	"testing"
@@ -161,7 +159,7 @@ func TestRunRejectsInstructionTracer(t *testing.T) {
 		if err := tr.StartStream(io.Discard, 0); err != nil {
 			t.Fatal(err)
 		}
-		_, err := RunWith(context.Background(), testPrograms(t), reorg.Default(), ms, RunOpts{Tracer: tr})
+		_, err := RunWith(testPrograms(t), reorg.Default(), ms, RunOpts{Tracer: tr})
 		if cerr := tr.CloseStream(); cerr != nil {
 			t.Fatal(cerr)
 		}
@@ -194,39 +192,5 @@ func TestRunRejectsRepeatedNames(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), `"`+name+`"`) {
 			t.Errorf("programs %q, %q: err %v, want a rejection naming %q", progs[0].Name, progs[1].Name, err, name)
 		}
-	}
-}
-
-// TestRunStopsOnCancel: cancelling the run's context mid-run stops it at the
-// next check — within checkEvery cycles — with context.Canceled, long before
-// the program would have halted. The window emitter cancels at the first
-// window and counts the windows that follow.
-func TestRunStopsOnCancel(t *testing.T) {
-	const window = 1000
-	long := Program{Name: "count", Source: `
-func main() {
-	var i;
-	i = 0;
-	while (i < 3000000) { i = i + 1; }
-	print(i);
-}`}
-	ms := spec.Default()
-	scn := spec.DefaultScenario()
-	ms.Scenario = &scn
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	windows := 0
-	w := obs.NewWindowedLedger(obs.MachineCauseNames, window)
-	w.OnWindow(func(*obs.Window) error {
-		windows++
-		cancel()
-		return nil
-	})
-	_, err := RunWith(ctx, []Program{long}, reorg.Default(), ms, RunOpts{Windows: w})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err %v, want context.Canceled", err)
-	}
-	if got := uint64(windows) * window; got > checkEvery+window {
-		t.Fatalf("ran %d cycles after cancellation, want at most the %d-cycle check interval", got, checkEvery)
 	}
 }

@@ -6,7 +6,6 @@ package scenario
 // not move a single cycle.
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"reflect"
@@ -36,7 +35,7 @@ func runWindowed(t *testing.T, policy string, quantum, window int) (*Result, *ob
 		doc.Windows = append(doc.Windows, *win)
 		return nil
 	})
-	r, err := RunWith(context.Background(), testPrograms(t), reorg.Default(), ms, RunOpts{Windows: w})
+	r, err := RunWith(testPrograms(t), reorg.Default(), ms, RunOpts{Windows: w})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +115,7 @@ func TestWindowsThatMissChargesFailTheRun(t *testing.T) {
 	ms.Scenario = &scn
 	w := obs.NewWindowedLedger(obs.MachineCauseNames, 4096)
 	for run := 0; run < 2; run++ {
-		_, err := RunWith(context.Background(), testPrograms(t), reorg.Default(), ms, RunOpts{Windows: w})
+		_, err := RunWith(testPrograms(t), reorg.Default(), ms, RunOpts{Windows: w})
 		if run == 0 && err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +138,7 @@ func e12Windows(t *testing.T, policy string) (*obs.WindowDoc, string) {
 	scn.Quantum = 2000
 	ms.Scenario = &scn
 	w, doc, sum := windowStream(t, 2000)
-	if _, err := RunWith(context.Background(), testPrograms(t), reorg.Default(), ms, RunOpts{Windows: w}); err != nil {
+	if _, err := RunWith(testPrograms(t), reorg.Default(), ms, RunOpts{Windows: w}); err != nil {
 		t.Fatal(err)
 	}
 	return doc, sum()
