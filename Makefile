@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check build test vet vet-extra vulncheck race flake lint-suite cost-gate fuzz bench bench-hot trace-sample explore-smoke explore-baseline scenario-gate scenario-baseline stream-gate perf-pairs loc
+.PHONY: check build test vet vet-extra vulncheck race flake lint-suite cost-gate fuzz bench bench-hot trace-sample explore-smoke explore-baseline scenario-gate scenario-baseline stream-gate perfbench-check perf-pairs loc
 
-check: vet vet-extra vulncheck build test race flake lint-suite cost-gate explore-smoke scenario-gate stream-gate
+check: vet vet-extra vulncheck build test race flake lint-suite cost-gate explore-smoke scenario-gate stream-gate perfbench-check
 
 build:
 	$(GO) build ./...
@@ -185,6 +185,15 @@ stream-gate:
 	$(GO) run ./cmd/mipsx-trace -follow .streamgate_win.jsonl -once > /dev/null
 	OBS_BUDGET=1 $(GO) test ./internal/experiments -run TestObsOverheadBudget -count=1 -v
 	rm -f .streamgate_trace.json .streamgate_win.jsonl
+
+# perfbench/ is its own Go module, so the root's `go build ./...` never
+# compiles it, yet it calls the simulator's construction API (core.New,
+# core.DefaultConfig, icache.New, ecache.New, spec.Default,
+# experiments.Configure). Build, vet and test it here so a change to that
+# API cannot break the benchmark unnoticed. The binary goes to /dev/null, so
+# nothing is written under perfbench/.
+perfbench-check:
+	cd perfbench && $(GO) build -o /dev/null ./... && $(GO) vet ./... && $(GO) test ./...
 
 # The size metric ROADMAP's aim 2 tracks: lines of non-test Go code that
 # git tracks, outside perfbench/ and testdata/, blank and comment-only lines

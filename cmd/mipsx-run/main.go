@@ -118,8 +118,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	// The machine is constructed only through a validated spec; -check is a
-	// simulator knob outside the spec, applied after Build. The
+	// The machine is built from a validated spec; -check is a simulator
+	// knob outside the spec, set on each machine's CPU after core.New. The
 	// spec is resolved before the toolchain runs: tinyc compilation and the
 	// lint verifier must target the spec's branch scheme, not the default —
 	// code scheduled for two delay slots is wrong on a one-slot machine.
@@ -134,10 +134,6 @@ func main() {
 		}
 	}
 	scheme, err := ms.Scheme()
-	if err != nil {
-		fail(err)
-	}
-	cfg, err := ms.Build()
 	if err != nil {
 		fail(err)
 	}
@@ -167,11 +163,11 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	cfg.Pipeline.CheckHazards = *check
 
 	if *profile {
 		// First pass: collect branch outcomes; second pass: rebuild.
-		m := core.New(cfg, os.Stdout)
+		m := core.New(ms, os.Stdout)
+		m.CPU.Cfg.CheckHazards = *check
 		m.Load(im)
 		var rec trace.Recorder
 		rec.Attach(m.CPU)
@@ -186,7 +182,8 @@ func main() {
 		fmt.Println("-- profiled rebuild --")
 	}
 
-	m := core.New(cfg, os.Stdout)
+	m := core.New(ms, os.Stdout)
+	m.CPU.Cfg.CheckHazards = *check
 	// Observation is attached only when asked for: the unobserved machine
 	// keeps the nil-sink fast path.
 	observed := *breakdown || *breakdownOut != "" || *traceOut != "" || *obsWindow > 0

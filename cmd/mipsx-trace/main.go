@@ -126,11 +126,10 @@ func main() {
 		return
 	}
 
-	icfg := ms.ICache.BuildICache()
 	m := mem.New()
 	bus := mem.DefaultBus()
 	e := ecache.New(ms.ECache.BuildECache(), m, bus)
-	ic := icache.New(icfg, e)
+	ic := icache.New(ms.ICache, e)
 	for _, a := range tr {
 		ic.Fetch(a)
 	}
@@ -138,7 +137,7 @@ func main() {
 	fmt.Printf("profile          %s (%d words static code)\n", *profile, cfg.CodeWords)
 	fmt.Printf("references       %d\n", len(tr))
 	fmt.Printf("icache           %d sets × %d ways × %d words, fetch-back %d, %d-cycle miss\n",
-		icfg.Sets, icfg.Ways, icfg.BlockWords, icfg.FetchBack, icfg.MissPenalty)
+		ms.ICache.Sets, ms.ICache.Ways, ms.ICache.BlockWords, ms.ICache.FetchBack, ms.ICache.MissPenalty)
 	fmt.Printf("icache miss      %.2f%%\n", 100*ic.Stats.MissRatio())
 	fmt.Printf("ifetch cost      %.3f cycles (icache stalls only)\n", ic.Stats.FetchCost())
 	fmt.Printf("ecache miss      %.2f%% (%d accesses)\n",

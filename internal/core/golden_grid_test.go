@@ -26,10 +26,8 @@ func TestFastTierBenchmarkEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: %v", b.Name, s, err)
 			}
-			cfg := DefaultConfig()
-			cfg.Pipeline.BranchSlots = s.Slots
 			t.Run(b.Name+"/"+s.String(), func(t *testing.T) {
-				m := New(cfg, nil)
+				m := New(DefaultConfig().WithScheme(s), nil)
 				m.Load(im)
 				if _, err := m.Run(limit); err != nil {
 					t.Fatal(err)

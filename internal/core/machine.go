@@ -5,8 +5,9 @@
 // slot 1, the interrupt controller on slot 2, and the test/console
 // coprocessor on slot 7 (internal/coproc).
 //
-// Machine is the library's public face: load a program, run it, read the
-// statistics every experiment in the paper is built from.
+// Machine is the library's public face: build one from a machine spec
+// (internal/spec), load a program, run it, read the statistics every
+// experiment in the paper is built from.
 package core
 
 import (
@@ -23,35 +24,20 @@ import (
 	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
+	"repro/internal/spec"
 )
 
 // ClockMHz is the design-point clock rate used to convert cycle counts to
 // MIPS figures (the chip was designed for 20 MHz; first silicon ran at 16).
 const ClockMHz = 20.0
 
-// Config selects every tradeoff variant the experiments exercise.
-type Config struct {
-	Pipeline pipeline.Config
-	Icache   icache.Config
-	Ecache   ecache.Config
-	Bus      mem.Bus
-	// NoFPU omits the floating-point coprocessor.
-	NoFPU bool
-}
-
-// DefaultConfig is the machine as built.
-func DefaultConfig() Config {
-	return Config{
-		Pipeline: pipeline.DefaultConfig(),
-		Icache:   icache.DefaultConfig(),
-		Ecache:   ecache.DefaultConfig(),
-		Bus:      *mem.DefaultBus(),
-	}
-}
+// DefaultConfig is the machine as built: spec.Default.
+func DefaultConfig() spec.MachineSpec { return spec.Default() }
 
 // Machine is a complete MIPS-X system.
 type Machine struct {
-	Cfg Config
+	// Spec is the design point the machine was built from.
+	Spec spec.MachineSpec
 
 	CPU    *pipeline.CPU
 	ICache *icache.Cache
@@ -72,10 +58,14 @@ type Machine struct {
 	out strings.Builder
 }
 
-// New builds a machine. consoleOut receives program output (nil discards it
-// into the machine's internal buffer, readable via Output).
-func New(cfg Config, consoleOut io.Writer) *Machine {
-	return NewShared(cfg, mem.New(), nil, consoleOut)
+// New builds the machine ms names. consoleOut receives program output (nil
+// discards it into the machine's internal buffer, readable via Output). The
+// spec is not validated here: validation happens where a spec enters the
+// program (spec.Parse, sweep patches, scenario.RunWith), and the presets
+// are valid by construction. The hazard checker is not part of a spec; set
+// m.CPU.Cfg.CheckHazards on the built machine to turn it on.
+func New(ms spec.MachineSpec, consoleOut io.Writer) *Machine {
+	return NewShared(ms, mem.New(), nil, consoleOut)
 }
 
 // NewShared builds a machine, with its own bus front-end, Ecache and Icache,
@@ -84,11 +74,11 @@ func New(cfg Config, consoleOut io.Writer) *Machine {
 // on the caller's clock: set Bus.Now before the first run. This is the node
 // of the MIPS-X project's system goal — 6–10 processors on one memory bus —
 // that internal/scenario builds its multiprocessor from.
-func NewShared(cfg Config, shared *mem.Memory, arb *mem.Arbiter, consoleOut io.Writer) *Machine {
-	bus := &mem.Bus{Latency: cfg.Bus.Latency, PerWord: cfg.Bus.PerWord, Arb: arb}
-	ec := ecache.New(cfg.Ecache, shared, bus)
+func NewShared(ms spec.MachineSpec, shared *mem.Memory, arb *mem.Arbiter, consoleOut io.Writer) *Machine {
+	bus := &mem.Bus{Latency: ms.Bus.Latency, PerWord: ms.Bus.PerWord, Arb: arb}
+	ec := ecache.New(ms.ECache.BuildECache(), shared, bus)
 	// A machine is the one context over its own hierarchy.
-	host := &Machine{Cfg: cfg, Mem: shared, Bus: bus, ECache: ec, ICache: icache.New(cfg.Icache, ec)}
+	host := &Machine{Spec: ms, Mem: shared, Bus: bus, ECache: ec, ICache: icache.New(ms.ICache, ec)}
 	return NewContext(host, consoleOut)
 }
 
@@ -101,9 +91,9 @@ func NewShared(cfg Config, shared *mem.Memory, arb *mem.Arbiter, consoleOut io.W
 // PID-tagged residency — is visible to the next, which is exactly the
 // interference the scenario experiments measure.
 func NewContext(host *Machine, consoleOut io.Writer) *Machine {
-	m := &Machine{Cfg: host.Cfg, Mem: host.Mem, Bus: host.Bus, ECache: host.ECache, ICache: host.ICache}
+	m := &Machine{Spec: host.Spec, Mem: host.Mem, Bus: host.Bus, ECache: host.ECache, ICache: host.ICache}
 	var set coproc.Set
-	if !m.Cfg.NoFPU {
+	if !m.Spec.NoFPU {
 		m.FPU = coproc.NewFPU()
 		set.Attach(1, m.FPU)
 	}
@@ -115,7 +105,8 @@ func NewContext(host *Machine, consoleOut io.Writer) *Machine {
 	m.Console = &coproc.Console{Out: consoleOut}
 	set.Attach(7, m.Console)
 
-	m.CPU = pipeline.New(m.Cfg.Pipeline, m.ICache, m.ECache, &set)
+	pcfg := pipeline.Config{BranchSlots: m.Spec.Branch.Slots, StickyOverflow: m.Spec.Pipeline.StickyOverflow}
+	m.CPU = pipeline.New(pcfg, m.ICache, m.ECache, &set)
 	return m
 }
 

@@ -8,12 +8,13 @@ import (
 	"repro/internal/isa"
 	"repro/internal/obs"
 	"repro/internal/reorg"
+	"repro/internal/spec"
 	"repro/internal/tinyc"
 )
 
-func runSrc(t *testing.T, cfg Config, src string, limit uint64) *Machine {
+func runSrc(t *testing.T, ms spec.MachineSpec, src string, limit uint64) *Machine {
 	t.Helper()
-	m := New(cfg, nil)
+	m := New(ms, nil)
 	if err := m.LoadSource(src); err != nil {
 		t.Fatalf("load: %v", err)
 	}
@@ -74,9 +75,9 @@ func TestColdStartPaysIcacheAndEcacheMisses(t *testing.T) {
 }
 
 func TestIcacheDisabledStillRuns(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Icache.Disabled = true
-	m := runSrc(t, cfg, sumLoop, 1000000)
+	ms := DefaultConfig()
+	ms.ICache.Disabled = true
+	m := runSrc(t, ms, sumLoop, 1000000)
 	if got := m.Output(); got != "5050\n" {
 		t.Fatalf("output %q", got)
 	}

@@ -277,10 +277,6 @@ func (c *Cache) fill(s, tag isa.Word) (int, int, int) {
 	if l.valid && l.dirty {
 		// Copy-back of the evicted line.
 		c.Stats.WriteBacks++
-		base := c.lineBase(s, l.tag)
-		for i := 0; i < c.cfg.LineWords; i++ {
-			c.Mem.Write(base+isa.Word(i), c.Mem.Peek(base+isa.Word(i)))
-		}
 		cost, w := c.Bus.TransferCostWait(c.cfg.LineWords)
 		stall += cost
 		wait += w
@@ -290,21 +286,12 @@ func (c *Cache) fill(s, tag isa.Word) (int, int, int) {
 	// measures. Correctness of data values is preserved because stores under
 	// copy-back still update the backing memory immediately — the "dirty"
 	// accounting drives cost, not value storage.)
-	base := c.lineBase(s, tag)
-	for i := 0; i < c.cfg.LineWords; i++ {
-		c.Mem.Read(base + isa.Word(i))
-	}
 	cost, w := c.Bus.TransferCostWait(c.cfg.LineWords)
 	stall += cost
 	wait += w
 	c.tick++
 	*l = line{tag: tag, valid: true, use: uint32(c.tick)}
 	return way, stall, wait
-}
-
-// lineBase reconstructs the first word address of a line from set+tag.
-func (c *Cache) lineBase(s, tag isa.Word) isa.Word {
-	return (tag<<c.setBits | s) << c.setShift
 }
 
 // Read performs a processor read. It returns the word and the number of

@@ -23,6 +23,7 @@ import (
 	"repro/internal/lint"
 	"repro/internal/obs"
 	"repro/internal/reorg"
+	"repro/internal/spec"
 )
 
 func TestStaticCostMatchesLedgerEveryBenchmarkEveryScheme(t *testing.T) {
@@ -33,9 +34,7 @@ func TestStaticCostMatchesLedgerEveryBenchmarkEveryScheme(t *testing.T) {
 				if err != nil {
 					t.Fatalf("build: %v", err)
 				}
-				cfg := defaultConfig()
-				cfg.Pipeline.BranchSlots = scheme.Slots
-				m := core.New(cfg, nil)
+				m := core.New(spec.Table1(scheme), nil)
 				m.Observe(obs.NewMachineSink())
 				m.Load(im)
 				prof := obs.NewPCProfile(uint32(im.Base), len(im.Words))

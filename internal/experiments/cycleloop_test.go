@@ -33,7 +33,7 @@ func TestCycleLoopAllocatesNothing(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m := core.New(buildConfig(spec.Default().WithScheme(c.scheme)), nil)
+			m := core.New(spec.Table1(c.scheme), nil)
 			m.Load(im)
 			s := obs.NewMachineSink()
 			if c.traced {

@@ -79,7 +79,7 @@ func IcacheDesign() (*Table, error) {
 	}
 	type org struct {
 		name string
-		ic   spec.ICacheSpec
+		ic   icache.Config
 	}
 	// The organization grid derives from one preset (the shipped Icache
 	// sub-spec), varied only along the (fetch-back, miss-penalty) axis.
@@ -118,8 +118,8 @@ func IcacheDesign() (*Table, error) {
 
 // icacheCost runs a trace against an Icache over an ideal backing store
 // so only the on-chip organization is measured.
-func icacheCost(icSpec spec.ICacheSpec, tr []isa.Word) (missRatio, fetchCycles float64) {
-	ic := idealBackedIcache(icSpec)
+func icacheCost(cfg icache.Config, tr []isa.Word) (missRatio, fetchCycles float64) {
+	ic := idealBackedIcache(cfg)
 	for _, a := range tr {
 		ic.Fetch(a)
 	}
@@ -128,9 +128,9 @@ func icacheCost(icSpec spec.ICacheSpec, tr []isa.Word) (missRatio, fetchCycles f
 
 // idealBackedIcache builds an Icache whose backing Ecache, on a bus with no
 // latency and no per-word cost, answers every access in 0 cycles.
-func idealBackedIcache(icSpec spec.ICacheSpec) *icache.Cache {
+func idealBackedIcache(cfg icache.Config) *icache.Cache {
 	e := ecache.New(spec.IdealBackingECache().BuildECache(), mem.New(), &mem.Bus{Latency: 0, PerWord: 0})
-	return icache.New(icSpec.BuildICache(), e)
+	return icache.New(cfg, e)
 }
 
 // BranchConditionStats reproduces the condition-code analysis (§Branches):

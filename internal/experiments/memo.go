@@ -17,9 +17,8 @@ package experiments
 // simulated outcome, and nothing that cannot (worker counts, wall-clock
 // budgets). Machine configurations enter keys as spec digests
 // (internal/spec): a MachineSpec *is* a memo key, and its digest covers
-// every architectural config field (the field-coverage guard test in
-// internal/spec red-flags a new field that is neither digested nor
-// allowlisted as timing-neutral). Bump memoEpoch whenever the simulator's
+// every machine input, because core.New builds the machine from the spec
+// alone. Bump memoEpoch whenever the simulator's
 // semantics change, so stale on-disk entries from older binaries can never
 // replay into new tables.
 

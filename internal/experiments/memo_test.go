@@ -219,9 +219,8 @@ func TestMemoKeysCoverTheClosure(t *testing.T) {
 	mustKey("profiled/default", "run-profiled", b, reorg.Default(), base)
 	mustKey("run/1-slot", "run", b, reorg.Scheme{Slots: 1, Squash: reorg.SquashOptional}, base)
 
-	// Spec changes change the key (the digest covers every spec field; the
-	// field-coverage guard in internal/spec proves the digest covers every
-	// architectural core.Config field).
+	// Spec changes change the key (the digest covers every spec field, and
+	// core.New builds the machine from the spec alone).
 	nofpu := base
 	nofpu.NoFPU = true
 	mustKey("run/nofpu", "run", b, reorg.Default(), nofpu)

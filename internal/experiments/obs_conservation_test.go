@@ -32,9 +32,7 @@ func TestConservationEveryBenchmarkEveryScheme(t *testing.T) {
 				if err != nil {
 					t.Fatalf("build: %v", err)
 				}
-				cfg := defaultConfig()
-				cfg.Pipeline.BranchSlots = scheme.Slots
-				m := core.New(cfg, nil)
+				m := core.New(spec.Table1(scheme), nil)
 				m.Observe(obs.NewMachineSink())
 				m.Load(im)
 				if _, err := m.Run(runLimit); err != nil {

@@ -15,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/reorg"
+	"repro/internal/spec"
 	"repro/internal/tinyc"
 )
 
@@ -81,7 +82,7 @@ func MeasureObsOverhead(iters int) (*ObsOverhead, error) {
 	block := func(newSink func() *obs.Sink) (float64, error) {
 		start := time.Now()
 		for i := 0; i < iters; i++ {
-			m := core.New(defaultConfig(), nil)
+			m := core.New(spec.Default(), nil)
 			var tr *obs.Tracer
 			if newSink != nil {
 				s := newSink()

@@ -27,26 +27,6 @@ const runLimit = 50_000_000
 // memo key.
 const vaxInstrLimit = 200_000_000
 
-// buildConfig realizes a machine spec into the core.Config the simulator
-// runs. Every experiment builds machines through here, so a spec is the
-// whole architectural closure. Presets are valid by construction; a
-// hand-rolled invalid spec panics, which the engine isolates into a cell
-// error.
-func buildConfig(ms spec.MachineSpec) core.Config {
-	cfg, err := ms.Build()
-	if err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
-	}
-	return cfg
-}
-
-// defaultConfig is the default spec realized — for the tests and overhead
-// measurements that construct machines directly; experiment cells carry
-// specs instead.
-func defaultConfig() core.Config {
-	return buildConfig(spec.Default())
-}
-
 // runMachine runs m until it halts or runLimit cycles pass, accounting the
 // simulated cycles to the running cell. A genuine machine fault (runaway
 // PC, and whatever fault classes the core grows) returns as soon as it
@@ -149,7 +129,7 @@ func simulate(ctx context.Context, b tinyc.Benchmark, scheme reorg.Scheme, prof 
 	if err != nil {
 		return nil, RunResult{}, fmt.Errorf("%s: %w", b.Name, err)
 	}
-	m := core.New(buildConfig(ms.WithScheme(scheme)), nil)
+	m := core.New(ms.WithScheme(scheme), nil)
 	m.Load(im)
 	pcProf := obs.NewPCProfile(uint32(im.Base), len(im.Words))
 	m.CPU.Prof = pcProf
@@ -239,9 +219,8 @@ type VAXResult struct {
 // benchKey hashes the full input closure of a tinyc benchmark run: the
 // assembled program words (covering source, compiler and reorganizer
 // output), the scheme parameters, and the machine spec's digest — run()
-// realizes the machine from exactly the spec hashed here (scheme applied),
-// and the spec digest covers every architectural config field (the
-// field-coverage guard test in internal/spec pins that). A profiled run's
+// builds the machine from exactly the spec hashed here (scheme applied),
+// and core.New reads nothing else. A profiled run's
 // profile is itself a deterministic function of this closure (it is
 // measured by simulating the unprofiled image under the same spec), so the
 // closure needs no separate profile hash — the kind string distinguishes
@@ -437,7 +416,7 @@ func runAsm(ctx context.Context, src string, ms spec.MachineSpec) (*core.Machine
 	if err != nil {
 		return nil, err
 	}
-	m := core.New(buildConfig(ms), nil)
+	m := core.New(ms, nil)
 	m.Load(im)
 	pcProf := obs.NewPCProfile(uint32(im.Base), len(im.Words))
 	m.CPU.Prof = pcProf

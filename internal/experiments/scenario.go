@@ -87,15 +87,19 @@ func scenarioKey(benches []tinyc.Benchmark, scheme reorg.Scheme, ms spec.Machine
 }
 
 // runScenario runs a scenario and accounts its cycles and attribution to
-// the cell running under ctx, like runMachine does for a single machine. Every CPU's ledger is conservation-verified inside
-// scenario.RunWith before the result is built.
+// the cell running under ctx on every exit path, like runMachine does for a
+// single machine: a failed run accounts the partial result scenario.RunWith
+// returns with its error. Every CPU's ledger is conservation-verified
+// inside scenario.RunWith before a successful result is returned.
 func runScenario(ctx context.Context, progs []scenario.Program, scheme reorg.Scheme, ms spec.MachineSpec, opts scenario.RunOpts, out *scenario.Result) error {
 	r, err := scenario.RunWith(progs, scheme, ms, opts)
+	if r != nil {
+		account(ctx, r.Cycles, r.Obs.Map())
+	}
 	if err != nil {
 		return err
 	}
 	*out = *r
-	account(ctx, r.Cycles, r.Obs.Map())
 	return nil
 }
 

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"repro/internal/jsondoc"
+	"repro/internal/reorg"
+	"repro/internal/scenario"
 	"repro/internal/spec"
 	"repro/internal/tinyc"
 )
@@ -139,5 +141,41 @@ func TestExploreScenarioAxis(t *testing.T) {
 		if p.Spec.Scenario.Policy == spec.PolicyPID && cs != 0 {
 			t.Errorf("point %s: pid policy charged %d context-switch cycles", p.Label, cs)
 		}
+	}
+}
+
+// TestFailedScenarioCellAccountsItsCycles: a scenario cell that fails after
+// its programs ran accounts the cycles they simulated, as a failed machine
+// cell does. fib with a wrong expected output fails the output check, and
+// the engine's total and the cell's timing-row attribution both carry the
+// cycles the scenario ran.
+func TestFailedScenarioCellAccountsItsCycles(t *testing.T) {
+	ms := spec.Default()
+	scn := spec.DefaultScenario()
+	ms.Scenario = &scn
+	fib := benchesByName(t, "fib")
+	ran, err := scenario.Run(scenarioPrograms(fib), reorg.Default(), ms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fib[0].Expect = func() string { return "wrong\n" }
+
+	e := &Engine{Workers: 1, Record: true}
+	var out scenario.Result
+	err = e.Run(context.Background(), []Cell{scenarioCell("fib", fib, reorg.Default(), ms, &out)})
+	if err == nil || !strings.Contains(err.Error(), "wrong output") {
+		t.Fatalf("err = %v, want the wrong-output failure", err)
+	}
+	timings := e.Timings()
+	if len(timings) != 1 || timings[0].Err == "" {
+		t.Fatalf("timing rows %+v, want the one failed cell", timings)
+	}
+	var attributed uint64
+	for _, v := range timings[0].Attribution {
+		attributed += v
+	}
+	if ran.Cycles == 0 || e.Cycles() != ran.Cycles || attributed != ran.Cycles {
+		t.Fatalf("engine accounted %d cycles, the cell's row attributes %d; the scenario ran %d",
+			e.Cycles(), attributed, ran.Cycles)
 	}
 }

@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/bpred"
 	"repro/internal/ecache"
+	"repro/internal/icache"
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/reorg"
@@ -102,7 +103,7 @@ type fetchCost struct {
 // design grid, E6's large-program fetch stalls — identical closures hash
 // identically, so the two experiments share cells). The organization is an
 // Icache sub-spec; its digest is the key's configuration material.
-func icacheCostCell(id string, ts traceSpec, ic spec.ICacheSpec,
+func icacheCostCell(id string, ts traceSpec, ic icache.Config,
 	src func() ([]isa.Word, error), out *fetchCost) Cell {
 	return Cell{
 		ID: id,
@@ -118,7 +119,7 @@ func icacheCostCell(id string, ts traceSpec, ic spec.ICacheSpec,
 			Key: func() (string, error) {
 				k := newKey("icache-cost")
 				k.str("trace", ts.key())
-				k.str("icache-spec", ic.Digest())
+				k.str("icache-spec", spec.ICacheDigest(ic))
 				return k.sum(), nil
 			},
 			Out: out,

@@ -71,22 +71,6 @@ func (f *MissFSM) Step(missDetected bool, serviceLen int) {
 	}
 }
 
-// Run drives the FSM through a complete miss service of the given length
-// and back to Idle, panicking if the walk does not return to Idle — the
-// invariant the shift-register implementation guarantees by construction.
-func (f *MissFSM) Run(serviceLen int) {
-	f.Step(true, serviceLen)
-	for i := 0; i < serviceLen; i++ {
-		if f.State == MissIdle {
-			break
-		}
-		f.Step(false, serviceLen)
-	}
-	if f.State != MissIdle {
-		panic("icache: miss FSM did not return to Idle")
-	}
-}
-
 // StateTable renders the transition table, used by cmd/mipsx-bench to print
 // the Figure 4 reproduction.
 func StateTable(serviceLen int) [][2]MissState {

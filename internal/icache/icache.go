@@ -25,28 +25,37 @@ import (
 
 // Config parameterizes the Icache organization, exposing the axes the
 // design-space study in the paper (and its companion paper, Agarwal et al.
-// 1987) explored.
+// 1987) explored. It is the machine spec's icache block (internal/spec),
+// so its JSON names are the spec's and part of every spec digest.
 type Config struct {
-	Sets       int // number of sets (rows); paper: 4
-	Ways       int // associativity; paper: 8
-	BlockWords int // words per block (line); paper: 16
-	FetchBack  int // words fetched on a miss; paper: 2 (the double fetch)
+	Sets       int `json:"sets"`        // number of sets (rows); paper: 4 (power of two)
+	Ways       int `json:"ways"`        // associativity; paper: 8
+	BlockWords int `json:"block_words"` // words per block (line); paper: 16 (power of two)
+	FetchBack  int `json:"fetch_back"`  // words fetched on a miss; paper: 2 (the double fetch)
 	// MissPenalty is the machine stall per miss in cycles; 2 with the tag
 	// store in the datapath, 3 otherwise.
-	MissPenalty int
+	MissPenalty int `json:"miss_penalty"`
 	// NoCacheCoproc models the rejected coprocessor proposal in which
 	// coprocessor instructions are never cached, so the coprocessor can
-	// capture them from the memory bus during the (forced) miss.
-	NoCacheCoproc bool
+	// capture them from the memory bus during the (forced) miss (E5).
+	NoCacheCoproc bool `json:"no_cache_coproc,omitempty"`
 	// Disabled runs with the cache turned off (every fetch misses and
 	// nothing is allocated) — the paper's instruction-register test feature.
-	Disabled bool
+	Disabled bool `json:"disabled,omitempty"`
 }
 
 // DefaultConfig is the Icache as built: 4 sets × 8 ways × 16 words = 512
 // words, double fetch, 2-cycle miss service.
 func DefaultConfig() Config {
 	return Config{Sets: 4, Ways: 8, BlockWords: 16, FetchBack: 2, MissPenalty: 2}
+}
+
+// WithFetch returns a copy with the (fetch-back words, miss penalty) pair
+// of the E2 organization grid.
+func (c Config) WithFetch(fetchBack, missPenalty int) Config {
+	c.FetchBack = fetchBack
+	c.MissPenalty = missPenalty
+	return c
 }
 
 // SizeWords returns the data capacity.
@@ -142,10 +151,6 @@ type Cache struct {
 
 	Stats Stats
 
-	// FSM is the cache-miss finite state machine (paper Figure 4),
-	// advanced by Fetch during miss service and observable by tests.
-	FSM MissFSM
-
 	// Obs, when non-nil, receives miss-service cycle attribution and miss
 	// spans. serviceMiss charges its own MissPenalty to icache-miss and
 	// brackets the backing reads so the Ecache's refill charges land on
@@ -229,8 +234,7 @@ func (c *Cache) Present(a isa.Word) bool {
 
 // Fetch returns the instruction word at address a and the total stall in
 // cycles (0 on a hit). On a miss it services the miss through the Ecache,
-// fetching FetchBack sequential words, and drives the miss FSM through its
-// states.
+// fetching FetchBack sequential words.
 func (c *Cache) Fetch(a isa.Word) (isa.Word, int) {
 	c.Stats.Fetches++
 	// The hit memo is tested here rather than in hit, so a sequential fetch
@@ -272,7 +276,6 @@ func (c *Cache) hit(a isa.Word) bool {
 func (c *Cache) serviceMiss(a isa.Word) (isa.Word, int) {
 	c.Stats.Misses++
 	stall := c.cfg.MissPenalty
-	c.FSM.Run(c.cfg.MissPenalty)
 	o := c.Obs
 	var start uint64
 	if o != nil {

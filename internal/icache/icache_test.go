@@ -249,7 +249,13 @@ func TestMissFSMWalk(t *testing.T) {
 	}
 	// 3-cycle service visits Miss3.
 	var f3 MissFSM
-	f3.Run(3)
+	f3.Step(true, 3)
+	for _, want := range []MissState{Miss2, Miss3, MissIdle} {
+		f3.Step(false, 3)
+		if f3.State != want {
+			t.Fatalf("3-cycle service: state %v, want %v", f3.State, want)
+		}
+	}
 	if f3.CyclesBusy != 3 {
 		t.Fatalf("3-cycle service busy %d cycles", f3.CyclesBusy)
 	}

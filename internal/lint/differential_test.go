@@ -31,10 +31,10 @@ func build(t *testing.T, src string) *asm.Image {
 // hazard checker recording (not altering) violations.
 func runPipe(t *testing.T, im *asm.Image, slots int) *core.Machine {
 	t.Helper()
-	cfg := core.DefaultConfig()
-	cfg.Pipeline.BranchSlots = slots
-	cfg.Pipeline.CheckHazards = true
-	m := core.New(cfg, nil)
+	ms := core.DefaultConfig()
+	ms.Branch.Slots = slots
+	m := core.New(ms, nil)
+	m.CPU.Cfg.CheckHazards = true
 	m.Load(im)
 	if _, err := m.Run(1_000_000); err != nil {
 		t.Fatalf("pipeline: %v", err)

@@ -30,9 +30,6 @@ type Memory struct {
 	// map, so the type invariant holds unchanged.
 	lastPN   isa.Word
 	lastPage *[pageSize]isa.Word
-
-	Reads  uint64 // word-read count (bus traffic accounting)
-	Writes uint64 // word-write count
 }
 
 // New returns an empty memory.
@@ -40,23 +37,8 @@ func New() *Memory {
 	return &Memory{pages: make(map[isa.Word]*[pageSize]isa.Word)}
 }
 
-// Read returns the word at word address a.
-func (m *Memory) Read(a isa.Word) isa.Word {
-	m.Reads++
-	if pn := a >> pageBits; pn == m.lastPN && m.lastPage != nil {
-		return m.lastPage[a&pageMask]
-	}
-	p := m.pages[a>>pageBits]
-	if p == nil {
-		return 0
-	}
-	m.lastPN, m.lastPage = a>>pageBits, p
-	return p[a&pageMask]
-}
-
 // Write stores w at word address a.
 func (m *Memory) Write(a, w isa.Word) {
-	m.Writes++
 	if pn := a >> pageBits; pn == m.lastPN && m.lastPage != nil {
 		m.lastPage[a&pageMask] = w
 		return
@@ -70,7 +52,8 @@ func (m *Memory) Write(a, w isa.Word) {
 	p[a&pageMask] = w
 }
 
-// Peek reads without touching the traffic counters (used by tools & tests).
+// Peek returns the word at word address a. The caches above it account the
+// traffic: memory is only the value store.
 func (m *Memory) Peek(a isa.Word) isa.Word {
 	if pn := a >> pageBits; pn == m.lastPN && m.lastPage != nil {
 		return m.lastPage[a&pageMask]
@@ -83,8 +66,8 @@ func (m *Memory) Peek(a isa.Word) isa.Word {
 	return p[a&pageMask]
 }
 
-// LoadImage copies a contiguous image into memory starting at base, without
-// counting bus traffic (it models the pre-run program load).
+// LoadImage copies a contiguous image into memory starting at base (the
+// pre-run program load).
 func (m *Memory) LoadImage(base isa.Word, words []isa.Word) {
 	for i, w := range words {
 		a := base + isa.Word(i)

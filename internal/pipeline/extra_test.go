@@ -228,3 +228,32 @@ func TestIssuedAccounting(t *testing.T) {
 		t.Fatalf("CPI %.2f below 1 with ideal memory", st.CPI())
 	}
 }
+
+// TestSquashFSMWalk pins the squash FSM walks of paper Figure 3, the walk
+// E8 prints: a two-slot squash walks Idle→Sq1→Sq2→Idle, one Tick per
+// squashed slot, and a one-slot squash enters the last squash state
+// directly, Idle→Sq2→Idle.
+func TestSquashFSMWalk(t *testing.T) {
+	for _, tc := range []struct {
+		slots int
+		want  string
+	}{{2, "Idle→Sq1→Sq2→Idle"}, {1, "Idle→Sq2→Idle"}} {
+		var f SquashFSM
+		walk := f.State.String()
+		f.Trigger(CauseBranch, tc.slots)
+		// Bounded, so an FSM that never returns to Idle fails, not hangs.
+		for n := 0; n < 3; n++ {
+			walk += "→" + f.State.String()
+			if f.State == SqIdle {
+				break
+			}
+			f.Tick()
+		}
+		if walk != tc.want {
+			t.Errorf("%d-slot squash walks %s, want %s", tc.slots, walk, tc.want)
+		}
+		if f.CyclesBusy != uint64(tc.slots) {
+			t.Errorf("%d-slot squash busy %d cycles, want %d", tc.slots, f.CyclesBusy, tc.slots)
+		}
+	}
+}

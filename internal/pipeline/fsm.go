@@ -12,7 +12,7 @@ type SqState uint8
 
 // Squash FSM states. The machine walks Idle → Sq1 → Sq2 → Idle for a
 // two-slot squash (branch mispredict or exception entry); a one-slot
-// machine's walk is Idle → Sq1 → Idle.
+// squash enters the last squash state directly, Idle → Sq2 → Idle.
 const (
 	SqIdle SqState = iota
 	Sq1

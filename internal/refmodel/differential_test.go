@@ -278,15 +278,15 @@ func checkImage(t *testing.T, im *asm.Image, slots int, thrash bool, budget uint
 		return nil, err
 	}
 
-	cfg := core.DefaultConfig()
-	cfg.Pipeline.BranchSlots = slots
-	cfg.Pipeline.CheckHazards = true
+	ms := core.DefaultConfig()
+	ms.Branch.Slots = slots
 	if thrash {
 		// A thrash-prone Icache keeps miss service in the middle of nearly
 		// every basic block.
-		cfg.Icache.Sets, cfg.Icache.Ways, cfg.Icache.BlockWords, cfg.Icache.MissPenalty = 2, 1, 4, 6
+		ms.ICache.Sets, ms.ICache.Ways, ms.ICache.BlockWords, ms.ICache.MissPenalty = 2, 1, 4, 6
 	}
-	m := core.New(cfg, nil)
+	m := core.New(ms, nil)
+	m.CPU.Cfg.CheckHazards = true
 	m.Observe(obs.NewMachineSink())
 	m.Load(im)
 	prof := obs.NewPCProfile(uint32(im.Base), len(im.Words))

@@ -216,11 +216,13 @@ type RunOpts struct {
 	Tracer *obs.Tracer
 }
 
-// Run executes the programs time-sliced on one CPU of a machine realized
-// from ms (whose Scenario field must be set; the branch scheme must match
-// the toolchain scheme the programs are compiled with). It returns a
+// Run executes the programs time-sliced on one CPU of the machine ms names
+// (whose Scenario field must be set; the branch scheme must match the
+// toolchain scheme the programs are compiled with). It returns a
 // conservation-verified result; determinism is total — the same programs and
-// spec produce a byte-identical Result.
+// spec produce a byte-identical Result. A run that fails after its programs
+// started returns its partial Result with the error: every program's cycles
+// and output so far, and the cycles and attribution of every CPU, unverified.
 func Run(programs []Program, scheme reorg.Scheme, ms spec.MachineSpec) (*Result, error) {
 	return RunWith(programs, scheme, ms, RunOpts{})
 }
@@ -246,8 +248,8 @@ type cpu struct {
 
 // newCPU builds a CPU over the shared memory; its bus arbitration and its
 // trace timestamps both read its one clock.
-func newCPU(cfg core.Config, shared *mem.Memory, arb *mem.Arbiter) *cpu {
-	c := &cpu{host: core.NewShared(cfg, shared, arb, nil), sink: obs.NewMachineSink()}
+func newCPU(ms spec.MachineSpec, shared *mem.Memory, arb *mem.Arbiter) *cpu {
+	c := &cpu{host: core.NewShared(ms, shared, arb, nil), sink: obs.NewMachineSink()}
 	c.host.Bus.Now = c.now
 	c.sink.Now = c.now
 	return c
@@ -323,8 +325,8 @@ func RunWith(programs []Program, scheme reorg.Scheme, ms spec.MachineSpec, opts 
 	if opts.Tracer != nil && opts.Tracer.Instrs {
 		return nil, fmt.Errorf("scenario: instruction spans (Tracer.Instrs) carry each context's own clock, not the CPU's; trace a scenario without them")
 	}
-	cfg, err := ms.WithScheme(scheme).Build()
-	if err != nil {
+	ms = ms.WithScheme(scheme)
+	if err := ms.Validate(); err != nil {
 		return nil, err
 	}
 	ims, err := Images(programs, scheme)
@@ -341,7 +343,7 @@ func RunWith(programs []Program, scheme reorg.Scheme, ms spec.MachineSpec, opts 
 	}
 	cpus := make([]*cpu, ncpu)
 	for k := range cpus {
-		cpus[k] = newCPU(cfg, shared, arb)
+		cpus[k] = newCPU(ms, shared, arb)
 	}
 	ctxs := make([]*core.Machine, len(programs))
 	for i, p := range programs {
@@ -364,6 +366,62 @@ func RunWith(programs []Program, scheme reorg.Scheme, ms spec.MachineSpec, opts 
 	}
 	c0.sink.Tracer = opts.Tracer
 
+	res := &Result{
+		Quantum:    scn.Quantum,
+		Policy:     scn.Policy,
+		SwitchCost: scn.SwitchCost,
+		Programs:   make([]ProgramResult, len(programs)),
+	}
+	err = schedule(cpus, quantum, scn)
+	for i, m := range ctxs {
+		p := &res.Programs[i]
+		*p = ProgramResult{Name: programs[i].Name, Cycles: m.CPU.Stats.Cycles,
+			Instructions: m.CPU.Stats.Issued(), CodeWords: tinyc.StaticInstructions(ims[i]), Output: m.Output()}
+		res.Instructions += p.Instructions
+	}
+	sink := &obs.Sink{Ledger: obs.NewMachineLedger()}
+	for _, c := range cpus {
+		res.Cycles += c.clock
+		res.Switches += c.switches
+		res.SwitchCycles += c.switchCycles
+		res.FlushStalls += c.flushStalls
+		res.IcacheMisses += c.host.ICache.Stats.Misses
+		res.IcacheFetches += c.host.ICache.Stats.Fetches
+		res.EcacheWBs += c.host.ECache.Stats.WriteBacks
+		for i, cc := range c.sink.Ledger.Causes() {
+			sink.Ledger.Add(obs.Cause(i), cc.Cycles)
+		}
+	}
+	if arb != nil {
+		res.BusWaitCycles, res.BusTransfers = arb.WaitCycles, arb.Transfers
+	}
+	res.Obs = sink.Report(res.Cycles, res.Instructions)
+	if err != nil {
+		return res, err
+	}
+	for i, p := range res.Programs {
+		if want := programs[i].Expect; want != "" && p.Output != want {
+			return res, fmt.Errorf("scenario: %s: wrong output %q (want %q)", p.Name, p.Output, want)
+		}
+	}
+
+	if w := c0.win; w != nil {
+		if err := w.Flush(); err != nil {
+			return res, fmt.Errorf("scenario: windows: %w", err)
+		}
+	}
+
+	for i, c := range cpus {
+		if err := c.verify(res); err != nil {
+			return res, fmt.Errorf("scenario: cpu %d: %w", i, err)
+		}
+	}
+	return res, nil
+}
+
+// schedule runs the CPUs' contexts until every program halts, always
+// bursting on the lowest-clock CPU that has live contexts.
+func schedule(cpus []*cpu, quantum uint64, scn spec.ScenarioSpec) error {
 	for {
 		// One pass picks the lowest-clock CPU with live contexts (ties to
 		// the lowest index) and the clock at which another CPU would be
@@ -382,12 +440,12 @@ func RunWith(programs []Program, scheme reorg.Scheme, ms spec.MachineSpec, opts 
 			}
 		}
 		if c == nil {
-			break
+			return nil
 		}
 		// c has the lowest clock of the live CPUs, so once it is past the
 		// limit every live CPU is; a burst stops one cycle past the limit.
 		if c.clock > CycleLimit {
-			return nil, fmt.Errorf("scenario: no convergence within %d cycles", CycleLimit)
+			return fmt.Errorf("scenario: no convergence within %d cycles", CycleLimit)
 		}
 		budget := min(quantum-c.used, bound-c.clock, CycleLimit+1-c.clock)
 		if c.win != nil {
@@ -397,7 +455,7 @@ func RunWith(programs []Program, scheme reorg.Scheme, ms spec.MachineSpec, opts 
 		c.clock += n
 		c.used += n
 		if err != nil {
-			return nil, fmt.Errorf("scenario: %s: %w", c.names[c.cur], err)
+			return fmt.Errorf("scenario: %s: %w", c.names[c.cur], err)
 		}
 		if done {
 			c.live--
@@ -406,52 +464,6 @@ func RunWith(programs []Program, scheme reorg.Scheme, ms spec.MachineSpec, opts 
 			c.rotate(scn)
 		}
 	}
-
-	res := &Result{
-		Quantum:    scn.Quantum,
-		Policy:     scn.Policy,
-		SwitchCost: scn.SwitchCost,
-		Programs:   make([]ProgramResult, len(programs)),
-	}
-	for i, m := range ctxs {
-		p := &res.Programs[i]
-		*p = ProgramResult{Name: programs[i].Name, Cycles: m.CPU.Stats.Cycles,
-			Instructions: m.CPU.Stats.Issued(), CodeWords: tinyc.StaticInstructions(ims[i]), Output: m.Output()}
-		res.Instructions += p.Instructions
-		if want := programs[i].Expect; want != "" && p.Output != want {
-			return nil, fmt.Errorf("scenario: %s: wrong output %q (want %q)", p.Name, p.Output, want)
-		}
-	}
-	sink := &obs.Sink{Ledger: obs.NewMachineLedger(), Tracer: opts.Tracer}
-	for _, c := range cpus {
-		res.Cycles += c.clock
-		res.Switches += c.switches
-		res.SwitchCycles += c.switchCycles
-		res.FlushStalls += c.flushStalls
-		res.IcacheMisses += c.host.ICache.Stats.Misses
-		res.IcacheFetches += c.host.ICache.Stats.Fetches
-		res.EcacheWBs += c.host.ECache.Stats.WriteBacks
-		for i, cc := range c.sink.Ledger.Causes() {
-			sink.Ledger.Add(obs.Cause(i), cc.Cycles)
-		}
-	}
-	if arb != nil {
-		res.BusWaitCycles, res.BusTransfers = arb.WaitCycles, arb.Transfers
-	}
-	res.Obs = sink.Report(res.Cycles, res.Instructions)
-
-	if w := c0.win; w != nil {
-		if err := w.Flush(); err != nil {
-			return nil, fmt.Errorf("scenario: windows: %w", err)
-		}
-	}
-
-	for i, c := range cpus {
-		if err := c.verify(res); err != nil {
-			return nil, fmt.Errorf("scenario: cpu %d: %w", i, err)
-		}
-	}
-	return res, nil
 }
 
 // schedulerContext keys switch-time ledger charges (the software switch

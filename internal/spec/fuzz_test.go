@@ -13,8 +13,7 @@ import (
 
 // FuzzSpecParse fuzzes the spec JSON boundary (what mipsx-run -spec and
 // mipsx-explore -base/-sweep read). Parse must never panic, and a spec it
-// accepts must re-parse from its canonical encoding to the same digest and
-// realize into a machine config without error.
+// accepts must re-parse from its canonical encoding to the same digest.
 func FuzzSpecParse(f *testing.F) {
 	f.Add(Default().CanonicalJSON())
 	for _, sc := range reorg.Table1Schemes() {
@@ -41,9 +40,6 @@ func FuzzSpecParse(f *testing.F) {
 		}
 		if again.Digest() != ms.Digest() {
 			t.Fatalf("digest changed across a canonical round trip:\n%s\n%s", ms.CanonicalJSON(), again.CanonicalJSON())
-		}
-		if _, err := ms.Build(); err != nil {
-			t.Fatalf("accepted spec does not build: %v", err)
 		}
 	})
 }

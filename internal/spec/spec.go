@@ -9,15 +9,14 @@
 // a spec *is* a memo key: the experiment engine's content-addressed cells
 // hash the digest instead of hand-rolled config renderings, and the
 // explorer's sweep points are deduplicated and golden-pinned by the same
-// identity. Build realizes a spec into the core.Config the simulator runs;
-// FromConfig inverts it, which is what lets the field-coverage guard test
-// prove that every architectural core.Config field is covered by the digest
-// (see TestSpecDigestCoversCoreConfig).
+// identity. core.New builds the machine from the spec itself, so every
+// machine input is a spec field, and so covered by the digest, by
+// construction.
 //
 // The spec deliberately carries no simulator diagnostics: the hazard
-// checker observes without changing timing, so two runs differing only in
-// it share one spec, one digest and one memo entry. The guard test pins the
-// allowlist.
+// checker observes without changing timing, so a caller that wants it sets
+// it on the built machine's CPU, and two runs differing only in it share one
+// spec, one digest and one memo entry.
 package spec
 
 import (
@@ -28,12 +27,9 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/ecache"
 	"repro/internal/icache"
 	"repro/internal/jsondoc"
-	"repro/internal/mem"
-	"repro/internal/pipeline"
 	"repro/internal/reorg"
 )
 
@@ -46,9 +42,12 @@ const Schema = "mipsx-spec/v1"
 type MachineSpec struct {
 	Branch   BranchSpec   `json:"branch"`
 	Pipeline PipelineSpec `json:"pipeline"`
-	ICache   ICacheSpec   `json:"icache"`
-	ECache   ECacheSpec   `json:"ecache"`
-	Bus      BusSpec      `json:"bus"`
+	// ICache is the on-chip instruction cache organization: the geometry,
+	// sub-blocking and miss-service axes of the paper's design study (E2).
+	// icache.Config carries its JSON field names.
+	ICache icache.Config `json:"icache"`
+	ECache ECacheSpec    `json:"ecache"`
+	Bus    BusSpec       `json:"bus"`
 	// NoFPU omits the floating-point coprocessor (the paper's FP-intensive
 	// studies toggle it).
 	NoFPU bool `json:"no_fpu,omitempty"`
@@ -118,25 +117,6 @@ type PipelineSpec struct {
 	StickyOverflow bool `json:"sticky_overflow,omitempty"`
 }
 
-// ICacheSpec is the on-chip instruction cache organization: the geometry,
-// sub-blocking and miss-service axes of the paper's design study (E2).
-type ICacheSpec struct {
-	Sets       int `json:"sets"`        // rows; paper: 4 (power of two)
-	Ways       int `json:"ways"`        // associativity; paper: 8
-	BlockWords int `json:"block_words"` // words per block; paper: 16 (power of two)
-	// FetchBack is the words fetched on a miss (sub-block fill); paper: 2.
-	FetchBack int `json:"fetch_back"`
-	// MissPenalty is the machine stall per miss in cycles: 2 with the tag
-	// store in the datapath, 3 otherwise.
-	MissPenalty int `json:"miss_penalty"`
-	// NoCacheCoproc models the rejected coprocessor proposal in which
-	// coprocessor instructions are never cached (E5).
-	NoCacheCoproc bool `json:"no_cache_coproc,omitempty"`
-	// Disabled runs with the cache off — the instruction-register test
-	// feature.
-	Disabled bool `json:"disabled,omitempty"`
-}
-
 // ECacheSpec is the external cache organization and timing.
 type ECacheSpec struct {
 	SizeWords int    `json:"size_words"`
@@ -167,7 +147,7 @@ type BusSpec struct {
 func Default() MachineSpec {
 	return MachineSpec{
 		Branch: BranchSpec{Slots: 2, Squash: SquashOptional},
-		ICache: ICacheSpec{Sets: 4, Ways: 8, BlockWords: 16, FetchBack: 2, MissPenalty: 2},
+		ICache: icache.DefaultConfig(),
 		ECache: DefaultECache(),
 		Bus:    BusSpec{Latency: 4, PerWord: 1},
 	}
@@ -209,14 +189,6 @@ func (ms MachineSpec) WithScheme(s reorg.Scheme) MachineSpec {
 	return ms
 }
 
-// WithFetch returns a copy of the Icache spec with the (fetch-back words,
-// miss penalty) pair of the E2 organization grid.
-func (ic ICacheSpec) WithFetch(fetchBack, missPenalty int) ICacheSpec {
-	ic.FetchBack = fetchBack
-	ic.MissPenalty = missPenalty
-	return ic
-}
-
 // WithSizeWords returns a copy with the capacity replaced.
 func (ec ECacheSpec) WithSizeWords(words int) ECacheSpec {
 	ec.SizeWords = words
@@ -248,9 +220,8 @@ func (ec ECacheSpec) WithPrefetch(fetch string) ECacheSpec {
 }
 
 // ---------------------------------------------------------------------------
-// Enum name mappings. Unknown values render as "unknown(n)" so that a
-// config carrying an out-of-range enum still digests distinctly (the guard
-// test perturbs fields blindly); Validate rejects such specs.
+// Enum name mappings. An unknown value renders as "unknown(n)", which
+// Validate rejects.
 
 // Replacement policy names, in ecache.Replacement order.
 const (
@@ -431,32 +402,10 @@ func (ms MachineSpec) Validate() error {
 // ---------------------------------------------------------------------------
 // Realization
 
-// BuildICache realizes the Icache sub-spec alone (the trace-driven sweeps
-// construct caches without a full machine).
-func (ic ICacheSpec) BuildICache() icache.Config {
-	return icache.Config{
-		Sets:          ic.Sets,
-		Ways:          ic.Ways,
-		BlockWords:    ic.BlockWords,
-		FetchBack:     ic.FetchBack,
-		MissPenalty:   ic.MissPenalty,
-		NoCacheCoproc: ic.NoCacheCoproc,
-		Disabled:      ic.Disabled,
-	}
-}
-
-// StateBits is the architected storage the organization costs on chip
-// (icache.Config.StateBits), the explorer's area axis. An invalid geometry
-// reports 0.
-func (ic ICacheSpec) StateBits() int {
-	if !powerOfTwo(ic.Sets) || !powerOfTwo(ic.BlockWords) || ic.Ways <= 0 {
-		return 0
-	}
-	return ic.BuildICache().StateBits()
-}
-
-// BuildECache realizes the Ecache sub-spec alone. The enum fields must be
-// valid (Validate, or the zero mapping applies).
+// BuildECache realizes the Ecache sub-spec: core.New builds a machine's
+// Ecache from it, and the trace-driven sweeps build caches without a
+// machine. The enum fields must be valid (Validate, or the zero mapping
+// applies).
 func (ec ECacheSpec) BuildECache() ecache.Config {
 	repl, _ := enumValue(replNames, ec.Repl)
 	write, _ := enumValue(writeNames, ec.Write)
@@ -469,61 +418,6 @@ func (ec ECacheSpec) BuildECache() ecache.Config {
 		Write:         ecache.WritePolicy(write),
 		Fetch:         ecache.Prefetch(fetch),
 		LateMissExtra: ec.LateMissExtra,
-	}
-}
-
-// Build validates the spec and realizes it into the core.Config the
-// simulator runs. Callers owning the hazard-checker knob apply it after — it
-// observes without changing timing and is deliberately not part of the spec
-// or its digest.
-func (ms MachineSpec) Build() (core.Config, error) {
-	if err := ms.Validate(); err != nil {
-		return core.Config{}, err
-	}
-	cfg := core.Config{
-		Pipeline: pipeline.Config{
-			BranchSlots:    ms.Branch.Slots,
-			StickyOverflow: ms.Pipeline.StickyOverflow,
-		},
-		Icache: ms.ICache.BuildICache(),
-		Ecache: ms.ECache.BuildECache(),
-		Bus:    mem.Bus{Latency: ms.Bus.Latency, PerWord: ms.Bus.PerWord},
-		NoFPU:  ms.NoFPU,
-	}
-	return cfg, nil
-}
-
-// FromConfig inverts Build: it maps a realized core.Config (plus the branch
-// scheme, which core.Config does not carry) back to the spec that names it.
-// Enum values outside their ranges map to distinct "unknown(n)" names, so
-// any two distinct configs produce distinct digests — the property the
-// field-coverage guard test leans on. The hazard checker (CheckHazards)
-// and bus run state are intentionally dropped; the guard test pins that
-// exact allowlist.
-func FromConfig(cfg core.Config, scheme reorg.Scheme) MachineSpec {
-	return MachineSpec{
-		Branch:   BranchSpec{Slots: cfg.Pipeline.BranchSlots, Squash: squashName(scheme.Squash)},
-		Pipeline: PipelineSpec{StickyOverflow: cfg.Pipeline.StickyOverflow},
-		ICache: ICacheSpec{
-			Sets:          cfg.Icache.Sets,
-			Ways:          cfg.Icache.Ways,
-			BlockWords:    cfg.Icache.BlockWords,
-			FetchBack:     cfg.Icache.FetchBack,
-			MissPenalty:   cfg.Icache.MissPenalty,
-			NoCacheCoproc: cfg.Icache.NoCacheCoproc,
-			Disabled:      cfg.Icache.Disabled,
-		},
-		ECache: ECacheSpec{
-			SizeWords:     cfg.Ecache.SizeWords,
-			LineWords:     cfg.Ecache.LineWords,
-			Ways:          cfg.Ecache.Ways,
-			Repl:          enumName(replNames, int(cfg.Ecache.Repl)),
-			Write:         enumName(writeNames, int(cfg.Ecache.Write)),
-			Fetch:         enumName(fetchNames, int(cfg.Ecache.Fetch)),
-			LateMissExtra: cfg.Ecache.LateMissExtra,
-		},
-		Bus:   BusSpec{Latency: cfg.Bus.Latency, PerWord: cfg.Bus.PerWord},
-		NoFPU: cfg.NoFPU,
 	}
 }
 
@@ -550,24 +444,21 @@ func (ms MachineSpec) Digest() string {
 	return framedDigest(Schema, ms.CanonicalJSON())
 }
 
-// Digest is the Icache sub-spec's content identity, for cells keyed on the
-// Icache organization alone (the trace-driven E2/E6 sweeps).
-func (ic ICacheSpec) Digest() string {
-	b, err := json.Marshal(ic)
-	if err != nil {
-		panic(fmt.Sprintf("spec: canonical encoding failed: %v", err))
-	}
-	return framedDigest(Schema+"/icache", b)
-}
+// ICacheDigest is the Icache organization's content identity, for cells
+// keyed on the Icache alone (the trace-driven E2/E6 sweeps).
+func ICacheDigest(ic icache.Config) string { return subDigest("icache", ic) }
 
 // Digest is the Ecache sub-spec's content identity, for cells keyed on the
 // Ecache organization alone (the trace-driven E10 ablations).
-func (ec ECacheSpec) Digest() string {
-	b, err := json.Marshal(ec)
+func (ec ECacheSpec) Digest() string { return subDigest("ecache", ec) }
+
+// subDigest frames a sub-spec's JSON encoding under its kind's label.
+func subDigest(kind string, v any) string {
+	b, err := json.Marshal(v)
 	if err != nil {
 		panic(fmt.Sprintf("spec: canonical encoding failed: %v", err))
 	}
-	return framedDigest(Schema+"/ecache", b)
+	return framedDigest(Schema+"/"+kind, b)
 }
 
 func framedDigest(label string, body []byte) string {

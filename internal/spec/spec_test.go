@@ -1,11 +1,13 @@
 package spec
 
 import (
-	"reflect"
+	"encoding/json"
 	"strings"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/ecache"
+	"repro/internal/icache"
+	"repro/internal/mem"
 	"repro/internal/reorg"
 )
 
@@ -100,9 +102,6 @@ func TestValidateRejections(t *testing.T) {
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("err = %v, want a violation naming %q", err, tc.want)
 			}
-			if _, berr := ms.Build(); berr == nil {
-				t.Fatal("invalid spec built")
-			}
 		})
 	}
 
@@ -147,17 +146,80 @@ func TestGoldenTable1Digests(t *testing.T) {
 	}
 }
 
-// TestBuildReproducesDefaultConfig pins the byte-identity contract behind
-// the spec conversion: Default().Build() is core.DefaultConfig() literal for
-// literal, so converting the experiments to specs changed no table.
-func TestBuildReproducesDefaultConfig(t *testing.T) {
-	got, err := Default().Build()
-	if err != nil {
-		t.Fatal(err)
+// TestGoldenSubSpecDigests pins the canonical JSON and digest of the Icache
+// and Ecache sub-specs the trace-driven cells key on: the shipped Icache and
+// E2's five fetch organizations (E2 and E6 memo keys), and the three Ecache
+// presets (E2/E6 backing store, E10 ablation baseline). Like the Table 1
+// digests they are memo-key material.
+func TestGoldenSubSpecDigests(t *testing.T) {
+	icPin := func(ic icache.Config) (string, string) {
+		b, err := json.Marshal(ic)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b), ICacheDigest(ic)
 	}
-	want := core.DefaultConfig()
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Default().Build() = %+v\ncore.DefaultConfig() = %+v", got, want)
+	ecPin := func(ec ECacheSpec) (string, string) {
+		b, err := json.Marshal(ec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b), ec.Digest()
+	}
+	ic := Default().ICache
+	cases := []struct {
+		name               string
+		gotJSON, gotDigest string
+		json, digest       string
+	}{
+		{name: "icache default", json: `{"sets":4,"ways":8,"block_words":16,"fetch_back":2,"miss_penalty":2}`,
+			digest: "98d11025c6f9e6c7ba7a80446f5a70ab5af7968e679be8d9e846396119b84c14"},
+		{name: "icache fetch 1/2", json: `{"sets":4,"ways":8,"block_words":16,"fetch_back":1,"miss_penalty":2}`,
+			digest: "540b513d9ad6901110e28a99c83b00121539daac620ecdec0ff5003d9183dbd7"},
+		{name: "icache fetch 2/2", json: `{"sets":4,"ways":8,"block_words":16,"fetch_back":2,"miss_penalty":2}`,
+			digest: "98d11025c6f9e6c7ba7a80446f5a70ab5af7968e679be8d9e846396119b84c14"},
+		{name: "icache fetch 3/2", json: `{"sets":4,"ways":8,"block_words":16,"fetch_back":3,"miss_penalty":2}`,
+			digest: "b377eb1ba5a89870f95bcea70e9f17fe2eee03390236787f95ed6ede71ae79cc"},
+		{name: "icache fetch 2/3", json: `{"sets":4,"ways":8,"block_words":16,"fetch_back":2,"miss_penalty":3}`,
+			digest: "f053a21271e17d367972c08514fca74c171f4c1a2d5228a308c3793f9918979d"},
+		{name: "icache fetch 1/3", json: `{"sets":4,"ways":8,"block_words":16,"fetch_back":1,"miss_penalty":3}`,
+			digest: "0ca8fdcd91f4d28544e9c66786175a0d02199db44c9bec65ae7cf486e5bb8553"},
+		{name: "ecache default", json: `{"size_words":65536,"line_words":4,"ways":1,"repl":"lru","write":"copy-back","fetch":"demand","late_miss_extra":1}`,
+			digest: "825bab5eebeb9f2db2ff05ace6784c4784728f46aceb7b7b6c7bbae5d7907bd2"},
+		{name: "ecache sweep", json: `{"size_words":16384,"line_words":4,"ways":2,"repl":"lru","write":"copy-back","fetch":"demand","late_miss_extra":0}`,
+			digest: "8e8c8ea9c49751bdecafdead1f4763a59ec95f7008a095ef089c8c718562d01e"},
+		{name: "ecache ideal backing", json: `{"size_words":4,"line_words":4,"ways":1,"repl":"lru","write":"copy-back","fetch":"demand","late_miss_extra":0}`,
+			digest: "d0b07128bca0f579f0d6d56000a839b734b489a61a24298ec737152c1d1f6a73"},
+	}
+	cases[0].gotJSON, cases[0].gotDigest = icPin(ic)
+	for i, f := range [][2]int{{1, 2}, {2, 2}, {3, 2}, {2, 3}, {1, 3}} {
+		cases[1+i].gotJSON, cases[1+i].gotDigest = icPin(ic.WithFetch(f[0], f[1]))
+	}
+	for i, ec := range []ECacheSpec{DefaultECache(), SweepECache(), IdealBackingECache()} {
+		cases[6+i].gotJSON, cases[6+i].gotDigest = ecPin(ec)
+	}
+	for _, c := range cases {
+		if c.gotJSON != c.json {
+			t.Errorf("%s: JSON %s, want %s", c.name, c.gotJSON, c.json)
+		}
+		if c.gotDigest != c.digest {
+			t.Errorf("%s: digest %s, want %s (memo-key material — bump memoEpoch if deliberate)", c.name, c.gotDigest, c.digest)
+		}
+	}
+}
+
+// TestBuildReproducesDefaultConfig pins the two defaults that are still
+// written twice, in the spec and in the package that builds them: the
+// Ecache as built and the bus timing. Layer probes that build these
+// directly (ecache.DefaultConfig, mem.DefaultBus) then measure the machine
+// the spec names.
+func TestBuildReproducesDefaultConfig(t *testing.T) {
+	if got, want := DefaultECache().BuildECache(), ecache.DefaultConfig(); got != want {
+		t.Errorf("DefaultECache().BuildECache() = %+v, ecache.DefaultConfig() = %+v", got, want)
+	}
+	bus := mem.DefaultBus()
+	if got, want := Default().Bus, (BusSpec{Latency: bus.Latency, PerWord: bus.PerWord}); got != want {
+		t.Errorf("Default().Bus = %+v, mem.DefaultBus() timing = %+v", got, want)
 	}
 }
 
@@ -185,18 +247,13 @@ func TestSchemeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestICacheStateBits pins the area model against the shipped organization
-// and degrades to 0 on invalid geometry instead of panicking.
+// TestICacheStateBits pins the explorer's area model against the shipped
+// organization.
 func TestICacheStateBits(t *testing.T) {
 	// 4 sets × 8 ways × 16 words: 512 data words ×32b + 512 valid bits +
 	// 32 tags × (32-4-2)b = 16384 + 512 + 832.
 	if got := Default().ICache.StateBits(); got != 17728 {
 		t.Fatalf("shipped organization StateBits = %d, want 17728", got)
-	}
-	bad := Default().ICache
-	bad.Sets = 3
-	if got := bad.StateBits(); got != 0 {
-		t.Fatalf("invalid geometry StateBits = %d, want 0", got)
 	}
 }
 

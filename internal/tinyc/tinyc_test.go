@@ -16,10 +16,8 @@ func runTiny(t *testing.T, src string, scheme reorg.Scheme) string {
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
-	cfg := core.DefaultConfig()
-	cfg.Pipeline.BranchSlots = scheme.Slots
-	cfg.Pipeline.CheckHazards = true
-	m := core.New(cfg, nil)
+	m := core.New(core.DefaultConfig().WithScheme(scheme), nil)
+	m.CPU.Cfg.CheckHazards = true
 	m.Load(im)
 	if _, err := m.Run(20_000_000); err != nil {
 		t.Fatalf("run: %v", err)
