@@ -3,9 +3,14 @@
 
 GO ?= go
 
-.PHONY: check build test vet vet-extra vulncheck race flake lint-suite cost-gate fuzz bench bench-hot trace-sample explore-smoke explore-baseline scenario-gate scenario-baseline stream-gate perfbench-check perf-pairs loc
+.PHONY: check fmt build test vet vet-extra vulncheck race flake lint-suite cost-gate fuzz bench bench-hot trace-sample explore-smoke explore-baseline scenario-gate scenario-baseline stream-gate perfbench-check perf-pairs loc
 
-check: vet vet-extra vulncheck build test race flake lint-suite cost-gate explore-smoke scenario-gate stream-gate perfbench-check
+check: fmt vet vet-extra vulncheck build test race flake lint-suite cost-gate explore-smoke scenario-gate stream-gate perfbench-check
+
+# Formatting gate: every Go file git tracks, perfbench/'s included, is
+# gofmt-clean. gofmt ships with Go; the files it would rewrite are listed.
+fmt:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); test -z "$$out" || { echo "gofmt -l:"; echo "$$out"; exit 1; }
 
 build:
 	$(GO) build ./...

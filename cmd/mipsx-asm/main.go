@@ -16,10 +16,14 @@ import (
 	"os"
 
 	"repro/internal/asm"
+	"repro/internal/cli"
 	"repro/internal/lint"
 	"repro/internal/reorg"
 	"repro/internal/spec"
 )
+
+// stdout is where the command writes its output; a failed write exits 1.
+var stdout = cli.Stdout("mipsx-asm")
 
 func main() {
 	doReorg := flag.Bool("reorg", false, "run the code reorganizer before assembling")
@@ -67,5 +71,5 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	fmt.Print(asm.Listing(im))
+	fmt.Fprint(stdout, asm.Listing(im))
 }

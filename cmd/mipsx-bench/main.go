@@ -44,9 +44,13 @@ import (
 	"runtime"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/experiments"
 	"repro/internal/jsondoc"
 )
+
+// stdout is where the command writes its output; a failed write exits 1.
+var stdout = cli.Stdout("mipsx-bench")
 
 func main() {
 	only := flag.String("only", "", "run only the experiment with this id (E1..E11)")
@@ -142,12 +146,12 @@ func main() {
 			fmt.Fprintf(os.Stderr, "mipsx-bench: %v\n", err)
 			os.Exit(1)
 		}
-		os.Stdout.Write(b)
+		stdout.Write(b)
 		return
 	}
 	if *check == "" {
 		for _, tb := range tables {
-			fmt.Println(tb)
+			fmt.Fprintln(stdout, tb)
 		}
 	}
 }
@@ -199,9 +203,9 @@ func runScenario(jsonOut bool, check string) int {
 		fmt.Fprintf(os.Stderr, "mipsx-bench: scenario document matches %s\n", check)
 	}
 	if jsonOut {
-		os.Stdout.Write(out)
+		stdout.Write(out)
 	} else if check == "" {
-		fmt.Println(experiments.ScenarioTable(doc))
+		fmt.Fprintln(stdout, experiments.ScenarioTable(doc))
 	}
 	return 0
 }

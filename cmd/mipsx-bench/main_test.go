@@ -139,3 +139,24 @@ func TestCheckComparesTotalsOverTheSameExperiments(t *testing.T) {
 		}
 	}
 }
+
+// TestStdoutWriteFailureExits: with stdout on a descriptor that rejects
+// writes (a file opened read-only), the command exits 1 naming the write
+// error instead of reporting success over output that never landed.
+func TestStdoutWriteFailureExits(t *testing.T) {
+	ro, err := os.Open(os.DevNull)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ro.Close()
+	for _, args := range [][]string{{"-only", "E8", "-json"}, {"-only", "E8"}, {"-scenario", "-json"}} {
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Env = append(os.Environ(), "MIPSX_BENCH_MAIN=1")
+		var errb bytes.Buffer
+		cmd.Stdout, cmd.Stderr = ro, &errb
+		err := cmd.Run()
+		if exit, ok := err.(*exec.ExitError); !ok || exit.ExitCode() != 1 || !strings.Contains(errb.String(), "mipsx-bench: writing stdout") {
+			t.Errorf("%v: err %v, stderr %q; want exit 1 naming the write error", args, err, errb.String())
+		}
+	}
+}

@@ -27,11 +27,15 @@ import (
 	"runtime"
 	"strings"
 
+	"repro/internal/cli"
 	"repro/internal/experiments"
 	"repro/internal/jsondoc"
 	"repro/internal/spec"
 	"repro/internal/tinyc"
 )
+
+// stdout is where the command writes its output; a failed write exits 1.
+var stdout = cli.Stdout("mipsx-explore")
 
 func main() {
 	sweepPath := flag.String("sweep", "", "sweep definition JSON ({\"base\": <spec>, \"axes\": [...]})")
@@ -105,12 +109,12 @@ func main() {
 	}
 
 	if *jsonOut {
-		os.Stdout.Write(got)
+		stdout.Write(got)
 		return
 	}
 	if *check == "" {
-		fmt.Println(experiments.PointsTable(doc))
-		fmt.Println(experiments.FrontierTable(doc))
+		fmt.Fprintln(stdout, experiments.PointsTable(doc))
+		fmt.Fprintln(stdout, experiments.FrontierTable(doc))
 	}
 }
 

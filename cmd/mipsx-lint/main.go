@@ -29,6 +29,7 @@ import (
 	"os"
 
 	"repro/internal/asm"
+	"repro/internal/cli"
 	"repro/internal/jsondoc"
 	"repro/internal/lint"
 	"repro/internal/obs"
@@ -36,6 +37,9 @@ import (
 	"repro/internal/spec"
 	"repro/internal/tinyc"
 )
+
+// stdout is where the command writes its output; a failed write exits 1.
+var stdout = cli.Stdout("mipsx-lint")
 
 func main() {
 	tiny := flag.Bool("tiny", false, "input is tinyc source (compile + reorganize first)")
@@ -109,13 +113,13 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		os.Stdout.Write(b)
+		stdout.Write(b)
 	} else {
 		if !*quiet {
-			fmt.Print(rep.String())
+			fmt.Fprint(stdout, rep.String())
 		}
 		errs, warns, infos := rep.Counts()
-		fmt.Printf("%s: %d error(s), %d warning(s), %d info(s)\n", flag.Arg(0), errs, warns, infos)
+		fmt.Fprintf(stdout, "%s: %d error(s), %d warning(s), %d info(s)\n", flag.Arg(0), errs, warns, infos)
 	}
 	if rep.HasErrors() {
 		os.Exit(1)
@@ -144,10 +148,10 @@ func runCost(im *asm.Image, cfg lint.Config, asJSON bool, profPath string) {
 		if err != nil {
 			fail(err)
 		}
-		os.Stdout.Write(b)
+		stdout.Write(b)
 		return
 	}
-	fmt.Print(rep.Render(prof))
+	fmt.Fprint(stdout, rep.Render(prof))
 }
 
 // SuiteSchema versions the -suite -json envelope.
@@ -180,10 +184,10 @@ func runSuite(jsonOut bool) int {
 			rows = append(rows, suiteRow{b.Name, s.String(), errs, warns, infos})
 			if errs > 0 {
 				status = 1
-				fmt.Print(rep.String())
+				fmt.Fprint(stdout, rep.String())
 			}
 			if !jsonOut {
-				fmt.Printf("%-14s %-24s %d error(s), %d warning(s), %d info(s)\n",
+				fmt.Fprintf(stdout, "%-14s %-24s %d error(s), %d warning(s), %d info(s)\n",
 					b.Name, s, errs, warns, infos)
 			}
 		}
@@ -196,7 +200,7 @@ func runSuite(jsonOut bool) int {
 		if err != nil {
 			fail(err)
 		}
-		os.Stdout.Write(b)
+		stdout.Write(b)
 	}
 	return status
 }

@@ -24,6 +24,7 @@ import (
 	"strings"
 
 	"repro/internal/asm"
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/jsondoc"
 	"repro/internal/lint"
@@ -33,6 +34,9 @@ import (
 	"repro/internal/tinyc"
 	"repro/internal/trace"
 )
+
+// stdout is where the command writes its output; a failed write exits 1.
+var stdout = cli.Stdout("mipsx-run")
 
 func main() {
 	tiny := flag.Bool("tiny", false, "input is tinyc source (compile + reorganize)")
@@ -133,14 +137,10 @@ func main() {
 			fail(err)
 		}
 	}
-	scheme, err := ms.Scheme()
-	if err != nil {
-		fail(err)
-	}
 
 	var im *asm.Image
 	if *tiny {
-		im, err = tinyc.Build(string(src), scheme, nil)
+		im, err = tinyc.Build(string(src), ms.Branch, nil)
 		if err != nil {
 			fail(err)
 		}
@@ -155,7 +155,7 @@ func main() {
 		// The dynamic checker (-check) catches hazards the program happens to
 		// execute; the static verifier proves their absence up front.
 		lcfg := lint.DefaultConfig()
-		lcfg.Slots = scheme.Slots
+		lcfg.Slots = ms.Branch.Slots
 		rep := lint.CheckImage(im, lcfg)
 		fmt.Fprint(os.Stderr, rep.String())
 		if rep.HasErrors() {
@@ -166,7 +166,7 @@ func main() {
 
 	if *profile {
 		// First pass: collect branch outcomes; second pass: rebuild.
-		m := core.New(ms, os.Stdout)
+		m := core.New(ms, stdout)
 		m.CPU.Cfg.CheckHazards = *check
 		m.Load(im)
 		var rec trace.Recorder
@@ -175,14 +175,14 @@ func main() {
 			fail(err)
 		}
 		prof := trace.Profile(im, rec.Branches)
-		im, err = tinyc.Build(string(src), scheme, prof)
+		im, err = tinyc.Build(string(src), ms.Branch, prof)
 		if err != nil {
 			fail(err)
 		}
-		fmt.Println("-- profiled rebuild --")
+		fmt.Fprintln(stdout, "-- profiled rebuild --")
 	}
 
-	m := core.New(ms, os.Stdout)
+	m := core.New(ms, stdout)
 	m.CPU.Cfg.CheckHazards = *check
 	// Observation is attached only when asked for: the unobserved machine
 	// keeps the nil-sink fast path.
@@ -212,7 +212,7 @@ func main() {
 	// and the -max-cycles budget.
 	var cycles uint64
 	for i := 0; i < *pipe && cycles < *maxCycles && !m.Console.Halted; i++ {
-		fmt.Println(m.CPU.Snapshot())
+		fmt.Fprintln(stdout, m.CPU.Snapshot())
 		n, _, err := m.RunQuantum(1)
 		cycles += n
 		if err != nil {
@@ -254,7 +254,7 @@ func main() {
 		}
 	}
 	if *breakdown {
-		fmt.Print(m.ObsReport().DecompositionTable())
+		fmt.Fprint(stdout, m.ObsReport().DecompositionTable())
 	}
 	if *check {
 		for _, v := range m.CPU.Violations {
@@ -264,19 +264,19 @@ func main() {
 	if *stats {
 		s := m.Stats()
 		p := s.Pipeline
-		fmt.Printf("cycles            %d\n", cycles)
-		fmt.Printf("instructions      %d (nops %d, squashed %d)\n", p.Issued(), p.Nops, p.Squashed)
-		fmt.Printf("CPI               %.3f\n", s.CPI())
-		fmt.Printf("no-op fraction    %.1f%%\n", 100*p.NopFraction())
-		fmt.Printf("branches          %d (taken %d, cycles/branch %.2f)\n",
+		fmt.Fprintf(stdout, "cycles            %d\n", cycles)
+		fmt.Fprintf(stdout, "instructions      %d (nops %d, squashed %d)\n", p.Issued(), p.Nops, p.Squashed)
+		fmt.Fprintf(stdout, "CPI               %.3f\n", s.CPI())
+		fmt.Fprintf(stdout, "no-op fraction    %.1f%%\n", 100*p.NopFraction())
+		fmt.Fprintf(stdout, "branches          %d (taken %d, cycles/branch %.2f)\n",
 			p.Branches, p.TakenBranches, p.CyclesPerBranch())
-		fmt.Printf("loads/stores      %d/%d\n", p.Loads, p.Stores)
-		fmt.Printf("icache            %.1f%% miss, %d stall cycles\n",
+		fmt.Fprintf(stdout, "loads/stores      %d/%d\n", p.Loads, p.Stores)
+		fmt.Fprintf(stdout, "icache            %.1f%% miss, %d stall cycles\n",
 			100*s.Icache.MissRatio(), s.Icache.StallCycles)
-		fmt.Printf("ecache            %.1f%% miss, %d stall cycles\n",
+		fmt.Fprintf(stdout, "ecache            %.1f%% miss, %d stall cycles\n",
 			100*s.Ecache.MissRatio(), s.Ecache.StallCycles)
-		fmt.Printf("ifetch cost       %.3f cycles\n", s.IfetchCost())
-		fmt.Printf("sustained MIPS    %.2f @ %.0f MHz\n", s.SustainedMIPS(), core.ClockMHz)
+		fmt.Fprintf(stdout, "ifetch cost       %.3f cycles\n", s.IfetchCost())
+		fmt.Fprintf(stdout, "sustained MIPS    %.2f @ %.0f MHz\n", s.SustainedMIPS(), core.ClockMHz)
 	}
 }
 
@@ -375,11 +375,6 @@ func runScenario(list, specPath string, quantum int, policy, traceOut string, wi
 	if err := ms.Validate(); err != nil {
 		fail(err)
 	}
-	scheme, err := ms.Scheme()
-	if err != nil {
-		fail(err)
-	}
-
 	var opts scenario.RunOpts
 	var closeTrace func()
 	if traceOut != "" {
@@ -391,7 +386,7 @@ func runScenario(list, specPath string, quantum int, policy, traceOut string, wi
 		opts.Windows, closeWindows = openWindows(windowOut, window)
 	}
 
-	res, err := scenario.RunWith(programs, scheme, ms, opts)
+	res, err := scenario.RunWith(programs, ms.Branch, ms, opts)
 	if err != nil {
 		fail(err)
 	}
@@ -402,14 +397,14 @@ func runScenario(list, specPath string, quantum int, policy, traceOut string, wi
 		closeWindows()
 	}
 
-	fmt.Printf("scenario %s: quantum %d, policy %s, switch cost %d\n",
+	fmt.Fprintf(stdout, "scenario %s: quantum %d, policy %s, switch cost %d\n",
 		list, scn.Quantum, scn.Policy, scn.SwitchCost)
 	for _, p := range res.Programs {
-		fmt.Printf("  %-14s %12d cycles %10d instructions\n", p.Name, p.Cycles, p.Instructions)
+		fmt.Fprintf(stdout, "  %-14s %12d cycles %10d instructions\n", p.Name, p.Cycles, p.Instructions)
 	}
-	fmt.Printf("  %-14s %12d cycles (%d switches, %d switch cycles, %d flush stalls)\n",
+	fmt.Fprintf(stdout, "  %-14s %12d cycles (%d switches, %d switch cycles, %d flush stalls)\n",
 		"total", res.Cycles, res.Switches, res.SwitchCycles, res.FlushStalls)
-	fmt.Printf("  CPI %.4f over %d instructions\n", res.CPI(), res.Instructions)
+	fmt.Fprintf(stdout, "  CPI %.4f over %d instructions\n", res.CPI(), res.Instructions)
 	if breakdownOut != "" {
 		b, err := jsondoc.Marshal(res.Obs)
 		if err != nil {
@@ -420,7 +415,7 @@ func runScenario(list, specPath string, quantum int, policy, traceOut string, wi
 		}
 	}
 	if breakdown {
-		fmt.Print(res.Obs.DecompositionTable())
+		fmt.Fprint(stdout, res.Obs.DecompositionTable())
 	}
 }
 

@@ -231,3 +231,25 @@ func TestObsWindowOnlyStreams(t *testing.T) {
 		}
 	}
 }
+
+// TestStdoutWriteFailureExits: with stdout on a descriptor that rejects
+// writes (a file opened read-only), the command exits 1 naming the write
+// error instead of reporting success over output that never landed.
+func TestStdoutWriteFailureExits(t *testing.T) {
+	ro, err := os.Open(os.DevNull)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ro.Close()
+	prog := filepath.Join("..", "..", "internal", "core", "testdata", "trace_program.s")
+	for _, args := range [][]string{{"-stats", prog}, {"-bench", "fib"}, {"-scenario", "fib,sieve"}} {
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Env = append(os.Environ(), "MIPSX_RUN_MAIN=1")
+		var errb bytes.Buffer
+		cmd.Stdout, cmd.Stderr = ro, &errb
+		err := cmd.Run()
+		if exit, ok := err.(*exec.ExitError); !ok || exit.ExitCode() != 1 || !strings.Contains(errb.String(), "mipsx-run: writing stdout") {
+			t.Errorf("%v: err %v, stderr %q; want exit 1 naming the write error", args, err, errb.String())
+		}
+	}
+}

@@ -37,6 +37,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/ecache"
 	"repro/internal/experiments"
 	"repro/internal/icache"
@@ -46,6 +47,9 @@ import (
 	"repro/internal/spec"
 	"repro/internal/trace"
 )
+
+// stdout is where the command writes its output; a failed write exits 1.
+var stdout = cli.Stdout("mipsx-trace")
 
 // Input caps. The trace is held in memory (4 bytes a reference) and the
 // synthetic program's layout grows with its code size, so both are bounded
@@ -77,7 +81,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "mipsx-trace: -follow needs -interval > 0")
 			os.Exit(2)
 		}
-		if err := follow(*followPath, *followInterval, *followOnce, os.Stdout); err != nil {
+		if err := follow(*followPath, *followInterval, *followOnce, stdout); err != nil {
 			fail(err)
 		}
 		return
@@ -121,28 +125,28 @@ func main() {
 			n = len(tr)
 		}
 		for _, a := range tr[:n] {
-			fmt.Printf("%06x\n", a)
+			fmt.Fprintf(stdout, "%06x\n", a)
 		}
 		return
 	}
 
 	m := mem.New()
 	bus := mem.DefaultBus()
-	e := ecache.New(ms.ECache.BuildECache(), m, bus)
+	e := ecache.New(ms.ECache, m, bus)
 	ic := icache.New(ms.ICache, e)
 	for _, a := range tr {
 		ic.Fetch(a)
 	}
 
-	fmt.Printf("profile          %s (%d words static code)\n", *profile, cfg.CodeWords)
-	fmt.Printf("references       %d\n", len(tr))
-	fmt.Printf("icache           %d sets × %d ways × %d words, fetch-back %d, %d-cycle miss\n",
+	fmt.Fprintf(stdout, "profile          %s (%d words static code)\n", *profile, cfg.CodeWords)
+	fmt.Fprintf(stdout, "references       %d\n", len(tr))
+	fmt.Fprintf(stdout, "icache           %d sets × %d ways × %d words, fetch-back %d, %d-cycle miss\n",
 		ms.ICache.Sets, ms.ICache.Ways, ms.ICache.BlockWords, ms.ICache.FetchBack, ms.ICache.MissPenalty)
-	fmt.Printf("icache miss      %.2f%%\n", 100*ic.Stats.MissRatio())
-	fmt.Printf("ifetch cost      %.3f cycles (icache stalls only)\n", ic.Stats.FetchCost())
-	fmt.Printf("ecache miss      %.2f%% (%d accesses)\n",
+	fmt.Fprintf(stdout, "icache miss      %.2f%%\n", 100*ic.Stats.MissRatio())
+	fmt.Fprintf(stdout, "ifetch cost      %.3f cycles (icache stalls only)\n", ic.Stats.FetchCost())
+	fmt.Fprintf(stdout, "ecache miss      %.2f%% (%d accesses)\n",
 		100*e.Stats.MissRatio(), e.Stats.Accesses())
-	fmt.Printf("bus traffic      %d words\n", bus.WordsCarried)
+	fmt.Fprintf(stdout, "bus traffic      %d words\n", bus.WordsCarried)
 }
 
 // viz renders an observability artifact as a CPI-decomposition table. The
@@ -179,7 +183,7 @@ func viz(args []string) {
 		if err != nil {
 			failIn(err)
 		}
-		if err := renderWindowDoc(doc, os.Stdout); err != nil {
+		if err := renderWindowDoc(doc, stdout); err != nil {
 			failIn(err)
 		}
 	case obs.ReportSchema:
@@ -187,16 +191,16 @@ func viz(args []string) {
 		if err != nil {
 			failIn(err)
 		}
-		fmt.Print(rep.DecompositionTable())
+		fmt.Fprint(stdout, rep.DecompositionTable())
 	case experiments.BenchSchema:
 		doc, err := experiments.ParseBenchDoc(b)
 		if err != nil {
 			failIn(err)
 		}
-		fmt.Printf("bench document: %d cells, %d cycles simulated\n\n", doc.Cells, doc.TotalCyclesSimulated)
-		fmt.Print(attrTable(doc.Attribution, doc.TotalCyclesSimulated).DecompositionTable())
+		fmt.Fprintf(stdout, "bench document: %d cells, %d cycles simulated\n\n", doc.Cells, doc.TotalCyclesSimulated)
+		fmt.Fprint(stdout, attrTable(doc.Attribution, doc.TotalCyclesSimulated).DecompositionTable())
 		if doc.ObsOverhead != nil {
-			fmt.Printf("\n%s\n", doc.ObsOverhead)
+			fmt.Fprintf(stdout, "\n%s\n", doc.ObsOverhead)
 		}
 		if *cells {
 			for _, t := range doc.CellTimings {
@@ -207,8 +211,8 @@ func viz(args []string) {
 				for _, v := range t.Attribution {
 					total += v
 				}
-				fmt.Printf("\ncell %s (%d cycles)\n", t.ID, total)
-				fmt.Print(attrTable(t.Attribution, total).DecompositionTable())
+				fmt.Fprintf(stdout, "\ncell %s (%d cycles)\n", t.ID, total)
+				fmt.Fprint(stdout, attrTable(t.Attribution, total).DecompositionTable())
 			}
 		}
 	case experiments.ScenarioSchema:
@@ -216,18 +220,18 @@ func viz(args []string) {
 		if err != nil {
 			failIn(err)
 		}
-		fmt.Printf("scenario document: %d cells (%s, switch cost %d)\n", len(doc.Cells), doc.Scheme, doc.SwitchCost)
+		fmt.Fprintf(stdout, "scenario document: %d cells (%s, switch cost %d)\n", len(doc.Cells), doc.Scheme, doc.SwitchCost)
 		for i := range doc.Cells {
 			c := &doc.Cells[i]
 			r := &c.Result
-			fmt.Printf("\n%s quantum=%d policy=%s: %d cycles (CPI %.4f), %d switches, %d icache misses\n",
+			fmt.Fprintf(stdout, "\n%s quantum=%d policy=%s: %d cycles (CPI %.4f), %d switches, %d icache misses\n",
 				c.Workload, c.Quantum, c.Policy, r.Cycles, r.CPI(), r.Switches, r.IcacheMisses)
 			if r.Obs != nil {
 				// The decomposition is the pollution breakdown: under flush
 				// the context-switch/flush-refill rows carry the scheduler
 				// overhead and icache-miss carries the cold-cache refills;
 				// under pid all three shrink to the workload's own misses.
-				fmt.Print(r.Obs.DecompositionTable())
+				fmt.Fprint(stdout, r.Obs.DecompositionTable())
 			}
 		}
 	default:

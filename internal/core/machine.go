@@ -76,7 +76,7 @@ func New(ms spec.MachineSpec, consoleOut io.Writer) *Machine {
 // that internal/scenario builds its multiprocessor from.
 func NewShared(ms spec.MachineSpec, shared *mem.Memory, arb *mem.Arbiter, consoleOut io.Writer) *Machine {
 	bus := &mem.Bus{Latency: ms.Bus.Latency, PerWord: ms.Bus.PerWord, Arb: arb}
-	ec := ecache.New(ms.ECache.BuildECache(), shared, bus)
+	ec := ecache.New(ms.ECache, shared, bus)
 	// A machine is the one context over its own hierarchy.
 	host := &Machine{Spec: ms, Mem: shared, Bus: bus, ECache: ec, ICache: icache.New(ms.ICache, ec)}
 	return NewContext(host, consoleOut)

@@ -18,6 +18,7 @@ import (
 	"math/rand"
 
 	"repro/internal/isa"
+	"repro/internal/jsondoc"
 	"repro/internal/mem"
 	"repro/internal/obs"
 )
@@ -61,19 +62,59 @@ const (
 	WriteThrough
 )
 
-// Config parameterizes the cache. The zero value is not useful; call
-// DefaultConfig for the paper's Ecache.
+// The policies' names in a machine spec, in value order.
+var (
+	replNames  = []string{"lru", "fifo", "random"}
+	writeNames = []string{"copy-back", "write-through"}
+	fetchNames = []string{"demand", "always", "on-miss", "tagged"}
+)
+
+// MarshalText writes the policy's spec name ("lru", "fifo" or "random").
+func (r Replacement) MarshalText() ([]byte, error) {
+	return jsondoc.EnumText("replacement policy", replNames, r)
+}
+
+// UnmarshalText reads a spec name; an unknown one is an error.
+func (r *Replacement) UnmarshalText(b []byte) error {
+	return jsondoc.ParseEnum("replacement policy", replNames, b, r)
+}
+
+// MarshalText writes the policy's spec name ("copy-back" or
+// "write-through").
+func (w WritePolicy) MarshalText() ([]byte, error) {
+	return jsondoc.EnumText("write policy", writeNames, w)
+}
+
+// UnmarshalText reads a spec name; an unknown one is an error.
+func (w *WritePolicy) UnmarshalText(b []byte) error {
+	return jsondoc.ParseEnum("write policy", writeNames, b, w)
+}
+
+// MarshalText writes the algorithm's spec name ("demand", "always",
+// "on-miss" or "tagged").
+func (p Prefetch) MarshalText() ([]byte, error) {
+	return jsondoc.EnumText("fetch algorithm", fetchNames, p)
+}
+
+// UnmarshalText reads a spec name; an unknown one is an error.
+func (p *Prefetch) UnmarshalText(b []byte) error {
+	return jsondoc.ParseEnum("fetch algorithm", fetchNames, b, p)
+}
+
+// Config parameterizes the cache. It is also a machine spec's Ecache block
+// (spec.MachineSpec.ECache), so it carries the spec's JSON names. The zero
+// value is not useful; call DefaultConfig for the paper's Ecache.
 type Config struct {
-	SizeWords int // total data capacity in words
-	LineWords int // line (block) size in words
-	Ways      int // associativity (1 = direct mapped)
-	Repl      Replacement
-	Write     WritePolicy
-	Fetch     Prefetch
+	SizeWords int         `json:"size_words"` // total data capacity in words
+	LineWords int         `json:"line_words"` // line (block) size in words
+	Ways      int         `json:"ways"`       // associativity (1 = direct mapped)
+	Repl      Replacement `json:"repl"`
+	Write     WritePolicy `json:"write"`
+	Fetch     Prefetch    `json:"fetch"`
 
 	// LateMissExtra is the additional stall charged because hit/miss is only
 	// known at the start of the next cycle (the paper's late-miss signal).
-	LateMissExtra int
+	LateMissExtra int `json:"late_miss_extra"`
 }
 
 // DefaultConfig is the Ecache as built: 64K words, 4-word lines, direct
@@ -88,6 +129,36 @@ func DefaultConfig() Config {
 		Write:         CopyBack,
 		LateMissExtra: 1,
 	}
+}
+
+// WithSizeWords returns a copy with the capacity replaced.
+func (c Config) WithSizeWords(words int) Config {
+	c.SizeWords = words
+	return c
+}
+
+// WithLineWords returns a copy with the line size replaced.
+func (c Config) WithLineWords(words int) Config {
+	c.LineWords = words
+	return c
+}
+
+// WithRepl returns a copy with the replacement policy replaced.
+func (c Config) WithRepl(r Replacement) Config {
+	c.Repl = r
+	return c
+}
+
+// WithWrite returns a copy with the write policy replaced.
+func (c Config) WithWrite(w WritePolicy) Config {
+	c.Write = w
+	return c
+}
+
+// WithPrefetch returns a copy with the fetch algorithm replaced.
+func (c Config) WithPrefetch(p Prefetch) Config {
+	c.Fetch = p
+	return c
 }
 
 // Stats accumulates cache behaviour.

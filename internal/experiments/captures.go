@@ -33,7 +33,6 @@ import (
 	"sync"
 
 	"repro/internal/asm"
-	"repro/internal/reorg"
 	"repro/internal/spec"
 	"repro/internal/tinyc"
 	"repro/internal/trace"
@@ -141,22 +140,22 @@ func (t *resultTable) fill(ctx context.Context, key string, en *entry, n *tableC
 	return val, nil
 }
 
-// captured returns the capture of b's unprofiled run under scheme on the
-// machine the spec names, accounted to the cell running under ctx. A
+// captured returns the capture of b's unprofiled run on the machine the
+// spec names, accounted to the cell running under ctx. A
 // missing capture is simulated by this reader when enter is set; a plain
 // run leaves it unset and gets nil, and then simulates the run itself.
-func captured(ctx context.Context, b tinyc.Benchmark, scheme reorg.Scheme, ms spec.MachineSpec, enter bool) (*capture, error) {
+func captured(ctx context.Context, b tinyc.Benchmark, ms spec.MachineSpec, enter bool) (*capture, error) {
 	t := meterFrom(ctx).table
 	if !enter && t.counts(true).entries == 0 {
 		return nil, nil
 	}
-	key, err := benchKey("run", b, scheme, ms)
+	key, err := benchKey("run", b, ms)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", b.Name, err)
 	}
 	produce := func(ctx context.Context) (any, error) {
 		var rec trace.Recorder
-		im, res, err := simulate(ctx, b, scheme, nil, ms, &rec)
+		im, res, err := simulate(ctx, b, nil, ms, &rec)
 		if err != nil {
 			return nil, err
 		}

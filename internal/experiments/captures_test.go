@@ -36,7 +36,7 @@ func fibWith(t *testing.T, wrap func(orig func() string) func() string) tinyc.Be
 // shipped-scheme capture, as each member of E4's suite stream does.
 func captureCells(prefix string, n int, b tinyc.Benchmark) []Cell {
 	return indexedCells(prefix, n, func(ctx context.Context, _ int) error {
-		_, err := captured(ctx, b, reorg.Default(), spec.Default(), true)
+		_, err := captured(ctx, b, spec.Default(), true)
 		return err
 	})
 }
@@ -107,7 +107,7 @@ func TestEngineSharesCaptures(t *testing.T) {
 		var plain [4]RunResult
 		cells := captureCells("capture", 4, fib)
 		for i, id := range ids("plain", len(plain)) {
-			cells = append(cells, benchCell(id, fib, reorg.Default(), false, spec.Default(), &plain[i]))
+			cells = append(cells, benchCell(id, fib, false, spec.Default(), &plain[i]))
 		}
 		if err := e.Run(ctx, cells); err != nil {
 			t.Fatal(err)
@@ -122,7 +122,7 @@ func TestEngineSharesCaptures(t *testing.T) {
 
 		// A plain run read from the capture equals one simulated on its own.
 		var own RunResult
-		if err := (&Engine{}).Run(ctx, []Cell{benchCell("own", fib, reorg.Default(), false, spec.Default(), &own)}); err != nil {
+		if err := (&Engine{}).Run(ctx, []Cell{benchCell("own", fib, false, spec.Default(), &own)}); err != nil {
 			t.Fatal(err)
 		}
 		want, _ := json.Marshal(own)
@@ -228,7 +228,7 @@ func TestCaptureChecksExpectedOutput(t *testing.T) {
 		return func() string { return "not fib's output" }
 	})
 	var pe []predEval
-	src := suiteBranches([]tinyc.Benchmark{fib}, reorg.Default(), spec.Default())
+	src := suiteBranches([]tinyc.Benchmark{fib}, spec.Default())
 	err := (&Engine{Workers: 1}).Run(context.Background(), []Cell{bpredCell("E4/suite", src, []predRow{{"static", "static", 0}}, &pe)})
 	if err == nil || !strings.Contains(err.Error(), "wrong output") {
 		t.Fatalf("capture of a benchmark with the wrong expected output returned %v; want a wrong-output error", err)

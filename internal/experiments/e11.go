@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/reorg"
 	"repro/internal/scenario"
 	"repro/internal/spec"
 	"repro/internal/tinyc"
@@ -16,6 +15,7 @@ import (
 // *out. Each node's ledger is conservation-verified inside the run, with
 // the shared-bus arbitration waits under the bus-wait cause.
 func clusterCell(id, src string, n int, out *scenario.ClusterStats) Cell {
+	ms := spec.Default()
 	return Cell{
 		ID: id,
 		Fn: func(ctx context.Context) error {
@@ -25,7 +25,7 @@ func clusterCell(id, src string, n int, out *scenario.ClusterStats) Cell {
 			}
 			var r scenario.Result
 			opts := scenario.RunOpts{Multiprocessor: true}
-			if err := runScenario(ctx, progs, reorg.Default(), spec.Default(), opts, &r); err != nil {
+			if err := runScenario(ctx, progs, ms, opts, &r); err != nil {
 				return err
 			}
 			*out = r.Cluster()
@@ -37,16 +37,19 @@ func clusterCell(id, src string, n int, out *scenario.ClusterStats) Cell {
 				// source plus the scheme covers the per-node images.
 				k := newKey("cluster")
 				k.str("source", src)
-				k.str("scheme", reorg.Default().String())
+				k.str("scheme", ms.Branch.String())
 				k.num("nodes", uint64(n))
 				k.num("limit", scenario.CycleLimit)
-				k.str("spec", spec.Default().Digest())
+				k.str("spec", ms.Digest())
 				return k.sum(), nil
 			},
 			Out: out,
 		},
 	}
 }
+
+// clusterSizes are E11's node counts.
+var clusterSizes = []int{1, 2, 4, 6, 8, 10}
 
 // MultiprocessorScaling is E11, an extension beyond the paper's own
 // evaluation: the shared-memory multiprocessor the processor was designed
@@ -64,7 +67,6 @@ func MultiprocessorScaling() (*Table, error) {
 		Header: []string{"nodes", "aggregate MIPS", "bus wait/node (cycles)", "vs VAX 11/780"},
 	}
 	bench := tinyc.Benchmarks()[3] // sieve: branchy, array-heavy, fits the window 10×
-	sizes := []int{1, 2, 4, 6, 8, 10}
 
 	// Each cluster size is a cell (a whole cluster shares state internally
 	// but nothing across cells), plus a cell for the VAX reference rate on
@@ -72,17 +74,17 @@ func MultiprocessorScaling() (*Table, error) {
 	// program source, the reorg scheme, the node count, the per-node spec
 	// and the cycle limit (scenario.ClusterStats is pure exported scalars).
 	var vaxRes VAXResult
-	stats := make([]scenario.ClusterStats, len(sizes))
-	cells := make([]Cell, 0, len(sizes)+1)
+	stats := make([]scenario.ClusterStats, len(clusterSizes))
+	cells := make([]Cell, 0, len(clusterSizes)+1)
 	cells = append(cells, vaxCell("E11/vax", bench.Source, &vaxRes))
-	for i, n := range sizes {
+	for i, n := range clusterSizes {
 		cells = append(cells, clusterCell(fmt.Sprintf("E11/nodes=%d", n), bench.Source, n, &stats[i]))
 	}
 	if err := DefaultEngine().Run(context.Background(), cells); err != nil {
 		return nil, err
 	}
 	vaxSeconds := float64(vaxRes.Stats.Cycles) / (5.0 * 1e6) // 5 MHz clock
-	for i, n := range sizes {
+	for i, n := range clusterSizes {
 		s := stats[i]
 		// n programs finished in makespan cycles; the VAX does them one
 		// after another.

@@ -47,6 +47,31 @@ loop:	%s
 `, n, body)
 }
 
+// trapIters is how many iterations E8's trap loops run.
+const trapIters = 200
+
+// squashLoop drives the squash FSM from branches alone: a squashing loop
+// branch taken 49 times and not taken once.
+const squashLoop = `
+main:	addi r1, r0, 50
+loop:	addi r1, r1, -1
+	bne.sq r1, r0, loop
+	nop
+	nop
+	halt
+`
+
+// overflowKernel enables the overflow trap in the PSW and overflows once.
+const overflowKernel = `
+main:	li r9, 0x7FFFFFFF
+	li r10, 517
+	mots psw, r10
+	nop
+	nop
+	add r11, r9, r9
+	halt
+`
+
 // ExceptionHandling reproduces the exception-mechanism results (§Exception
 // Handling, Figures 3 and 4): the squash FSM serves both exceptions and
 // branch squashing, exception entry+restart is a handful of cycles, and the
@@ -58,48 +83,30 @@ func ExceptionHandling() (*Table, error) {
 		Paper:  "freeze pipeline, save 3 PCs, restart with 3 jumps; squashing branches reuse the exception FSM (+1 input); trap on overflow simpler than sticky bit",
 		Header: []string{"measure", "value"},
 	}
-	const iters = 200
 	// Five independent machine runs, one cell each.
 	sticky := spec.Default()
 	sticky.Pipeline.StickyOverflow = true
-	const brSrc = `
-main:	addi r1, r0, 50
-loop:	addi r1, r1, -1
-	bne.sq r1, r0, loop
-	nop
-	nop
-	halt
-`
-	const ovf = `
-main:	li r9, 0x7FFFFFFF
-	li r10, 517
-	mots psw, r10
-	nop
-	nop
-	add r11, r9, r9
-	halt
-`
 	// Five independent memoizable machine runs, one cell each (RunResult
 	// carries the register file, PSW and squash-FSM counters the rows
 	// read, so replays are state-identical to live runs).
 	var base, trap, br, trapM, stickyM RunResult
 	cells := []Cell{
-		asmCell("E8/base-loop", trapLoop(iters, false), spec.Default(), &base),
-		asmCell("E8/trap-loop", trapLoop(iters, true), spec.Default(), &trap),
-		asmCell("E8/branch-squash", handlerAsm+brSrc, spec.Default(), &br),
-		asmCell("E8/overflow-trap", handlerAsm+ovf, spec.Default(), &trapM),
-		asmCell("E8/overflow-sticky", handlerAsm+ovf, sticky, &stickyM),
+		asmCell("E8/base-loop", trapLoop(trapIters, false), spec.Default(), &base),
+		asmCell("E8/trap-loop", trapLoop(trapIters, true), spec.Default(), &trap),
+		asmCell("E8/branch-squash", handlerAsm+squashLoop, spec.Default(), &br),
+		asmCell("E8/overflow-trap", handlerAsm+overflowKernel, spec.Default(), &trapM),
+		asmCell("E8/overflow-sticky", handlerAsm+overflowKernel, sticky, &stickyM),
 	}
 	if err := DefaultEngine().Run(context.Background(), cells); err != nil {
 		return nil, err
 	}
-	if trap.Regs[23] != iters {
-		return nil, fmt.Errorf("exception loop took %d exceptions, want %d", trap.Regs[23], iters)
+	if trap.Regs[23] != trapIters {
+		return nil, fmt.Errorf("exception loop took %d exceptions, want %d", trap.Regs[23], trapIters)
 	}
-	perTrap := float64(trap.Stats.Pipeline.Cycles-base.Stats.Pipeline.Cycles) / iters
+	perTrap := float64(trap.Stats.Pipeline.Cycles-base.Stats.Pipeline.Cycles) / trapIters
 	t.AddRow("cycles per exception (entry + minimal handler + 3-jump restart)", perTrap)
 	t.AddRow("exceptions taken", trap.Stats.Pipeline.Exceptions)
-	t.AddRow("instructions killed per exception", float64(trap.Stats.Pipeline.Killed)/iters)
+	t.AddRow("instructions killed per exception", float64(trap.Stats.Pipeline.Killed)/trapIters)
 	t.AddRow("squash FSM events from exceptions", trap.SquashEvents[pipeline.CauseException])
 
 	// The same FSM driven by branch squashing (the single extra input).

@@ -16,7 +16,6 @@ import (
 	"fmt"
 
 	"repro/internal/jsondoc"
-	"repro/internal/reorg"
 	"repro/internal/scenario"
 	"repro/internal/spec"
 	"repro/internal/tinyc"
@@ -94,13 +93,6 @@ func Explore(ctx context.Context, sw spec.Sweep, benches []tinyc.Benchmark) (*Ex
 	if err != nil {
 		return nil, err
 	}
-	schemes := make([]reorg.Scheme, len(points))
-	for i, p := range points {
-		if schemes[i], err = p.Spec.Scheme(); err != nil {
-			return nil, fmt.Errorf("point %s: %w", p.Label(), err)
-		}
-	}
-
 	// One memoizable cell per (point × benchmark) — exactly a benchCell, so
 	// a point that coincides with an experiment table's machine replays from
 	// the table's entries and vice versa. A point carrying a scenario block
@@ -114,14 +106,14 @@ func Explore(ctx context.Context, sw spec.Sweep, benches []tinyc.Benchmark) (*Ex
 		if p.Spec.Scenario != nil {
 			cells = append(cells, scenarioCell(
 				fmt.Sprintf("EXPL[%d]/%s/scenario", i, p.Label()),
-				benches, schemes[i], p.Spec, &scnResults[i]))
+				benches, p.Spec, &scnResults[i]))
 			continue
 		}
 		results[i] = make([]RunResult, len(benches))
 		for j, b := range benches {
 			cells = append(cells, benchCell(
 				fmt.Sprintf("EXPL[%d]/%s/%s", i, p.Label(), b.Name),
-				b, schemes[i], false, p.Spec, &results[i][j]))
+				b, false, p.Spec, &results[i][j]))
 		}
 	}
 	if err := DefaultEngine().Run(ctx, cells); err != nil {
@@ -138,7 +130,7 @@ func Explore(ctx context.Context, sw spec.Sweep, benches []tinyc.Benchmark) (*Ex
 			Digest:      p.Spec.Digest(),
 			Coords:      p.Coords,
 			Spec:        p.Spec,
-			Scheme:      schemes[i].String(),
+			Scheme:      p.Spec.Branch.String(),
 			IcacheBits:  p.Spec.ICache.StateBits(),
 			Attribution: make(map[string]uint64),
 		}
@@ -166,7 +158,7 @@ func Explore(ctx context.Context, sw spec.Sweep, benches []tinyc.Benchmark) (*Ex
 				for c, v := range r.Obs.Map() {
 					ep.Attribution[c] += v
 				}
-				im, err := buildCached(b, schemes[i])
+				im, err := buildCached(b, p.Spec.Branch)
 				if err != nil {
 					return nil, err
 				}

@@ -30,7 +30,6 @@ func Table1BranchSchemes() (*Table, error) {
 		Header: []string{"branch scheme", "cycles/branch", "branches", "wasted slots"},
 	}
 	benches := table1Benchmarks()
-	ms := spec.Default()
 	schemes := reorg.Table1Schemes()
 	// One memoizable cell per (scheme × benchmark), plus the shipped
 	// configuration with profile feedback ("our most recent results show
@@ -38,11 +37,11 @@ func Table1BranchSchemes() (*Table, error) {
 	// profiled row goes first: its cells capture the shipped runs, which the
 	// shipped scheme's row then reads instead of simulating (at -parallel 1
 	// every capture is done before its reader starts).
-	profiled := newSuite("E1/profiled", benches, reorg.Default(), true, ms)
+	profiled := newSuite("E1/profiled", benches, true, spec.Default())
 	suites := make([]suite, len(schemes))
 	cells := slices.Clone(profiled.cells)
 	for i, scheme := range schemes {
-		suites[i] = newSuite("E1/"+scheme.String(), benches, scheme, false, ms)
+		suites[i] = newSuite("E1/"+scheme.String(), benches, false, spec.Table1(scheme))
 		cells = append(cells, suites[i].cells...)
 	}
 	if err := DefaultEngine().Run(context.Background(), cells); err != nil {
@@ -129,7 +128,7 @@ func icacheCost(cfg icache.Config, tr []isa.Word) (missRatio, fetchCycles float6
 // idealBackedIcache builds an Icache whose backing Ecache, on a bus with no
 // latency and no per-word cost, answers every access in 0 cycles.
 func idealBackedIcache(cfg icache.Config) *icache.Cache {
-	e := ecache.New(spec.IdealBackingECache().BuildECache(), mem.New(), &mem.Bus{Latency: 0, PerWord: 0})
+	e := ecache.New(spec.IdealBackingECache(), mem.New(), &mem.Bus{Latency: 0, PerWord: 0})
 	return icache.New(cfg, e)
 }
 
@@ -149,7 +148,7 @@ func BranchConditionStats() (*Table, error) {
 	// MIPS-X side: one memoizable cell per benchmark — the same cells E1's
 	// shipped-scheme row and E9 run, so a shared cache services all three.
 	vr := make([]VAXResult, len(benches))
-	mx := newSuite("E3/mipsx", benches, reorg.Default(), false, spec.Default())
+	mx := newSuite("E3/mipsx", benches, false, spec.Default())
 	cells := make([]Cell, 0, 2*len(benches))
 	for i, b := range benches {
 		cells = append(cells, vaxCell("E3/vax/"+b.Name, b.Source, &vr[i]))
@@ -186,7 +185,7 @@ func BranchCacheVsStatic() (*Table, error) {
 // of static branch sites, where the 16-entry cache visibly starves — the
 // paper's "much greater than 16 entries" finding).
 func e4Streams() (suite, big branchStream) {
-	return suiteBranches(table1Benchmarks(), reorg.Default(), spec.Default()),
+	return suiteBranches(table1Benchmarks(), spec.Default()),
 		syntheticBranches(120_000, 400, 11)
 }
 
@@ -287,8 +286,8 @@ func CoprocessorSchemes() (*Table, error) {
 	nc.ICache.NoCacheCoproc = true
 	var chosen, noncached, direct, indirect RunResult
 	cells := []Cell{
-		benchCell("E5/chosen", fp, reorg.Default(), false, spec.Default(), &chosen),
-		benchCell("E5/non-cached", fp, reorg.Default(), false, nc, &noncached),
+		benchCell("E5/chosen", fp, false, spec.Default(), &chosen),
+		benchCell("E5/non-cached", fp, false, nc, &noncached),
 		asmCell("E5/ldf-stf", fpCopyDirect, spec.Default(), &direct),
 		asmCell("E5/via-cpu", fpCopyViaCPU, spec.Default(), &indirect),
 	}
@@ -341,15 +340,15 @@ func SustainedThroughput() (*Table, error) {
 	tsPas := synthTrace(trace.PascalSynth(0), 300_000)
 	tsLis := synthTrace(trace.LispSynth(0), 300_000)
 	mpPas, mpLis := multiprogSpec(1), multiprogSpec(2)
-	pasSuite := newSuite("E6/suite/pascal", tinyc.SuiteByClass("pascal"), reorg.Default(), true, ms)
-	lisSuite := newSuite("E6/suite/lisp", tinyc.SuiteByClass("lisp"), reorg.Default(), true, ms)
+	pasSuite := newSuite("E6/suite/pascal", tinyc.SuiteByClass("pascal"), true, ms)
+	lisSuite := newSuite("E6/suite/lisp", tinyc.SuiteByClass("lisp"), true, ms)
 	var icost [2]fetchCost
 	var esweep [2]ecacheSweep
 	cells := slices.Concat(pasSuite.cells, lisSuite.cells, []Cell{
-		icacheCostCell("E6/icache/pascal", tsPas, spec.Default().ICache, tsPas.source(), &icost[0]),
-		icacheCostCell("E6/icache/lisp", tsLis, spec.Default().ICache, tsLis.source(), &icost[1]),
-		ecacheSweepCell("E6/ecache/pascal", mpPas, spec.DefaultECache(), false, mpPas.source(), &esweep[0]),
-		ecacheSweepCell("E6/ecache/lisp", mpLis, spec.DefaultECache(), false, mpLis.source(), &esweep[1]),
+		icacheCostCell("E6/icache/pascal", tsPas, ms.ICache, tsPas.source(), &icost[0]),
+		icacheCostCell("E6/icache/lisp", tsLis, ms.ICache, tsLis.source(), &icost[1]),
+		ecacheSweepCell("E6/ecache/pascal", mpPas, ms.ECache, false, mpPas.source(), &esweep[0]),
+		ecacheSweepCell("E6/ecache/lisp", mpLis, ms.ECache, false, mpLis.source(), &esweep[1]),
 	})
 	if err := DefaultEngine().Run(context.Background(), cells); err != nil {
 		return nil, err
@@ -414,7 +413,7 @@ func VAXComparison() (*Table, error) {
 	// same closure as E1's profiled row, so the cache serves both) and the
 	// CISC reference run; ratios assemble after the fan-in, in benchmark
 	// order, then the geometric mean.
-	mx := newSuite("E7/mipsx", benches, reorg.Default(), true, spec.Default())
+	mx := newSuite("E7/mipsx", benches, true, spec.Default())
 	cisc := make([]VAXResult, len(benches))
 	cells := slices.Clone(mx.cells)
 	for i, b := range benches {
@@ -467,7 +466,7 @@ func MemoryBandwidth() (*Table, error) {
 	// One memoizable cell per benchmark, the same (benchmark × shipped
 	// scheme × default config) closure as E1's shipped row and E3's MIPS-X
 	// suite — three experiments, one set of simulations under the cache.
-	mx := newSuite("E9", benches, reorg.Default(), false, spec.Default())
+	mx := newSuite("E9", benches, false, spec.Default())
 	if err := DefaultEngine().Run(context.Background(), mx.cells); err != nil {
 		return nil, err
 	}
@@ -515,7 +514,7 @@ func EcacheAblations() (*Table, error) {
 	// can never drift from each other's baseline.
 	type ablation struct {
 		name   string
-		ec     spec.ECacheSpec
+		ec     ecache.Config
 		writes bool
 	}
 	var abls []ablation
@@ -524,19 +523,19 @@ func EcacheAblations() (*Table, error) {
 			spec.SweepECache().WithSizeWords(size), false})
 	}
 	abls = append(abls,
-		ablation{"FIFO 16K words", spec.SweepECache().WithRepl(spec.ReplFIFO), false},
-		ablation{"Random 16K words", spec.SweepECache().WithRepl(spec.ReplRandom), false},
+		ablation{"FIFO 16K words", spec.SweepECache().WithRepl(ecache.FIFO), false},
+		ablation{"Random 16K words", spec.SweepECache().WithRepl(ecache.Random), false},
 		ablation{"copy-back 16K, 20% writes", spec.SweepECache(), true},
-		ablation{"write-through 16K, 20% writes", spec.SweepECache().WithWrite(spec.WriteThrough), true})
+		ablation{"write-through 16K, 20% writes", spec.SweepECache().WithWrite(ecache.WriteThrough), true})
 	// Smith's fetch algorithms (survey §2.1): one-block-lookahead prefetch.
 	for _, p := range []struct {
 		name  string
-		fetch string
+		fetch ecache.Prefetch
 	}{
-		{"demand fetch 16K", spec.FetchDemand},
-		{"always prefetch 16K", spec.FetchAlways},
-		{"prefetch on miss 16K", spec.FetchOnMiss},
-		{"tagged prefetch 16K", spec.FetchTagged},
+		{"demand fetch 16K", ecache.PrefetchNone},
+		{"always prefetch 16K", ecache.PrefetchAlways},
+		{"prefetch on miss 16K", ecache.PrefetchOnMiss},
+		{"tagged prefetch 16K", ecache.PrefetchTagged},
 	} {
 		abls = append(abls, ablation{p.name,
 			spec.SweepECache().WithLineWords(8).WithPrefetch(p.fetch), false})

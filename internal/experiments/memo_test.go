@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/ecache"
 	"repro/internal/jsondoc"
 	"repro/internal/reorg"
 	"repro/internal/spec"
@@ -208,31 +209,31 @@ func TestMemoKeysCoverTheClosure(t *testing.T) {
 		}
 		seen[key] = name
 	}
-	mustKey := func(name, kind string, bench tinyc.Benchmark, scheme reorg.Scheme, ms spec.MachineSpec) {
-		k, err := benchKey(kind, bench, scheme, ms)
+	mustKey := func(name, kind string, bench tinyc.Benchmark, ms spec.MachineSpec) {
+		k, err := benchKey(kind, bench, ms)
 		if err != nil {
 			t.Fatal(err)
 		}
 		add(name, k)
 	}
-	mustKey("run/default", "run", b, reorg.Default(), base)
-	mustKey("profiled/default", "run-profiled", b, reorg.Default(), base)
-	mustKey("run/1-slot", "run", b, reorg.Scheme{Slots: 1, Squash: reorg.SquashOptional}, base)
+	mustKey("run/default", "run", b, base)
+	mustKey("profiled/default", "run-profiled", b, base)
+	mustKey("run/1-slot", "run", b, base.WithScheme(reorg.Scheme{Slots: 1, Squash: reorg.SquashOptional}))
 
 	// Spec changes change the key (the digest covers every spec field, and
 	// core.New builds the machine from the spec alone).
 	nofpu := base
 	nofpu.NoFPU = true
-	mustKey("run/nofpu", "run", b, reorg.Default(), nofpu)
+	mustKey("run/nofpu", "run", b, nofpu)
 	smallIC := base
 	smallIC.ICache.Sets = 8
-	mustKey("run/icache-sets", "run", b, reorg.Default(), smallIC)
+	mustKey("run/icache-sets", "run", b, smallIC)
 	fifo := base
-	fifo.ECache.Repl = spec.ReplFIFO
-	mustKey("run/ecache-fifo", "run", b, reorg.Default(), fifo)
+	fifo.ECache.Repl = ecache.FIFO
+	mustKey("run/ecache-fifo", "run", b, fifo)
 
 	// Different benchmarks never share a key.
-	mustKey("run/other-bench", "run", tinyc.Benchmarks()[1], reorg.Default(), base)
+	mustKey("run/other-bench", "run", tinyc.Benchmarks()[1], base)
 
 	// Non-bench kinds: the vax closure is (source, instruction bound).
 	add("vax/a", newKey("vax").str("source", "x").num("max-instr", 100).sum())

@@ -82,12 +82,11 @@ func TestMemoReplaysAttributionByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := table1Benchmarks()[0]
-	scheme := reorg.Default()
 
 	runOnce := func() (*Engine, RunResult, CellTiming) {
 		e := &Engine{Record: true, Store: store}
 		var out RunResult
-		cell := benchCell("memo-attr/"+b.Name, b, scheme, false, spec.Default(), &out)
+		cell := benchCell("memo-attr/"+b.Name, b, false, spec.Default(), &out)
 		if err := e.Run(context.Background(), []Cell{cell}); err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +142,7 @@ func TestMemoReplaysAttributionByteIdentical(t *testing.T) {
 func TestBenchDocConservation(t *testing.T) {
 	e := &Engine{Record: true}
 	var out RunResult
-	cell := benchCell("doc-attr", table1Benchmarks()[0], reorg.Default(), false, spec.Default(), &out)
+	cell := benchCell("doc-attr", table1Benchmarks()[0], false, spec.Default(), &out)
 	if err := e.Run(context.Background(), []Cell{cell}); err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +166,7 @@ func TestCellAccountsToItsOwnEngine(t *testing.T) {
 	defCycles, defAttr := def.Cycles(), def.Attribution()
 	e := &Engine{Record: true}
 	var out RunResult
-	cell := benchCell("own-engine", table1Benchmarks()[0], reorg.Default(), false, spec.Default(), &out)
+	cell := benchCell("own-engine", table1Benchmarks()[0], false, spec.Default(), &out)
 	if err := e.Run(context.Background(), []Cell{cell}); err != nil {
 		t.Fatal(err)
 	}

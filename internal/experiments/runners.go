@@ -95,14 +95,14 @@ func buildCached(b tinyc.Benchmark, scheme reorg.Scheme) (*asm.Image, error) {
 	return v.(*asm.Image), nil
 }
 
-// run builds a tinyc benchmark for the scheme and runs it to completion on
-// a machine realized from the spec (the branch scheme is applied to the
-// spec, so slots always match the toolchain), and returns its result. An
+// run builds a tinyc benchmark for the spec's branch scheme and runs it to
+// completion on the machine the spec names (one scheme drives both, so
+// slots always match the toolchain), and returns its result. An
 // unprofiled run whose identity the cell's engine has captured returns the
 // capture's result instead of simulating it again (captures.go).
-func run(ctx context.Context, b tinyc.Benchmark, scheme reorg.Scheme, prof reorg.Profile, ms spec.MachineSpec) (RunResult, error) {
+func run(ctx context.Context, b tinyc.Benchmark, prof reorg.Profile, ms spec.MachineSpec) (RunResult, error) {
 	if prof == nil {
-		c, err := captured(ctx, b, scheme, ms, false)
+		c, err := captured(ctx, b, ms, false)
 		if err != nil {
 			return RunResult{}, err
 		}
@@ -110,26 +110,26 @@ func run(ctx context.Context, b tinyc.Benchmark, scheme reorg.Scheme, prof reorg
 			return c.res, nil
 		}
 	}
-	_, res, err := simulate(ctx, b, scheme, prof, ms, nil)
+	_, res, err := simulate(ctx, b, prof, ms, nil)
 	return res, err
 }
 
-// simulate is one run of b: built for the scheme (with profile feedback
-// when prof is set), run on the machine the spec names under the PC
-// profile, and checked — conservation (runMachine), the expected output
+// simulate is one run of b: built for the spec's scheme (with profile
+// feedback when prof is set), run on the machine the spec names under the
+// PC profile, and checked — conservation (runMachine), the expected output
 // and the static-cost cross-check. A non-nil rec records its branches.
-func simulate(ctx context.Context, b tinyc.Benchmark, scheme reorg.Scheme, prof reorg.Profile, ms spec.MachineSpec, rec *trace.Recorder) (*asm.Image, RunResult, error) {
+func simulate(ctx context.Context, b tinyc.Benchmark, prof reorg.Profile, ms spec.MachineSpec, rec *trace.Recorder) (*asm.Image, RunResult, error) {
 	var im *asm.Image
 	var err error
 	if prof == nil {
-		im, err = buildCached(b, scheme)
+		im, err = buildCached(b, ms.Branch)
 	} else {
-		im, err = tinyc.Build(b.Source, scheme, prof)
+		im, err = tinyc.Build(b.Source, ms.Branch, prof)
 	}
 	if err != nil {
 		return nil, RunResult{}, fmt.Errorf("%s: %w", b.Name, err)
 	}
-	m := core.New(ms.WithScheme(scheme), nil)
+	m := core.New(ms, nil)
 	m.Load(im)
 	pcProf := obs.NewPCProfile(uint32(im.Base), len(im.Words))
 	m.CPU.Prof = pcProf
@@ -145,7 +145,7 @@ func simulate(ctx context.Context, b tinyc.Benchmark, scheme reorg.Scheme, prof 
 	// Every live cell doubles as a standing cross-check of the static cost
 	// model (memo replays skip it, like the conservation check: the result
 	// being replayed already passed).
-	if err := lint.CrossCheck(im, scheme.Slots, pcProf, m.Obs.Ledger, m.CPU.Stats.Exceptions); err != nil {
+	if err := lint.CrossCheck(im, ms.Branch.Slots, pcProf, m.Obs.Ledger, m.CPU.Stats.Exceptions); err != nil {
 		return nil, RunResult{}, fmt.Errorf("%s: %w", b.Name, err)
 	}
 	return im, machineResult(m), nil
@@ -154,12 +154,12 @@ func simulate(ctx context.Context, b tinyc.Benchmark, scheme reorg.Scheme, prof 
 // runProfiled rebuilds b with the branch profile of its unprofiled run's
 // capture and runs the result — the paper's "static prediction (possibly
 // with profiling)" toolchain.
-func runProfiled(ctx context.Context, b tinyc.Benchmark, scheme reorg.Scheme, ms spec.MachineSpec) (RunResult, error) {
-	c, err := captured(ctx, b, scheme, ms, true)
+func runProfiled(ctx context.Context, b tinyc.Benchmark, ms spec.MachineSpec) (RunResult, error) {
+	c, err := captured(ctx, b, ms, true)
 	if err != nil {
 		return RunResult{}, err
 	}
-	return run(ctx, b, scheme, trace.Profile(c.im, c.events), ms)
+	return run(ctx, b, trace.Profile(c.im, c.events), ms)
 }
 
 // ---------------------------------------------------------------------------
@@ -219,38 +219,38 @@ type VAXResult struct {
 // benchKey hashes the full input closure of a tinyc benchmark run: the
 // assembled program words (covering source, compiler and reorganizer
 // output), the scheme parameters, and the machine spec's digest — run()
-// builds the machine from exactly the spec hashed here (scheme applied),
-// and core.New reads nothing else. A profiled run's
+// builds the machine from exactly the spec hashed here, and core.New reads
+// nothing else. A profiled run's
 // profile is itself a deterministic function of this closure (it is
 // measured by simulating the unprofiled image under the same spec), so the
 // closure needs no separate profile hash — the kind string distinguishes
 // the two pipelines.
-func benchKey(kind string, b tinyc.Benchmark, scheme reorg.Scheme, ms spec.MachineSpec) (string, error) {
+func benchKey(kind string, b tinyc.Benchmark, ms spec.MachineSpec) (string, error) {
 	k := newKey(kind)
-	if err := k.bench(b, scheme, ms); err != nil {
+	if err := k.bench(b, ms); err != nil {
 		return "", err
 	}
 	return k.sum(), nil
 }
 
 // bench hashes one benchmark run's closure (benchKey's fields) into k.
-func (k *keyBuilder) bench(b tinyc.Benchmark, scheme reorg.Scheme, ms spec.MachineSpec) error {
-	im, err := buildCached(b, scheme)
+func (k *keyBuilder) bench(b tinyc.Benchmark, ms spec.MachineSpec) error {
+	im, err := buildCached(b, ms.Branch)
 	if err != nil {
 		return err
 	}
 	k.str("bench", b.Name)
 	k.str("source", b.Source)
-	k.str("scheme", scheme.String())
+	k.str("scheme", ms.Branch.String())
 	k.num("image-base", uint64(im.Base)).words("image", im.Words)
-	k.str("spec", ms.WithScheme(scheme).Digest())
+	k.str("spec", ms.Digest())
 	return nil
 }
 
-// benchCell builds a memoizable cell that runs benchmark b under scheme on
-// the machine the spec names (with profile feedback when profiled) and
-// deposits the result in *out.
-func benchCell(id string, b tinyc.Benchmark, scheme reorg.Scheme, profiled bool, ms spec.MachineSpec, out *RunResult) Cell {
+// benchCell builds a memoizable cell that runs benchmark b on the machine
+// the spec names, built for its scheme (with profile feedback when
+// profiled), and deposits the result in *out.
+func benchCell(id string, b tinyc.Benchmark, profiled bool, ms spec.MachineSpec, out *RunResult) Cell {
 	kind := "run"
 	if profiled {
 		kind = "run-profiled"
@@ -259,14 +259,14 @@ func benchCell(id string, b tinyc.Benchmark, scheme reorg.Scheme, profiled bool,
 		ID: id,
 		Fn: func(ctx context.Context) (err error) {
 			if profiled {
-				*out, err = runProfiled(ctx, b, scheme, ms)
+				*out, err = runProfiled(ctx, b, ms)
 			} else {
-				*out, err = run(ctx, b, scheme, nil, ms)
+				*out, err = run(ctx, b, nil, ms)
 			}
 			return err
 		},
 		Memo: &CellMemo{
-			Key: func() (string, error) { return benchKey(kind, b, scheme, ms) },
+			Key: func() (string, error) { return benchKey(kind, b, ms) },
 			Out: out,
 		},
 	}
@@ -383,7 +383,7 @@ func (s *suiteStats) cpi() float64 {
 	return float64(s.Cycles) / float64(s.issued())
 }
 
-// suite is one pass over a benchmark set under one scheme: a memoizable
+// suite is one pass over a benchmark set on one machine: a memoizable
 // cell per benchmark, named prefix/<benchmark>, and the result slots they
 // fill, index-aligned with the benchmarks. The experiment submits the cells
 // in its own Run and folds the results afterwards.
@@ -392,10 +392,10 @@ type suite struct {
 	rs    []RunResult
 }
 
-func newSuite(prefix string, benches []tinyc.Benchmark, scheme reorg.Scheme, profiled bool, ms spec.MachineSpec) suite {
+func newSuite(prefix string, benches []tinyc.Benchmark, profiled bool, ms spec.MachineSpec) suite {
 	s := suite{cells: make([]Cell, len(benches)), rs: make([]RunResult, len(benches))}
 	for i, b := range benches {
-		s.cells[i] = benchCell(prefix+"/"+b.Name, b, scheme, profiled, ms, &s.rs[i])
+		s.cells[i] = benchCell(prefix+"/"+b.Name, b, profiled, ms, &s.rs[i])
 	}
 	return s
 }

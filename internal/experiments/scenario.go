@@ -15,7 +15,6 @@ import (
 	"fmt"
 
 	"repro/internal/jsondoc"
-	"repro/internal/reorg"
 	"repro/internal/scenario"
 	"repro/internal/spec"
 	"repro/internal/tinyc"
@@ -68,8 +67,8 @@ func scenarioPrograms(benches []tinyc.Benchmark) []scenario.Program {
 // name, source and packed image (covering compiler, reorganizer and the
 // packing layout), the scheme, and the machine spec's digest — which covers
 // the quantum, policy and switch cost through the spec's scenario block.
-func scenarioKey(benches []tinyc.Benchmark, scheme reorg.Scheme, ms spec.MachineSpec) (string, error) {
-	ims, err := scenario.Images(scenarioPrograms(benches), scheme)
+func scenarioKey(benches []tinyc.Benchmark, ms spec.MachineSpec) (string, error) {
+	ims, err := scenario.Images(scenarioPrograms(benches), ms.Branch)
 	if err != nil {
 		return "", err
 	}
@@ -81,8 +80,8 @@ func scenarioKey(benches []tinyc.Benchmark, scheme reorg.Scheme, ms spec.Machine
 		k.num(fmt.Sprintf("member[%d].base", i), uint64(ims[i].Base))
 		k.words(fmt.Sprintf("member[%d].image", i), ims[i].Words)
 	}
-	k.str("scheme", scheme.String())
-	k.str("spec", ms.WithScheme(scheme).Digest())
+	k.str("scheme", ms.Branch.String())
+	k.str("spec", ms.Digest())
 	return k.sum(), nil
 }
 
@@ -91,8 +90,8 @@ func scenarioKey(benches []tinyc.Benchmark, scheme reorg.Scheme, ms spec.Machine
 // single machine: a failed run accounts the partial result scenario.RunWith
 // returns with its error. Every CPU's ledger is conservation-verified
 // inside scenario.RunWith before a successful result is returned.
-func runScenario(ctx context.Context, progs []scenario.Program, scheme reorg.Scheme, ms spec.MachineSpec, opts scenario.RunOpts, out *scenario.Result) error {
-	r, err := scenario.RunWith(progs, scheme, ms, opts)
+func runScenario(ctx context.Context, progs []scenario.Program, ms spec.MachineSpec, opts scenario.RunOpts, out *scenario.Result) error {
+	r, err := scenario.RunWith(progs, ms.Branch, ms, opts)
 	if r != nil {
 		account(ctx, r.Cycles, r.Obs.Map())
 	}
@@ -107,14 +106,14 @@ func runScenario(ctx context.Context, progs []scenario.Program, scheme reorg.Sch
 // multiprogrammed scenario on the machine the spec names. Conservation is
 // verified inside the run before the result is built, so — like every
 // benchmark cell — a live scenario cell is a standing conservation check.
-func scenarioCell(id string, benches []tinyc.Benchmark, scheme reorg.Scheme, ms spec.MachineSpec, out *scenario.Result) Cell {
+func scenarioCell(id string, benches []tinyc.Benchmark, ms spec.MachineSpec, out *scenario.Result) Cell {
 	return Cell{
 		ID: id,
 		Fn: func(ctx context.Context) error {
-			return runScenario(ctx, scenarioPrograms(benches), scheme, ms, scenario.RunOpts{}, out)
+			return runScenario(ctx, scenarioPrograms(benches), ms, scenario.RunOpts{}, out)
 		},
 		Memo: &CellMemo{
-			Key: func() (string, error) { return scenarioKey(benches, scheme, ms) },
+			Key: func() (string, error) { return scenarioKey(benches, ms) },
 			Out: out,
 		},
 	}
@@ -167,11 +166,10 @@ func ScenarioSweep(ctx context.Context, workloads []ScenarioWorkload, quanta []i
 	if policies == nil {
 		policies = []string{spec.PolicyFlush, spec.PolicyPID}
 	}
-	scheme := reorg.Default()
 	base := spec.Default()
 	doc := &ScenarioDoc{
 		Schema:     ScenarioSchema,
-		Scheme:     scheme.String(),
+		Scheme:     base.Branch.String(),
 		SwitchCost: spec.DefaultScenario().SwitchCost,
 	}
 
@@ -198,7 +196,7 @@ func ScenarioSweep(ctx context.Context, workloads []ScenarioWorkload, quanta []i
 					Workload: w.Name,
 					Quantum:  q,
 					Policy:   pol,
-					Digest:   ms.WithScheme(scheme).Digest(),
+					Digest:   ms.Digest(),
 				}
 				for _, b := range w.Benches {
 					s.cell.Members = append(s.cell.Members, b.Name)
@@ -206,7 +204,7 @@ func ScenarioSweep(ctx context.Context, workloads []ScenarioWorkload, quanta []i
 				slots = append(slots, s)
 				cells = append(cells, scenarioCell(
 					fmt.Sprintf("SCN/%s/q%d/%s", w.Name, q, pol),
-					w.Benches, scheme, ms, &s.out))
+					w.Benches, ms, &s.out))
 			}
 		}
 	}

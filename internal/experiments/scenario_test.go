@@ -162,7 +162,7 @@ func TestFailedScenarioCellAccountsItsCycles(t *testing.T) {
 
 	e := &Engine{Workers: 1, Record: true}
 	var out scenario.Result
-	err = e.Run(context.Background(), []Cell{scenarioCell("fib", fib, reorg.Default(), ms, &out)})
+	err = e.Run(context.Background(), []Cell{scenarioCell("fib", fib, ms, &out)})
 	if err == nil || !strings.Contains(err.Error(), "wrong output") {
 		t.Fatalf("err = %v, want the wrong-output failure", err)
 	}

@@ -22,7 +22,6 @@ import (
 	"repro/internal/icache"
 	"repro/internal/isa"
 	"repro/internal/mem"
-	"repro/internal/reorg"
 	"repro/internal/spec"
 	"repro/internal/tinyc"
 	"repro/internal/trace"
@@ -138,12 +137,12 @@ type ecacheSweep struct {
 	BusPerKiloRef float64 `json:"bus_per_kilo_ref"`
 }
 
-// ecacheSweepCell sweeps a trace through an Ecache organization (a
-// sub-spec, digested into the key) over the default bus, optionally turning
+// ecacheSweepCell sweeps a trace through an Ecache organization (a spec's
+// Ecache block, digested into the key) over the default bus, optionally turning
 // every fifth reference into a write (the 20% write mix of the write-policy
 // ablations). The write mix's shape is generator semantics, covered by
 // memoEpoch like the synthesizers'.
-func ecacheSweepCell(id string, ts traceSpec, ec spec.ECacheSpec, writes bool,
+func ecacheSweepCell(id string, ts traceSpec, ec ecache.Config, writes bool,
 	src func() ([]isa.Word, error), out *ecacheSweep) Cell {
 	return Cell{
 		ID: id,
@@ -154,7 +153,7 @@ func ecacheSweepCell(id string, ts traceSpec, ec spec.ECacheSpec, writes bool,
 			}
 			m := mem.New()
 			bus := mem.DefaultBus()
-			e := ecache.New(ec.BuildECache(), m, bus)
+			e := ecache.New(ec, m, bus)
 			for k, a := range tr {
 				if writes && k%5 == 0 {
 					e.Write(a, 1)
@@ -172,7 +171,7 @@ func ecacheSweepCell(id string, ts traceSpec, ec spec.ECacheSpec, writes bool,
 				bus := mem.DefaultBus()
 				k := newKey("ecache-sweep")
 				k.str("trace", ts.key())
-				k.str("ecache-spec", ec.Digest())
+				k.str("ecache-spec", spec.ECacheDigest(ec))
 				k.str("bus", fmt.Sprintf("%d/%d", bus.Latency, bus.PerWord))
 				k.num("writes", boolBit(writes))
 				return k.sum(), nil
@@ -215,18 +214,18 @@ type branchStream struct {
 	events  func(ctx context.Context) ([]trace.BranchEvent, error)
 }
 
-// suiteBranches is the benchmarks' dynamic branches, captured in order
-// under one scheme on the machine the spec names. Its closure is every
+// suiteBranches is the benchmarks' dynamic branches, captured in order on
+// the machine the spec names, built for its scheme. Its closure is every
 // member's run closure. The captures come from the engine's table, so a
 // run E1 already captured is not simulated again, and each capture's
 // cycles and attribution account to the cell that reads it.
-func suiteBranches(benches []tinyc.Benchmark, scheme reorg.Scheme, ms spec.MachineSpec) branchStream {
+func suiteBranches(benches []tinyc.Benchmark, ms spec.MachineSpec) branchStream {
 	return branchStream{
 		closure: func() (*keyBuilder, error) {
 			k := newKey("bpred-suite")
 			k.num("members", uint64(len(benches)))
 			for _, b := range benches {
-				if err := k.bench(b, scheme, ms); err != nil {
+				if err := k.bench(b, ms); err != nil {
 					return nil, err
 				}
 			}
@@ -235,7 +234,7 @@ func suiteBranches(benches []tinyc.Benchmark, scheme reorg.Scheme, ms spec.Machi
 		events: func(ctx context.Context) ([]trace.BranchEvent, error) {
 			var events []trace.BranchEvent
 			for _, b := range benches {
-				c, err := captured(ctx, b, scheme, ms, true)
+				c, err := captured(ctx, b, ms, true)
 				if err != nil {
 					return nil, err
 				}

@@ -235,7 +235,7 @@ func TestTraceKeysCoverTheClosure(t *testing.T) {
 	add("icache/other-cfg", keyOf(icacheCostCell("x", single, icfg.WithFetch(1, icfg.MissPenalty), nil, &fc)))
 
 	var es ecacheSweep
-	ecfg := spec.DefaultECache()
+	ecfg := spec.Default().ECache
 	add("ecache/base", keyOf(ecacheSweepCell("x", single, ecfg, false, nil, &es)))
 	add("ecache/writes", keyOf(ecacheSweepCell("x", single, ecfg, true, nil, &es)))
 	add("ecache/other-cfg", keyOf(ecacheSweepCell("x", single, ecfg.WithLineWords(2*ecfg.LineWords), false, nil, &es)))
@@ -250,20 +250,20 @@ func TestTraceKeysCoverTheClosure(t *testing.T) {
 	// The base key builds (and caches) the real images first, so the
 	// altered-source member below hashes a different source over the same
 	// cached image instead of caching its own.
-	add("bpred-suite/base", keyOf(bpredCell("x", suiteBranches(benches, reorg.Default(), ms), rows, &pe)))
+	add("bpred-suite/base", keyOf(bpredCell("x", suiteBranches(benches, ms), rows, &pe)))
 	edited := slices.Clone(benches)
 	edited[1].Source += "\n"
-	add("bpred-suite/source", keyOf(bpredCell("x", suiteBranches(edited, reorg.Default(), ms), rows, &pe)))
-	add("bpred-suite/members", keyOf(bpredCell("x", suiteBranches(benches[:1], reorg.Default(), ms), rows, &pe)))
+	add("bpred-suite/source", keyOf(bpredCell("x", suiteBranches(edited, ms), rows, &pe)))
+	add("bpred-suite/members", keyOf(bpredCell("x", suiteBranches(benches[:1], ms), rows, &pe)))
 	oneSlot := reorg.Scheme{Slots: 1, Squash: reorg.SquashOptional}
-	add("bpred-suite/scheme", keyOf(bpredCell("x", suiteBranches(benches, oneSlot, ms), rows, &pe)))
+	add("bpred-suite/scheme", keyOf(bpredCell("x", suiteBranches(benches, ms.WithScheme(oneSlot)), rows, &pe)))
 	ms8 := ms
 	ms8.ICache.Sets = 8
-	add("bpred-suite/spec", keyOf(bpredCell("x", suiteBranches(benches, reorg.Default(), ms8), rows, &pe)))
-	add("bpred-suite/rows", keyOf(bpredCell("x", suiteBranches(benches, reorg.Default(), ms), rows[:1], &pe)))
-	add("bpred-suite/entries", keyOf(bpredCell("x", suiteBranches(benches, reorg.Default(), ms),
+	add("bpred-suite/spec", keyOf(bpredCell("x", suiteBranches(benches, ms8), rows, &pe)))
+	add("bpred-suite/rows", keyOf(bpredCell("x", suiteBranches(benches, ms), rows[:1], &pe)))
+	add("bpred-suite/entries", keyOf(bpredCell("x", suiteBranches(benches, ms),
 		[]predRow{rows[0], {"c", "cache", 256}}, &pe)))
-	add("bpred-suite/kind", keyOf(bpredCell("x", suiteBranches(benches, reorg.Default(), ms),
+	add("bpred-suite/kind", keyOf(bpredCell("x", suiteBranches(benches, ms),
 		[]predRow{{"s", "profile", 0}, rows[1]}, &pe)))
 
 	add("bpred-synthetic/base", keyOf(bpredCell("x", syntheticBranches(1000, 40, 11), rows, &pe)))

@@ -14,6 +14,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
+	"strings"
 )
 
 // Marshal renders v as two-space-indented JSON with a trailing newline.
@@ -67,4 +69,27 @@ func Parse[T any](b []byte, schema, what string) (*T, error) {
 		return nil, err
 	}
 	return v, nil
+}
+
+// EnumText returns the name of an enumeration value, given the names in
+// value order: machine specs write squash modes and cache policies by name
+// ("optional", "lru"), never by number. A value past the names is an error,
+// so a spec holding one fails to encode instead of writing a name no reader
+// accepts.
+func EnumText[T ~uint8](kind string, names []string, v T) ([]byte, error) {
+	if int(v) < len(names) {
+		return []byte(names[v]), nil
+	}
+	return nil, fmt.Errorf("%s %d is out of range, want one of %s", kind, v, strings.Join(names, ", "))
+}
+
+// ParseEnum sets *v to the value named b, the inverse of EnumText. An
+// unknown name is an error naming it and the allowed names.
+func ParseEnum[T ~uint8](kind string, names []string, b []byte, v *T) error {
+	i := slices.Index(names, string(b))
+	if i < 0 {
+		return fmt.Errorf("unknown %s %q, want one of %s", kind, b, strings.Join(names, ", "))
+	}
+	*v = T(i)
+	return nil
 }

@@ -26,6 +26,7 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/isa"
+	"repro/internal/jsondoc"
 )
 
 // SquashMode selects the branch strategy family of Table 1.
@@ -56,10 +57,29 @@ func (m SquashMode) String() string {
 	return "?"
 }
 
-// Scheme is one point in the Table 1 design space.
+// squashNames are the modes' names in a machine spec, in SquashMode order.
+var squashNames = []string{"none", "always", "optional"}
+
+// MarshalText writes the mode's spec name ("none", "always" or
+// "optional"); String gives Table 1's row labels.
+func (m SquashMode) MarshalText() ([]byte, error) {
+	return jsondoc.EnumText("squash mode", squashNames, m)
+}
+
+// UnmarshalText reads a spec name; an unknown one is an error.
+func (m *SquashMode) UnmarshalText(b []byte) error {
+	return jsondoc.ParseEnum("squash mode", squashNames, b, m)
+}
+
+// Scheme is one point in the Table 1 design space, and a machine spec's
+// branch block (spec.MachineSpec.Branch): it parameterizes the reorganizer
+// (delay-slot filling strategy) and the pipeline (slot count) together,
+// because a design point is only meaningful when both agree.
 type Scheme struct {
-	Slots  int // 1 or 2 branch delay slots
-	Squash SquashMode
+	// Slots is the branch delay: 2 (the machine as built) or 1 (the
+	// quick-compare alternative, which resolves a stage early).
+	Slots  int        `json:"slots"`
+	Squash SquashMode `json:"squash"`
 }
 
 func (s Scheme) String() string {

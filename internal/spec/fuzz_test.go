@@ -28,6 +28,9 @@ func FuzzSpecParse(f *testing.F) {
 	huge := Default()
 	huge.ECache.SizeWords = 1 << 40
 	f.Add(huge.CanonicalJSON())
+	for _, b := range enumSpecs() {
+		f.Add(b)
+	}
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		ms, err := Parse(b)
@@ -65,6 +68,12 @@ func FuzzSweep(f *testing.F) {
 	} {
 		f.Add([]byte(`{"axes":[]}`), ax)
 	}
+	for _, b := range enumSpecs() {
+		f.Add([]byte(`{"base":`+string(b)+`,"axes":[]}`), "")
+	}
+	for _, e := range enumFields {
+		f.Add([]byte(`{"axes":[]}`), e.path+"="+strings.Join(e.names, ","))
+	}
 	check := func(t *testing.T, sw Sweep) {
 		pts, err := sw.Points()
 		if err != nil {
@@ -98,6 +107,32 @@ func FuzzSweep(f *testing.F) {
 			check(t, Sweep{Axes: []Axis{ax}})
 		}
 	})
+}
+
+// enumFields lists each enum field of the spec with every name it accepts
+// and, last, one it rejects.
+var enumFields = []struct {
+	path, def string
+	names     []string
+}{
+	{"branch.squash", "optional", []string{"none", "always", "optional", "sometimes"}},
+	{"ecache.repl", "lru", []string{"lru", "fifo", "random", "mru"}},
+	{"ecache.write", "copy-back", []string{"copy-back", "write-through", "write-around"}},
+	{"ecache.fetch", "demand", []string{"demand", "always", "on-miss", "tagged", "streaming"}},
+}
+
+// enumSpecs is Default's canonical JSON with one enum field set to each
+// name enumFields lists.
+func enumSpecs() [][]byte {
+	good := string(Default().CanonicalJSON())
+	var out [][]byte
+	for _, e := range enumFields {
+		field := e.path[strings.LastIndex(e.path, ".")+1:]
+		for _, n := range e.names {
+			out = append(out, []byte(strings.Replace(good, `"`+field+`":"`+e.def+`"`, `"`+field+`":"`+n+`"`, 1)))
+		}
+	}
+	return out
 }
 
 // oversizedSweep is a sweep document of n axes with v values each.

@@ -3,7 +3,10 @@
 // complete MIPS-X design point — branch scheme (which drives both the
 // reorganizer and the pipeline), pipeline ablations, Icache geometry and
 // miss service, Ecache organization and timing, bus timing, and coprocessor
-// presence.
+// presence. The branch, Icache and Ecache blocks are the types the
+// reorganizer and the caches take themselves (reorg.Scheme, icache.Config,
+// ecache.Config), which carry the spec's JSON names, so each design axis
+// is described once.
 //
 // A MachineSpec has a canonical JSON encoding and a framed sha256 Digest, so
 // a spec *is* a memo key: the experiment engine's content-addressed cells
@@ -21,6 +24,7 @@ package spec
 
 import (
 	"crypto/sha256"
+	"encoding"
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
@@ -40,13 +44,15 @@ const Schema = "mipsx-spec/v1"
 // MachineSpec is one complete design point. The zero value is not valid;
 // start from Default (or a preset) and modify.
 type MachineSpec struct {
-	Branch   BranchSpec   `json:"branch"`
+	// Branch is the Table 1 branch scheme, which drives both the
+	// reorganizer and the pipeline's slot count.
+	Branch   reorg.Scheme `json:"branch"`
 	Pipeline PipelineSpec `json:"pipeline"`
 	// ICache is the on-chip instruction cache organization: the geometry,
 	// sub-blocking and miss-service axes of the paper's design study (E2).
-	// icache.Config carries its JSON field names.
 	ICache icache.Config `json:"icache"`
-	ECache ECacheSpec    `json:"ecache"`
+	// ECache is the external cache organization and timing (E10's axes).
+	ECache ecache.Config `json:"ecache"`
 	Bus    BusSpec       `json:"bus"`
 	// NoFPU omits the floating-point coprocessor (the paper's FP-intensive
 	// studies toggle it).
@@ -91,43 +97,11 @@ func DefaultScenario() ScenarioSpec {
 	return ScenarioSpec{Quantum: 10000, Policy: PolicyFlush, SwitchCost: 64}
 }
 
-// BranchSpec is the Table 1 branch scheme: it parameterizes the reorganizer
-// (delay-slot filling strategy) and the pipeline (slot count) together,
-// because a design point is only meaningful when both agree.
-type BranchSpec struct {
-	// Slots is the branch delay: 2 (the machine as built) or 1 (the
-	// quick-compare alternative, which resolves a stage early).
-	Slots int `json:"slots"`
-	// Squash selects the slot-filling strategy: "none", "always" or
-	// "optional" (shipped).
-	Squash string `json:"squash"`
-}
-
-// Squash mode names, in reorg.SquashMode order.
-const (
-	SquashNone     = "none"
-	SquashAlways   = "always"
-	SquashOptional = "optional"
-)
-
 // PipelineSpec carries the pipeline ablations beyond the branch scheme.
 type PipelineSpec struct {
 	// StickyOverflow selects the rejected sticky-overflow-bit design instead
 	// of trap on overflow (ablation E8).
 	StickyOverflow bool `json:"sticky_overflow,omitempty"`
-}
-
-// ECacheSpec is the external cache organization and timing.
-type ECacheSpec struct {
-	SizeWords int    `json:"size_words"`
-	LineWords int    `json:"line_words"`
-	Ways      int    `json:"ways"`
-	Repl      string `json:"repl"`  // "lru", "fifo", "random"
-	Write     string `json:"write"` // "copy-back", "write-through"
-	Fetch     string `json:"fetch"` // "demand", "always", "on-miss", "tagged"
-	// LateMissExtra is the additional stall charged because hit/miss is only
-	// known at the start of the next cycle (the paper's late-miss signal).
-	LateMissExtra int `json:"late_miss_extra"`
 }
 
 // BusSpec is the memory-bus timing: a transfer of L words costs
@@ -146,9 +120,9 @@ type BusSpec struct {
 // and the 4+1-cycle bus.
 func Default() MachineSpec {
 	return MachineSpec{
-		Branch: BranchSpec{Slots: 2, Squash: SquashOptional},
+		Branch: reorg.Default(),
 		ICache: icache.DefaultConfig(),
-		ECache: DefaultECache(),
+		ECache: ecache.DefaultConfig(),
 		Bus:    BusSpec{Latency: 4, PerWord: 1},
 	}
 }
@@ -157,19 +131,11 @@ func Default() MachineSpec {
 // with the scheme applied.
 func Table1(s reorg.Scheme) MachineSpec { return Default().WithScheme(s) }
 
-// DefaultECache is the Ecache as built: 64K words, 4-word lines, direct
-// mapped, LRU, copy-back, late miss.
-func DefaultECache() ECacheSpec {
-	return ECacheSpec{SizeWords: 64 * 1024, LineWords: 4, Ways: 1,
-		Repl: ReplLRU, Write: WriteCopyBack, Fetch: FetchDemand, LateMissExtra: 1}
-}
-
 // SweepECache is the Smith-survey ablation baseline (E10): 16K words,
 // 4-word lines, 2-way LRU copy-back. Every E10 row derives from this one
 // value, so the ablations cannot drift from each other's baseline.
-func SweepECache() ECacheSpec {
-	return ECacheSpec{SizeWords: 16384, LineWords: 4, Ways: 2,
-		Repl: ReplLRU, Write: WriteCopyBack, Fetch: FetchDemand}
+func SweepECache() ecache.Config {
+	return ecache.Config{SizeWords: 16384, LineWords: 4, Ways: 2}
 }
 
 // IdealBackingECache is the zero-cost backing store the Icache-only sweeps
@@ -178,118 +144,28 @@ func SweepECache() ECacheSpec {
 // with no latency and no per-word cost, so every access, hit or miss,
 // costs 0 cycles whatever its geometry; it therefore takes the smallest
 // valid one, a single 4-word line.
-func IdealBackingECache() ECacheSpec {
-	return ECacheSpec{SizeWords: 4, LineWords: 4, Ways: 1,
-		Repl: ReplLRU, Write: WriteCopyBack, Fetch: FetchDemand}
+func IdealBackingECache() ecache.Config {
+	return ecache.Config{SizeWords: 4, LineWords: 4, Ways: 1}
 }
 
 // WithScheme returns a copy with the branch scheme applied.
 func (ms MachineSpec) WithScheme(s reorg.Scheme) MachineSpec {
-	ms.Branch = BranchSpec{Slots: s.Slots, Squash: squashName(s.Squash)}
+	ms.Branch = s
 	return ms
 }
 
-// WithSizeWords returns a copy with the capacity replaced.
-func (ec ECacheSpec) WithSizeWords(words int) ECacheSpec {
-	ec.SizeWords = words
-	return ec
-}
-
-// WithLineWords returns a copy with the line size replaced.
-func (ec ECacheSpec) WithLineWords(words int) ECacheSpec {
-	ec.LineWords = words
-	return ec
-}
-
-// WithRepl returns a copy with the replacement policy replaced.
-func (ec ECacheSpec) WithRepl(repl string) ECacheSpec {
-	ec.Repl = repl
-	return ec
-}
-
-// WithWrite returns a copy with the write policy replaced.
-func (ec ECacheSpec) WithWrite(write string) ECacheSpec {
-	ec.Write = write
-	return ec
-}
-
-// WithPrefetch returns a copy with the fetch algorithm replaced.
-func (ec ECacheSpec) WithPrefetch(fetch string) ECacheSpec {
-	ec.Fetch = fetch
-	return ec
-}
-
-// ---------------------------------------------------------------------------
-// Enum name mappings. An unknown value renders as "unknown(n)", which
-// Validate rejects.
-
-// Replacement policy names, in ecache.Replacement order.
-const (
-	ReplLRU    = "lru"
-	ReplFIFO   = "fifo"
-	ReplRandom = "random"
-)
-
-// Write policy names, in ecache.WritePolicy order.
-const (
-	WriteCopyBack = "copy-back"
-	WriteThrough  = "write-through"
-)
-
-// Fetch algorithm names, in ecache.Prefetch order.
-const (
-	FetchDemand = "demand"
-	FetchAlways = "always"
-	FetchOnMiss = "on-miss"
-	FetchTagged = "tagged"
-)
-
-var (
-	squashNames = []string{SquashNone, SquashAlways, SquashOptional}
-	replNames   = []string{ReplLRU, ReplFIFO, ReplRandom}
-	writeNames  = []string{WriteCopyBack, WriteThrough}
-	fetchNames  = []string{FetchDemand, FetchAlways, FetchOnMiss, FetchTagged}
-)
-
-func enumName(names []string, v int) string {
-	if v >= 0 && v < len(names) {
-		return names[v]
-	}
-	return fmt.Sprintf("unknown(%d)", v)
-}
-
-func enumValue(names []string, name string) (int, bool) {
-	for i, n := range names {
-		if n == name {
-			return i, true
-		}
-	}
-	return 0, false
-}
-
-func squashName(m reorg.SquashMode) string { return enumName(squashNames, int(m)) }
-
 // ParseScheme reads a branch scheme from its reorg.Scheme.String() form
 // ("2-slot squash optional", "1-slot no squash") or the short "2/optional"
-// form the sweep axes use.
+// form the sweep axes use, whose squash mode is the spec's name for it.
 func ParseScheme(s string) (reorg.Scheme, error) {
 	for _, sc := range reorg.Table1Schemes() {
-		if s == sc.String() || s == fmt.Sprintf("%d/%s", sc.Slots, squashName(sc.Squash)) {
+		name, _ := sc.Squash.MarshalText()
+		if s == sc.String() || s == fmt.Sprintf("%d/%s", sc.Slots, name) {
 			return sc, nil
 		}
 	}
 	return reorg.Scheme{}, fmt.Errorf("spec: unknown branch scheme %q (want e.g. %q or %q)",
 		s, reorg.Default().String(), "2/optional")
-}
-
-// Scheme returns the reorganizer scheme the spec names. It fails on an
-// unknown squash mode, like Validate.
-func (ms MachineSpec) Scheme() (reorg.Scheme, error) {
-	m, ok := enumValue(squashNames, ms.Branch.Squash)
-	if !ok {
-		return reorg.Scheme{}, fmt.Errorf("spec: unknown squash mode %q", ms.Branch.Squash)
-	}
-	return reorg.Scheme{Slots: ms.Branch.Slots, Squash: reorg.SquashMode(m)}, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -300,7 +176,7 @@ func powerOfTwo(v int) bool { return v > 0 && v&(v-1) == 0 }
 // Capacity bounds. Constructors allocate cache state proportional to these,
 // so an unbounded geometry would exhaust memory (fatal, not a recoverable
 // panic) instead of failing validation. Both admit every preset with room
-// to spare: the largest Ecache is DefaultECache's 64K words, the largest
+// to spare: the largest Ecache is the default's 64K words, the largest
 // Icache the paper's 512 words.
 const (
 	maxICacheWords = 1 << 16 // sets × ways × block_words
@@ -311,17 +187,21 @@ const (
 // otherwise panic on, the capacity bounds that keep them from exhausting
 // memory, and the scheme constraints the toolchain enforces.
 // All violations are reported, joined, so a sweep definition's errors
-// surface at once.
+// surface at once. Decoding already rejects an unknown enum name; Validate
+// rejects an enum value set in code past its names, which would not encode.
 func (ms MachineSpec) Validate() error {
 	var errs []string
 	bad := func(format string, args ...any) { errs = append(errs, fmt.Sprintf(format, args...)) }
+	enum := func(path string, v encoding.TextMarshaler) {
+		if _, err := v.MarshalText(); err != nil {
+			bad("%s: %v", path, err)
+		}
+	}
 
 	if ms.Branch.Slots != 1 && ms.Branch.Slots != 2 {
 		bad("branch.slots = %d, want 1 or 2", ms.Branch.Slots)
 	}
-	if _, ok := enumValue(squashNames, ms.Branch.Squash); !ok {
-		bad("branch.squash = %q, want %q, %q or %q", ms.Branch.Squash, SquashNone, SquashAlways, SquashOptional)
-	}
+	enum("branch.squash", ms.Branch.Squash)
 
 	ic := ms.ICache
 	if !powerOfTwo(ic.Sets) {
@@ -364,15 +244,9 @@ func (ms MachineSpec) Validate() error {
 				ec.SizeWords, ec.LineWords, ec.Ways)
 		}
 	}
-	if _, ok := enumValue(replNames, ec.Repl); !ok {
-		bad("ecache.repl = %q, want one of %s", ec.Repl, strings.Join(replNames, ", "))
-	}
-	if _, ok := enumValue(writeNames, ec.Write); !ok {
-		bad("ecache.write = %q, want one of %s", ec.Write, strings.Join(writeNames, ", "))
-	}
-	if _, ok := enumValue(fetchNames, ec.Fetch); !ok {
-		bad("ecache.fetch = %q, want one of %s", ec.Fetch, strings.Join(fetchNames, ", "))
-	}
+	enum("ecache.repl", ec.Repl)
+	enum("ecache.write", ec.Write)
+	enum("ecache.fetch", ec.Fetch)
 	if ec.LateMissExtra < 0 {
 		bad("ecache.late_miss_extra = %d, want >= 0", ec.LateMissExtra)
 	}
@@ -400,28 +274,6 @@ func (ms MachineSpec) Validate() error {
 }
 
 // ---------------------------------------------------------------------------
-// Realization
-
-// BuildECache realizes the Ecache sub-spec: core.New builds a machine's
-// Ecache from it, and the trace-driven sweeps build caches without a
-// machine. The enum fields must be valid (Validate, or the zero mapping
-// applies).
-func (ec ECacheSpec) BuildECache() ecache.Config {
-	repl, _ := enumValue(replNames, ec.Repl)
-	write, _ := enumValue(writeNames, ec.Write)
-	fetch, _ := enumValue(fetchNames, ec.Fetch)
-	return ecache.Config{
-		SizeWords:     ec.SizeWords,
-		LineWords:     ec.LineWords,
-		Ways:          ec.Ways,
-		Repl:          ecache.Replacement(repl),
-		Write:         ecache.WritePolicy(write),
-		Fetch:         ecache.Prefetch(fetch),
-		LateMissExtra: ec.LateMissExtra,
-	}
-}
-
-// ---------------------------------------------------------------------------
 // Canonical encoding and digest
 
 // CanonicalJSON is the spec's canonical encoding: compact encoding/json
@@ -431,7 +283,8 @@ func (ec ECacheSpec) BuildECache() ecache.Config {
 func (ms MachineSpec) CanonicalJSON() []byte {
 	b, err := json.Marshal(ms)
 	if err != nil {
-		// Only unsupported types can fail here, and the spec is all scalars.
+		// Only an enum value past its names fails here, and Validate
+		// rejects those: a validated spec always encodes.
 		panic(fmt.Sprintf("spec: canonical encoding failed: %v", err))
 	}
 	return b
@@ -448,9 +301,9 @@ func (ms MachineSpec) Digest() string {
 // keyed on the Icache alone (the trace-driven E2/E6 sweeps).
 func ICacheDigest(ic icache.Config) string { return subDigest("icache", ic) }
 
-// Digest is the Ecache sub-spec's content identity, for cells keyed on the
-// Ecache organization alone (the trace-driven E10 ablations).
-func (ec ECacheSpec) Digest() string { return subDigest("ecache", ec) }
+// ECacheDigest is the Ecache organization's content identity, for cells
+// keyed on the Ecache alone (the trace-driven E6 and E10 sweeps).
+func ECacheDigest(ec ecache.Config) string { return subDigest("ecache", ec) }
 
 // subDigest frames a sub-spec's JSON encoding under its kind's label.
 func subDigest(kind string, v any) string {

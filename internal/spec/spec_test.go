@@ -16,11 +16,11 @@ import (
 // and a deliberately non-default spec.
 func TestSpecJSONRoundTrip(t *testing.T) {
 	other := Default()
-	other.Branch = BranchSpec{Slots: 1, Squash: SquashNone}
+	other.Branch = reorg.Scheme{Slots: 1, Squash: reorg.NoSquash}
 	other.Pipeline.StickyOverflow = true
 	other.ICache = other.ICache.WithFetch(4, 3)
 	other.ICache.NoCacheCoproc = true
-	other.ECache = SweepECache().WithRepl(ReplFIFO).WithWrite(WriteThrough).WithPrefetch(FetchTagged)
+	other.ECache = SweepECache().WithRepl(ecache.FIFO).WithWrite(ecache.WriteThrough).WithPrefetch(ecache.PrefetchTagged)
 	other.Bus = BusSpec{Latency: 8, PerWord: 2}
 	other.NoFPU = true
 	for name, ms := range map[string]MachineSpec{"default": Default(), "other": other} {
@@ -66,8 +66,11 @@ func TestParseRejectsScenarioWindow(t *testing.T) {
 }
 
 // TestValidateRejections is the rejection table: every constructor
-// constraint surfaces as a named violation, and independent violations
-// report together.
+// constraint, and every enum value set in code past its names (which would
+// not encode), surfaces in Validate as a named violation, and independent
+// violations report together. An unknown enum name never reaches Validate:
+// Parse rejects it while decoding, naming the value and the allowed names,
+// and stops there, so a geometry fault in the same spec goes unreported.
 func TestValidateRejections(t *testing.T) {
 	cases := []struct {
 		name string
@@ -75,7 +78,7 @@ func TestValidateRejections(t *testing.T) {
 		want string
 	}{
 		{"bad-slots", func(ms *MachineSpec) { ms.Branch.Slots = 3 }, "branch.slots"},
-		{"unknown-squash", func(ms *MachineSpec) { ms.Branch.Squash = "sometimes" }, "branch.squash"},
+		{"squash-out-of-range", func(ms *MachineSpec) { ms.Branch.Squash = 3 }, "branch.squash: squash mode 3 is out of range"},
 		{"npot-sets", func(ms *MachineSpec) { ms.ICache.Sets = 3 }, "icache.sets"},
 		{"zero-ways", func(ms *MachineSpec) { ms.ICache.Ways = 0 }, "icache.ways"},
 		{"npot-block", func(ms *MachineSpec) { ms.ICache.BlockWords = 12 }, "icache.block_words"},
@@ -85,9 +88,9 @@ func TestValidateRejections(t *testing.T) {
 		{"zero-esize", func(ms *MachineSpec) { ms.ECache.SizeWords = 0 }, "ecache geometry"},
 		{"npot-line", func(ms *MachineSpec) { ms.ECache.LineWords = 3 }, "ecache.line_words"},
 		{"npot-esets", func(ms *MachineSpec) { ms.ECache.SizeWords = 3 * 4096 }, "ecache.size_words"},
-		{"unknown-repl", func(ms *MachineSpec) { ms.ECache.Repl = "mru" }, "ecache.repl"},
-		{"unknown-write", func(ms *MachineSpec) { ms.ECache.Write = "write-around" }, "ecache.write"},
-		{"unknown-fetch", func(ms *MachineSpec) { ms.ECache.Fetch = "streaming" }, "ecache.fetch"},
+		{"repl-out-of-range", func(ms *MachineSpec) { ms.ECache.Repl = 3 }, "ecache.repl: replacement policy 3 is out of range"},
+		{"write-out-of-range", func(ms *MachineSpec) { ms.ECache.Write = 2 }, "ecache.write: write policy 2 is out of range"},
+		{"fetch-out-of-range", func(ms *MachineSpec) { ms.ECache.Fetch = 4 }, "ecache.fetch: fetch algorithm 4 is out of range"},
 		{"negative-latemiss", func(ms *MachineSpec) { ms.ECache.LateMissExtra = -1 }, "ecache.late_miss_extra"},
 		{"negative-bus", func(ms *MachineSpec) { ms.Bus.Latency = -1 }, "bus latency"},
 	}
@@ -105,13 +108,39 @@ func TestValidateRejections(t *testing.T) {
 		})
 	}
 
+	// Unknown names, each an edit of Default's canonical JSON.
+	good := string(Default().CanonicalJSON())
+	for _, tc := range []struct{ name, old, new, want string }{
+		{"unknown-squash", `"squash":"optional"`, `"squash":"sometimes"`, `unknown squash mode "sometimes", want one of none, always, optional`},
+		{"unknown-repl", `"repl":"lru"`, `"repl":"mru"`, `unknown replacement policy "mru", want one of lru, fifo, random`},
+		{"unknown-write", `"write":"copy-back"`, `"write":"write-around"`, `unknown write policy "write-around", want one of copy-back, write-through`},
+		{"unknown-fetch", `"fetch":"demand"`, `"fetch":"streaming"`, `unknown fetch algorithm "streaming", want one of demand, always, on-miss, tagged`},
+		{"repl-wrong-case", `"repl":"lru"`, `"repl":"LRU"`, `unknown replacement policy "LRU"`},
+		{"empty-fetch", `"fetch":"demand"`, `"fetch":""`, `unknown fetch algorithm ""`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := strings.Replace(good, tc.old, tc.new, 1)
+			if bad == good {
+				t.Fatalf("%s not found in %s", tc.old, good)
+			}
+			if _, err := Parse([]byte(bad)); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want %q", err, tc.want)
+			}
+		})
+	}
+
 	// Multiple violations report together.
 	ms := Default()
 	ms.ICache.Ways = 0
-	ms.ECache.Repl = "mru"
+	ms.ECache.Repl = 3
 	err := ms.Validate()
 	if err == nil || !strings.Contains(err.Error(), "icache.ways") || !strings.Contains(err.Error(), "ecache.repl") {
 		t.Fatalf("err = %v, want both violations reported", err)
+	}
+	// An unknown name stops decoding before Validate sees the zero ways.
+	both := strings.Replace(strings.Replace(good, `"repl":"lru"`, `"repl":"mru"`, 1), `"ways":8`, `"ways":0`, 1)
+	if _, err := Parse([]byte(both)); err == nil || !strings.Contains(err.Error(), "mru") || strings.Contains(err.Error(), "icache.ways") {
+		t.Fatalf("unknown name and zero ways: err = %v, want the name alone", err)
 	}
 
 	if err := Default().Validate(); err != nil {
@@ -159,12 +188,12 @@ func TestGoldenSubSpecDigests(t *testing.T) {
 		}
 		return string(b), ICacheDigest(ic)
 	}
-	ecPin := func(ec ECacheSpec) (string, string) {
+	ecPin := func(ec ecache.Config) (string, string) {
 		b, err := json.Marshal(ec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return string(b), ec.Digest()
+		return string(b), ECacheDigest(ec)
 	}
 	ic := Default().ICache
 	cases := []struct {
@@ -195,7 +224,7 @@ func TestGoldenSubSpecDigests(t *testing.T) {
 	for i, f := range [][2]int{{1, 2}, {2, 2}, {3, 2}, {2, 3}, {1, 3}} {
 		cases[1+i].gotJSON, cases[1+i].gotDigest = icPin(ic.WithFetch(f[0], f[1]))
 	}
-	for i, ec := range []ECacheSpec{DefaultECache(), SweepECache(), IdealBackingECache()} {
+	for i, ec := range []ecache.Config{Default().ECache, SweepECache(), IdealBackingECache()} {
 		cases[6+i].gotJSON, cases[6+i].gotDigest = ecPin(ec)
 	}
 	for _, c := range cases {
@@ -208,32 +237,29 @@ func TestGoldenSubSpecDigests(t *testing.T) {
 	}
 }
 
-// TestBuildReproducesDefaultConfig pins the two defaults that are still
-// written twice, in the spec and in the package that builds them: the
-// Ecache as built and the bus timing. Layer probes that build these
-// directly (ecache.DefaultConfig, mem.DefaultBus) then measure the machine
-// the spec names.
+// TestBuildReproducesDefaultConfig pins the one default that is still
+// written twice, in the spec and in the package that builds it: the bus
+// timing (mem.Bus also carries run-time state, so the spec cannot hold
+// one). Layer probes that build the bus directly (mem.DefaultBus) then
+// measure the machine the spec names.
 func TestBuildReproducesDefaultConfig(t *testing.T) {
-	if got, want := DefaultECache().BuildECache(), ecache.DefaultConfig(); got != want {
-		t.Errorf("DefaultECache().BuildECache() = %+v, ecache.DefaultConfig() = %+v", got, want)
-	}
 	bus := mem.DefaultBus()
 	if got, want := Default().Bus, (BusSpec{Latency: bus.Latency, PerWord: bus.PerWord}); got != want {
 		t.Errorf("Default().Bus = %+v, mem.DefaultBus() timing = %+v", got, want)
 	}
 }
 
-// TestSchemeRoundTrip checks Scheme/WithScheme/ParseScheme agree across
-// every Table 1 scheme and both accepted string forms.
+// TestSchemeRoundTrip checks WithScheme, ParseScheme and the spec's
+// encoding agree across every Table 1 scheme and both accepted string
+// forms.
 func TestSchemeRoundTrip(t *testing.T) {
 	for _, sc := range reorg.Table1Schemes() {
 		ms := Default().WithScheme(sc)
-		got, err := ms.Scheme()
-		if err != nil {
-			t.Fatal(err)
+		if ms.Branch != sc {
+			t.Fatalf("WithScheme(%v).Branch = %v", sc, ms.Branch)
 		}
-		if got != sc {
-			t.Fatalf("WithScheme/Scheme round trip: got %v, want %v", got, sc)
+		if got, err := Parse(ms.CanonicalJSON()); err != nil || got.Branch != sc {
+			t.Fatalf("%v through its JSON: %v, %v", sc, got.Branch, err)
 		}
 		if p, err := ParseScheme(sc.String()); err != nil || p != sc {
 			t.Fatalf("ParseScheme(%q) = %v, %v", sc.String(), p, err)
@@ -297,7 +323,7 @@ func TestCapacityBounds(t *testing.T) {
 		}
 	}
 	presets := []MachineSpec{Default()}
-	for _, ec := range []ECacheSpec{SweepECache(), IdealBackingECache()} {
+	for _, ec := range []ecache.Config{SweepECache(), IdealBackingECache()} {
 		ms := Default()
 		ms.ECache = ec
 		presets = append(presets, ms)

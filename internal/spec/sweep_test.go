@@ -4,6 +4,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/ecache"
+	"repro/internal/reorg"
 )
 
 func TestPatch(t *testing.T) {
@@ -22,15 +25,15 @@ func TestPatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ms.ECache.Repl != ReplFIFO {
-		t.Fatalf("ecache.repl = %q, want fifo", ms.ECache.Repl)
+	if ms.ECache.Repl != ecache.FIFO {
+		t.Fatalf("ecache.repl = %v, want fifo", ms.ECache.Repl)
 	}
 
 	ms, err = Default().Patch("scheme", "1-slot no squash")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ms.Branch.Slots != 1 || ms.Branch.Squash != SquashNone {
+	if ms.Branch != (reorg.Scheme{Slots: 1, Squash: reorg.NoSquash}) {
 		t.Fatalf("scheme patch gave %+v", ms.Branch)
 	}
 }
@@ -57,6 +60,12 @@ func TestPatchErrors(t *testing.T) {
 	}
 	if _, err := Default().Patch("scheme", float64(2)); err == nil {
 		t.Fatal("non-string scheme patched")
+	}
+	for path, name := range map[string]string{"branch.squash": "sometimes", "ecache.repl": "mru",
+		"ecache.write": "write-around", "ecache.fetch": "streaming"} {
+		if _, err := Default().Patch(path, name); err == nil || !strings.Contains(err.Error(), `"`+name+`", want one of`) {
+			t.Errorf("Patch(%s, %s): err = %v, want an unknown-name rejection", path, name, err)
+		}
 	}
 }
 
@@ -190,6 +199,10 @@ func TestSweepRejectsBadDefinitions(t *testing.T) {
 	}
 	if _, err := ParseSweep([]byte(`{"axes":[],"axez":1}`)); err == nil {
 		t.Fatal("unknown sweep field parsed")
+	}
+	base := strings.Replace(string(Default().CanonicalJSON()), `"write":"copy-back"`, `"write":"write-around"`, 1)
+	if _, err := ParseSweep([]byte(`{"base":` + base + `,"axes":[]}`)); err == nil || !strings.Contains(err.Error(), "write-around") {
+		t.Fatalf("base with an unknown write policy: err = %v", err)
 	}
 }
 
