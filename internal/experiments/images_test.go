@@ -27,7 +27,9 @@ import (
 //     (E1, E6 and E7), each from the branches of its unprofiled run;
 //   - the packed layouts scenario.Images makes for the default scenario
 //     workloads (E12) and for every E11 node count;
-//   - E5's and E8's hand-written assembly kernels.
+//   - E5's and E8's hand-written assembly kernels;
+//   - the CISC programs tinyc.GenerateVAX makes for the integer suite
+//     (E3, E7 and E11), hashed as their instruction records.
 //
 // A toolchain change that keeps every line here keeps every image, so it
 // cannot move a table, a memo key or a cycle. Regenerate with
@@ -88,6 +90,15 @@ func TestImageDigests(t *testing.T) {
 			progs[j] = scenario.Program{Name: fmt.Sprintf("node%d", j), Source: sieve.Source}
 		}
 		layouts(fmt.Sprintf("cluster/nodes=%d", n), progs)
+	}
+	for _, b := range table1Benchmarks() {
+		code, err := tinyc.GenerateVAX(b.Source)
+		if err != nil {
+			t.Fatalf("vax/%s: %v", b.Name, err)
+		}
+		h := sha256.New()
+		binary.Write(h, binary.LittleEndian, code)
+		got = append(got, fmt.Sprintf("vax/%s %x", b.Name, h.Sum(nil)))
 	}
 	for _, k := range []struct{ name, src string }{
 		{"E5/ldf-stf", fpCopyDirect},

@@ -6,9 +6,9 @@ package refmodel
 // FuzzPipelineVsRefmodel decodes bytes into an always-terminating tinyc
 // program and builds it for a fuzzer-chosen Table 1 scheme; the build lints
 // its output, so a build failure is a compiler or scheduler bug, and the
-// golden model must halt on every such program. CI runs
-// both for a smoke interval on every merge (see .github/workflows/ci.yml);
-// `make fuzz` runs them longer.
+// golden model must halt on every such program. The same program, compiled
+// by tinyc's CISC backend and run on vaxlike, must print what the golden
+// model prints. `make fuzz` runs both, for a 30 s smoke in CI.
 
 import (
 	"fmt"
@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/reorg"
 	"repro/internal/tinyc"
+	"repro/internal/vaxlike"
 )
 
 // fuzzGen drains the payload one decision at a time; exhaustion yields
@@ -78,7 +79,9 @@ func fuzzStmts(g *fuzzGen, n, loopDepth int) string {
 		case 0, 1:
 			fmt.Fprintf(&b, "\t%s = %s;\n", targets[g.next()%len(targets)], fuzzExpr(g, 2))
 		case 2:
-			fmt.Fprintf(&b, "\ta[(%s) %% 16] = %s;\n", fuzzExpr(g, 1), fuzzExpr(g, 2))
+			// & keeps a negative index inside a; % would keep its sign
+			// and store below a, into code.
+			fmt.Fprintf(&b, "\ta[(%s) & 15] = %s;\n", fuzzExpr(g, 1), fuzzExpr(g, 2))
 		case 3:
 			fmt.Fprintf(&b, "\tif (%s < %s) {\n%s\t} else {\n%s\t}\n",
 				fuzzExpr(g, 1), fuzzExpr(g, 1), fuzzStmts(g, 1+g.next()%2, loopDepth), fuzzStmts(g, 1, loopDepth))
@@ -139,8 +142,20 @@ func FuzzPipelineVsRefmodel(f *testing.F) {
 		if err != nil {
 			t.Fatalf("scheme %s: %v\nprogram:\n%s", scheme, err, src)
 		}
-		if _, err := checkImage(t, im, scheme.Slots, cfgByte&1 != 0, fuzzBudget); err != nil {
+		ref, err := checkImage(t, im, scheme.Slots, cfgByte&1 != 0, fuzzBudget)
+		if err != nil {
 			t.Fatalf("golden model on a generated program: %v\nprogram:\n%s", err, src)
+		}
+		code, err := tinyc.GenerateVAX(src)
+		if err != nil {
+			t.Fatalf("CISC backend: %v\nprogram:\n%s", err, src)
+		}
+		var out strings.Builder
+		if err := vaxlike.New(code, &out).Run(fuzzBudget); err != nil {
+			t.Fatalf("CISC machine: %v\nprogram:\n%s", err, src)
+		}
+		if got, want := out.String(), ref.Out.String(); got != want {
+			t.Fatalf("CISC machine printed %q, golden model %q\nprogram:\n%s", got, want, src)
 		}
 	})
 }

@@ -41,12 +41,12 @@ type loc struct {
 	off   int    // fp offset otherwise
 }
 
+// gen generates code for a checked program (check.go): every name
+// resolves, so a variable that is not a local is a global.
 type gen struct {
 	b         strings.Builder
 	layout    Layout
 	prog      *program
-	globals   map[string]int // name → size
-	funcs     map[string]*funcDecl
 	locs      map[string]loc // name → register or frame slot
 	spillBase int            // first free spill slot offset
 	nextSpill int
@@ -60,34 +60,7 @@ type gen struct {
 }
 
 func generate(prog *program, layout Layout) (string, error) {
-	g := &gen{
-		layout:  layout,
-		prog:    prog,
-		globals: map[string]int{},
-		funcs:   map[string]*funcDecl{},
-	}
-	for _, gl := range prog.globals {
-		if _, dup := g.globals[gl.name]; dup {
-			return "", errf(gl.line, "duplicate global %q", gl.name)
-		}
-		g.globals[gl.name] = gl.size
-	}
-	hasMain := false
-	for _, f := range prog.funcs {
-		if _, dup := g.funcs[f.name]; dup {
-			return "", errf(f.line, "duplicate function %q", f.name)
-		}
-		if builtinNames[f.name] {
-			return "", errf(f.line, "%q is a builtin", f.name)
-		}
-		g.funcs[f.name] = f
-		if f.name == "main" {
-			hasMain = true
-		}
-	}
-	if !hasMain {
-		return "", errf(1, "no main function")
-	}
+	g := &gen{layout: layout, prog: prog}
 
 	// Startup: the entry symbol the machine looks for.
 	g.emit("main:")
@@ -189,9 +162,6 @@ func (g *gen) genFunc(f *funcDecl) error {
 	g.spillBase = 2 + nReg
 	g.nextSpill = g.spillBase
 	for i, n := range names {
-		if _, dup := g.locs[n]; dup {
-			return errf(f.line, "duplicate local %q in %s", n, f.name)
-		}
 		if i < nReg {
 			g.locs[n] = loc{inReg: true, reg: fmt.Sprintf("r%d", sRegBase+i)}
 		} else {
@@ -264,15 +234,11 @@ func (g *gen) genStmt(s stmt) error {
 		// Locations were assigned in the prologue pass; only the
 		// initializer emits code.
 		if s.init != nil {
-			l, ok := g.locs[s.name]
-			if !ok {
-				return errf(s.line, "unknown local %q", s.name)
-			}
 			r, err := g.genExpr(s.init)
 			if err != nil {
 				return err
 			}
-			g.writeLoc(l, r)
+			g.writeLoc(g.locs[s.name], r)
 			g.depth--
 		}
 		return nil
@@ -370,17 +336,12 @@ func (g *gen) genAssign(s assign) error {
 		}
 		if l, ok := g.locs[t.name]; ok {
 			g.writeLoc(l, r)
-		} else if _, ok := g.globals[t.name]; ok {
-			g.emit("\tst %s, g_%s(r0)", r, t.name)
 		} else {
-			return errf(s.line, "undefined variable %q", t.name)
+			g.emit("\tst %s, g_%s(r0)", r, t.name)
 		}
 		g.depth--
 		return nil
 	case indexExpr:
-		if _, ok := g.globals[t.base.name]; !ok {
-			return errf(s.line, "indexing requires a global array, %q is not one", t.base.name)
-		}
 		idx, err := g.genExpr(t.idx)
 		if err != nil {
 			return err
@@ -470,12 +431,6 @@ func branchFor(op string, wantTrue bool) string {
 	return neg[op]
 }
 
-var builtinNames = map[string]bool{
-	"cons": true, "car": true, "cdr": true, "setcar": true, "setcdr": true,
-	"itof": true, "ftoi": true, "fadd": true, "fsub": true, "fmul": true,
-	"fdiv": true, "flt": true, "feq": true,
-}
-
 // genExpr emits code leaving the result in the next expression register and
 // returns its name (depth is incremented).
 func (g *gen) genExpr(e expr) (string, error) {
@@ -493,23 +448,16 @@ func (g *gen) genExpr(e expr) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		if l, ok := g.locs[e.name]; ok {
-			if l.inReg {
-				g.emit("\tmov %s, %s", r, l.reg)
-			} else {
-				g.emit("\tld %s, %d(fp)", r, l.off)
-			}
-		} else if _, ok := g.globals[e.name]; ok {
+		if l, ok := g.locs[e.name]; !ok {
 			g.emit("\tld %s, g_%s(r0)", r, e.name)
+		} else if l.inReg {
+			g.emit("\tmov %s, %s", r, l.reg)
 		} else {
-			return "", errf(e.line, "undefined variable %q", e.name)
+			g.emit("\tld %s, %d(fp)", r, l.off)
 		}
 		return r, nil
 
 	case indexExpr:
-		if _, ok := g.globals[e.base.name]; !ok {
-			return "", errf(e.line, "indexing requires a global array, %q is not one", e.base.name)
-		}
 		idx, err := g.genExpr(e.idx)
 		if err != nil {
 			return "", err
@@ -591,10 +539,7 @@ func (g *gen) genBin(e binExpr) (string, error) {
 	case "<<", ">>":
 		// The funnel shifter takes a constant amount; variable shifts would
 		// need a software loop, which the language does not provide.
-		n, ok := e.r.(numLit)
-		if !ok || n.v < 0 || n.v > 31 {
-			return "", errf(e.line, "shift amount must be a constant 0..31")
-		}
+		n := e.r.(numLit)
 		l, err := g.genExpr(e.l)
 		if err != nil {
 			return "", err
@@ -668,7 +613,7 @@ func (g *gen) genBin(e binExpr) (string, error) {
 		g.emit("\tsetlt %s, %s, %s", dst, l, r)
 		g.emit("\tseteq %s, %s, r0", dst, dst)
 	default:
-		return "", errf(e.line, "unsupported operator %q", e.op)
+		panic("tinyc: unknown operator " + e.op)
 	}
 	return dst, nil
 }
@@ -704,9 +649,6 @@ func (g *gen) genCall(e callExpr) (string, error) {
 	case "cons":
 		return g.genCons(e)
 	case "car", "cdr":
-		if len(e.args) != 1 {
-			return "", errf(e.line, "%s wants 1 argument", e.name)
-		}
 		g.usesHeap = true
 		r, err := g.genExpr(e.args[0])
 		if err != nil {
@@ -719,9 +661,6 @@ func (g *gen) genCall(e callExpr) (string, error) {
 		g.emit("\tld %s, %d(%s)", r, off, r)
 		return r, nil
 	case "setcar", "setcdr":
-		if len(e.args) != 2 {
-			return "", errf(e.line, "%s wants 2 arguments", e.name)
-		}
 		g.usesHeap = true
 		p, err := g.genExpr(e.args[0])
 		if err != nil {
@@ -740,9 +679,6 @@ func (g *gen) genCall(e callExpr) (string, error) {
 		g.depth--
 		return p, nil
 	case "itof", "ftoi":
-		if len(e.args) != 1 {
-			return "", errf(e.line, "%s wants 1 argument", e.name)
-		}
 		r, err := g.genExpr(e.args[0])
 		if err != nil {
 			return "", err
@@ -756,9 +692,6 @@ func (g *gen) genCall(e callExpr) (string, error) {
 		g.emit("\tldc %s, c1, %d(r0)", r, fpuGetR(0))
 		return r, nil
 	case "fadd", "fsub", "fmul", "fdiv", "flt", "feq":
-		if len(e.args) != 2 {
-			return "", errf(e.line, "%s wants 2 arguments", e.name)
-		}
 		a, err := g.genExpr(e.args[0])
 		if err != nil {
 			return "", err
@@ -780,23 +713,12 @@ func (g *gen) genCall(e callExpr) (string, error) {
 		}
 		return a, nil
 	}
-
-	f, ok := g.funcs[e.name]
-	if !ok {
-		return "", errf(e.line, "undefined function %q", e.name)
-	}
-	if len(e.args) != len(f.params) {
-		return "", errf(e.line, "%s wants %d arguments, got %d", e.name, len(f.params), len(e.args))
-	}
 	return g.genRuntimeCall("f_"+e.name, e.args, e.line)
 }
 
 // genRuntimeCall evaluates args, saves live expression registers across the
 // call, and leaves the result in the next expression register.
 func (g *gen) genRuntimeCall(target string, args []expr, line int) (string, error) {
-	if len(args) > 4 {
-		return "", errf(line, "more than 4 arguments")
-	}
 	live := g.depth
 	if live > 0 {
 		g.emit("\taddi sp, sp, %d", -live)
@@ -831,9 +753,6 @@ func (g *gen) genRuntimeCall(target string, args []expr, line int) (string, erro
 }
 
 func (g *gen) genCons(e callExpr) (string, error) {
-	if len(e.args) != 2 {
-		return "", errf(e.line, "cons wants 2 arguments")
-	}
 	g.usesHeap = true
 	a, err := g.genExpr(e.args[0])
 	if err != nil {

@@ -10,6 +10,10 @@
 // machine), Lisp-runtime builtins (cons/car/cdr/setcar/setcdr over a bump
 // heap) for the paper's Lisp workloads, and FPU builtins (itof/fadd/fsub/
 // fmul/fdiv/flt/feq/ftoi) that exercise the coprocessor interface.
+//
+// A program is lexed, parsed and checked once (check.go holds the
+// language's rules); then gen.go generates MIPS-X assembly from the checked
+// syntax tree, or vaxgen.go generates code for the CISC baseline.
 package tinyc
 
 import (
@@ -92,12 +96,14 @@ func lex(src string) ([]token, error) {
 				(l.src[l.pos] >= 'A' && l.src[l.pos] <= 'F')) {
 				l.pos++
 			}
+			// A literal is one word, 0..2^32-1 (minus is an operator), so
+			// both backends hold the same bits.
 			text := string(l.src[start:l.pos])
-			v, err := strconv.ParseInt(text, 0, 64)
+			v, err := strconv.ParseUint(text, 0, 32)
 			if err != nil {
 				return nil, errf(l.line, "bad number %q", text)
 			}
-			l.emit(token{kind: tNum, num: v})
+			l.emit(token{kind: tNum, num: int64(v)})
 		case c == '\'':
 			if l.pos+2 < len(l.src) && l.src[l.pos+2] == '\'' {
 				l.emit(token{kind: tNum, num: int64(l.src[l.pos+1])})

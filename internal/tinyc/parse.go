@@ -7,6 +7,8 @@ type parser struct {
 	pos  int
 }
 
+// parse lexes and parses src and checks the program (check.go); both
+// backends generate code from its result.
 func parse(src string) (*program, error) {
 	toks, err := lex(src)
 	if err != nil {
@@ -31,6 +33,9 @@ func parse(src string) (*program, error) {
 		default:
 			return nil, errf(p.cur().line, "expected var or func, got %q", p.curText())
 		}
+	}
+	if err := check(prog); err != nil {
+		return nil, err
 	}
 	return prog, nil
 }

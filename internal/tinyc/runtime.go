@@ -49,8 +49,8 @@ __mul:` + absPair + `	xor r9, r7, r8
 `
 
 // divRuntime: __div: r2 = r3 / r4; __mod: r2 = r3 % r4 (signed, truncating;
-// remainder takes the dividend's sign). Division by zero returns 0 (the
-// hardware dstep simply never subtracts).
+// remainder takes the dividend's sign). A zero divisor gives quotient 0 and
+// remainder the dividend (the hardware dstep simply never subtracts).
 var divRuntime = `
 __div:` + absPair + `	xor r9, r7, r8
 	mots md, r3

@@ -179,23 +179,31 @@ func TestBenchmarkSuiteAllSchemes(t *testing.T) {
 	}
 }
 
+// TestCompileErrors: both backends reject each program with the same
+// error, the checker's or the parser's.
 func TestCompileErrors(t *testing.T) {
 	cases := []string{
-		`func main() { x = 1; }`,                 // undefined var
-		`func main() { print(f()); }`,            // undefined func
-		`func f(a,b,c,d,e) { } func main() { }`,  // too many params
-		`func main() { var x; x = 1 << x; }`,     // variable shift
-		`var a; var a; func main() { }`,          // duplicate global
-		`func f() {} func f() {} func main() {}`, // duplicate func
-		`func cons() {} func main() {}`,          // builtin collision
-		`func f() {}`,                            // no main
-		`func main() { var y; y = a[0]; }`,       // index non-array
-		`func main() { 3 = 4; }`,                 // bad lvalue
-		`func main() { print(1 + ); }`,           // syntax
+		`func main() { x = 1; }`,                        // undefined var
+		`func main() { print(f()); }`,                   // undefined func
+		`func f(a,b,c,d,e) { } func main() { }`,         // too many params
+		`func main() { var x; x = 1 << x; }`,            // variable shift
+		`var a; var a; func main() { }`,                 // duplicate global
+		`func f() {} func f() {} func main() {}`,        // duplicate func
+		`func cons() {} func main() {}`,                 // builtin collision
+		`func f() {}`,                                   // no main
+		`func main() { var y; y = a[0]; }`,              // index non-array
+		`func main() { 3 = 4; }`,                        // bad lvalue
+		`func main() { print(1 + ); }`,                  // syntax
+		`func f(a, a) { } func main() { }`,              // duplicate parameter
+		`func main() { var x; if (1) { var x; } }`,      // duplicate local
+		`func main() { var x; x = 1; print(x << 40); }`, // shift out of range
+		`func main() { print(4294967296); }`,            // literal wider than a word
 	}
 	for _, src := range cases {
-		if _, err := Compile(src); err == nil {
-			t.Errorf("no error for %q", src)
+		_, err := Compile(src)
+		_, vaxErr := GenerateVAX(src)
+		if err == nil || vaxErr == nil || err.Error() != vaxErr.Error() {
+			t.Errorf("%q: MIPS-X error %v, CISC error %v; want one error from both", src, err, vaxErr)
 		}
 	}
 }

@@ -28,17 +28,16 @@ const (
 	vaxArgBase  = 9
 )
 
+// vaxGen generates code for a checked program (check.go): every name
+// resolves, so a variable that is not a local is a global.
 type vaxGen struct {
 	code    []vaxlike.Instr
-	prog    *program
 	globals map[string]int32 // name → absolute address
-	funcs   map[string]*funcDecl
 
 	fixups    map[string][]int // label → instruction indices needing Target
 	labelAddr map[string]int32
 
 	locals    map[string]int32 // fp displacement
-	nextLocal int32
 	frame     int32
 	depth     int
 	nextLabel int
@@ -52,9 +51,7 @@ func GenerateVAX(src string) ([]vaxlike.Instr, error) {
 		return nil, err
 	}
 	g := &vaxGen{
-		prog:      prog,
 		globals:   map[string]int32{},
-		funcs:     map[string]*funcDecl{},
 		fixups:    map[string][]int{},
 		labelAddr: map[string]int32{},
 	}
@@ -62,16 +59,6 @@ func GenerateVAX(src string) ([]vaxlike.Instr, error) {
 	for _, gl := range prog.globals {
 		g.globals[gl.name] = addr
 		addr += int32(gl.size)
-	}
-	hasMain := false
-	for _, f := range prog.funcs {
-		g.funcs[f.name] = f
-		if f.name == "main" {
-			hasMain = true
-		}
-	}
-	if !hasMain {
-		return nil, errf(1, "no main function")
 	}
 
 	// Startup.
@@ -126,7 +113,7 @@ func (g *vaxGen) reg(i int) uint8 { return uint8(vaxEvalBase + i) }
 
 func (g *vaxGen) push(line int) (uint8, error) {
 	if g.depth >= vaxMaxDepth {
-		return 0, errf(line, "expression too complex")
+		return 0, errf(line, "expression too complex (more than %d live temporaries)", vaxMaxDepth)
 	}
 	r := g.reg(g.depth)
 	g.depth++
@@ -134,9 +121,13 @@ func (g *vaxGen) push(line int) (uint8, error) {
 }
 
 func (g *vaxGen) genFunc(f *funcDecl) error {
-	nLocals := len(collectLocalNames(f)) - len(f.params)
+	// Frame: [parameters, locals in declaration order, saved fp].
+	names := collectLocalNames(f)
 	g.locals = map[string]int32{}
-	g.frame = 1 + int32(len(f.params)) + int32(nLocals) // saved fp + slots
+	for i, n := range names {
+		g.locals[n] = int32(i)
+	}
+	g.frame = int32(len(names)) + 1
 	g.depth = 0
 	g.epilogue = g.label("ret")
 
@@ -145,12 +136,9 @@ func (g *vaxGen) genFunc(f *funcDecl) error {
 	g.emit(vaxlike.Instr{Op: vaxlike.SUB, Src: vaxlike.Lit(g.frame), Dst: vaxlike.Reg(sp)})
 	g.emit(vaxlike.Instr{Op: vaxlike.MOV, Src: vaxlike.Reg(fp), Dst: vaxlike.Disp(sp, g.frame-1)})
 	g.emit(vaxlike.Instr{Op: vaxlike.MOV, Src: vaxlike.Reg(sp), Dst: vaxlike.Reg(fp)})
-	for i, p := range f.params {
-		off := int32(i)
-		g.locals[p] = off
-		g.emit(vaxlike.Instr{Op: vaxlike.MOV, Src: vaxlike.Reg(uint8(vaxArgBase + i)), Dst: vaxlike.Disp(fp, off)})
+	for i := range f.params {
+		g.emit(vaxlike.Instr{Op: vaxlike.MOV, Src: vaxlike.Reg(uint8(vaxArgBase + i)), Dst: vaxlike.Disp(fp, int32(i))})
 	}
-	g.nextLocal = int32(len(f.params))
 	if err := g.genStmts(f.body); err != nil {
 		return err
 	}
@@ -175,30 +163,12 @@ func (g *vaxGen) genStmts(stmts []stmt) error {
 	return nil
 }
 
-// lvalOperand resolves an assignable location if it is directly addressable
-// (possibly evaluating an index expression into a register first).
-func (g *vaxGen) lvalOperand(lv lvalue) (vaxlike.Operand, bool, error) {
-	switch t := lv.(type) {
-	case varRef:
-		if off, ok := g.locals[t.name]; ok {
-			return vaxlike.Disp(vaxlike.RegFP, off), false, nil
-		}
-		if a, ok := g.globals[t.name]; ok {
-			return vaxlike.Abs(a), false, nil
-		}
-		return vaxlike.Operand{}, false, errf(t.line, "undefined variable %q", t.name)
-	case indexExpr:
-		base, ok := g.globals[t.base.name]
-		if !ok {
-			return vaxlike.Operand{}, false, errf(t.line, "indexing requires a global array, %q is not one", t.base.name)
-		}
-		r, err := g.genExpr(t.idx) // consumes an eval register
-		if err != nil {
-			return vaxlike.Operand{}, false, err
-		}
-		return vaxlike.Idx(base, r), true, nil
+// varOperand addresses a variable: its frame slot, or its global word.
+func (g *vaxGen) varOperand(name string) vaxlike.Operand {
+	if off, ok := g.locals[name]; ok {
+		return vaxlike.Disp(vaxlike.RegFP, off)
 	}
-	panic("vaxgen: unknown lvalue")
+	return vaxlike.Abs(g.globals[name])
 }
 
 // simpleOperand tries to express an expression as a single addressing mode,
@@ -208,12 +178,7 @@ func (g *vaxGen) simpleOperand(e expr) (vaxlike.Operand, bool) {
 	case numLit:
 		return vaxlike.Lit(int32(e.v)), true
 	case varRef:
-		if off, ok := g.locals[e.name]; ok {
-			return vaxlike.Disp(vaxlike.RegFP, off), true
-		}
-		if a, ok := g.globals[e.name]; ok {
-			return vaxlike.Abs(a), true
-		}
+		return g.varOperand(e.name), true
 	}
 	return vaxlike.Operand{}, false
 }
@@ -221,48 +186,13 @@ func (g *vaxGen) simpleOperand(e expr) (vaxlike.Operand, bool) {
 func (g *vaxGen) genStmt(s stmt) error {
 	switch s := s.(type) {
 	case varDecl:
-		off := g.nextLocal
-		g.nextLocal++
-		g.locals[s.name] = off
-		if s.init != nil {
-			// MOV simple → slot when possible: one instruction.
-			if op, ok := g.simpleOperand(s.init); ok {
-				g.emit(vaxlike.Instr{Op: vaxlike.MOV, Src: op, Dst: vaxlike.Disp(vaxlike.RegFP, off)})
-				return nil
-			}
-			r, err := g.genExpr(s.init)
-			if err != nil {
-				return err
-			}
-			g.emit(vaxlike.Instr{Op: vaxlike.MOV, Src: vaxlike.Reg(r), Dst: vaxlike.Disp(vaxlike.RegFP, off)})
-			g.depth--
-		}
-		return nil
-
-	case assign:
-		// Value first (it may contain calls that would clobber the index
-		// register), unless both sides are simple.
-		if dst, usesReg, err := g.lvalOperandSimpleFirst(s); err != nil || dst.Mode != vaxlike.ModeNone {
-			if err != nil {
-				return err
-			}
-			_ = usesReg
+		if s.init == nil {
 			return nil
 		}
-		v, err := g.genExpr(s.value)
-		if err != nil {
-			return err
-		}
-		dst, usesIdx, err := g.lvalOperand(s.target)
-		if err != nil {
-			return err
-		}
-		g.emit(vaxlike.Instr{Op: vaxlike.MOV, Src: vaxlike.Reg(v), Dst: dst})
-		g.depth--
-		if usesIdx {
-			g.depth--
-		}
-		return nil
+		return g.genAssign(varRef{name: s.name}, s.init)
+
+	case assign:
+		return g.genAssign(s.target, s.value)
 
 	case ifStmt:
 		elseL := g.label("else")
@@ -343,37 +273,33 @@ func (g *vaxGen) genStmt(s stmt) error {
 	panic("vaxgen: unknown statement")
 }
 
-// lvalOperandSimpleFirst handles the fully-simple assignment (simple value,
-// directly addressable target): a single MOV, memory to memory. Returns a
-// ModeNone operand when it did not apply.
-func (g *vaxGen) lvalOperandSimpleFirst(s assign) (vaxlike.Operand, bool, error) {
-	v, ok := g.simpleOperand(s.value)
-	if !ok {
-		return vaxlike.Operand{}, false, nil
-	}
-	switch t := s.target.(type) {
-	case varRef:
-		dst, _, err := g.lvalOperand(t)
+// genAssign stores value into target with one MOV: memory to memory when
+// the value is a single operand. Otherwise the value is evaluated first,
+// since it may contain calls that would clobber the index register.
+func (g *vaxGen) genAssign(target lvalue, value expr) error {
+	depth := g.depth
+	src, simple := g.simpleOperand(value)
+	if !simple {
+		r, err := g.genExpr(value)
 		if err != nil {
-			return vaxlike.Operand{}, false, err
+			return err
 		}
-		g.emit(vaxlike.Instr{Op: vaxlike.MOV, Src: v, Dst: dst})
-		return dst, false, nil
+		src = vaxlike.Reg(r)
+	}
+	var dst vaxlike.Operand
+	switch t := target.(type) {
+	case varRef:
+		dst = g.varOperand(t.name)
 	case indexExpr:
-		base, ok2 := g.globals[t.base.name]
-		if !ok2 {
-			return vaxlike.Operand{}, false, errf(t.line, "indexing requires a global array")
-		}
 		r, err := g.genExpr(t.idx)
 		if err != nil {
-			return vaxlike.Operand{}, false, err
+			return err
 		}
-		dst := vaxlike.Idx(base, r)
-		g.emit(vaxlike.Instr{Op: vaxlike.MOV, Src: v, Dst: dst})
-		g.depth--
-		return dst, true, nil
+		dst = vaxlike.Idx(g.globals[t.base.name], r)
 	}
-	return vaxlike.Operand{}, false, nil
+	g.emit(vaxlike.Instr{Op: vaxlike.MOV, Src: src, Dst: dst})
+	g.depth = depth // the MOV frees the value's and the index's registers
+	return nil
 }
 
 var vaxCond = map[string][2]vaxlike.Op{
@@ -478,23 +404,15 @@ func (g *vaxGen) genExpr(e expr) (uint8, error) {
 		if err != nil {
 			return 0, err
 		}
-		op, ok := g.simpleOperand(e)
-		if !ok {
-			return 0, errf(e.line, "undefined variable %q", e.name)
-		}
-		g.emit(vaxlike.Instr{Op: vaxlike.MOV, Src: op, Dst: vaxlike.Reg(r)})
+		g.emit(vaxlike.Instr{Op: vaxlike.MOV, Src: g.varOperand(e.name), Dst: vaxlike.Reg(r)})
 		return r, nil
 
 	case indexExpr:
-		base, ok := g.globals[e.base.name]
-		if !ok {
-			return 0, errf(e.line, "indexing requires a global array, %q is not one", e.base.name)
-		}
 		r, err := g.genExpr(e.idx)
 		if err != nil {
 			return 0, err
 		}
-		g.emit(vaxlike.Instr{Op: vaxlike.MOV, Src: vaxlike.Idx(base, r), Dst: vaxlike.Reg(r)})
+		g.emit(vaxlike.Instr{Op: vaxlike.MOV, Src: vaxlike.Idx(g.globals[e.base.name], r), Dst: vaxlike.Reg(r)})
 		return r, nil
 
 	case unExpr:
@@ -556,10 +474,7 @@ func (g *vaxGen) genVaxBin(e binExpr) (uint8, error) {
 	}
 	switch e.op {
 	case "<<", ">>":
-		n, ok := e.r.(numLit)
-		if !ok {
-			return 0, errf(e.line, "shift amount must be constant")
-		}
+		n := e.r.(numLit)
 		l, err := g.genExpr(e.l)
 		if err != nil {
 			return 0, err
@@ -614,7 +529,7 @@ func (g *vaxGen) genVaxBin(e binExpr) (uint8, error) {
 		g.mark(end)
 		return r, nil
 	}
-	return 0, errf(e.line, "unsupported operator %q", e.op)
+	panic("vaxgen: unknown operator " + e.op)
 }
 
 // bool01cc converts the current condition codes into 0/1 in r, taking 1
@@ -634,9 +549,6 @@ func (g *vaxGen) bool01cc(r uint8, op vaxlike.Op) error {
 func (g *vaxGen) genVaxCall(e callExpr) (uint8, error) {
 	switch e.name {
 	case "cons":
-		if len(e.args) != 2 {
-			return 0, errf(e.line, "cons wants 2 arguments")
-		}
 		a, err := g.genExpr(e.args[0])
 		if err != nil {
 			return 0, err
@@ -657,9 +569,6 @@ func (g *vaxGen) genVaxCall(e callExpr) (uint8, error) {
 		g.depth -= 2
 		return a, nil
 	case "car", "cdr":
-		if len(e.args) != 1 {
-			return 0, errf(e.line, "%s wants 1 argument", e.name)
-		}
 		r, err := g.genExpr(e.args[0])
 		if err != nil {
 			return 0, err
@@ -671,9 +580,6 @@ func (g *vaxGen) genVaxCall(e callExpr) (uint8, error) {
 		g.emit(vaxlike.Instr{Op: vaxlike.MOV, Src: vaxlike.Disp(r, off), Dst: vaxlike.Reg(r)})
 		return r, nil
 	case "setcar", "setcdr":
-		if len(e.args) != 2 {
-			return 0, errf(e.line, "%s wants 2 arguments", e.name)
-		}
 		p, err := g.genExpr(e.args[0])
 		if err != nil {
 			return 0, err
@@ -693,14 +599,6 @@ func (g *vaxGen) genVaxCall(e callExpr) (uint8, error) {
 	case "itof", "ftoi", "fadd", "fsub", "fmul", "fdiv", "flt", "feq":
 		return 0, errf(e.line, "the CISC baseline does not model the FPU benchmarks")
 	}
-	f, ok := g.funcs[e.name]
-	if !ok {
-		return 0, errf(e.line, "undefined function %q", e.name)
-	}
-	if len(e.args) != len(f.params) {
-		return 0, errf(e.line, "%s wants %d arguments, got %d", e.name, len(f.params), len(e.args))
-	}
-
 	live := g.depth
 	sp := uint8(vaxlike.RegSP)
 	if live > 0 {

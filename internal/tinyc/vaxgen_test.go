@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/reorg"
 	"repro/internal/vaxlike"
 )
 
@@ -52,6 +53,41 @@ func TestVaxBackendMatchesMIPSXOnSuite(t *testing.T) {
 				t.Fatalf("vax output %q, want %q", out, want)
 			}
 		})
+	}
+}
+
+// TestBackendsAgree: a program both backends build prints the same on
+// both machines, at the scope and overflow boundaries too. Every local is
+// assigned before it is read; an unassigned local's value is unspecified.
+func TestBackendsAgree(t *testing.T) {
+	for _, c := range []struct{ src, want string }{
+		// A local is visible throughout its function, before its
+		// declaration too, and hides a global of its name there.
+		{`func main() { x = 3; var x; print(x); }`, "3\n"},
+		{`var x; func main() { x = 3; var x; print(x); }`, "3\n"},
+		{`func main() { if (1) { var y; y = 4; } y = y + 1; print(y); }`, "5\n"},
+		{`var p; func f(p) { return p + 1; } func main() { p = 10; print(f(1) + p); }`, "12\n"},
+		// An index base is always the global; functions and variables
+		// have separate names.
+		{`var a[4]; func main() { var a; a = 7; a[1] = 5; print(a + a[1]); }`, "12\n"},
+		{`var f; func f() { return 4; } func main() { f = 1; print(f() + f); }`, "5\n"},
+		// Compares whose difference overflows a word; literals are words.
+		{`func main() {
+			var big; big = 524288 * 4096;
+			if ((524288 * 4096) < (40 * 55)) { print(1); } else { print(0); }
+			print(big < 2200);
+			print(2200 > big);
+			print(4294967295);
+		}`, "1\n1\n1\n-1\n"},
+		// A zero divisor: quotient 0, remainder the dividend.
+		{`func main() { var z; var m; z = 0; m = 0 - 7; print(7 / z); print(7 % z); print(m % z); }`, "0\n7\n-7\n"},
+	} {
+		if got := runTiny(t, c.src, reorg.Default()); got != c.want {
+			t.Errorf("MIPS-X printed %q, want %q\n%s", got, c.want, c.src)
+		}
+		if _, got := runVax(t, c.src); got != c.want {
+			t.Errorf("CISC printed %q, want %q\n%s", got, c.want, c.src)
+		}
 	}
 }
 

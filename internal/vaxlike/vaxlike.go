@@ -22,6 +22,7 @@
 package vaxlike
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 
@@ -305,7 +306,7 @@ func (m *Machine) Step() error {
 		cost += costDiv
 		arith(func(d, s int32) int32 {
 			if s == 0 {
-				return 0
+				return d // d = 0*s + d, as MIPS-X's __mod leaves it
 			}
 			return d % s
 		})
@@ -327,8 +328,10 @@ func (m *Machine) Step() error {
 		m.write(in.Dst, v)
 		m.setCC(v, false)
 	case CMP:
-		// CMP src, dst: codes from src - dst (VAX compares first to second).
-		m.setCC(m.read(in.Src)-m.read(in.Dst), true)
+		// CMP src, dst: codes from src - dst (VAX compares first to second),
+		// taken exactly as a VAX branch's N xor V takes them, so a
+		// difference that overflows int32 still branches the right way.
+		m.setCC(int32(cmp.Compare(m.read(in.Src), m.read(in.Dst))), true)
 		cost++
 	case TST:
 		m.setCC(m.read(in.Src), true)

@@ -1,6 +1,7 @@
 package vaxlike
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -84,6 +85,37 @@ func TestCmpBranch(t *testing.T) {
 	}
 }
 
+// TestCmpBranchAcrossOverflow: each conditional branch after CMP a, b
+// takes exactly when the signed comparison of a and b says so, including
+// pairs whose difference overflows int32.
+func TestCmpBranchAcrossOverflow(t *testing.T) {
+	pairs := [][2]int32{
+		{3, 4}, {4, 3}, {5, 5}, {-1, 1},
+		{math.MinInt32, 2200}, {2200, math.MinInt32}, // 2^31 wraps: (524288*4096) vs (40*55)
+		{math.MaxInt32, -1}, {-1, math.MaxInt32},
+		{math.MinInt32, math.MaxInt32}, {math.MaxInt32, math.MinInt32},
+	}
+	for _, p := range pairs {
+		a, b := p[0], p[1]
+		for op, want := range map[Op]bool{
+			BEQ: a == b, BNE: a != b, BLT: a < b, BLE: a <= b, BGT: a > b, BGE: a >= b,
+		} {
+			_, out := run(t, []Instr{
+				{Op: MOV, Src: Lit(a), Dst: Reg(1)},
+				{Op: CMP, Src: Reg(1), Dst: Lit(b)},
+				{Op: op, Target: 5},
+				{Op: PRNT, Src: Lit(0)},
+				{Op: HALT},
+				{Op: PRNT, Src: Lit(1)}, // 5:
+				{Op: HALT},
+			})
+			if got := out == "1\n"; got != want {
+				t.Errorf("cmp %d, %d; %s taken = %v, want %v", a, b, op, got, want)
+			}
+		}
+	}
+}
+
 func TestJsrRsb(t *testing.T) {
 	m, out := run(t, []Instr{
 		{Op: JSR, Target: 3},
@@ -135,14 +167,21 @@ func TestCycleCosts(t *testing.T) {
 	}
 }
 
+// TestDivideByZero: a zero divisor gives quotient 0 and remainder the
+// dividend, as tinyc's MIPS-X runtime does.
 func TestDivideByZero(t *testing.T) {
 	m, _ := run(t, []Instr{
 		{Op: MOV, Src: Lit(7), Dst: Reg(1)},
 		{Op: DIV, Src: Lit(0), Dst: Reg(1)},
+		{Op: MOV, Src: Lit(-7), Dst: Reg(2)},
+		{Op: MOD, Src: Lit(0), Dst: Reg(2)},
 		{Op: HALT},
 	})
 	if m.Reg(1) != 0 {
 		t.Fatalf("div by zero gave %d", m.Reg(1))
+	}
+	if m.Reg(2) != -7 {
+		t.Fatalf("mod by zero gave %d, want the dividend", m.Reg(2))
 	}
 }
 
